@@ -61,7 +61,9 @@ from .fl import (
     aggregation_error,
     local_update,
     make_regression_problem,
+    participation_masks,
     run_fl,
+    train_round,
 )
 from .saa import (
     DualState,

@@ -28,9 +28,9 @@ from .channel import estimate_success_probs
 from .convergence import ConvergenceInputs, convergence_round
 from .design import DesignVector
 from .energy import flight_power, leader_round_energy
-from .fl import run_fl
-from .saa import baseline_design, solve
-from .scenario import SwarmScenario
+from .fl import participation_masks, run_fl
+from .saa import baseline_design, problem_constants, solve
+from .scenario import ConfigError, SwarmScenario
 from .seeds import derive_seed
 
 __all__ = [
@@ -115,13 +115,13 @@ def _prob_cells(probs) -> dict:
     return {f"success_prob_{i + 1}": float(p) for i, p in enumerate(probs)}
 
 
-def _predicted_round(probs, model, epsilon_sum, s0) -> int:
+def _predicted_round(probs, counts, mu, lipschitz_u, epsilon_sum, s0) -> int:
     """Predicted round count, capped instead of raising when rho = 0."""
     inputs = ConvergenceInputs(
         success_prob=np.asarray(probs, dtype=float),
-        counts=model.counts.astype(float),
-        mu=model.strong_mu,
-        lipschitz_u=model.lipschitz_u,
+        counts=np.asarray(counts, dtype=float),
+        mu=mu,
+        lipschitz_u=lipschitz_u,
         epsilon=epsilon_sum,
         initial_loss_sum=s0,
     )
@@ -131,34 +131,38 @@ def _predicted_round(probs, model, epsilon_sum, s0) -> int:
         return ROUND_CAP
 
 
-def _crossing_rounds(loss_gaps: np.ndarray, thresholds) -> list[int | None]:
-    """First index where the gap trajectory falls to each threshold."""
-    out = []
-    for theta in thresholds:
-        hits = np.nonzero(loss_gaps <= theta)[0]
-        out.append(int(hits[0]) if hits.size else None)
-    return out
+def _mc_crossings(model, masks, eps_means):
+    """Per-threshold empirical crossing rounds of coupled training runs.
 
-
-def _mc_crossings(scenario, design, model, datasets, eps_means, mc_runs, base_seed, label):
-    """Per-threshold empirical crossing rounds over mc_runs coupled runs.
-
-    One trajectory per repetition, run to the tightest threshold; all
-    crossings are read off the same trajectory.  Returns an array of shape
-    (mc_runs, len(eps_means)) with -1 for thresholds never reached.
+    One trajectory per repetition (masks is (R, T, I)), run to the tightest
+    threshold; all crossings are read off the same trajectory.  Returns an
+    array of shape (R, len(eps_means)) with -1 for thresholds never reached.
     """
-    lr = 0.5 / model.lipschitz_u
-    eps_min = min(eps_means)
-    rounds = np.full((mc_runs, len(eps_means)), -1, dtype=int)
-    for rep in range(mc_runs):
-        seed = derive_seed(base_seed, label, rep)
-        state, _ = run_fl(
-            scenario, design, model, datasets, scenario.max_rounds, eps_min, seed, lr=lr
-        )
-        gaps = np.asarray(state.loss_history) - model.f_star
-        for j, hit in enumerate(_crossing_rounds(gaps, eps_means)):
-            rounds[rep, j] = -1 if hit is None else hit
+    state, _ = run_fl(model, masks, min(eps_means), lr=0.5 / model.lipschitz_u)
+    gaps = state.loss_history - model.f_star  # NaN once a run has stopped
+    rounds = np.empty((len(masks), len(eps_means)), dtype=int)
+    for j, theta in enumerate(eps_means):
+        below = gaps <= theta
+        rounds[:, j] = np.where(below.any(axis=1), below.argmax(axis=1), -1)
     return rounds
+
+
+def _run_seeds(base_seed, label, mc_runs) -> list[int]:
+    return [derive_seed(base_seed, label, rep) for rep in range(mc_runs)]
+
+
+def _check(errors) -> None:
+    """Raise ConfigError for experiment arguments out of range."""
+    if errors:
+        raise ConfigError(errors)
+
+
+def _fraction_errors(name, value) -> list[str]:
+    return [] if 0.0 < value < 1.0 else [f"{name} must be in (0, 1), got {value!r}"]
+
+
+def _count_errors(name, value) -> list[str]:
+    return [] if value >= 1 else [f"{name} must be >= 1, got {value!r}"]
 
 
 def _mean_std(values: np.ndarray) -> tuple[float | None, float | None, int]:
@@ -188,9 +192,14 @@ def experiment_validate_theorem(
     eps_fracs = tuple(scenario.epsilon_fracs if eps_fracs is None else eps_fracs)
     mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
     base_seed = scenario.base_seed if base_seed is None else base_seed
+    _check(
+        [err for k, frac in enumerate(eps_fracs) for err in _fraction_errors(f"eps_fracs[{k}]", frac)]
+        + ([] if eps_fracs else ["eps_fracs must not be empty"])
+        + _count_errors("mc_runs", mc_runs)
+    )
     t_start = time.perf_counter()
 
-    datasets, model = scenario.build_dataset()
+    _, model = scenario.build_dataset()
     s0 = model.total_loss_sum(np.zeros(model.dim))
     n_total = model.n_total
     probs = estimate_success_probs(
@@ -198,9 +207,10 @@ def experiment_validate_theorem(
     )
     eps_sums = [frac * s0 for frac in eps_fracs]
     eps_means = [eps / n_total for eps in eps_sums]
-    crossings = _mc_crossings(
-        scenario, design, model, datasets, eps_means, mc_runs, base_seed, "vt-run"
-    )
+    masks = participation_masks(
+        [scenario], design, scenario.max_rounds, _run_seeds(base_seed, "vt-run", mc_runs)
+    )[0]
+    crossings = _mc_crossings(model, masks, eps_means)
 
     columns = (
         ["experiment", "schema_version", "epsilon_frac", "epsilon_sum", "predicted_round",
@@ -219,7 +229,9 @@ def experiment_validate_theorem(
         + flight_power(scenario.flight, design.v) * scenario.round_time_s
     )
     for frac, eps_sum, col in zip(eps_fracs, eps_sums, range(len(eps_fracs))):
-        predicted = _predicted_round(probs, model, eps_sum, s0)
+        predicted = _predicted_round(
+            probs, model.counts, model.strong_mu, model.lipschitz_u, eps_sum, s0
+        )
         emp_mean, emp_std, n_conv = _mean_std(crossings[:, col])
         rel_gap = None if emp_mean is None or predicted == 0 else abs(predicted - emp_mean) / predicted
         result.append(
@@ -270,6 +282,17 @@ def experiment_sweep_sigma(
     design.require_valid(scenario.p_max, scenario.flight.v_max)
     mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
     base_seed = scenario.base_seed if base_seed is None else base_seed
+    points = {
+        (sigma2, bw): _with_sigma_bw(scenario, float(sigma2), float(bw))
+        for sigma2 in sigma2_list
+        for bw in bw_list
+    }
+    _check(
+        _fraction_errors("eps_frac", eps_frac)
+        + _count_errors("mc_runs", mc_runs)
+        + ([] if points else ["the sigma2 and bandwidth grids must not be empty"])
+        + [f"sigma2={s!r}, bw={b!r}: {err}" for (s, b), point in points.items() for err in point.validate()]
+    )
     t_start = time.perf_counter()
 
     columns = (
@@ -280,20 +303,24 @@ def experiment_sweep_sigma(
         + _design_columns(scenario.n_followers)
     )
     result = ExperimentResult("sweep-sigma", columns)
+    _, model = scenario.build_dataset()
+    s0 = model.total_loss_sum(np.zeros(model.dim))
+    eps_sum = eps_frac * s0
+    seeds = _run_seeds(base_seed, "ss-run", mc_runs)
     for sigma2 in sigma2_list:
-        for bw in bw_list:
-            point = _with_sigma_bw(scenario, float(sigma2), float(bw))
-            datasets, model = point.build_dataset()
-            s0 = model.total_loss_sum(np.zeros(model.dim))
-            eps_sum = eps_frac * s0
+        # one channel draw per repetition and jitter variance, read at every bandwidth
+        masks = participation_masks(
+            [points[(sigma2, bw)] for bw in bw_list], design, scenario.max_rounds, seeds
+        )
+        for k_bw, bw in enumerate(bw_list):
+            point = points[(sigma2, bw)]
             probs = estimate_success_probs(
                 design, point, point.n_success_samples, derive_seed(base_seed, "ss-probs")
             )
-            predicted = _predicted_round(probs, model, eps_sum, s0)
-            crossings = _mc_crossings(
-                point, design, model, datasets, [eps_sum / model.n_total],
-                mc_runs, base_seed, "ss-run",
+            predicted = _predicted_round(
+                probs, model.counts, model.strong_mu, model.lipschitz_u, eps_sum, s0
             )
+            crossings = _mc_crossings(model, masks[k_bw], [eps_sum / model.n_total])
             emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
             result.append(
                 experiment="sweep-sigma",
@@ -330,6 +357,14 @@ def experiment_compare_designs(
     """
     scenario.require_valid()
     base_seed = scenario.base_seed if base_seed is None else base_seed
+    points = [
+        replace(scenario, radio=replace(scenario.radio, bw_up=float(bw), bw_down=float(bw)))
+        for bw in bw_list
+    ]
+    _check(
+        _count_errors("n_baseline_draws", n_baseline_draws)
+        + [f"bw={bw!r}: {err}" for bw, point in zip(bw_list, points) for err in point.validate()]
+    )
     t_start = time.perf_counter()
 
     columns = (
@@ -339,16 +374,15 @@ def experiment_compare_designs(
         + _design_columns(scenario.n_followers)
     )
     result = ExperimentResult("compare-designs", columns)
-    for k_bw, bw in enumerate(bw_list):
-        point = replace(scenario, radio=replace(scenario.radio, bw_up=float(bw), bw_down=float(bw)))
-        _, model = point.build_dataset()
-        s0 = model.total_loss_sum(np.zeros(model.dim))
-        eps_sum = point.saa.epsilon_opt_frac * s0
+    # bandwidth leaves the training problem alone: one set of constants serves every point
+    consts = problem_constants(scenario)
+    problem = (consts.counts, consts.mu, consts.lipschitz_u, consts.epsilon_sum, consts.initial_loss_sum)
+    for k_bw, (bw, point) in enumerate(zip(bw_list, points)):
         probs_seed = derive_seed(base_seed, "cd-probs", k_bw)
 
         joint, _, _ = solve(point, rng_seed=derive_seed(base_seed, "cd-solve", k_bw))
         joint_probs = estimate_success_probs(joint, point, point.n_success_samples, probs_seed)
-        joint_round = _predicted_round(joint_probs, model, eps_sum, s0)
+        joint_round = _predicted_round(joint_probs, *problem)
         result.append(
             experiment="compare-designs",
             schema_version=SCHEMA_VERSION,
@@ -366,7 +400,7 @@ def experiment_compare_designs(
             for d in range(n_baseline_draws):
                 cand = baseline_design(kind, joint, point, derive_seed(base_seed, "cd-base", kind, k_bw, d))
                 cand_probs = estimate_success_probs(cand, point, point.n_success_samples, probs_seed)
-                rounds[d] = _predicted_round(cand_probs, model, eps_sum, s0)
+                rounds[d] = _predicted_round(cand_probs, *problem)
             mean_round = float(rounds.mean())
             reduction = (mean_round - joint_round) / mean_round if mean_round > 0 else 0.0
             result.append(
@@ -397,12 +431,18 @@ def experiment_simulate(
     eps_frac = scenario.epsilon_fracs[0] if eps_frac is None else eps_frac
     mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
     base_seed = scenario.base_seed if base_seed is None else base_seed
+    _check(_fraction_errors("eps_frac", eps_frac) + _count_errors("mc_runs", mc_runs))
     t_start = time.perf_counter()
 
-    datasets, model = scenario.build_dataset()
+    _, model = scenario.build_dataset()
     s0 = model.total_loss_sum(np.zeros(model.dim))
     eps_mean = eps_frac * s0 / model.n_total
-    lr = 0.5 / model.lipschitz_u
+    masks = participation_masks(
+        [scenario], design, scenario.max_rounds, _run_seeds(base_seed, "sim-run", mc_runs)
+    )[0]
+    state, hits = run_fl(model, masks, eps_mean, lr=0.5 / model.lipschitz_u)
+    rates = state.participation_rates()
+    final_gaps = state.loss_history[np.arange(mc_runs), state.rounds] - model.f_star
 
     columns = (
         ["experiment", "schema_version", "run", "epsilon_frac", "empirical_round",
@@ -411,24 +451,15 @@ def experiment_simulate(
     )
     result = ExperimentResult("simulate", columns)
     for rep in range(mc_runs):
-        seed = derive_seed(base_seed, "sim-run", rep)
-        state, hit = run_fl(
-            scenario, design, model, datasets, scenario.max_rounds, eps_mean, seed, lr=lr
-        )
-        part = (
-            np.mean(state.participation_history, axis=0)
-            if state.participation_history
-            else np.zeros(scenario.n_followers)
-        )
         result.append(
             experiment="simulate",
             schema_version=SCHEMA_VERSION,
             run=rep,
             epsilon_frac=eps_frac,
-            empirical_round=-1 if hit is None else hit,
-            final_loss_gap=float(state.loss_history[-1] - model.f_star),
-            rounds_executed=state.round,
-            **{f"participation_rate_{i + 1}": float(part[i]) for i in range(scenario.n_followers)},
+            empirical_round=int(hits[rep]),
+            final_loss_gap=float(final_gaps[rep]),
+            rounds_executed=int(state.rounds[rep]),
+            **{f"participation_rate_{i + 1}": float(rates[rep, i]) for i in range(scenario.n_followers)},
         )
     result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result

@@ -15,7 +15,7 @@ participation one round equals plain gradient descent on F.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +36,9 @@ __all__ = [
     "aggregate_ideal",
     "aggregate_with_losses",
     "aggregation_error",
+    "train_round",
     "run_fl",
+    "participation_masks",
 ]
 
 
@@ -132,8 +134,10 @@ class QuadraticLossModel(LossModel):
         self.datasets = list(datasets)
         self.dim = dims.pop()
         self.counts = np.array([d.count for d in datasets], dtype=int)
-        self._a = [2.0 * d.features.T @ d.features for d in datasets]
-        self._b = [2.0 * d.features.T @ d.labels for d in datasets]
+        self._a = np.stack([2.0 * d.features.T @ d.features for d in datasets])  # (I, dim, dim)
+        self._b = np.stack([2.0 * d.features.T @ d.labels for d in datasets])  # (I, dim)
+        self._x = np.vstack([d.features for d in datasets])  # (N, dim) pooled samples
+        self._y = np.concatenate([d.labels for d in datasets])
         n = self.n_total
         hessian = sum(self._a) / n
         eigvals = np.linalg.eigvalsh(hessian)
@@ -159,6 +163,15 @@ class QuadraticLossModel(LossModel):
     def follower_grad_sum(self, i: int, w: np.ndarray) -> np.ndarray:
         return self._a[i] @ w - self._b[i]
 
+    def follower_grad_sums(self, ws: np.ndarray) -> np.ndarray:
+        """Gradient sum of every follower at its own row: ws (..., I, dim) -> (..., I, dim)."""
+        return np.einsum("iab,...ib->...ia", self._a, ws) - self._b
+
+    def global_losses(self, ws: np.ndarray) -> np.ndarray:
+        """F at each row of ws, shape (R, dim) -> (R,), from one pooled residual product."""
+        resid = self._x @ ws.T - self._y[:, None]
+        return np.einsum("nr,nr->r", resid, resid) / self.n_total
+
     def hessian(self) -> np.ndarray:
         """Mean Hessian of F (constant for quadratics)."""
         return self._hessian.copy()
@@ -183,15 +196,12 @@ class QuadraticLossModel(LossModel):
         points = self.w_star + directions * radii[:, None]
         points = np.vstack([points, self.w_star])
 
-        max_sq = np.empty(len(points))
-        glob_sq = np.empty(len(points))
-        for s, w in enumerate(points):
-            per = [self.follower_grad_sum(i, w) for i in range(self.n_followers)]
-            max_sq[s] = max(float(g @ g) for g in per)
-            g_glob = self.global_grad(w)
-            glob_sq[s] = float(g_glob @ g_glob)
-        grads_opt = [self.follower_grad_sum(i, self.w_star) for i in range(self.n_followers)]
-        at_opt = max(float(g @ g) for g in grads_opt)
+        per_follower = (len(points), self.n_followers, self.dim)
+        grads = self.follower_grad_sums(np.broadcast_to(points[:, None, :], per_follower))
+        max_sq = np.einsum("sia,sia->si", grads, grads).max(axis=1)
+        g_glob = grads.sum(axis=1) / self.n_total
+        glob_sq = np.einsum("sa,sa->s", g_glob, g_glob)
+        at_opt = max_sq[-1]  # the last point is w* itself
         pos = glob_sq > 1e-18
         zeta2 = max(1.0, float(np.max((max_sq[pos] - at_opt) / glob_sq[pos])))
         zeta1 = max(at_opt, float(np.max(max_sq - zeta2 * glob_sq)))
@@ -260,12 +270,13 @@ def make_regression_problem(
             sig = np.where(owners == i, signal_scale, owner_emphasis * signal_scale)
             scale_rows[block, nuisance_dims:] = sig
         w_true = np.concatenate([np.zeros(nuisance_dims), np.full(n_signal, w_scale)])
-        owner_count = np.bincount(owners, minlength=n_followers).astype(float)[owners]
+        # every signal coordinate has one owner and n_followers - 1 others
         mean_sq = (
-            owner_count * signal_scale**2
-            + (n_followers - owner_count) * (owner_emphasis * signal_scale) ** 2
+            signal_scale**2 + (n_followers - 1) * (owner_emphasis * signal_scale) ** 2
         ) / n_followers
-        target_moments = np.concatenate([np.full(nuisance_dims, nuisance_scale**2), mean_sq])
+        target_moments = np.concatenate(
+            [np.full(nuisance_dims, nuisance_scale**2), np.full(n_signal, mean_sq)]
+        )
 
     x = rng.standard_normal((n_total, dim)) * scale_rows
     if exact_second_moments:
@@ -294,21 +305,35 @@ def make_regression_problem(
 
 @dataclass
 class FlState:
-    """Mutable state of one federated training run."""
+    """State of R coupled federated training runs, one row per repetition.
 
-    global_w: np.ndarray
-    local_w: np.ndarray  # (I, dim) latest local updates
-    last_received: np.ndarray  # (I, dim) newest global model each follower holds
-    round: int = 0
-    loss_history: list[float] = field(default_factory=list)
-    participation_history: list[np.ndarray] = field(default_factory=list)
+    rounds[r] counts the rounds repetition r executed before it reached its
+    loss target (or ran out of participation masks); loss_history[r, t] is
+    F after round t, NaN past rounds[r].
+    """
+
+    global_w: np.ndarray  # (R, dim)
+    last_received: np.ndarray  # (R, I, dim) newest global model each follower holds
+    rounds: np.ndarray  # (R,) rounds executed
+    loss_history: np.ndarray  # (R, T + 1)
+    participation: np.ndarray  # (R, T, I) participation masks the runs drew from
+
+    @property
+    def round(self) -> int:
+        """Rounds executed, summed over repetitions."""
+        return int(self.rounds.sum())
+
+    def participation_rates(self) -> np.ndarray:
+        """Per-repetition share of executed rounds each follower took part in, (R, I)."""
+        executed = np.arange(self.participation.shape[1]) < self.rounds[:, None]
+        hits = (self.participation & executed[:, :, None]).sum(axis=1)
+        return hits / np.maximum(self.rounds, 1)[:, None]
 
 
-def local_update(state: FlState, i: int, loss: LossModel, lr: float) -> np.ndarray:
-    """One local gradient step of follower i from its newest received model."""
+def local_update(w_ref: np.ndarray, i: int, loss: LossModel, lr: float) -> np.ndarray:
+    """One local gradient step of follower i from its newest received model w_ref."""
     if lr <= 0.0:
         raise ValueError("lr must be > 0")
-    w_ref = state.last_received[i]
     return w_ref - (lr / loss.counts[i]) * loss.follower_grad_sum(i, w_ref)
 
 
@@ -353,74 +378,126 @@ def aggregation_error(loss: LossModel, local_grads, w: np.ndarray, participation
     return agg - grad
 
 
-def run_fl(
-    scenario: "SwarmScenario",
+def participation_masks(
+    points: "list[SwarmScenario]",
     design: "DesignVector",
-    loss: LossModel,
-    datasets: list[Dataset],
-    max_rounds: int,
+    n_rounds: int,
+    seeds,
+) -> np.ndarray:
+    """Participation indicators of coupled training runs, shape (B, R, T, I).
+
+    Repetition r draws n_rounds channel realizations from its own generator,
+    seeded with seeds[r], so trajectories with the same seed are coupled
+    draw-for-draw across scenarios that differ only in jitter variance or
+    bandwidth.  The B scenarios in points may differ only in their link
+    bandwidths, which draw_channel never reads: each repetition is drawn
+    once and its delays are evaluated under every point.
+    """
+    first = points[0]
+    for point in points[1:]:
+        radio = replace(point.radio, bw_up=first.radio.bw_up, bw_down=first.radio.bw_down)
+        if replace(point, radio=radio) != first:
+            raise ValueError("points may differ only in radio.bw_up and radio.bw_down")
+    if n_rounds < 0:
+        raise ValueError("n_rounds must be >= 0")
+    out = np.empty((len(points), len(seeds), n_rounds, first.n_followers), dtype=bool)
+    for r, seed in enumerate(seeds):
+        draws = draw_channel(first, np.random.default_rng(seed), size=n_rounds)
+        for k, point in enumerate(points):
+            t_up, t_dn = link_delays(draws, design, point)
+            out[k, r] = success_mask(t_up, t_dn, design.beta, point.round_time_s)
+    return out
+
+
+def train_round(
+    loss: QuadraticLossModel,
+    last_received: np.ndarray,
+    global_w: np.ndarray,
+    participation: np.ndarray,
+    lr: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round of R runs at once: every follower's local step from its
+    newest received model, then the count-weighted mean over participants.
+
+    last_received is (R, I, dim), global_w (R, dim), participation (R, I).
+    Returns (local_w, new global_w); a run where nobody participates keeps
+    its previous global model.  Per run this equals local_update for each
+    follower followed by aggregate_with_losses.
+    """
+    counts = loss.counts
+    local_w = last_received - (lr / counts)[:, None] * loss.follower_grad_sums(last_received)
+    weights = counts * participation
+    total = weights.sum(axis=1)
+    summed = (weights[:, :, None] * local_w).sum(axis=1)
+    anyone = total > 0
+    new_global = np.where(anyone[:, None], summed / np.where(anyone, total, 1)[:, None], global_w)
+    return local_w, new_global
+
+
+def run_fl(
+    loss: QuadraticLossModel,
+    participation: np.ndarray,
     epsilon: float,
-    rng_seed: int,
     *,
     lr: float | None = None,
     stale_models: bool = True,
     w0: np.ndarray | None = None,
-) -> tuple[FlState, int | None]:
-    """Run federated rounds until the loss gap F(w) - F(w*) falls below epsilon.
+) -> tuple[FlState, np.ndarray]:
+    """Run R coupled federated trainings until each loss gap F(w) - F(w*)
+    falls below epsilon.
 
-    Channel realizations for all rounds are drawn up front from rng_seed, so
-    trajectories with the same seed are coupled draw-for-draw across
-    scenarios that differ only in jitter variance or bandwidth, and an early
-    stop never shifts later draws.  Returns the final state and the first
-    round index whose recorded loss meets the target (None if max_rounds
-    was exhausted first).  lr defaults to 1/lipschitz_u; stale_models=False
-    is an idealized ablation where every follower always receives the
-    broadcast even in rounds it does not contribute to.
+    participation is a boolean (R, T, I) array: whether follower i's upload
+    and the following broadcast both landed in round t of repetition r (see
+    participation_masks).  Each repetition stops at its own crossing; the
+    loop ends once every repetition has crossed or T rounds have run.
+    Returns the final state and, per repetition, the first round whose
+    recorded loss meets the target (-1 if the masks ran out first).  lr
+    defaults to 1/lipschitz_u; stale_models=False is an idealized ablation
+    where every follower always receives the broadcast even in rounds it
+    does not contribute to.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
-    if max_rounds < 0:
-        raise ValueError("max_rounds must be >= 0")
+    ok = np.asarray(participation, dtype=bool)
+    if ok.ndim != 3 or ok.shape[2] != loss.n_followers:
+        raise ValueError(f"participation must have shape (R, T, {loss.n_followers}), got {ok.shape}")
     step = 1.0 / loss.lipschitz_u if lr is None else float(lr)
     if step <= 0.0:
         raise ValueError("lr must be > 0")
 
-    dim = loss.dim
-    start = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=float).copy()
+    n_reps, max_rounds, n_f = ok.shape
+    start = np.zeros(loss.dim) if w0 is None else np.asarray(w0, dtype=float)
     state = FlState(
-        global_w=start.copy(),
-        local_w=np.tile(start, (loss.n_followers, 1)),
-        last_received=np.tile(start, (loss.n_followers, 1)),
+        global_w=np.tile(start, (n_reps, 1)),
+        last_received=np.tile(start, (n_reps, n_f, 1)),
+        rounds=np.zeros(n_reps, dtype=int),
+        loss_history=np.full((n_reps, max_rounds + 1), np.nan),
+        participation=ok,
     )
-    f_start = loss.global_loss(state.global_w)
-    state.loss_history.append(f_start)
+    f_start = loss.global_loss(start)
+    state.loss_history[:, 0] = f_start
+    hits = np.full(n_reps, -1)
     if f_start - loss.f_star <= epsilon:
-        return state, 0
-    if max_rounds == 0:
-        return state, None
+        hits[:] = 0
+        return state, hits
 
-    rng = np.random.default_rng(rng_seed)
-    draws = draw_channel(scenario, rng, size=max_rounds)
-    t_up, t_dn = link_delays(draws, design, scenario)
-    ok = success_mask(t_up, t_dn, design.beta, scenario.round_time_s)
-
-    empirical_round = None
+    live = np.arange(n_reps)
     for t in range(1, max_rounds + 1):
-        for i in range(loss.n_followers):
-            state.local_w[i] = local_update(state, i, loss, step)
-        participation = ok[t - 1]
-        state.global_w = aggregate_with_losses(
-            state.local_w, loss.counts, participation, state.global_w
-        )
+        mask = ok[live, t - 1]
+        received = state.last_received[live]
+        _, global_w = train_round(loss, received, state.global_w[live], mask, step)
+        state.global_w[live] = global_w
         if stale_models:
-            state.last_received[participation] = state.global_w
+            received = np.where(mask[:, :, None], global_w[:, None, :], received)
         else:
-            state.last_received[:] = state.global_w
-        state.round = t
-        state.participation_history.append(participation.copy())
-        f_now = loss.global_loss(state.global_w)
-        state.loss_history.append(f_now)
-        if f_now - loss.f_star <= epsilon:
-            empirical_round = t
+            received[:] = global_w[:, None, :]
+        state.last_received[live] = received
+        state.rounds[live] = t
+        f_now = loss.global_losses(global_w)
+        state.loss_history[live, t] = f_now
+        crossed = f_now - loss.f_star <= epsilon
+        hits[live[crossed]] = t
+        live = live[~crossed]
+        if live.size == 0:
             break
-    return state, empirical_round
+    return state, hits

@@ -121,17 +121,26 @@ class ProblemConstants:
     epsilon_sum: float
 
 
-@lru_cache(maxsize=32)
 def problem_constants(scenario: SwarmScenario) -> ProblemConstants:
-    """Build the scenario's training problem once and keep its constants."""
-    _, model = scenario.build_dataset()
+    """Build the scenario's training problem once and keep its constants.
+
+    The constants depend only on the follower count, the dataset and the
+    optimizer's loss target, so scenarios that differ elsewhere (bandwidth,
+    jitter, budgets) share one cached entry.
+    """
+    return _problem_constants(scenario.n_followers, scenario.dataset, scenario.saa.epsilon_opt_frac)
+
+
+@lru_cache(maxsize=32)
+def _problem_constants(n_followers: int, dataset, epsilon_opt_frac: float) -> ProblemConstants:
+    _, model = dataset.build(n_followers)
     s0 = model.total_loss_sum(np.zeros(model.dim))
     return ProblemConstants(
         counts=tuple(int(c) for c in model.counts),
         mu=model.strong_mu,
         lipschitz_u=model.lipschitz_u,
         initial_loss_sum=s0,
-        epsilon_sum=scenario.saa.epsilon_opt_frac * s0,
+        epsilon_sum=epsilon_opt_frac * s0,
     )
 
 

@@ -91,6 +91,28 @@ class DatasetSpec:
                 errors.append(f"{prefix}.nuisance_scale must be > 0")
         return errors
 
+    def build(self, n_followers: int, seed: int | None = None):
+        """Instantiate the problem split across n_followers: (datasets, loss_model)."""
+        from .fl import make_regression_problem
+
+        kwargs = dict(noise_std=self.noise_std)
+        if self.owner_emphasis is not None:
+            kwargs.update(
+                nuisance_dims=self.nuisance_dims,
+                signal_scale=self.signal_scale,
+                owner_emphasis=self.owner_emphasis,
+                nuisance_scale=self.nuisance_scale,
+                exact_second_moments=self.exact_second_moments,
+                w_scale=self.w_scale,
+            )
+        return make_regression_problem(
+            n_followers,
+            self.samples_per,
+            self.dim,
+            self.seed if seed is None else seed,
+            **kwargs,
+        )
+
 
 @dataclass(frozen=True)
 class SaaConfig:
@@ -189,26 +211,7 @@ class SwarmScenario:
 
     def build_dataset(self, seed: int | None = None):
         """Instantiate the synthetic problem: (datasets, loss_model)."""
-        from .fl import make_regression_problem
-
-        spec = self.dataset
-        kwargs = dict(noise_std=spec.noise_std)
-        if spec.owner_emphasis is not None:
-            kwargs.update(
-                nuisance_dims=spec.nuisance_dims,
-                signal_scale=spec.signal_scale,
-                owner_emphasis=spec.owner_emphasis,
-                nuisance_scale=spec.nuisance_scale,
-                exact_second_moments=spec.exact_second_moments,
-                w_scale=spec.w_scale,
-            )
-        return make_regression_problem(
-            self.n_followers,
-            spec.samples_per,
-            spec.dim,
-            spec.seed if seed is None else seed,
-            **kwargs,
-        )
+        return self.dataset.build(self.n_followers, seed)
 
     def default_design(self) -> DesignVector:
         """A hand-tuned feasible operating point used by the validation runs."""

@@ -136,6 +136,21 @@ class TestFailureModes:
         assert code == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, field", [
+        (["sweep-sigma", "--sigma2", "-1", "--bw", "1e6"], "sigma2"),
+        (["sweep-sigma", "--sigma2", "0.01", "--bw", "0"], "bw_up"),
+        (["simulate", "--eps-frac", "1.5"], "eps_frac"),
+        (["simulate", "--eps-frac", "0"], "eps_frac"),
+        (["validate-theorem", "--eps-fracs", "0.1,1.5"], "eps_fracs[1]"),
+        (["compare-designs", "--bw", "1e6", "--baseline-draws", "0"], "n_baseline_draws"),
+    ])
+    def test_out_of_range_experiment_input(self, config_path, tmp_path, capsys, args, field):
+        out = tmp_path / "x.csv"
+        code = main(args + ["--config", str(config_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_design_problem(self, config_path, tmp_path, capsys):
         cfg = json.loads(config_path.read_text(encoding="utf-8"))
         cfg["energy_budget"] = {"e_bar": 1e-6}

@@ -54,21 +54,26 @@ class TestEmitCsv:
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
+def constants(model, s0):
+    """Predictor inputs of the model at a 5% loss target."""
+    return model.counts, model.strong_mu, model.lipschitz_u, 0.05 * s0, s0
+
+
 class TestPredictedRound:
     def test_zero_probability_hits_cap(self, default_problem):
         _, model = default_problem
         s0 = model.total_loss_sum(np.zeros(model.dim))
-        assert _predicted_round(np.zeros(5), model, 0.05 * s0, s0) == ROUND_CAP
+        assert _predicted_round(np.zeros(5), *constants(model, s0)) == ROUND_CAP
 
     def test_tiny_probability_capped(self, default_problem):
         _, model = default_problem
         s0 = model.total_loss_sum(np.zeros(model.dim))
-        assert _predicted_round(np.full(5, 1e-12), model, 0.05 * s0, s0) == ROUND_CAP
+        assert _predicted_round(np.full(5, 1e-12), *constants(model, s0)) == ROUND_CAP
 
     def test_good_probability_finite(self, default_problem):
         _, model = default_problem
         s0 = model.total_loss_sum(np.zeros(model.dim))
-        rounds = _predicted_round(np.full(5, 0.9), model, 0.05 * s0, s0)
+        rounds = _predicted_round(np.full(5, 0.9), *constants(model, s0))
         assert 0 < rounds < ROUND_CAP
 
 

@@ -4,17 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swarmfl.channel import draw_channel, link_delays, success_mask
 from swarmfl.fl import (
     Dataset,
-    FlState,
     QuadraticLossModel,
     aggregate_ideal,
     aggregate_with_losses,
     aggregation_error,
     local_update,
     make_regression_problem,
+    participation_masks,
     run_fl,
+    train_round,
 )
 
 
@@ -97,6 +101,15 @@ class TestBenchmarkProblem:
         s0 = model.total_loss_sum(np.zeros(model.dim))
         assert s0 == pytest.approx(50.0013, rel=1e-4)
 
+    def test_two_owned_coordinates_per_follower(self, default_scenario):
+        # dim 11: one nuisance coordinate, each of five followers owns two;
+        # every signal coordinate then has second moment (s^2 + 4 (e s)^2) / 5
+        spec = replace(default_scenario.dataset, dim=11)
+        _, model = spec.build(default_scenario.n_followers)
+        s, e = spec.signal_scale, spec.owner_emphasis
+        assert model.strong_mu == pytest.approx(2.0 * (s**2 + 4.0 * (e * s) ** 2) / 5.0, rel=1e-9)
+        assert model.strong_mu == pytest.approx(0.100, abs=1e-3)
+
     def test_counts_and_shape(self, default_problem):
         datasets, model = default_problem
         assert model.n_total == 200
@@ -105,48 +118,33 @@ class TestBenchmarkProblem:
 
 
 class TestLocalUpdate:
-    def make_state(self, model, w):
-        n = model.n_followers
-        return FlState(
-            global_w=w.copy(),
-            local_w=np.tile(w, (n, 1)),
-            last_received=np.tile(w, (n, 1)),
-        )
-
     def test_stationary_point_fixed(self):
         _, model = constant_feature_problem()
-        state = self.make_state(model, np.array([1.0]))
-        assert local_update(state, 0, model, lr=0.25) == pytest.approx(np.array([1.0]))
+        assert local_update(np.array([1.0]), 0, model, lr=0.25) == pytest.approx(np.array([1.0]))
 
     def test_scalar_hand_step(self):
         # one sample x=2, y=3 at w=0: summed gradient 2*x*(x.w - y) = -12,
         # count-normalized step w - lr/1 * (-12) = 12*lr
         d = Dataset(np.array([[2.0]]), np.array([3.0]), owner=0)
         model = QuadraticLossModel([d])
-        state = self.make_state(model, np.array([0.0]))
-        got = local_update(state, 0, model, lr=0.1)
+        got = local_update(np.array([0.0]), 0, model, lr=0.1)
         assert got[0] == pytest.approx(1.2, abs=1e-12)
 
     def test_identical_data_identical_steps(self):
         _, model = constant_feature_problem()
-        state = self.make_state(model, np.array([0.3]))
-        assert local_update(state, 0, model, 0.1) == pytest.approx(
-            local_update(state, 1, model, 0.1)
-        )
+        w = np.array([0.3])
+        assert local_update(w, 0, model, 0.1) == pytest.approx(local_update(w, 1, model, 0.1))
 
     def test_step_uses_followers_own_stale_copy(self):
         _, model = constant_feature_problem()
-        state = self.make_state(model, np.array([0.0]))
-        state.last_received[1] = np.array([0.8])
-        fresh = local_update(state, 0, model, 0.1)
-        stale = local_update(state, 1, model, 0.1)
+        fresh = local_update(np.array([0.0]), 0, model, 0.1)
+        stale = local_update(np.array([0.8]), 1, model, 0.1)
         assert not np.allclose(fresh, stale)
 
     def test_nonpositive_lr_rejected(self):
         _, model = constant_feature_problem()
-        state = self.make_state(model, np.array([0.0]))
         with pytest.raises(ValueError):
-            local_update(state, 0, model, 0.0)
+            local_update(np.array([0.0]), 0, model, 0.0)
 
 
 class TestAggregation:
@@ -223,74 +221,132 @@ class TestAggregationError:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def masks_for(scenario, n_rounds, *seeds):
+    """Participation masks of one repetition per seed at the default design, (R, T, I)."""
+    return participation_masks([scenario], scenario.default_design(), n_rounds, seeds)[0]
+
+
 class TestRunFl:
     def test_already_converged_reports_round_zero(self, easy_scenario):
-        datasets, model = easy_scenario.build_dataset()
+        _, model = easy_scenario.build_dataset()
         s0_gap = model.global_loss(np.zeros(model.dim)) - model.f_star
-        state, hit = run_fl(
-            easy_scenario, easy_scenario.default_design(), model, datasets,
-            max_rounds=10, epsilon=2.0 * s0_gap, rng_seed=1,
-        )
-        assert hit == 0
+        state, hits = run_fl(model, masks_for(easy_scenario, 10, 1), epsilon=2.0 * s0_gap)
+        assert hits.tolist() == [0]
         assert state.round == 0
 
+    def test_start_at_optimum_reports_round_zero(self, default_problem, default_scenario):
+        _, model = default_problem
+        state, hits = run_fl(model, masks_for(default_scenario, 10, 4), epsilon=1e-12, w0=model.w_star)
+        assert hits.tolist() == [0]
+        assert state.global_w[0] == pytest.approx(model.w_star)
+
     def test_perfect_links_contract_every_round(self, easy_scenario):
-        datasets, model = easy_scenario.build_dataset()
-        state, hit = run_fl(
-            easy_scenario, easy_scenario.default_design(), model, datasets,
-            max_rounds=60, epsilon=1e-9, rng_seed=2,
-        )
-        gaps = np.asarray(state.loss_history) - model.f_star
+        _, model = easy_scenario.build_dataset()
+        state, hit = run_fl(model, masks_for(easy_scenario, 60, 2), epsilon=1e-9)
+        gaps = state.loss_history[0, : state.rounds[0] + 1] - model.f_star
         ratio = 1.0 - model.strong_mu / model.lipschitz_u
         assert np.all(gaps[1:] <= ratio * gaps[:-1] * (1.0 + 1e-12))
-        assert np.all(np.asarray(state.participation_history))
+        assert np.all(state.participation_rates() == 1.0)
 
     def test_crossing_round_consistent_with_history(self, default_scenario):
-        datasets, model = default_scenario.build_dataset()
+        _, model = default_scenario.build_dataset()
         s0_gap = model.global_loss(np.zeros(model.dim)) - model.f_star
         eps = 0.1 * s0_gap / 1.0
-        state, hit = run_fl(
-            default_scenario, default_scenario.default_design(), model, datasets,
-            max_rounds=300, epsilon=eps, rng_seed=3,
-        )
-        assert hit is not None
-        gaps = np.asarray(state.loss_history) - model.f_star
+        state, hits = run_fl(model, masks_for(default_scenario, 300, 3), epsilon=eps)
+        hit = hits[0]
+        assert hit >= 0
+        assert state.rounds[0] == hit
+        gaps = state.loss_history[0] - model.f_star
         assert gaps[hit] <= eps
         assert np.all(gaps[:hit] > eps)
+        assert np.all(np.isnan(gaps[hit + 1 :]))
 
     def test_trajectory_deterministic(self, default_scenario):
-        datasets, model = default_scenario.build_dataset()
+        _, model = default_scenario.build_dataset()
         runs = [
-            run_fl(
-                default_scenario, default_scenario.default_design(), model, datasets,
-                max_rounds=40, epsilon=1e-12, rng_seed=17,
-            )[0].loss_history
+            run_fl(model, masks_for(default_scenario, 40, 17), epsilon=1e-12)[0].loss_history
             for _ in range(2)
         ]
-        assert runs[0] == runs[1]
+        assert np.array_equal(runs[0], runs[1], equal_nan=True)
 
     def test_stale_refresh_ablation_changes_trajectory(self, default_scenario):
-        datasets, model = default_scenario.build_dataset()
-        kw = dict(max_rounds=80, epsilon=1e-12, rng_seed=23)
-        stale, _ = run_fl(
-            default_scenario, default_scenario.default_design(), model, datasets, **kw
-        )
-        fresh, _ = run_fl(
-            default_scenario, default_scenario.default_design(), model, datasets,
-            stale_models=False, **kw,
-        )
-        missed = ~np.asarray(stale.participation_history).all()
+        _, model = default_scenario.build_dataset()
+        masks = masks_for(default_scenario, 80, 23)
+        stale, _ = run_fl(model, masks, epsilon=1e-12)
+        fresh, _ = run_fl(model, masks, epsilon=1e-12, stale_models=False)
+        missed = ~masks[0, : stale.rounds[0]].all()
         assert missed
-        assert stale.loss_history != fresh.loss_history
+        assert not np.array_equal(stale.loss_history, fresh.loss_history, equal_nan=True)
 
     def test_zero_round_budget_returns_start(self, default_scenario):
-        datasets, model = default_scenario.build_dataset()
-        state, hit = run_fl(
-            default_scenario, default_scenario.default_design(), model, datasets,
-            max_rounds=0, epsilon=1e-12, rng_seed=5,
-        )
-        assert hit is None
-        assert len(state.loss_history) == 1
+        _, model = default_scenario.build_dataset()
+        state, hits = run_fl(model, masks_for(default_scenario, 0, 5), epsilon=1e-12)
+        assert hits.tolist() == [-1]
+        assert state.loss_history.shape == (1, 1)
+
+    def test_mask_shape_checked(self, default_problem):
+        _, model = default_problem
+        with pytest.raises(ValueError, match="participation"):
+            run_fl(model, np.ones((2, 10, 3), dtype=bool), epsilon=1e-3)
+
+
+class TestBatchedKernel:
+    """The batched round and run against the per-follower reference steps."""
+
+    def test_round_matches_reference_steps(self, default_problem):
+        _, model = default_problem
+        rng = np.random.default_rng(41)
+        n_reps, n_f, lr = 6, model.n_followers, 0.7 / model.lipschitz_u
+        received = rng.normal(size=(n_reps, n_f, model.dim))
+        global_w = rng.normal(size=(n_reps, model.dim))
+        mask = rng.random((n_reps, n_f)) < 0.5
+        mask[0] = False  # nobody lands: the global model must carry over
+        mask[1] = True
+        local_w, new_global = train_round(model, received, global_w, mask, lr)
+        for r in range(n_reps):
+            want_local = np.array([local_update(received[r, i], i, model, lr) for i in range(n_f)])
+            want_global = aggregate_with_losses(want_local, model.counts, mask[r], global_w[r])
+            assert local_w[r] == pytest.approx(want_local, rel=1e-12)
+            assert new_global[r] == pytest.approx(want_global, rel=1e-12)
+
+    def test_batch_matches_runs_one_at_a_time(self, default_scenario, default_problem):
+        _, model = default_problem
+        seeds = (3, 17, 23, 101)
+        masks = masks_for(default_scenario, 200, *seeds)
+        eps = 0.05 * (model.global_loss(np.zeros(model.dim)) - model.f_star)
+        batch, batch_hits = run_fl(model, masks, eps)
+        for r, seed in enumerate(seeds):
+            alone, alone_hits = run_fl(model, masks_for(default_scenario, 200, seed), eps)
+            assert batch_hits[r] == alone_hits[0]
+            assert batch.rounds[r] == alone.rounds[0]
+            n = alone.rounds[0] + 1
+            assert batch.loss_history[r, :n] == pytest.approx(alone.loss_history[0, :n], rel=1e-12)
+            assert np.all(np.isnan(batch.loss_history[r, n:]))
+        assert batch.round == batch.rounds.sum()
+
+
+class TestParticipationMasks:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        sigma2=st.floats(0.0, 0.5),
+        bws=st.lists(st.floats(1e5, 1e8), min_size=1, max_size=3),
+    )
+    def test_shared_draw_matches_fresh_draw_per_bandwidth(self, default_scenario, seed, sigma2, bws):
+        scenario = replace(default_scenario, antenna=replace(default_scenario.antenna, sigma2=sigma2))
+        design = scenario.default_design()
+        points = [replace(scenario, radio=replace(scenario.radio, bw_up=bw, bw_down=bw)) for bw in bws]
+        shared = participation_masks(points, design, 20, [seed])
+        for k, point in enumerate(points):
+            draws = draw_channel(point, np.random.default_rng(seed), size=20)
+            t_up, t_dn = link_delays(draws, design, point)
+            fresh = success_mask(t_up, t_dn, design.beta, point.round_time_s)
+            assert np.array_equal(shared[k, 0], fresh)
+
+    def test_points_must_share_their_draws(self, default_scenario):
+        jittered = replace(default_scenario, antenna=replace(default_scenario.antenna, sigma2=0.2))
+        with pytest.raises(ValueError, match="bw_up"):
+            participation_masks([default_scenario, jittered], default_scenario.default_design(), 5, [1])
 
 
 class TestDatasetValidation:
