@@ -6,7 +6,7 @@ energy actually goes.
 """
 import numpy as np
 
-from swarmfl.energy import FlightParams, flight_power, induced_velocity, round_energy
+from swarmfl.energy import FlightParams, flight_power, induced_velocity, round_energies
 from swarmfl.scenario import SwarmScenario
 
 params = FlightParams()
@@ -27,8 +27,8 @@ print()
 
 scenario = SwarmScenario().require_valid()
 design = scenario.default_design()
-e_leader = round_energy("leader", design, 0.0, scenario)
-e_follower = round_energy(0, design, 0.02, scenario)
+e_leader, e_followers = round_energies(design, np.full(scenario.n_followers, 0.02), scenario)
+e_follower = e_followers[0]
 flight_share = flight_power(scenario.flight, design.v) * scenario.round_time_s
 print(f"leader round energy at the default design:   {e_leader:8.4f} J")
 print(f"follower 1 round energy at the default design: {e_follower:7.4f} J")

@@ -8,8 +8,9 @@ upload window.
 """
 import numpy as np
 
+from swarmfl.channel import participation_masks
 from swarmfl.design import DesignVector
-from swarmfl.fl import participation_masks, run_fl
+from swarmfl.fl import run_fl
 from swarmfl.scenario import SwarmScenario
 
 SEED = 2718

@@ -11,21 +11,16 @@ from .channel import (
     ChannelDraw,
     Interferer,
     InterferenceField,
-    LinkGeometry,
     RadioParams,
     antenna_gain_exact,
     antenna_gain_sectionalized,
-    downlink_delay,
     draw_channel,
-    estimate_success_prob,
     estimate_success_probs,
     link_delays,
+    participation_masks,
     rician_power_fading,
-    sample_channel_draw,
-    sample_channel_draws,
     sinr_coefficients,
     success_mask,
-    uplink_delay,
 )
 from .convergence import ConvergenceInputs, convergence_round, convergence_speed
 from .design import DesignVector
@@ -35,10 +30,8 @@ from .energy import (
     EnergyBudget,
     FlightParams,
     flight_power,
-    follower_round_energies,
     induced_velocity,
-    leader_round_energy,
-    round_energy,
+    round_energies,
     training_energy_follower,
     training_energy_leader,
 )
@@ -54,14 +47,12 @@ from .experiments import (
 from .fl import (
     Dataset,
     FlState,
-    LossModel,
     QuadraticLossModel,
     aggregate_ideal,
     aggregate_with_losses,
     aggregation_error,
     local_update,
     make_regression_problem,
-    participation_masks,
     run_fl,
     train_round,
 )

@@ -12,7 +12,7 @@ All quantities are SI (seconds, watts, hertz, meters).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "AntennaPattern",
-    "LinkGeometry",
     "RadioParams",
     "Interferer",
     "InterferenceField",
@@ -32,15 +31,11 @@ __all__ = [
     "antenna_gain_sectionalized",
     "rician_power_fading",
     "draw_channel",
-    "sample_channel_draw",
-    "sample_channel_draws",
     "sinr_coefficients",
     "link_delays",
-    "uplink_delay",
-    "downlink_delay",
     "success_mask",
+    "participation_masks",
     "estimate_success_probs",
-    "estimate_success_prob",
 ]
 
 
@@ -78,18 +73,13 @@ class AntennaPattern:
         return errors
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr
-
-
 def antenna_gain_exact(pattern: AntennaPattern, total_angle) -> float | np.ndarray:
     """Main-lobe gain cos^2(pi/2 * angle) inside |angle| <= 1, g_min outside.
 
     total_angle is the normalized pointing error of the link, boresight
     offset plus orientation jitter.  Scalar in, scalar out; arrays broadcast.
     """
-    a = np.abs(_as_float_array(total_angle))
+    a = np.abs(np.asarray(total_angle, dtype=float))
     main = np.cos(0.5 * np.pi * np.minimum(a, 1.0)) ** 2
     out = np.where(a <= 1.0, main, pattern.g_min)
     return float(out) if out.ndim == 0 else out
@@ -104,7 +94,7 @@ def antenna_gain_sectionalized(pattern: AntennaPattern, total_angle) -> float | 
     |angle| > 1 returns the side-lobe floor g_min.
     """
     m_sections = int(pattern.sections)
-    a = np.abs(_as_float_array(total_angle))
+    a = np.abs(np.asarray(total_angle, dtype=float))
     m = np.floor(np.minimum(a, 1.0) * m_sections)
     stair = np.cos(0.5 * np.pi * m / m_sections) ** 2
     out = np.where(a <= 1.0, stair, pattern.g_min)
@@ -112,26 +102,6 @@ def antenna_gain_sectionalized(pattern: AntennaPattern, total_angle) -> float | 
 
 
 # === link and interference description ===
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Geometry of one transmitter/receiver pair."""
-
-    distance: float
-    pathloss_exp: float
-    tx_gain_pattern: AntennaPattern
-    rx_gain_pattern: AntennaPattern
-
-    def validate(self, prefix: str = "link") -> list[str]:
-        errors = []
-        if not (self.distance > 0.0):
-            errors.append(f"{prefix}.distance must be > 0")
-        if not (self.pathloss_exp > 0.0):
-            errors.append(f"{prefix}.pathloss_exp must be > 0")
-        errors += self.tx_gain_pattern.validate(f"{prefix}.tx_gain_pattern")
-        errors += self.rx_gain_pattern.validate(f"{prefix}.rx_gain_pattern")
-        return errors
 
 
 @dataclass(frozen=True)
@@ -294,18 +264,6 @@ def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int 
     )
 
 
-def sample_channel_draw(scenario: "SwarmScenario", rng_seed: int) -> ChannelDraw:
-    """One seeded channel realization."""
-    return draw_channel(scenario, np.random.default_rng(rng_seed))
-
-
-def sample_channel_draws(scenario: "SwarmScenario", n: int, rng_seed: int) -> ChannelDraw:
-    """A seeded batch of n independent channel realizations (leading axis n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return draw_channel(scenario, np.random.default_rng(rng_seed), size=n)
-
-
 # === SINR and delays ===
 
 
@@ -388,39 +346,52 @@ def link_delays(draw: ChannelDraw, design: "DesignVector", scenario: "SwarmScena
     return t_up, t_dn
 
 
-def uplink_delay(i: int, draw: ChannelDraw, design: "DesignVector", scenario: "SwarmScenario"):
-    """Upload delay of follower i under one channel draw [s]."""
-    t_up, _ = link_delays(draw, design, scenario)
-    out = t_up[..., i]
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def downlink_delay(i: int, draw: ChannelDraw, design: "DesignVector", scenario: "SwarmScenario"):
-    """Broadcast delay toward follower i under one channel draw [s]."""
-    _, t_dn = link_delays(draw, design, scenario)
-    out = t_dn[..., i]
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def success_mask(t_up: np.ndarray, t_dn: np.ndarray, beta: float, round_time: float) -> np.ndarray:
     """Participation indicator: upload fits beta*T_r and broadcast fits (1-beta)*T_r."""
     return (t_up <= beta * round_time) & (t_dn <= (1.0 - beta) * round_time)
 
 
-def estimate_success_probs(
-    design: "DesignVector", scenario: "SwarmScenario", n_samples: int, rng_seed: int
+def participation_masks(
+    points: "list[SwarmScenario]",
+    design: "DesignVector",
+    n_rounds: int,
+    seeds,
 ) -> np.ndarray:
-    """Monte Carlo per-follower participation probabilities, shape (I,)."""
+    """Participation indicators of coupled training runs, shape (B, R, T, I).
+
+    Repetition r draws n_rounds channel realizations from its own generator,
+    seeded with seeds[r], so trajectories with the same seed are coupled
+    draw-for-draw across scenarios that differ only in jitter variance or
+    bandwidth.  The B scenarios in points may differ only in their link
+    bandwidths, which draw_channel never reads: each repetition is drawn
+    once and its delays are evaluated under every point.
+    """
+    first = points[0]
+    for point in points[1:]:
+        radio = replace(point.radio, bw_up=first.radio.bw_up, bw_down=first.radio.bw_down)
+        if replace(point, radio=radio) != first:
+            raise ValueError("points may differ only in radio.bw_up and radio.bw_down")
+    if n_rounds < 0:
+        raise ValueError("n_rounds must be >= 0")
+    out = np.empty((len(points), len(seeds), n_rounds, first.n_followers), dtype=bool)
+    for r, seed in enumerate(seeds):
+        draws = draw_channel(first, np.random.default_rng(seed), size=n_rounds)
+        for k, point in enumerate(points):
+            t_up, t_dn = link_delays(draws, design, point)
+            out[k, r] = success_mask(t_up, t_dn, design.beta, point.round_time_s)
+    return out
+
+
+def estimate_success_probs(design: "DesignVector", scenario, n_samples: int, rng_seed: int) -> np.ndarray:
+    """Monte Carlo per-follower participation probabilities, shape (I,).
+
+    The estimate is the mean of n_samples participation masks drawn from
+    one seeded generator.  scenario may also be a list of points that
+    differ only in bandwidth, as in participation_masks; every point is
+    then read off the same draws, shape (B, I).
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    draws = sample_channel_draws(scenario, n_samples, rng_seed)
-    t_up, t_dn = link_delays(draws, design, scenario)
-    ok = success_mask(t_up, t_dn, design.beta, scenario.round_time_s)
-    return ok.mean(axis=0)
-
-
-def estimate_success_prob(
-    i: int, design: "DesignVector", scenario: "SwarmScenario", n_samples: int, rng_seed: int
-) -> float:
-    """Monte Carlo participation probability of follower i."""
-    return float(estimate_success_probs(design, scenario, n_samples, rng_seed)[i])
+    points = scenario if isinstance(scenario, list) else [scenario]
+    probs = participation_masks(points, design, n_samples, [rng_seed])[:, 0].mean(axis=1)
+    return probs if isinstance(scenario, list) else probs[0]

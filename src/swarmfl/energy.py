@@ -31,9 +31,7 @@ __all__ = [
     "training_energy_follower",
     "induced_velocity",
     "flight_power",
-    "round_energy",
-    "leader_round_energy",
-    "follower_round_energies",
+    "round_energies",
 ]
 
 
@@ -204,38 +202,21 @@ def flight_power(flight: FlightParams, v) -> float | np.ndarray:
     return induced_velocity(flight, v) * flight.thrust() / flight.efficiency
 
 
-def leader_round_energy(design: "DesignVector", scenario: "SwarmScenario") -> float:
-    """Leader energy per round: compute + full-window transmit + flight [J]."""
-    e_train = training_energy_leader(
-        scenario.compute, scenario.radio.pkt_local, scenario.n_followers
+def round_energies(design: "DesignVector", t_up, scenario: "SwarmScenario"):
+    """Per-round energy of the leader and of every follower [J].
+
+    Returns (e_leader, e_followers), e_followers shaped like the realized
+    upload delays t_up (..., I).  Upload energy is charged over the realized
+    delay capped at the uplink window (the radio stops transmitting when
+    the window closes), so t_up = inf gives each follower's upper bound.
+    """
+    t_round = scenario.round_time_s
+    e_fly = flight_power(scenario.flight, design.v) * t_round
+    e_leader = (
+        training_energy_leader(scenario.compute, scenario.radio.pkt_local, scenario.n_followers)
+        + design.p_leader * (1.0 - design.beta) * t_round
+        + e_fly
     )
-    t_down = (1.0 - design.beta) * scenario.round_time_s
-    e_fly = flight_power(scenario.flight, design.v) * scenario.round_time_s
-    return e_train + design.p_leader * t_down + e_fly
-
-
-def follower_round_energies(design: "DesignVector", uplink_delays, scenario: "SwarmScenario") -> np.ndarray:
-    """Per-follower energy per round, shape of uplink_delays (..., I) [J].
-
-    Upload energy is charged over the realized upload delay; delays longer
-    than the uplink window are capped at the window (the radio stops
-    transmitting when the window closes).
-    """
-    t_up = np.minimum(np.asarray(uplink_delays, dtype=float), design.beta * scenario.round_time_s)
-    e_train = scenario.follower_training_energies()
-    e_fly = flight_power(scenario.flight, design.v) * scenario.round_time_s
-    return e_train + np.asarray(design.p) * t_up + e_fly
-
-
-def round_energy(role, design: "DesignVector", delays, scenario: "SwarmScenario") -> float:
-    """Per-round energy of one UAV.
-
-    role is "leader" or a follower index; delays is the realized upload
-    delay of that follower (ignored for the leader).
-    """
-    if role == "leader":
-        return leader_round_energy(design, scenario)
-    i = int(role)
-    t_up = np.zeros(scenario.n_followers)
-    t_up[i] = float(delays)
-    return float(follower_round_energies(design, t_up, scenario)[i])
+    t_tx = np.minimum(t_up, design.beta * t_round)
+    e_followers = scenario.follower_training_energies() + np.asarray(design.p) * t_tx + e_fly
+    return e_leader, e_followers

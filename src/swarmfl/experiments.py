@@ -24,11 +24,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import estimate_success_probs
+from .channel import estimate_success_probs, participation_masks
 from .convergence import ConvergenceInputs, convergence_round
 from .design import DesignVector
-from .energy import flight_power, leader_round_energy
-from .fl import participation_masks, run_fl
+from .energy import round_energies
+from .fl import run_fl
 from .saa import baseline_design, problem_constants, solve
 from .scenario import ConfigError, SwarmScenario
 from .seeds import derive_seed
@@ -220,14 +220,9 @@ def experiment_validate_theorem(
         + ["energy_leader_total", "energy_follower_total_ub"]
     )
     result = ExperimentResult("validate-theorem", columns)
-    e_leader_round = leader_round_energy(design, scenario)
-    e_follower_round_ub = float(
-        np.max(
-            scenario.follower_training_energies()
-            + np.asarray(design.p) * design.beta * scenario.round_time_s
-        )
-        + flight_power(scenario.flight, design.v) * scenario.round_time_s
-    )
+    # a follower's upper bound transmits for its whole uplink window
+    e_leader_round, e_followers_ub = round_energies(design, np.inf, scenario)
+    e_follower_round_ub = float(np.max(e_followers_ub))
     for frac, eps_sum, col in zip(eps_fracs, eps_sums, range(len(eps_fracs))):
         predicted = _predicted_round(
             probs, model.counts, model.strong_mu, model.lipschitz_u, eps_sum, s0
@@ -275,7 +270,8 @@ def experiment_sweep_sigma(
 
     All grid points reuse the same per-repetition seeds and the same
     success-probability draw seed, so the grid is coupled draw-for-draw and
-    the emitted trends reflect the parameters, not resampling luck.
+    the emitted trends reflect the parameters, not resampling luck.  The
+    bandwidths of one jitter variance are all read off the same draws.
     """
     scenario.require_valid()
     design = scenario.default_design() if design is None else design
@@ -309,14 +305,12 @@ def experiment_sweep_sigma(
     seeds = _run_seeds(base_seed, "ss-run", mc_runs)
     for sigma2 in sigma2_list:
         # one channel draw per repetition and jitter variance, read at every bandwidth
-        masks = participation_masks(
-            [points[(sigma2, bw)] for bw in bw_list], design, scenario.max_rounds, seeds
+        bw_points = [points[(sigma2, bw)] for bw in bw_list]
+        masks = participation_masks(bw_points, design, scenario.max_rounds, seeds)
+        bw_probs = estimate_success_probs(
+            design, bw_points, scenario.n_success_samples, derive_seed(base_seed, "ss-probs")
         )
-        for k_bw, bw in enumerate(bw_list):
-            point = points[(sigma2, bw)]
-            probs = estimate_success_probs(
-                design, point, point.n_success_samples, derive_seed(base_seed, "ss-probs")
-            )
+        for k_bw, (bw, probs) in enumerate(zip(bw_list, bw_probs)):
             predicted = _predicted_round(
                 probs, model.counts, model.strong_mu, model.lipschitz_u, eps_sum, s0
             )

@@ -14,21 +14,12 @@ participation one round equals plain gradient descent on F.
 """
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_channel, link_delays, success_mask
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .design import DesignVector
-    from .scenario import SwarmScenario
-
 __all__ = [
     "Dataset",
-    "LossModel",
     "QuadraticLossModel",
     "make_regression_problem",
     "FlState",
@@ -38,7 +29,6 @@ __all__ = [
     "aggregation_error",
     "train_round",
     "run_fl",
-    "participation_masks",
 ]
 
 
@@ -65,64 +55,16 @@ class Dataset:
             raise ValueError("labels must be 1-d with one entry per feature row")
 
 
-class LossModel(ABC):
-    """Loss landscape shared by the swarm.
-
-    Per-follower gradients are unnormalized sums over the follower's
-    samples; the global loss carries the 1/N factor.  Subclasses expose the
-    curvature constants (strong convexity mu, smoothness lipschitz_u), the
-    optimum, and the gradient-diversity constants (zeta1, zeta2) used only
-    by diagnostic bounds.
-    """
-
-    counts: np.ndarray  # (I,) samples per follower
-    dim: int
-    strong_mu: float
-    lipschitz_u: float
-    zeta1: float
-    zeta2: float
-    w_star: np.ndarray
-    f_star: float
-
-    @property
-    def n_followers(self) -> int:
-        return len(self.counts)
-
-    @property
-    def n_total(self) -> int:
-        return int(self.counts.sum())
-
-    @abstractmethod
-    def sample_loss(self, w: np.ndarray, x: np.ndarray, y: float) -> float:
-        """Loss of one sample at parameters w."""
-
-    @abstractmethod
-    def follower_loss_sum(self, i: int, w: np.ndarray) -> float:
-        """Sum of sample losses of follower i at w."""
-
-    @abstractmethod
-    def follower_grad_sum(self, i: int, w: np.ndarray) -> np.ndarray:
-        """Sum of sample gradients of follower i at w."""
-
-    def total_loss_sum(self, w: np.ndarray) -> float:
-        return sum(self.follower_loss_sum(i, w) for i in range(self.n_followers))
-
-    def global_loss(self, w: np.ndarray) -> float:
-        """F(w): mean loss over all samples of all followers."""
-        return self.total_loss_sum(w) / self.n_total
-
-    def global_grad(self, w: np.ndarray) -> np.ndarray:
-        """Gradient of the mean loss F."""
-        grads = sum(self.follower_grad_sum(i, w) for i in range(self.n_followers))
-        return grads / self.n_total
-
-
-class QuadraticLossModel(LossModel):
+class QuadraticLossModel:
     """Linear regression with squared error, all moments precomputed.
 
-    The per-follower gradient sum is affine, grad_i(w) = A_i w - b_i with
-    A_i = 2 X_i^T X_i and b_i = 2 X_i^T y_i, so curvature constants come
-    from the eigenvalues of the pooled mean Hessian H = sum(A_i)/N.
+    Per-follower gradients are unnormalized sums over the follower's
+    samples; the global loss F carries the 1/N factor.  The per-follower
+    gradient sum is affine, grad_i(w) = A_i w - b_i with A_i = 2 X_i^T X_i
+    and b_i = 2 X_i^T y_i, so the curvature constants (strong convexity
+    strong_mu, smoothness lipschitz_u) come from the eigenvalues of the
+    pooled mean Hessian H = sum(A_i)/N.  The gradient-diversity constants
+    (zeta1, zeta2) feed only diagnostic bounds.
     """
 
     def __init__(self, datasets: list[Dataset], *, zeta_seed: int = 0, w0: np.ndarray | None = None):
@@ -145,23 +87,40 @@ class QuadraticLossModel(LossModel):
             raise ValueError("pooled Gram matrix is singular; add samples or reduce dim")
         self.strong_mu = float(eigvals[0])
         self.lipschitz_u = float(eigvals[-1])
-        self._hessian = hessian
         self.w_star = np.linalg.solve(hessian, sum(self._b) / n)
         self.f_star = self.global_loss(self.w_star)
         w_ref = np.zeros(self.dim) if w0 is None else np.asarray(w0, dtype=float)
         self.zeta1, self.zeta2 = self._fit_gradient_diversity(w_ref, zeta_seed)
 
-    def sample_loss(self, w: np.ndarray, x: np.ndarray, y: float) -> float:
-        r = float(np.dot(w, x) - y)
-        return r * r
+    @property
+    def n_followers(self) -> int:
+        return len(self.counts)
+
+    @property
+    def n_total(self) -> int:
+        return int(self.counts.sum())
 
     def follower_loss_sum(self, i: int, w: np.ndarray) -> float:
+        """Sum of sample losses of follower i at w."""
         d = self.datasets[i]
         r = d.features @ w - d.labels
         return float(r @ r)
 
     def follower_grad_sum(self, i: int, w: np.ndarray) -> np.ndarray:
+        """Sum of sample gradients of follower i at w."""
         return self._a[i] @ w - self._b[i]
+
+    def total_loss_sum(self, w: np.ndarray) -> float:
+        return sum(self.follower_loss_sum(i, w) for i in range(self.n_followers))
+
+    def global_loss(self, w: np.ndarray) -> float:
+        """F(w): mean loss over all samples of all followers."""
+        return self.total_loss_sum(w) / self.n_total
+
+    def global_grad(self, w: np.ndarray) -> np.ndarray:
+        """Gradient of the mean loss F."""
+        grads = sum(self.follower_grad_sum(i, w) for i in range(self.n_followers))
+        return grads / self.n_total
 
     def follower_grad_sums(self, ws: np.ndarray) -> np.ndarray:
         """Gradient sum of every follower at its own row: ws (..., I, dim) -> (..., I, dim)."""
@@ -171,10 +130,6 @@ class QuadraticLossModel(LossModel):
         """F at each row of ws, shape (R, dim) -> (R,), from one pooled residual product."""
         resid = self._x @ ws.T - self._y[:, None]
         return np.einsum("nr,nr->r", resid, resid) / self.n_total
-
-    def hessian(self) -> np.ndarray:
-        """Mean Hessian of F (constant for quadratics)."""
-        return self._hessian.copy()
 
     def _fit_gradient_diversity(self, w0: np.ndarray, seed: int) -> tuple[float, float]:
         """Smallest (zeta1, zeta2) with max_i |grad_i|^2 <= zeta1 + zeta2 |grad F|^2
@@ -330,7 +285,7 @@ class FlState:
         return hits / np.maximum(self.rounds, 1)[:, None]
 
 
-def local_update(w_ref: np.ndarray, i: int, loss: LossModel, lr: float) -> np.ndarray:
+def local_update(w_ref: np.ndarray, i: int, loss: QuadraticLossModel, lr: float) -> np.ndarray:
     """One local gradient step of follower i from its newest received model w_ref."""
     if lr <= 0.0:
         raise ValueError("lr must be > 0")
@@ -360,7 +315,7 @@ def aggregate_with_losses(local_ws, counts, participation, previous_global) -> n
     return (n[:, None] * ws).sum(axis=0) / n.sum()
 
 
-def aggregation_error(loss: LossModel, local_grads, w: np.ndarray, participation) -> np.ndarray:
+def aggregation_error(loss: QuadraticLossModel, local_grads, w: np.ndarray, participation) -> np.ndarray:
     """Difference between the lossy aggregate gradient and the true gradient.
 
     local_grads[i] is follower i's mean local gradient (grad sum / count) at
@@ -376,37 +331,6 @@ def aggregation_error(loss: LossModel, local_grads, w: np.ndarray, participation
     n = loss.counts.astype(float) * mask
     agg = (n[:, None] * g).sum(axis=0) / n.sum()
     return agg - grad
-
-
-def participation_masks(
-    points: "list[SwarmScenario]",
-    design: "DesignVector",
-    n_rounds: int,
-    seeds,
-) -> np.ndarray:
-    """Participation indicators of coupled training runs, shape (B, R, T, I).
-
-    Repetition r draws n_rounds channel realizations from its own generator,
-    seeded with seeds[r], so trajectories with the same seed are coupled
-    draw-for-draw across scenarios that differ only in jitter variance or
-    bandwidth.  The B scenarios in points may differ only in their link
-    bandwidths, which draw_channel never reads: each repetition is drawn
-    once and its delays are evaluated under every point.
-    """
-    first = points[0]
-    for point in points[1:]:
-        radio = replace(point.radio, bw_up=first.radio.bw_up, bw_down=first.radio.bw_down)
-        if replace(point, radio=radio) != first:
-            raise ValueError("points may differ only in radio.bw_up and radio.bw_down")
-    if n_rounds < 0:
-        raise ValueError("n_rounds must be >= 0")
-    out = np.empty((len(points), len(seeds), n_rounds, first.n_followers), dtype=bool)
-    for r, seed in enumerate(seeds):
-        draws = draw_channel(first, np.random.default_rng(seed), size=n_rounds)
-        for k, point in enumerate(points):
-            t_up, t_dn = link_delays(draws, design, point)
-            out[k, r] = success_mask(t_up, t_dn, design.beta, point.round_time_s)
-    return out
 
 
 def train_round(
@@ -448,7 +372,7 @@ def run_fl(
 
     participation is a boolean (R, T, I) array: whether follower i's upload
     and the following broadcast both landed in round t of repetition r (see
-    participation_masks).  Each repetition stops at its own crossing; the
+    channel.participation_masks).  Each repetition stops at its own crossing; the
     loop ends once every repetition has crossed or T rounds have run.
     Returns the final state and, per repetition, the first round whose
     recorded loss meets the target (-1 if the masks ran out first).  lr

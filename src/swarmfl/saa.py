@@ -25,12 +25,7 @@ from scipy.special import expit
 from .channel import ChannelDraw, draw_channel, estimate_success_probs, sinr_coefficients
 from .convergence import ConvergenceInputs, convergence_round, convergence_speed
 from .design import DesignVector
-from .energy import (
-    ControlRequirements,
-    EnergyBudget,
-    flight_power,
-    training_energy_leader,
-)
+from .energy import ControlRequirements, EnergyBudget, round_energies
 from .scenario import SwarmScenario
 from .seeds import derive_seed
 
@@ -183,22 +178,6 @@ def smoothed_objective(design, samples, smoothing, scenario) -> float:
     return float((counts * both).sum())
 
 
-def _round_energies(design, t_up, scenario):
-    """(leader per-round energy, follower per-round energies (K, I))."""
-    e_leader_train = training_energy_leader(
-        scenario.compute, scenario.radio.pkt_local, scenario.n_followers
-    )
-    e_fly = flight_power(scenario.flight, design.v) * scenario.round_time_s
-    e_leader = (
-        e_leader_train
-        + design.p_leader * (1.0 - design.beta) * scenario.round_time_s
-        + e_fly
-    )
-    t_tx = np.minimum(t_up, design.beta * scenario.round_time_s)
-    e_followers = scenario.follower_training_energies() + np.asarray(design.p) * t_tx + e_fly
-    return e_leader, e_followers
-
-
 def _constraint_rows(both, t_up, t_dn, design, smoothing, scenario, budgets, control, constants):
     """Smoothed residual rows from precomputed window sigmoids and delays."""
     k = both.shape[0]
@@ -207,9 +186,11 @@ def _constraint_rows(both, t_up, t_dn, design, smoothing, scenario, budgets, con
         counts.sum() * constants.lipschitz_u
     )
     rho = min(rho, 1.0 - 1e-12)
-    phi = np.log(constants.epsilon_sum / constants.initial_loss_sum) / np.log(1.0 - rho)
+    log_decay = np.log(1.0 - rho)
+    # rho too small to move 1 - rho means no participation, so no finite round prediction
+    phi = np.log(constants.epsilon_sum / constants.initial_loss_sum) / log_decay if log_decay < 0.0 else np.inf
 
-    e_leader, e_followers = _round_energies(design, t_up, scenario)
+    e_leader, e_followers = round_energies(design, t_up, scenario)
     c_bar, e_scale, d_scale = smoothing.c_bar, smoothing.energy_scale, smoothing.delay_scale
 
     leader_row = k * gamma_sigmoid(budgets.e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
@@ -283,7 +264,7 @@ def unsmoothed_feasibility(
         return False, np.full(2 * scenario.n_followers + 1, -1.0), None
     phi = convergence_round(inputs)
 
-    e_leader, e_followers = _round_energies(design, t_up, scenario)
+    e_leader, e_followers = round_energies(design, t_up, scenario)
     leader_margin = float(budgets.e_bar - phi * e_leader >= 0.0) - budgets.xi_leader
     follower_margins = (
         (budgets.e_bar - phi * e_followers >= 0.0).mean(axis=0) - budgets.xi_follower

@@ -3,18 +3,25 @@
 A scenario is loaded from JSON, validated as a whole (all problems reported
 at once, each naming the offending field), and serialized back to a
 canonical SI form.  An empty config gives the documented default swarm:
-five followers at 40..80 m, 1 MHz links at -174 dBm/Hz noise, 0.5 W power
+five followers at 50..80 m, 1 MHz links at -174 dBm/Hz noise, 0.5 W power
 cap, 0.1 s rounds, quadrotor flight constants, a 7000 J energy budget, and
 the bundled synthetic regression problem.
 
-Convenience keys accepted on load: antenna.g_min_db (decibels) and
-radio.noise_psd_dbm_hz (dBm/Hz); they are converted once and serialized in
-linear/SI units.
+The JSON form is one walk over the dataclass fields: each section is an
+object keyed by field name, interference fields are lists of interferer
+objects.  The few keys that depart from that are listed in _IRREGULAR:
+round_time for round_time_s; the decibel conveniences antenna.g_min_db and
+radio.noise_psd_dbm_hz, converted once and serialized in linear/SI units;
+distances and control.tau, which default to one entry per follower; and a
+single number for control.tau, which stands for every follower.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -162,6 +169,10 @@ def _default_distances(n_followers: int) -> tuple[float, ...]:
     return tuple(float(d) for d in np.linspace(50.0, 80.0, n_followers))
 
 
+def _default_tau(n_followers: int) -> tuple[float, ...]:
+    return (0.05,) * n_followers
+
+
 def _default_interferers() -> tuple[Interferer, ...]:
     side = 10.0 ** -0.4  # squared side-lobe gain of the default antenna
     return tuple(
@@ -184,7 +195,7 @@ class SwarmScenario:
     flight: FlightParams = field(default_factory=FlightParams)
     energy_budget: EnergyBudget = field(default_factory=EnergyBudget)
     control: ControlRequirements = field(
-        default_factory=lambda: ControlRequirements(tau=(0.05,) * 5)
+        default_factory=lambda: ControlRequirements(tau=_default_tau(5))
     )
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     saa: SaaConfig = field(default_factory=SaaConfig)
@@ -271,282 +282,145 @@ class SwarmScenario:
         return self
 
 
-# === JSON ingestion ===
+# === JSON form, derived from the dataclass fields ===
 
 
-def _check_unknown(raw: dict, known: set[str], prefix: str, errors: list[str]):
-    for key in raw:
-        if key not in known:
-            where = f"{prefix}.{key}" if prefix else key
-            errors.append(f"unknown key: {where}")
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _num(raw: dict, key: str, default, prefix: str, errors: list[str]) -> float:
-    val = raw.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append(f"{prefix}.{key} must be a number" if prefix else f"{key} must be a number")
-        return default
-    return float(val)
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int(raw: dict, key: str, default, prefix: str, errors: list[str]) -> int:
-    val = raw.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int):
-        errors.append(f"{prefix}.{key} must be an integer" if prefix else f"{key} must be an integer")
-        return default
-    return int(val)
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(_number(v) for v in value)
 
 
-def _bool(raw: dict, key: str, default, prefix: str, errors: list[str]) -> bool:
-    val = raw.get(key, default)
-    if not isinstance(val, bool):
-        errors.append(f"{prefix}.{key} must be a boolean" if prefix else f"{key} must be a boolean")
-        return default
-    return bool(val)
-
-
-def _parse_antenna(raw: dict, errors: list[str]) -> AntennaPattern:
-    _check_unknown(raw, {"theta_init", "sigma2", "g_min", "g_min_db", "sections"}, "antenna", errors)
-    if "g_min" in raw and "g_min_db" in raw:
-        errors.append("antenna: give g_min or g_min_db, not both")
-    default = AntennaPattern()
-    g_min = _num(raw, "g_min", default.g_min, "antenna", errors)
-    if "g_min_db" in raw:
-        g_min = 10.0 ** (_num(raw, "g_min_db", -2.0, "antenna", errors) / 10.0)
-    return AntennaPattern(
-        theta_init=_num(raw, "theta_init", default.theta_init, "antenna", errors),
-        sigma2=_num(raw, "sigma2", default.sigma2, "antenna", errors),
-        g_min=g_min,
-        sections=_int(raw, "sections", default.sections, "antenna", errors),
-    )
-
-
-def _parse_radio(raw: dict, errors: list[str]) -> RadioParams:
-    known = {
-        "bw_up", "bw_down", "noise_psd", "noise_psd_dbm_hz",
-        "pkt_local", "pkt_global", "rician_k", "pathloss_exp",
-    }
-    _check_unknown(raw, known, "radio", errors)
-    if "noise_psd" in raw and "noise_psd_dbm_hz" in raw:
-        errors.append("radio: give noise_psd or noise_psd_dbm_hz, not both")
-    default = RadioParams()
-    noise = _num(raw, "noise_psd", default.noise_psd, "radio", errors)
-    if "noise_psd_dbm_hz" in raw:
-        noise = 10.0 ** ((_num(raw, "noise_psd_dbm_hz", -174.0, "radio", errors) - 30.0) / 10.0)
-    return RadioParams(
-        bw_up=_num(raw, "bw_up", default.bw_up, "radio", errors),
-        bw_down=_num(raw, "bw_down", default.bw_down, "radio", errors),
-        noise_psd=noise,
-        pkt_local=_num(raw, "pkt_local", default.pkt_local, "radio", errors),
-        pkt_global=_num(raw, "pkt_global", default.pkt_global, "radio", errors),
-        rician_k=_num(raw, "rician_k", default.rician_k, "radio", errors),
-        pathloss_exp=_num(raw, "pathloss_exp", default.pathloss_exp, "radio", errors),
-    )
-
-
-def _parse_compute(raw: dict, errors: list[str]) -> ComputeParams:
-    _check_unknown(raw, {"kappa", "cycles_per_bit", "cpu_freq"}, "compute", errors)
-    d = ComputeParams()
-    return ComputeParams(
-        kappa=_num(raw, "kappa", d.kappa, "compute", errors),
-        cycles_per_bit=_num(raw, "cycles_per_bit", d.cycles_per_bit, "compute", errors),
-        cpu_freq=_num(raw, "cpu_freq", d.cpu_freq, "compute", errors),
-    )
-
-
-def _parse_flight(raw: dict, errors: list[str]) -> FlightParams:
-    known = {"rotors", "rotor_diameter", "air_density", "efficiency", "mass", "gravity", "v_max"}
-    _check_unknown(raw, known, "flight", errors)
-    d = FlightParams()
-    return FlightParams(
-        rotors=_int(raw, "rotors", d.rotors, "flight", errors),
-        rotor_diameter=_num(raw, "rotor_diameter", d.rotor_diameter, "flight", errors),
-        air_density=_num(raw, "air_density", d.air_density, "flight", errors),
-        efficiency=_num(raw, "efficiency", d.efficiency, "flight", errors),
-        mass=_num(raw, "mass", d.mass, "flight", errors),
-        gravity=_num(raw, "gravity", d.gravity, "flight", errors),
-        v_max=_num(raw, "v_max", d.v_max, "flight", errors),
-    )
-
-
-def _parse_energy_budget(raw: dict, errors: list[str]) -> EnergyBudget:
-    _check_unknown(raw, {"e_bar", "xi_leader", "xi_follower"}, "energy_budget", errors)
-    d = EnergyBudget()
-    return EnergyBudget(
-        e_bar=_num(raw, "e_bar", d.e_bar, "energy_budget", errors),
-        xi_leader=_num(raw, "xi_leader", d.xi_leader, "energy_budget", errors),
-        xi_follower=_num(raw, "xi_follower", d.xi_follower, "energy_budget", errors),
-    )
-
-
-def _parse_control(raw: dict, n_followers: int, errors: list[str]) -> ControlRequirements:
-    _check_unknown(raw, {"tau", "xi_control"}, "control", errors)
-    tau_raw = raw.get("tau", 0.05)
-    if isinstance(tau_raw, (int, float)) and not isinstance(tau_raw, bool):
-        tau = (float(tau_raw),) * n_followers
-    elif isinstance(tau_raw, list) and all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in tau_raw
-    ):
-        tau = tuple(float(t) for t in tau_raw)
-    else:
-        errors.append("control.tau must be a number or a list of numbers")
-        tau = (0.05,) * n_followers
-    return ControlRequirements(
-        tau=tau, xi_control=_num(raw, "xi_control", 0.9, "control", errors)
-    )
-
-
-def _parse_dataset(raw: dict, errors: list[str]) -> DatasetSpec:
-    known = {
-        "samples_per", "dim", "noise_std", "sample_bits", "nuisance_dims",
-        "signal_scale", "owner_emphasis", "nuisance_scale",
-        "exact_second_moments", "w_scale", "seed",
-    }
-    _check_unknown(raw, known, "dataset", errors)
-    d = DatasetSpec()
-    emphasis = raw.get("owner_emphasis", d.owner_emphasis)
-    if emphasis is not None and (isinstance(emphasis, bool) or not isinstance(emphasis, (int, float))):
-        errors.append("dataset.owner_emphasis must be a number or null")
-        emphasis = d.owner_emphasis
-    return DatasetSpec(
-        samples_per=_int(raw, "samples_per", d.samples_per, "dataset", errors),
-        dim=_int(raw, "dim", d.dim, "dataset", errors),
-        noise_std=_num(raw, "noise_std", d.noise_std, "dataset", errors),
-        sample_bits=_num(raw, "sample_bits", d.sample_bits, "dataset", errors),
-        nuisance_dims=_int(raw, "nuisance_dims", d.nuisance_dims, "dataset", errors),
-        signal_scale=_num(raw, "signal_scale", d.signal_scale, "dataset", errors),
-        owner_emphasis=None if emphasis is None else float(emphasis),
-        nuisance_scale=_num(raw, "nuisance_scale", d.nuisance_scale, "dataset", errors),
-        exact_second_moments=_bool(raw, "exact_second_moments", d.exact_second_moments, "dataset", errors),
-        w_scale=_num(raw, "w_scale", d.w_scale, "dataset", errors),
-        seed=_int(raw, "seed", d.seed, "dataset", errors),
-    )
-
-
-def _parse_saa(raw: dict, errors: list[str]) -> SaaConfig:
-    known = {
-        "samples_k", "c_bar", "epsilon_opt_frac", "max_iters",
-        "step_scale", "inner_tol", "max_cycles", "xtol",
-    }
-    _check_unknown(raw, known, "saa", errors)
-    d = SaaConfig()
-    return SaaConfig(
-        samples_k=_int(raw, "samples_k", d.samples_k, "saa", errors),
-        c_bar=_num(raw, "c_bar", d.c_bar, "saa", errors),
-        epsilon_opt_frac=_num(raw, "epsilon_opt_frac", d.epsilon_opt_frac, "saa", errors),
-        max_iters=_int(raw, "max_iters", d.max_iters, "saa", errors),
-        step_scale=_num(raw, "step_scale", d.step_scale, "saa", errors),
-        inner_tol=_num(raw, "inner_tol", d.inner_tol, "saa", errors),
-        max_cycles=_int(raw, "max_cycles", d.max_cycles, "saa", errors),
-        xtol=_num(raw, "xtol", d.xtol, "saa", errors),
-    )
-
-
-def _parse_interference(raw, name: str, errors: list[str]) -> InterferenceField:
-    if not isinstance(raw, list):
-        errors.append(f"{name} must be a list of interferer objects")
-        return InterferenceField()
-    out = []
-    for j, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            errors.append(f"{name}[{j}] must be an object")
-            continue
-        _check_unknown(entry, {"distance", "power", "gain_product", "active_prob"}, f"{name}[{j}]", errors)
-        out.append(
-            Interferer(
-                distance=_num(entry, "distance", 1.0, f"{name}[{j}]", errors),
-                power=_num(entry, "power", 0.0, f"{name}[{j}]", errors),
-                gain_product=_num(entry, "gain_product", 1.0, f"{name}[{j}]", errors),
-                active_prob=_num(entry, "active_prob", 0.0, f"{name}[{j}]", errors),
-            )
-        )
-    return InterferenceField(tuple(out))
-
-
-_TOP_KEYS = {
-    "n_followers", "distances", "round_time", "p_max", "antenna", "radio",
-    "compute", "flight", "energy_budget", "control", "dataset", "saa",
-    "uplink_interference", "downlink_interference", "epsilon_fracs",
-    "mc_runs", "n_success_samples", "max_rounds", "use_sectionalized_gain",
-    "base_seed",
+# field annotation -> (accepts the JSON value, converts it, what it must be)
+_SCALARS = {
+    float: (_number, float, "a number"),
+    int: (_integer, int, "an integer"),
+    bool: (lambda v: isinstance(v, bool), bool, "a boolean"),
+    float | None: (
+        lambda v: v is None or _number(v), lambda v: v if v is None else float(v), "a number or null"
+    ),
+    tuple[float, ...]: (_numbers, lambda v: tuple(float(x) for x in v), "a list of numbers"),
 }
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one field departs from the plain JSON form, a key named after it."""
+
+    json_key: str | None = None  # the key, where it is not the field name
+    db_key: str | None = None  # decibel alternative to the SI key
+    from_db: Callable[[float], float] | None = None
+    per_follower: Callable[[int], tuple] | None = None  # default sized by the follower count
+    broadcast: bool = False  # one number stands for every follower
+    counts_followers: bool = False  # this field is the follower count
+
+
+_PLAIN = _Key()
+_IRREGULAR = {
+    (SwarmScenario, "n_followers"): _Key(counts_followers=True),
+    (SwarmScenario, "distances"): _Key(per_follower=_default_distances),
+    (SwarmScenario, "round_time_s"): _Key(json_key="round_time"),
+    (AntennaPattern, "g_min"): _Key(db_key="g_min_db", from_db=lambda db: 10.0 ** (db / 10.0)),
+    (RadioParams, "noise_psd"): _Key(
+        db_key="noise_psd_dbm_hz", from_db=lambda dbm: 10.0 ** ((dbm - 30.0) / 10.0)
+    ),
+    (ControlRequirements, "tau"): _Key(per_follower=_default_tau, broadcast=True),
+}
+_BAD = object()  # a value that was absent or could not be converted
+
+
+def _json_key(cls, name: str) -> str:
+    return _IRREGULAR.get((cls, name), _PLAIN).json_key or name
+
+
+@cache
+def _field_types(cls) -> dict:
+    return get_type_hints(cls)
+
+
+class _Reader:
+    """One pass over a JSON config.  Collects every error, and tracks the
+    follower count that sizes per-follower defaults."""
+
+    def __init__(self):
+        self.errors: list[str] = []
+        self.n_followers = SwarmScenario.n_followers
+
+    def section(self, cls, raw, path: str):
+        """Dataclass cls from its JSON object, or None if it cannot be built.
+
+        Absent keys keep the dataclass default, and a bad value is reported
+        and falls back to it.  A field with no default that is absent or
+        bad leaves the section unbuilt.  Nested sections are read even when
+        absent, so their per-follower defaults follow the follower count.
+        """
+        if not isinstance(raw, dict):
+            self.errors.append(f"{path} must be an object")
+            return None
+        prefix = f"{path}." if path else ""
+        known, kwargs, built = set(), {}, True
+        for f in fields(cls):
+            tp = _field_types(cls)[f.name]
+            rule = _IRREGULAR.get((cls, f.name), _PLAIN)
+            key = rule.json_key or f.name
+            known.add(key)
+            value = _BAD
+            if key in raw or (is_dataclass(tp) and tp is not InterferenceField):
+                value = self.value(tp, raw.get(key, {}), prefix + key, rule)
+            if rule.db_key:
+                known.add(rule.db_key)
+                if rule.db_key in raw:
+                    if key in raw:
+                        self.errors.append(f"{path}: give {key} or {rule.db_key}, not both")
+                    db = self.value(float, raw[rule.db_key], prefix + rule.db_key, _PLAIN)
+                    value = _BAD if db is _BAD else rule.from_db(db)
+            if value is _BAD and rule.per_follower:
+                # validate() reports a negative count; its defaults are empty
+                value = rule.per_follower(max(self.n_followers, 0))
+            if value is not _BAD:
+                kwargs[f.name] = value
+                if rule.counts_followers:
+                    self.n_followers = value
+            elif f.default is MISSING and f.default_factory is MISSING:
+                if key not in raw:
+                    self.errors.append(f"{prefix}{key} is required")
+                built = False
+        self.errors += [f"unknown key: {prefix}{key}" for key in raw if key not in known]
+        return cls(**kwargs) if built else None
+
+    def value(self, tp, raw, where: str, rule: _Key):
+        """raw converted to the field annotation tp, or _BAD once reported."""
+        if tp is InterferenceField:
+            if not isinstance(raw, list):
+                self.errors.append(f"{where} must be a list of interferer objects")
+                return _BAD
+            entries = [self.section(Interferer, entry, f"{where}[{j}]") for j, entry in enumerate(raw)]
+            return InterferenceField(tuple(e for e in entries if e is not None))
+        if is_dataclass(tp):
+            built = self.section(tp, raw, where)
+            return _BAD if built is None else built
+        accepts, convert, what = _SCALARS[tp]
+        if rule.broadcast and _number(raw):
+            return (float(raw),) * self.n_followers
+        if accepts(raw):
+            return convert(raw)
+        self.errors.append(f"{where} must be {'a number or ' if rule.broadcast else ''}{what}")
+        return _BAD
 
 
 def scenario_from_dict(raw: dict) -> SwarmScenario:
     """Build and fully validate a scenario from a parsed JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError(["top-level config must be a JSON object"])
-    errors: list[str] = []
-    _check_unknown(raw, _TOP_KEYS, "", errors)
-
-    defaults = SwarmScenario()
-    n_followers = _int(raw, "n_followers", defaults.n_followers, "", errors)
-    if n_followers < 1:
-        errors.append("n_followers must be >= 1")
-        n_followers = defaults.n_followers
-
-    dist_raw = raw.get("distances")
-    if dist_raw is None:
-        distances = _default_distances(n_followers)
-    elif isinstance(dist_raw, list) and all(
-        isinstance(d, (int, float)) and not isinstance(d, bool) for d in dist_raw
-    ):
-        distances = tuple(float(d) for d in dist_raw)
-    else:
-        errors.append("distances must be a list of numbers")
-        distances = _default_distances(n_followers)
-
-    def section(key):
-        sub = raw.get(key, {})
-        if not isinstance(sub, dict):
-            errors.append(f"{key} must be an object")
-            return {}
-        return sub
-
-    eps_raw = raw.get("epsilon_fracs")
-    if eps_raw is None:
-        epsilon_fracs = defaults.epsilon_fracs
-    elif isinstance(eps_raw, list) and all(
-        isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps_raw
-    ):
-        epsilon_fracs = tuple(float(e) for e in eps_raw)
-    else:
-        errors.append("epsilon_fracs must be a list of numbers")
-        epsilon_fracs = defaults.epsilon_fracs
-
-    up_raw = raw.get("uplink_interference")
-    dn_raw = raw.get("downlink_interference")
-    scenario = SwarmScenario(
-        n_followers=n_followers,
-        distances=distances,
-        round_time_s=_num(raw, "round_time", defaults.round_time_s, "", errors),
-        p_max=_num(raw, "p_max", defaults.p_max, "", errors),
-        antenna=_parse_antenna(section("antenna"), errors),
-        radio=_parse_radio(section("radio"), errors),
-        compute=_parse_compute(section("compute"), errors),
-        flight=_parse_flight(section("flight"), errors),
-        energy_budget=_parse_energy_budget(section("energy_budget"), errors),
-        control=_parse_control(section("control"), n_followers, errors),
-        dataset=_parse_dataset(section("dataset"), errors),
-        saa=_parse_saa(section("saa"), errors),
-        uplink_interference=(
-            InterferenceField(_default_interferers())
-            if up_raw is None
-            else _parse_interference(up_raw, "uplink_interference", errors)
-        ),
-        downlink_interference=(
-            InterferenceField(_default_interferers())
-            if dn_raw is None
-            else _parse_interference(dn_raw, "downlink_interference", errors)
-        ),
-        epsilon_fracs=epsilon_fracs,
-        mc_runs=_int(raw, "mc_runs", defaults.mc_runs, "", errors),
-        n_success_samples=_int(raw, "n_success_samples", defaults.n_success_samples, "", errors),
-        max_rounds=_int(raw, "max_rounds", defaults.max_rounds, "", errors),
-        use_sectionalized_gain=_bool(raw, "use_sectionalized_gain", defaults.use_sectionalized_gain, "", errors),
-        base_seed=_int(raw, "base_seed", defaults.base_seed, "", errors),
-    )
-    errors += scenario.validate()
+    reader = _Reader()
+    scenario = reader.section(SwarmScenario, raw, "")
+    errors = reader.errors + scenario.validate()
     if errors:
         raise ConfigError(errors)
     return scenario
@@ -564,92 +438,17 @@ def load_scenario(path) -> SwarmScenario:
     return scenario_from_dict(raw)
 
 
+def _to_json(value):
+    if isinstance(value, InterferenceField):
+        return [_to_json(it) for it in value.interferers]
+    if is_dataclass(value):
+        return {_json_key(type(value), f.name): _to_json(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
+
+
 def scenario_to_dict(s: SwarmScenario) -> dict:
     """Canonical SI-unit dict form; load(serialize(x)) == x."""
-
-    def interferers(fieldset: InterferenceField):
-        return [
-            {
-                "distance": it.distance,
-                "power": it.power,
-                "gain_product": it.gain_product,
-                "active_prob": it.active_prob,
-            }
-            for it in fieldset.interferers
-        ]
-
-    return {
-        "n_followers": s.n_followers,
-        "distances": list(s.distances),
-        "round_time": s.round_time_s,
-        "p_max": s.p_max,
-        "antenna": {
-            "theta_init": s.antenna.theta_init,
-            "sigma2": s.antenna.sigma2,
-            "g_min": s.antenna.g_min,
-            "sections": s.antenna.sections,
-        },
-        "radio": {
-            "bw_up": s.radio.bw_up,
-            "bw_down": s.radio.bw_down,
-            "noise_psd": s.radio.noise_psd,
-            "pkt_local": s.radio.pkt_local,
-            "pkt_global": s.radio.pkt_global,
-            "rician_k": s.radio.rician_k,
-            "pathloss_exp": s.radio.pathloss_exp,
-        },
-        "compute": {
-            "kappa": s.compute.kappa,
-            "cycles_per_bit": s.compute.cycles_per_bit,
-            "cpu_freq": s.compute.cpu_freq,
-        },
-        "flight": {
-            "rotors": s.flight.rotors,
-            "rotor_diameter": s.flight.rotor_diameter,
-            "air_density": s.flight.air_density,
-            "efficiency": s.flight.efficiency,
-            "mass": s.flight.mass,
-            "gravity": s.flight.gravity,
-            "v_max": s.flight.v_max,
-        },
-        "energy_budget": {
-            "e_bar": s.energy_budget.e_bar,
-            "xi_leader": s.energy_budget.xi_leader,
-            "xi_follower": s.energy_budget.xi_follower,
-        },
-        "control": {"tau": list(s.control.tau), "xi_control": s.control.xi_control},
-        "dataset": {
-            "samples_per": s.dataset.samples_per,
-            "dim": s.dataset.dim,
-            "noise_std": s.dataset.noise_std,
-            "sample_bits": s.dataset.sample_bits,
-            "nuisance_dims": s.dataset.nuisance_dims,
-            "signal_scale": s.dataset.signal_scale,
-            "owner_emphasis": s.dataset.owner_emphasis,
-            "nuisance_scale": s.dataset.nuisance_scale,
-            "exact_second_moments": s.dataset.exact_second_moments,
-            "w_scale": s.dataset.w_scale,
-            "seed": s.dataset.seed,
-        },
-        "saa": {
-            "samples_k": s.saa.samples_k,
-            "c_bar": s.saa.c_bar,
-            "epsilon_opt_frac": s.saa.epsilon_opt_frac,
-            "max_iters": s.saa.max_iters,
-            "step_scale": s.saa.step_scale,
-            "inner_tol": s.saa.inner_tol,
-            "max_cycles": s.saa.max_cycles,
-            "xtol": s.saa.xtol,
-        },
-        "uplink_interference": interferers(s.uplink_interference),
-        "downlink_interference": interferers(s.downlink_interference),
-        "epsilon_fracs": list(s.epsilon_fracs),
-        "mc_runs": s.mc_runs,
-        "n_success_samples": s.n_success_samples,
-        "max_rounds": s.max_rounds,
-        "use_sectionalized_gain": s.use_sectionalized_gain,
-        "base_seed": s.base_seed,
-    }
+    return _to_json(s)
 
 
 def serialize_scenario(s: SwarmScenario) -> str:

@@ -18,15 +18,12 @@ from swarmfl.channel import (
     InterferenceField,
     antenna_gain_exact,
     antenna_gain_sectionalized,
-    downlink_delay,
     draw_channel,
-    estimate_success_prob,
     estimate_success_probs,
     link_delays,
+    participation_masks,
     rician_power_fading,
-    sample_channel_draw,
     success_mask,
-    uplink_delay,
 )
 from swarmfl.design import DesignVector
 
@@ -59,6 +56,16 @@ def unit_draw(n_followers=1, n_up=0, n_down=0):
         active_up=np.ones(n_up, dtype=bool),
         active_down=np.ones(n_down, dtype=bool),
     )
+
+
+def uplink_s(draw, design, scenario):
+    """Upload delay of the only follower under one draw [s]."""
+    return float(link_delays(draw, design, scenario)[0][0])
+
+
+def downlink_s(draw, design, scenario):
+    """Broadcast delay toward the only follower under one draw [s]."""
+    return float(link_delays(draw, design, scenario)[1][0])
 
 
 def design_for(scenario, p=0.5, beta=0.5, v=10.0):
@@ -151,7 +158,7 @@ class TestFadingAndDraws:
 
     def test_zero_jitter_degenerates(self, default_scenario):
         s = replace(default_scenario, antenna=replace(default_scenario.antenna, sigma2=0.0))
-        draw = sample_channel_draw(s, 42)
+        draw = draw_channel(s, np.random.default_rng(42))
         assert np.all(draw.angle_dev == 0.0)
 
     def test_jitter_variance_statistical(self, default_scenario):
@@ -167,7 +174,7 @@ class TestFadingAndDraws:
         i = default_scenario.n_followers
         ju = len(default_scenario.uplink_interference)
         jd = len(default_scenario.downlink_interference)
-        draw = sample_channel_draw(default_scenario, 5)
+        draw = draw_channel(default_scenario, np.random.default_rng(5))
         assert draw.angle_dev.shape == (i + 1,)
         assert draw.fading_up.shape == (i,)
         assert draw.fading_down.shape == (i,)
@@ -178,8 +185,8 @@ class TestFadingAndDraws:
         assert batch.fading_down_interf.shape == (7, jd, i)
 
     def test_same_seed_same_draw_and_delays(self, default_scenario):
-        d1 = sample_channel_draw(default_scenario, 33)
-        d2 = sample_channel_draw(default_scenario, 33)
+        d1 = draw_channel(default_scenario, np.random.default_rng(33))
+        d2 = draw_channel(default_scenario, np.random.default_rng(33))
         design = default_scenario.default_design()
         for name in ("angle_dev", "fading_up", "fading_down", "fading_up_interf"):
             assert np.array_equal(getattr(d1, name), getattr(d2, name))
@@ -197,7 +204,7 @@ class TestLinkDelays:
         draw = unit_draw()
         snr = 0.5 * 100.0 ** -2.5 / (1e6 * 10.0 ** -20.4)
         want = 8e4 / (1e6 * math.log2(1.0 + snr))
-        got = uplink_delay(0, draw, design, s)
+        got = uplink_s(draw, design, s)
         assert got == pytest.approx(want, rel=1e-12)
         assert snr == pytest.approx(1.26e9, rel=5e-3)
         assert got == pytest.approx(2.65e-3, rel=2e-3)
@@ -206,8 +213,8 @@ class TestLinkDelays:
         s = one_follower_scenario(default_scenario)
         design = design_for(s, p=0.5)
         draw = unit_draw()
-        up = uplink_delay(0, draw, design, s)
-        dn = downlink_delay(0, draw, design, s)
+        up = uplink_s(draw, design, s)
+        dn = downlink_s(draw, design, s)
         assert dn == pytest.approx(up, rel=1e-12)
 
     def test_delay_linear_in_packet_size(self, default_scenario):
@@ -215,8 +222,8 @@ class TestLinkDelays:
         s2 = replace(s, radio=replace(s.radio, pkt_local=2 * s.radio.pkt_local))
         design = design_for(s)
         draw = unit_draw()
-        assert uplink_delay(0, draw, design, s2) == pytest.approx(
-            2.0 * uplink_delay(0, draw, design, s), rel=1e-12
+        assert uplink_s(draw, design, s2) == pytest.approx(
+            2.0 * uplink_s(draw, design, s), rel=1e-12
         )
 
     def test_active_interferer_strictly_slows(self, default_scenario):
@@ -224,23 +231,23 @@ class TestLinkDelays:
         s_clean = one_follower_scenario(default_scenario)
         s_noisy = one_follower_scenario(default_scenario, interferers=(interferer,))
         design = design_for(s_clean)
-        clean = uplink_delay(0, unit_draw(), design, s_clean)
-        noisy = uplink_delay(0, unit_draw(n_up=1, n_down=1), design, s_noisy)
+        clean = uplink_s(unit_draw(), design, s_clean)
+        noisy = uplink_s(unit_draw(n_up=1, n_down=1), design, s_noisy)
         assert noisy > clean
 
     def test_monotone_in_power_distance_bandwidth(self, default_scenario):
         base = one_follower_scenario(default_scenario)
         draw = unit_draw()
-        lo = uplink_delay(0, draw, design_for(base, p=0.1), base)
-        hi = uplink_delay(0, draw, design_for(base, p=0.5), base)
+        lo = uplink_s(draw, design_for(base, p=0.1), base)
+        hi = uplink_s(draw, design_for(base, p=0.5), base)
         assert hi < lo
-        near = uplink_delay(0, draw, design_for(base), base)
-        far = uplink_delay(
-            0, draw, design_for(base), one_follower_scenario(default_scenario, distance=150.0)
+        near = uplink_s(draw, design_for(base), base)
+        far = uplink_s(
+            draw, design_for(base), one_follower_scenario(default_scenario, distance=150.0)
         )
         assert far > near
-        wide = uplink_delay(
-            0, draw, design_for(base), one_follower_scenario(default_scenario, bw=5e6)
+        wide = uplink_s(
+            draw, design_for(base), one_follower_scenario(default_scenario, bw=5e6)
         )
         assert wide < near
 
@@ -270,11 +277,27 @@ class TestSuccessProbability:
         se = np.sqrt(np.maximum(big * (1 - big), 1e-12) / 10**4)
         assert np.all(np.abs(small - big) <= 3 * se)
 
-    def test_single_follower_helper_matches_vector(self, default_scenario):
+    def test_estimate_is_mean_of_masks(self, default_scenario):
         design = default_scenario.default_design()
         probs = estimate_success_probs(design, default_scenario, n_samples=2000, rng_seed=9)
-        p2 = estimate_success_prob(2, design, default_scenario, n_samples=2000, rng_seed=9)
-        assert p2 == pytest.approx(probs[2])
+        masks = participation_masks([default_scenario], design, 2000, [9])
+        assert np.array_equal(probs, masks[0, 0].mean(axis=0))
+
+    def test_bandwidth_points_share_one_draw(self, default_scenario):
+        design = default_scenario.default_design()
+        points = [
+            replace(default_scenario, radio=replace(default_scenario.radio, bw_up=bw, bw_down=bw))
+            for bw in (1e6, 2e6, 5e6)
+        ]
+        shared = estimate_success_probs(design, points, n_samples=2000, rng_seed=9)
+        assert shared.shape == (3, default_scenario.n_followers)
+        for k, point in enumerate(points):
+            alone = estimate_success_probs(design, point, n_samples=2000, rng_seed=9)
+            assert np.array_equal(shared[k], alone)
+
+    def test_sample_count_checked(self, default_scenario):
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_success_probs(default_scenario.default_design(), default_scenario, 0, 1)
 
     def test_success_mask_windows(self):
         t_up = np.array([[0.02, 0.05], [0.02, 0.02]])

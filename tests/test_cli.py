@@ -128,6 +128,21 @@ class TestFailureModes:
         assert code == EXIT_CONFIG
         assert "n_folowers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, field", [
+        ({"distance": 100.0}, "uplink_interference[0].power"),
+        ({}, "uplink_interference[0].distance"),
+    ])
+    def test_interferer_missing_field(self, config_path, tmp_path, capsys, entry, field):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["uplink_interference"] = [entry]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{field} is required" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonpositive_mc_runs(self, config_path, tmp_path, capsys):
         code = main([
             "simulate", "--config", str(config_path), "--mc-runs", "0",

@@ -12,16 +12,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swarmfl import energy
 from swarmfl.design import DesignVector
 from swarmfl.energy import (
     ComputeParams,
     EnergyBudget,
     FlightParams,
     flight_power,
-    follower_round_energies,
     induced_velocity,
-    leader_round_energy,
-    round_energy,
+    round_energies,
     training_energy_follower,
     training_energy_leader,
 )
@@ -100,7 +99,7 @@ class TestRoundEnergy:
         design = DesignVector(
             p=np.full(5, 0.5), p_leader=0.5, beta=0.5, v=0.0
         )
-        got = leader_round_energy(design, default_scenario)
+        got, _ = round_energies(design, np.zeros(5), default_scenario)
         assert got == pytest.approx(0.04 + 0.025 + 17.618088, rel=1e-4)
         assert got == pytest.approx(17.7, abs=0.05)
 
@@ -109,31 +108,49 @@ class TestRoundEnergy:
         window = design.beta * default_scenario.round_time_s
         t_partial = np.full(5, 0.5 * window)
         t_over = np.full(5, 10.0 * window)
-        e_partial = follower_round_energies(design, t_partial, default_scenario)
-        e_over = follower_round_energies(design, t_over, default_scenario)
-        e_atcap = follower_round_energies(design, np.full(5, window), default_scenario)
+        _, e_partial = round_energies(design, t_partial, default_scenario)
+        _, e_over = round_energies(design, t_over, default_scenario)
+        _, e_atcap = round_energies(design, np.full(5, window), default_scenario)
+        _, e_bound = round_energies(design, np.inf, default_scenario)
         assert np.allclose(e_over, e_atcap)
+        assert np.array_equal(e_bound, e_atcap)
         assert np.all(e_partial < e_over)
         # transmit term is linear below the cap
         dp = e_atcap - e_partial
         assert np.allclose(dp, np.asarray(design.p) * 0.5 * window)
 
-    def test_round_energy_dispatcher(self, default_scenario):
+    def test_one_flight_power_call_per_round(self, default_scenario, monkeypatch):
+        calls = []
+
+        def counted(flight, v):
+            calls.append(v)
+            return flight_power(flight, v)
+
+        monkeypatch.setattr(energy, "flight_power", counted)
         design = default_scenario.default_design()
-        lead = round_energy("leader", design, 0.0, default_scenario)
-        assert lead == pytest.approx(leader_round_energy(design, default_scenario))
-        t_up = 0.01
-        follower = round_energy(2, design, t_up, default_scenario)
-        vec = follower_round_energies(
-            design, np.array([0, 0, t_up, 0, 0], dtype=float), default_scenario
-        )
-        assert follower == pytest.approx(vec[2])
+        t_up = np.random.default_rng(3).uniform(0.0, 0.05, size=(7, 5))
+        e_leader, e_followers = round_energies(design, t_up, default_scenario)
+        assert len(calls) == 1
+        assert np.ndim(e_leader) == 0
+        assert e_followers.shape == (7, 5)
+
+    def test_follower_energy_depends_on_own_delay_only(self, default_scenario):
+        design = default_scenario.default_design()
+        base = np.full(5, 0.01)
+        moved = base.copy()
+        moved[2] = 0.02
+        lead_a, e_a = round_energies(design, base, default_scenario)
+        lead_b, e_b = round_energies(design, moved, default_scenario)
+        assert lead_a == lead_b
+        changed = e_a != e_b
+        assert changed.tolist() == [False, False, True, False, False]
+        assert e_b[2] - e_a[2] == pytest.approx(design.p[2] * 0.01, rel=1e-9)
 
     def test_flight_dominates_default_budget_split(self, default_scenario):
         # sanity on orders of magnitude: flying costs tens of joules per
         # round, radio and compute milli- to centi-joules
         design = default_scenario.default_design()
-        total = leader_round_energy(design, default_scenario)
+        total, _ = round_energies(design, np.zeros(5), default_scenario)
         fly = flight_power(default_scenario.flight, design.v) * default_scenario.round_time_s
         assert fly / total > 0.95
 

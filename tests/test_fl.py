@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmfl.channel import draw_channel, link_delays, success_mask
+from swarmfl.channel import draw_channel, link_delays, participation_masks, success_mask
 from swarmfl.fl import (
     Dataset,
     QuadraticLossModel,
@@ -16,7 +16,6 @@ from swarmfl.fl import (
     aggregation_error,
     local_update,
     make_regression_problem,
-    participation_masks,
     run_fl,
     train_round,
 )

@@ -202,6 +202,28 @@ class TestSmoothedConstraints:
         n = default_scenario.n_followers
         assert rows[: n + 1] == pytest.approx(np.full(n + 1, -0.9 * k), abs=0.05 * k)
 
+    def test_no_participation_violates_energy_rows(self, default_scenario):
+        """Powers so low that nobody ever lands: the smoothed rho is 0, so no
+        finite round count exists and every energy row must read -K*xi, not
+        its maximum slack K*(1 - xi)."""
+        samples = ScenarioSamples.generate(default_scenario, 200, 5)
+        design = DesignVector(
+            p=np.full(default_scenario.n_followers, 1e-12), p_leader=1e-12, beta=0.35, v=12.0
+        )
+        budgets = default_scenario.energy_budget
+        rows = smoothed_constraints(
+            design,
+            samples,
+            SmoothingConfig.from_scenario(default_scenario),
+            default_scenario,
+            budgets,
+            default_scenario.control,
+        )
+        n = default_scenario.n_followers
+        assert rows[0] == pytest.approx(-200 * budgets.xi_leader, abs=1e-9)
+        assert rows[1 : n + 1] == pytest.approx(np.full(n, -200 * budgets.xi_follower), abs=1e-9)
+        assert np.all(rows[n + 1 :] < 0.0)
+
 
 class TestUnsmoothedFeasibility:
     def test_default_design_feasible(self, default_scenario, default_samples):

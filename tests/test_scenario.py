@@ -1,10 +1,15 @@
 """Scenario configuration: strict parsing, unit conversion, round-tripping."""
 
 import json
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from swarmfl.channel import Interferer, InterferenceField
 from swarmfl.scenario import (
     ConfigError,
     SwarmScenario,
@@ -29,7 +34,65 @@ class TestDefaults:
         assert len(default_scenario.control.tau) == default_scenario.n_followers
 
 
+FRACTION = st.floats(0.01, 0.99)
+
+
+def drawn(tp, n_followers):
+    """Strategy for a field annotated tp, in ranges the validators accept."""
+    if tp is InterferenceField:
+        return st.lists(instances(Interferer, n_followers), max_size=3).map(
+            lambda its: InterferenceField(tuple(its))
+        )
+    if is_dataclass(tp):
+        return instances(tp, n_followers)
+    return {
+        float: FRACTION,
+        int: st.integers(1, 6),
+        bool: st.booleans(),
+        float | None: st.none() | FRACTION,
+        tuple[float, ...]: st.lists(FRACTION, min_size=n_followers, max_size=n_followers).map(tuple),
+    }[tp]
+
+
+def instances(cls, n_followers):
+    """Dataclass cls with every field drawn from its annotation."""
+    hints = get_type_hints(cls)
+    return st.builds(cls, **{f.name: drawn(hints[f.name], n_followers) for f in fields(cls)})
+
+
+@st.composite
+def valid_scenarios(draw):
+    n_followers = draw(st.integers(1, 6))
+    scenario = replace(draw(instances(SwarmScenario, n_followers)), n_followers=n_followers)
+    assume(scenario.validate() == [])
+    return scenario
+
+
 class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=valid_scenarios())
+    def test_generated_scenarios_round_trip(self, scenario):
+        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        assert scenario_from_dict(json.loads(serialize_scenario(scenario))) == scenario
+
+    def test_serialized_keys_are_the_dataclass_fields(self, default_scenario):
+        def check(obj, form):
+            names = {f.name for f in fields(obj)}
+            if isinstance(obj, SwarmScenario):
+                names = names - {"round_time_s"} | {"round_time"}
+            assert set(form) == names
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                key = "round_time" if f.name == "round_time_s" else f.name
+                if isinstance(value, InterferenceField):
+                    assert len(form[key]) == len(value) > 0
+                    for interferer, entry in zip(value.interferers, form[key]):
+                        check(interferer, entry)
+                elif is_dataclass(value):
+                    check(value, form[key])
+
+        check(default_scenario, scenario_to_dict(default_scenario))
+
     def test_dict_round_trip_exact(self, default_scenario):
         again = scenario_from_dict(scenario_to_dict(default_scenario))
         assert again == default_scenario
@@ -88,11 +151,31 @@ class TestStrictParsing:
             scenario_from_dict(bad)
         assert "uplink_interference" in str(err.value)
 
+    @pytest.mark.parametrize("entry, missing", [
+        ({"distance": 100.0}, ["power", "gain_product", "active_prob"]),
+        ({}, ["distance", "power", "gain_product", "active_prob"]),
+    ])
+    def test_interferer_fields_required(self, entry, missing):
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict({"uplink_interference": [entry]})
+        assert err.value.errors == [f"uplink_interference[0].{name} is required" for name in missing]
+
     def test_control_deadline_count_checked(self):
         with pytest.raises(ConfigError) as err:
             scenario_from_dict({"n_followers": 3, "control": {"tau": [0.05, 0.05]},
                                 "distances": [50.0, 60.0, 70.0]})
         assert "tau" in str(err.value)
+
+
+class TestPerFollowerDefaults:
+    def test_defaults_follow_follower_count(self):
+        s = scenario_from_dict({"n_followers": 3})
+        assert s.distances == (50.0, 65.0, 80.0)
+        assert s.control.tau == (0.05,) * 3
+
+    def test_scalar_deadline_broadcast(self):
+        s = scenario_from_dict({"n_followers": 2, "control": {"tau": 0.07}})
+        assert s.control.tau == (0.07, 0.07)
 
 
 class TestUnitAliases:
