@@ -290,17 +290,15 @@ def _interference_power(field: InterferenceField, fading, active, pathloss_exp, 
     return term.sum(axis=-1)
 
 
-def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
-    """SINR per watt of own transmit power, for every follower link.
+def _sinr_parts(draw: ChannelDraw, scenario: "SwarmScenario"):
+    """The bandwidth-free parts of the SINR kernels of a draw.
 
-    Returns (c_up, c_dn), each shaped like draw.fading_up, such that the
-    uplink SINR of follower i at power p_i is p_i * c_up[..., i] and the
-    downlink SINR at leader power p_L is p_L * c_dn[..., i].  Everything in
-    these coefficients is fixed once the draw is fixed, so design search
-    can reuse them.
+    Returns (num_up, interf_up, num_dn, interf_dn): the received signal
+    power per watt and the received interference power of every uplink and
+    downlink.  Only the noise term bw * N0 that sinr_coefficients adds to
+    the interference depends on bandwidth.
     """
-    radio = scenario.radio
-    alpha = radio.pathloss_exp
+    alpha = scenario.radio.pathloss_exp
     dist = scenario.follower_distances()
     gain_follower = _gain(scenario, scenario.antenna.theta_init + draw.angle_dev[..., 1:])
     gain_leader = _gain(scenario, scenario.antenna.theta_init + draw.angle_dev[..., :1])
@@ -313,12 +311,28 @@ def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.
     interf_dn = _interference_power(
         scenario.downlink_interference, draw.fading_down_interf, draw.active_down, alpha, per_victim=True
     )
-    denom_up = np.asarray(interf_up)[..., None] + radio.bw_up * radio.noise_psd
-    denom_dn = interf_dn + radio.bw_down * radio.noise_psd
+    num_up = draw.fading_up * path * gain_product
+    num_dn = draw.fading_down * path * gain_product
+    return num_up, np.asarray(interf_up)[..., None], num_dn, interf_dn
 
-    c_up = draw.fading_up * path * gain_product / denom_up
-    c_dn = draw.fading_down * path * gain_product / denom_dn
+
+def _kernels(parts, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+    num_up, interf_up, num_dn, interf_dn = parts
+    c_up = num_up / (interf_up + radio.bw_up * radio.noise_psd)
+    c_dn = num_dn / (interf_dn + radio.bw_down * radio.noise_psd)
     return c_up, c_dn
+
+
+def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
+    """SINR per watt of own transmit power, for every follower link.
+
+    Returns (c_up, c_dn), each shaped like draw.fading_up, such that the
+    uplink SINR of follower i at power p_i is p_i * c_up[..., i] and the
+    downlink SINR at leader power p_L is p_L * c_dn[..., i].  Everything in
+    these coefficients is fixed once the draw is fixed, so design search
+    can reuse them.
+    """
+    return _kernels(_sinr_parts(draw, scenario), scenario.radio)
 
 
 def _delay(pkt_bits: float, bandwidth: float, sinr: np.ndarray) -> np.ndarray:
@@ -327,12 +341,7 @@ def _delay(pkt_bits: float, bandwidth: float, sinr: np.ndarray) -> np.ndarray:
         return np.where(rate > 0.0, pkt_bits / np.maximum(rate, 1e-300), np.inf)
 
 
-def link_delays(draw: ChannelDraw, design: "DesignVector", scenario: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
-    """Uplink and downlink delays of every follower under one draw (or batch).
-
-    Returns (t_up, t_dn) in seconds, shaped like draw.fading_up.  Raises
-    ValueError if any transmit power is non-positive.
-    """
+def _kernel_delays(c_up, c_dn, design: "DesignVector", scenario: "SwarmScenario"):
     p = np.asarray(design.p, dtype=float)
     if p.shape != (scenario.n_followers,):
         raise ValueError(
@@ -340,10 +349,18 @@ def link_delays(draw: ChannelDraw, design: "DesignVector", scenario: "SwarmScena
         )
     if np.any(p <= 0.0) or design.p_leader <= 0.0:
         raise ValueError("transmit powers must be positive")
-    c_up, c_dn = sinr_coefficients(draw, scenario)
     t_up = _delay(scenario.radio.pkt_local, scenario.radio.bw_up, p * c_up)
     t_dn = _delay(scenario.radio.pkt_global, scenario.radio.bw_down, design.p_leader * c_dn)
     return t_up, t_dn
+
+
+def link_delays(draw: ChannelDraw, design: "DesignVector", scenario: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
+    """Uplink and downlink delays of every follower under one draw (or batch).
+
+    Returns (t_up, t_dn) in seconds, shaped like draw.fading_up.  Raises
+    ValueError if any transmit power is non-positive.
+    """
+    return _kernel_delays(*sinr_coefficients(draw, scenario), design, scenario)
 
 
 def success_mask(t_up: np.ndarray, t_dn: np.ndarray, beta: float, round_time: float) -> np.ndarray:
@@ -364,7 +381,8 @@ def participation_masks(
     draw-for-draw across scenarios that differ only in jitter variance or
     bandwidth.  The B scenarios in points may differ only in their link
     bandwidths, which draw_channel never reads: each repetition is drawn
-    once and its delays are evaluated under every point.
+    once, its bandwidth-free SINR parts are computed once, and its delays
+    are evaluated under every point.
     """
     first = points[0]
     for point in points[1:]:
@@ -376,8 +394,9 @@ def participation_masks(
     out = np.empty((len(points), len(seeds), n_rounds, first.n_followers), dtype=bool)
     for r, seed in enumerate(seeds):
         draws = draw_channel(first, np.random.default_rng(seed), size=n_rounds)
+        parts = _sinr_parts(draws, first)
         for k, point in enumerate(points):
-            t_up, t_dn = link_delays(draws, design, point)
+            t_up, t_dn = _kernel_delays(*_kernels(parts, point.radio), design, point)
             out[k, r] = success_mask(t_up, t_dn, design.beta, point.round_time_s)
     return out
 

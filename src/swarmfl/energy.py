@@ -1,9 +1,10 @@
 """Training energy, communication energy, and flight power of swarm UAVs.
 
 Training energy is the usual cycles-per-bit CPU model.  Flight power comes
-from momentum theory: the rotor downwash (induced velocity) solves a scalar
-fixed-point equation in the forward speed, and the mechanical power is
-thrust times downwash corrected by an efficiency factor.
+from momentum theory: the rotor downwash (induced velocity) balances the
+level-flight thrust at a given forward speed, a balance that is quadratic in
+the squared downwash and so has a closed-form root, and the mechanical power
+is thrust times downwash corrected by an efficiency factor.
 
 Per round, the leader pays for compute, for transmitting during the whole
 downlink window, and for flying the whole round; a follower pays for
@@ -175,25 +176,20 @@ def training_energy_follower(compute: ComputeParams, sample_bits) -> float:
 def induced_velocity(flight: FlightParams, v) -> float | np.ndarray:
     """Rotor downwash speed at forward speed v [m/s].
 
-    Solves v_hat * sqrt(v^2 + v_hat^2) = 2A / (q r^2 pi rho) with A the
-    level-flight thrust, by damped fixed-point iteration started at the
-    hover solution.  Works elementwise on arrays of speeds.
+    Solves v_hat * sqrt(v^2 + v_hat^2) = rhs, rhs = 2A / (q r^2 pi rho) with
+    A the level-flight thrust (momentum theory; Leishman, Principles of
+    Helicopter Aerodynamics).  Squared, the balance is quadratic in
+    u = v_hat^2, u^2 + v^2 u - rhs^2 = 0, whose positive root is taken in
+    the cancellation-free form u = 2 rhs^2 / (v^2 + sqrt(v^4 + 4 rhs^2)).
+    Hover (v = 0) gives v_hat = sqrt(rhs).  Works elementwise on arrays of
+    speeds.
     """
     v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0.0) or np.any(v_arr > flight.v_max):
+    if not np.all((v_arr >= 0.0) & (v_arr <= flight.v_max)):  # NaN fails too
         raise ValueError(f"speed must be within [0, v_max={flight.v_max}]")
     rhs = 2.0 * flight.thrust() / flight.disk_loading_denom()
-    hover = np.sqrt(rhs)
-    v_hat = np.full_like(v_arr, hover, dtype=float)
-    omega = 0.5
-    tol = 1e-12 * max(rhs, 1.0)
-    for _ in range(200):
-        v_hat = (1.0 - omega) * v_hat + omega * rhs / np.sqrt(v_arr**2 + v_hat**2)
-        residual = np.abs(v_hat * np.sqrt(v_arr**2 + v_hat**2) - rhs)
-        if np.all(residual < tol):
-            break
-    else:
-        raise RuntimeError("induced-velocity iteration did not converge in 200 steps")
+    v2 = v_arr * v_arr
+    v_hat = np.sqrt(2.0 * rhs**2 / (v2 + np.sqrt(v2 * v2 + 4.0 * rhs**2)))
     return float(v_hat) if v_hat.ndim == 0 else v_hat
 
 

@@ -144,42 +144,66 @@ def gamma_sigmoid(r, c_bar: float, scale: float = 1.0):
     return expit(c_bar * np.asarray(r, dtype=float) / scale)
 
 
+def _delays(pkt_bits: float, bandwidth: float, power, kernel) -> np.ndarray:
+    """Link delay [s] at SINR power * kernel; inf where the rate is zero."""
+    rate = bandwidth * np.log1p(power * kernel) / np.log(2.0)
+    with np.errstate(divide="ignore"):
+        return np.where(rate > 0.0, pkt_bits / np.maximum(rate, 1e-300), np.inf)
+
+
 def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
     """Per-sample link delays (t_up, t_dn), each (K, I) seconds."""
     radio = scenario.radio
-    rate_up = radio.bw_up * np.log1p(np.asarray(design.p) * samples.c_up) / np.log(2.0)
-    rate_dn = radio.bw_down * np.log1p(design.p_leader * samples.c_dn) / np.log(2.0)
-    with np.errstate(divide="ignore"):
-        t_up = np.where(rate_up > 0.0, radio.pkt_local / np.maximum(rate_up, 1e-300), np.inf)
-        t_dn = np.where(rate_dn > 0.0, radio.pkt_global / np.maximum(rate_dn, 1e-300), np.inf)
+    t_up = _delays(radio.pkt_local, radio.bw_up, np.asarray(design.p), samples.c_up)
+    t_dn = _delays(radio.pkt_global, radio.bw_down, design.p_leader, samples.c_dn)
     return t_up, t_dn
 
 
+def _window_gamma(window: float, delays, smoothing) -> np.ndarray:
+    """Smoothed indicator that delays fit a window of the given length [s]."""
+    return gamma_sigmoid(window - delays, smoothing.c_bar, smoothing.delay_scale)
+
+
 def _window_sigmoids(design, samples, smoothing, scenario):
-    """Gamma(T_u - t_up) * Gamma(T_d - t_dn), shape (K, I)."""
+    """Window sigmoids and delays (g_up, g_dn, t_up, t_dn), each (K, I).
+
+    g_up * g_dn = Gamma(beta T_r - t_up) * Gamma((1 - beta) T_r - t_dn) is
+    the smoothed participation indicator.
+    """
     t_up, t_dn = sample_delays(design, samples, scenario)
-    budget_up = design.beta * scenario.round_time_s
-    budget_dn = (1.0 - design.beta) * scenario.round_time_s
-    g_up = gamma_sigmoid(budget_up - t_up, smoothing.c_bar, smoothing.delay_scale)
-    g_dn = gamma_sigmoid(budget_dn - t_dn, smoothing.c_bar, smoothing.delay_scale)
-    return g_up * g_dn, t_up, t_dn
+    g_up = _window_gamma(design.beta * scenario.round_time_s, t_up, smoothing)
+    g_dn = _window_gamma((1.0 - design.beta) * scenario.round_time_s, t_dn, smoothing)
+    return g_up, g_dn, t_up, t_dn
 
 
 def smoothed_success_probs(design, samples, smoothing, scenario) -> np.ndarray:
     """Per-follower mean of the smoothed participation indicator, shape (I,)."""
-    both, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
-    return both.mean(axis=0)
+    g_up, g_dn, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
+    return (g_up * g_dn).mean(axis=0)
+
+
+def _objective(both, constants: ProblemConstants) -> float:
+    return float((np.asarray(constants.counts, dtype=float) * both).sum())
 
 
 def smoothed_objective(design, samples, smoothing, scenario) -> float:
     """Count-weighted smoothed tally of in-time uploads across all samples."""
-    counts = np.asarray(problem_constants(scenario).counts, dtype=float)
-    both, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
-    return float((counts * both).sum())
+    g_up, g_dn, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
+    return _objective(g_up * g_dn, problem_constants(scenario))
 
 
-def _constraint_rows(both, t_up, t_dn, design, smoothing, scenario, budgets, control, constants):
-    """Smoothed residual rows from precomputed window sigmoids and delays."""
+def _control_rows(t_dn, smoothing, control: ControlRequirements) -> np.ndarray:
+    """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control."""
+    tau = np.asarray(control.tau, dtype=float)
+    return (
+        gamma_sigmoid(tau - t_dn, smoothing.c_bar, smoothing.delay_scale).sum(axis=0)
+        - t_dn.shape[0] * control.xi_control
+    )
+
+
+def _constraint_rows(both, t_up, control_rows, design, smoothing, scenario, budgets, constants):
+    """Smoothed residual rows from the participation sigmoids, uplink delays
+    and precomputed control rows."""
     k = both.shape[0]
     counts = np.asarray(constants.counts, dtype=float)
     rho = float((counts * both.mean(axis=0)).sum()) * constants.mu / (
@@ -191,16 +215,12 @@ def _constraint_rows(both, t_up, t_dn, design, smoothing, scenario, budgets, con
     phi = np.log(constants.epsilon_sum / constants.initial_loss_sum) / log_decay if log_decay < 0.0 else np.inf
 
     e_leader, e_followers = round_energies(design, t_up, scenario)
-    c_bar, e_scale, d_scale = smoothing.c_bar, smoothing.energy_scale, smoothing.delay_scale
+    c_bar, e_scale = smoothing.c_bar, smoothing.energy_scale
 
     leader_row = k * gamma_sigmoid(budgets.e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
     follower_rows = (
         gamma_sigmoid(budgets.e_bar - phi * e_followers, c_bar, e_scale).sum(axis=0)
         - k * budgets.xi_follower
-    )
-    tau = np.asarray(control.tau, dtype=float)
-    control_rows = (
-        gamma_sigmoid(tau - t_dn, c_bar, d_scale).sum(axis=0) - k * control.xi_control
     )
     return np.concatenate([[leader_row], follower_rows, control_rows])
 
@@ -223,9 +243,10 @@ def smoothed_constraints(
     """
     if constants is None:
         constants = problem_constants(scenario)
-    both, t_up, t_dn = _window_sigmoids(design, samples, smoothing, scenario)
+    g_up, g_dn, t_up, t_dn = _window_sigmoids(design, samples, smoothing, scenario)
     return _constraint_rows(
-        both, t_up, t_dn, design, smoothing, scenario, budgets, control, constants
+        g_up * g_dn, t_up, _control_rows(t_dn, smoothing, control),
+        design, smoothing, scenario, budgets, constants,
     )
 
 
@@ -291,13 +312,84 @@ def lagrangian(
         raise ValueError("multipliers must be nonnegative")
     if constants is None:
         constants = problem_constants(scenario)
-    both, t_up, t_dn = _window_sigmoids(design, samples, smoothing, scenario)
-    counts = np.asarray(constants.counts, dtype=float)
-    obj = float((counts * both).sum())
-    res = _constraint_rows(
-        both, t_up, t_dn, design, smoothing, scenario, budgets, control, constants
+    g_up, g_dn, t_up, t_dn = _window_sigmoids(design, samples, smoothing, scenario)
+    both = g_up * g_dn
+    rows = _constraint_rows(
+        both, t_up, _control_rows(t_dn, smoothing, control),
+        design, smoothing, scenario, budgets, constants,
     )
-    return obj + float(lam @ res)
+    return _objective(both, constants) + float(lam @ rows)
+
+
+class _CoordinateLagrangian:
+    """The Lagrangian at trial points that move one coordinate of a base design.
+
+    rebuild(flat) caches the base design's delays, window sigmoids,
+    participation product, objective and control rows; value(idx, x) then
+    recomputes only what coordinate idx (order p_1..p_I, p_L, beta, v)
+    touches: column i of t_up and g_up for p_i, the downlink delays,
+    sigmoids and control rows for p_L, both sigmoids for beta, nothing for
+    v.  rho, phi and the energy rows are always recomputed, since phi
+    couples every column.  Patched columns are computed elementwise exactly
+    as the full arrays are and every reduction runs over the full arrays,
+    so value(idx, x) equals lagrangian() at the trial design bit for bit.
+    inner_maximize rebuilds the cache whenever it accepts a move, so every
+    scalar search starts from the current iterate.
+    """
+
+    def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants):
+        self.lam = lam
+        self.samples = samples
+        self.smoothing = smoothing
+        self.scenario = scenario
+        self.budgets = budgets
+        self.control = control
+        self.constants = constants
+        self.n = scenario.n_followers
+        self.evals = 0
+
+    def rebuild(self, flat: np.ndarray) -> None:
+        self.flat = flat.copy()
+        design = DesignVector.from_flat(flat, self.n)
+        self.g_up, self.g_dn, self.t_up, self.t_dn = _window_sigmoids(
+            design, self.samples, self.smoothing, self.scenario
+        )
+        self.both = self.g_up * self.g_dn
+        self.obj = _objective(self.both, self.constants)
+        self.control_rows = _control_rows(self.t_dn, self.smoothing, self.control)
+
+    def value(self, idx: int | None = None, x: float | None = None) -> float:
+        """Lagrangian at the base design with coordinate idx set to x
+        (at the base design itself when idx is None)."""
+        self.evals += 1
+        flat = self.flat.copy()
+        if idx is not None:
+            flat[idx] = x
+        design = DesignVector.from_flat(flat, self.n)
+        t_up, both, obj, control_rows = self.t_up, self.both, self.obj, self.control_rows
+        radio, round_time = self.scenario.radio, self.scenario.round_time_s
+        g_up, g_dn = self.g_up, self.g_dn
+        if idx is not None and idx < self.n:
+            t_up, g_up = t_up.copy(), g_up.copy()
+            t_up[:, idx] = _delays(
+                radio.pkt_local, radio.bw_up, design.p[idx], self.samples.c_up[:, idx]
+            )
+            g_up[:, idx] = _window_gamma(design.beta * round_time, t_up[:, idx], self.smoothing)
+        elif idx == self.n:
+            t_dn = _delays(radio.pkt_global, radio.bw_down, design.p_leader, self.samples.c_dn)
+            g_dn = _window_gamma((1.0 - design.beta) * round_time, t_dn, self.smoothing)
+            control_rows = _control_rows(t_dn, self.smoothing, self.control)
+        elif idx == self.n + 1:
+            g_up = _window_gamma(design.beta * round_time, t_up, self.smoothing)
+            g_dn = _window_gamma((1.0 - design.beta) * round_time, self.t_dn, self.smoothing)
+        if g_up is not self.g_up or g_dn is not self.g_dn:
+            both = g_up * g_dn
+            obj = _objective(both, self.constants)
+        rows = _constraint_rows(
+            both, t_up, control_rows, design, self.smoothing, self.scenario,
+            self.budgets, self.constants,
+        )
+        return obj + float(self.lam @ rows)
 
 
 def _coordinate_bounds(scenario: SwarmScenario, n_followers: int):
@@ -318,6 +410,7 @@ def inner_maximize(
     control,
     init: DesignVector,
     constants: ProblemConstants | None = None,
+    report: "SolveReport | None" = None,
 ) -> tuple[DesignVector, float]:
     """Approximate maximizer of the Lagrangian over the design box.
 
@@ -327,6 +420,8 @@ def inner_maximize(
     flat in stay put.  Stops when a full cycle improves less than the
     configured relative tolerance, or after the configured cycle cap.
     Returns the design and the achieved value (the dual value at lambda_).
+    The Lagrangian evaluations are added to report.lagrangian_evals when a
+    report is given.
     """
     if constants is None:
         constants = problem_constants(scenario)
@@ -334,33 +429,26 @@ def inner_maximize(
     cfg = scenario.saa
     bounds = _coordinate_bounds(scenario, scenario.n_followers)
     flat = init.as_flat().copy()
-    n = scenario.n_followers
+    lagr = _CoordinateLagrangian(lam, samples, smoothing, scenario, budgets, control, constants)
 
-    def j_at(vec) -> float:
-        return lagrangian(
-            DesignVector.from_flat(vec, n), lam, samples, smoothing, scenario,
-            budgets, control, constants,
-        )
-
-    j_curr = j_at(flat)
+    lagr.rebuild(flat)
+    j_curr = lagr.value()
     for _ in range(cfg.max_cycles):
         j_cycle_start = j_curr
         for idx, (lo, hi) in enumerate(bounds):
-            def neg_j(x, idx=idx):
-                trial = flat.copy()
-                trial[idx] = x
-                return -j_at(trial)
-
             res = minimize_scalar(
-                neg_j, bounds=(lo, hi), method="bounded",
+                lambda x, idx=idx: -lagr.value(idx, x), bounds=(lo, hi), method="bounded",
                 options={"xatol": cfg.xtol * (hi - lo)},
             )
             if -res.fun > j_curr:
                 flat[idx] = float(res.x)
                 j_curr = float(-res.fun)
+                lagr.rebuild(flat)
         if abs(j_curr - j_cycle_start) <= cfg.inner_tol * max(abs(j_curr), 1.0):
             break
-    return DesignVector.from_flat(flat, n), j_curr
+    if report is not None:
+        report.lagrangian_evals += lagr.evals
+    return DesignVector.from_flat(flat, scenario.n_followers), j_curr
 
 
 def dual_subgradient(
@@ -391,7 +479,13 @@ class DualState:
 
 @dataclass
 class SolveReport:
-    """Trace and outcome of one optimization run."""
+    """Trace and outcome of one optimization run.
+
+    lagrangian_evals counts the Lagrangian evaluations of every inner
+    maximization.  stop_reason is "stationary" (the subgradient multipliers
+    stopped moving), "degenerate" (an ellipsoid cut had no direction) or
+    "max_iters".
+    """
 
     iterations: list[dict] = field(default_factory=list)
     feasible: bool = False
@@ -399,6 +493,8 @@ class SolveReport:
     predicted_round: int | None = None
     success_probs: np.ndarray | None = None
     method: str = "subgradient"
+    lagrangian_evals: int = 0
+    stop_reason: str = "max_iters"  # or "stationary", "degenerate"
 
     def dual_trace(self) -> np.ndarray:
         return np.array([row["dual_value"] for row in self.iterations])
@@ -495,7 +591,8 @@ def _solve_subgradient(
     step_a = scenario.saa.step_scale * samples_k
     for t in range(1, max_iters + 1):
         design, dual_value = inner_maximize(
-            state.lambda_, samples, smoothing, scenario, budgets, control, design, constants
+            state.lambda_, samples, smoothing, scenario, budgets, control, design, constants,
+            report,
         )
         residuals = dual_subgradient(
             state.lambda_, design, samples, smoothing, scenario, budgets, control, constants
@@ -514,6 +611,7 @@ def _solve_subgradient(
         moved = np.linalg.norm(new_lambda - state.lambda_)
         state.lambda_ = new_lambda
         if moved <= 1e-12 * (1.0 + np.linalg.norm(state.lambda_)) and t >= 2:
+            report.stop_reason = "stationary"
             break
     return state, report
 
@@ -539,7 +637,8 @@ def _solve_ellipsoid(scenario, budgets, control, samples, smoothing, constants, 
             dual_value = None
         else:
             design, dual_value = inner_maximize(
-                center, samples, smoothing, scenario, budgets, control, design, constants
+                center, samples, smoothing, scenario, budgets, control, design, constants,
+                report,
             )
             g = dual_subgradient(
                 center, design, samples, smoothing, scenario, budgets, control, constants
@@ -554,11 +653,12 @@ def _solve_ellipsoid(scenario, budgets, control, samples, smoothing, constants, 
                     "residuals": g.copy(),
                 }
             )
-            # descent direction on D is -residuals; the cut removes the
-            # half-space where D increases
-            g = -g
+        # Each cut keeps {g . (lambda - center) <= 0}.  For the residuals, a
+        # subgradient of D at the center, that half-space holds every
+        # minimizer of D; for g = -e_j it holds lambda_j >= center_j.
         denom = float(g @ shape @ g)
         if denom <= 0.0:
+            report.stop_reason = "degenerate"
             break
         gn = shape @ g / np.sqrt(denom)
         center = center - gn / (n_rows + 1)

@@ -83,8 +83,8 @@ class DatasetSpec:
             errors.append(f"{prefix}.samples_per must be >= 1")
         if self.dim < 1:
             errors.append(f"{prefix}.dim must be >= 1")
-        if self.noise_std < 0.0:
-            errors.append(f"{prefix}.noise_std must be >= 0")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            errors.append(f"{prefix}.noise_std must be finite and >= 0")
         if not (self.sample_bits > 0.0):
             errors.append(f"{prefix}.sample_bits must be > 0")
         if self.owner_emphasis is not None:
@@ -96,6 +96,9 @@ class DatasetSpec:
                 errors.append(f"{prefix}.signal_scale must be > 0")
             if not (self.nuisance_scale > 0.0):
                 errors.append(f"{prefix}.nuisance_scale must be > 0")
+            # a negative w_scale only flips the sign of the truth vector
+            if not (np.isfinite(self.w_scale) and self.w_scale != 0.0):
+                errors.append(f"{prefix}.w_scale must be finite and nonzero")
         return errors
 
     def build(self, n_followers: int, seed: int | None = None):

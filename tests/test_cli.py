@@ -143,6 +143,36 @@ class TestFailureModes:
         assert f"{field} is required" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise_std", float("nan")),
+        ("noise_std", float("inf")),
+        ("w_scale", float("nan")),
+        ("w_scale", float("inf")),
+        ("w_scale", 0.0),
+    ])
+    def test_bad_dataset_value(self, config_path, tmp_path, capsys, key, value):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["dataset"] = {key: value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")  # NaN / Infinity literals
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"dataset.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_w_scale_accepted(self, config_path, tmp_path, capsys):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["dataset"] = {"w_scale": -1.0}
+        flipped = tmp_path / "flipped.json"
+        flipped.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main([
+            "simulate", "--config", str(flipped), "--mc-runs", "2",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == EXIT_OK
+        capsys.readouterr()
+
     def test_nonpositive_mc_runs(self, config_path, tmp_path, capsys):
         code = main([
             "simulate", "--config", str(config_path), "--mc-runs", "0",

@@ -1,9 +1,10 @@
 """Compute, transmission, and flight energy models.
 
-The rotor model fixes the induced velocity v_hat from
-v_hat * sqrt(v^2 + v_hat^2) = 2 * thrust / (rotors * r^2 * pi * air_density),
-so hover admits the closed form v_hat = sqrt(rhs).  Frozen wattages below are
-hand-derived from the default parameters.
+The rotor model takes the induced velocity v_hat as the positive root of the
+momentum balance v_hat * sqrt(v^2 + v_hat^2) = rhs with
+rhs = 2 * thrust / (rotors * r^2 * pi * air_density); hover gives
+v_hat = sqrt(rhs).  Frozen wattages below are hand-derived from the default
+parameters.
 """
 
 import math
@@ -11,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmfl import energy
 from swarmfl.design import DesignVector
@@ -65,6 +68,28 @@ class TestInducedVelocity:
             v_hat = induced_velocity(fp, float(v))
             assert abs(v_hat * math.sqrt(v * v + v_hat * v_hat) - rhs) < 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rotors=st.integers(1, 8),
+        rotor_diameter=st.floats(0.05, 2.0),
+        air_density=st.floats(0.3, 1.5),
+        mass=st.floats(0.05, 50.0),
+        gravity=st.floats(1.0, 25.0),
+        v_max=st.floats(0.5, 100.0),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_root_satisfies_momentum_balance(
+        self, rotors, rotor_diameter, air_density, mass, gravity, v_max, fractions
+    ):
+        fp = FlightParams(rotors=rotors, rotor_diameter=rotor_diameter,
+                          air_density=air_density, mass=mass, gravity=gravity, v_max=v_max)
+        rhs = 2.0 * fp.thrust() / fp.disk_loading_denom()
+        speeds = np.minimum(np.asarray(fractions) * v_max, v_max)
+        v_hat = induced_velocity(fp, speeds)
+        assert np.all(v_hat > 0.0)
+        residual = np.abs(v_hat * np.sqrt(speeds**2 + v_hat**2) - rhs) / rhs
+        assert residual.max() <= 1e-12
+
     def test_vectorized_and_monotone_decreasing(self):
         fp = FlightParams()
         speeds = np.linspace(0.0, 20.0, 41)
@@ -78,6 +103,8 @@ class TestInducedVelocity:
             induced_velocity(fp, -1.0)
         with pytest.raises(ValueError):
             induced_velocity(fp, fp.v_max + 1.0)
+        with pytest.raises(ValueError):
+            induced_velocity(fp, np.array([1.0, np.nan]))
 
 
 class TestFlightPower:

@@ -389,6 +389,68 @@ class TestInnerMaximize:
         assert np.array_equal(sub, rows)
 
 
+class TestCoordinateLagrangian:
+    """The per-coordinate evaluator inner_maximize searches with."""
+
+    @pytest.fixture(scope="class")
+    def evaluator_case(self, default_scenario, default_samples):
+        from swarmfl.saa import _CoordinateLagrangian
+
+        rng = np.random.default_rng(2024)
+        lam = rng.uniform(0.0, 5.0, 2 * default_scenario.n_followers + 1)
+        constants = problem_constants(default_scenario)
+        args = (default_samples, SmoothingConfig.from_scenario(default_scenario),
+                default_scenario, default_scenario.energy_budget, default_scenario.control)
+        evaluator = _CoordinateLagrangian(lam, *args, constants)
+        return evaluator, lam, args, constants
+
+    def test_value_equals_lagrangian_exactly(self, default_scenario, evaluator_case):
+        evaluator, lam, args, constants = evaluator_case
+        n = default_scenario.n_followers
+        p_lo, p_max = 1e-4 * default_scenario.p_max, default_scenario.p_max
+        base = np.concatenate([np.linspace(0.1, 0.4, n), [0.3, 0.45, 7.0]])
+        trials = {idx: [p_lo, 0.5 * p_max, p_max] for idx in range(n + 1)}
+        trials[n + 1] = [1e-3, 0.2, 0.5, 0.8, 1.0 - 1e-3]
+        trials[n + 2] = [1e-2, 11.0, default_scenario.flight.v_max]
+        evaluator.rebuild(base)
+        assert evaluator.value() == lagrangian(
+            DesignVector.from_flat(base, n), lam, *args, constants
+        )
+        for idx, xs in trials.items():
+            for x in xs:
+                flat = base.copy()
+                flat[idx] = x
+                want = lagrangian(DesignVector.from_flat(flat, n), lam, *args, constants)
+                assert evaluator.value(idx, x) == want, (idx, x)
+
+    def test_rebuild_moves_the_base(self, default_scenario, evaluator_case):
+        evaluator, lam, args, constants = evaluator_case
+        n = default_scenario.n_followers
+        flat = default_scenario.default_design().as_flat()
+        flat[2] = 0.05
+        flat[n + 1] = 0.7
+        evaluator.rebuild(flat)
+        want = lagrangian(DesignVector.from_flat(flat, n), lam, *args, constants)
+        assert evaluator.value() == want
+        assert evaluator.value(n + 2, flat[n + 2]) == want
+
+    def test_inner_maximize_never_calls_lagrangian(self, one_scenario, one_samples, monkeypatch):
+        import swarmfl.saa as saa
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inner_maximize must evaluate through its evaluator")
+
+        monkeypatch.setattr(saa, "lagrangian", forbidden)
+        report = saa.SolveReport()
+        _, value = inner_maximize(
+            np.full(3, 0.5), one_samples, SmoothingConfig.from_scenario(one_scenario),
+            one_scenario, one_scenario.energy_budget, one_scenario.control,
+            one_scenario.default_design(), report=report,
+        )
+        assert np.isfinite(value)
+        assert report.lagrangian_evals > 0
+
+
 class TestSolve:
     def test_small_scenario_end_to_end(self, small_scenario):
         design, rounds, report = solve(small_scenario, max_iters=12)
@@ -429,6 +491,39 @@ class TestSolve:
         assert report.method == "ellipsoid"
         assert report.feasible
         assert design.validate(small_scenario.p_max, small_scenario.flight.v_max) == []
+
+    def test_ellipsoid_descends_the_dual(self, default_scenario):
+        _, rounds, report = solve(default_scenario, method="ellipsoid", max_iters=5)
+        trace = report.dual_trace()
+        assert trace[-1] < trace[0]
+        assert report.feasible
+        assert rounds == 59
+
+    def test_report_counts_work_and_stop_reason(self, default_scenario, monkeypatch):
+        import swarmfl.saa as saa
+
+        calls = []
+        value = saa._CoordinateLagrangian.value
+
+        def counted(self, *args):
+            calls.append(1)
+            return value(self, *args)
+
+        monkeypatch.setattr(saa._CoordinateLagrangian, "value", counted)
+        # every constraint is slack at lambda = 0: stationary at iteration 2
+        _, _, slack = solve(default_scenario)
+        assert (slack.stop_reason, len(slack.iterations)) == ("stationary", 2)
+        assert slack.lagrangian_evals == len(calls) > 0
+        # the design-solve budget: the energy rows bind and lambda moves
+        calls.clear()
+        binding = replace(default_scenario, energy_budget=EnergyBudget(e_bar=510.0))
+        _, _, bound = solve(binding)
+        assert bound.stop_reason == "stationary"
+        assert len(bound.iterations) > 2
+        assert max(np.linalg.norm(row["lambda"]) for row in bound.iterations) > 0.0
+        assert bound.lagrangian_evals == len(calls) > slack.lagrangian_evals
+        _, _, capped = solve(binding, max_iters=3)
+        assert capped.stop_reason == "max_iters"
 
     def test_unknown_method(self, small_scenario):
         with pytest.raises(ValueError):
