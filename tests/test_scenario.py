@@ -167,6 +167,88 @@ class TestStrictParsing:
         assert "tau" in str(err.value)
 
 
+# (JSON path, one out-of-range value) for every field that carries a bound
+OUT_OF_RANGE = [
+    (("n_followers",), 0),
+    (("distances", 2), -1.0),
+    (("round_time",), 0.0),
+    (("p_max",), 0.0),
+    (("antenna", "theta_init"), float("nan")),
+    (("antenna", "sigma2"), -1.0),
+    (("antenna", "g_min"), 1.5),
+    (("antenna", "sections"), 0),
+    (("radio", "bw_up"), 0.0),
+    (("radio", "bw_down"), 0.0),
+    (("radio", "noise_psd"), 0.0),
+    (("radio", "pkt_local"), 0.0),
+    (("radio", "pkt_global"), 0.0),
+    (("radio", "rician_k"), -1.0),
+    (("radio", "pathloss_exp"), 0.0),
+    (("compute", "kappa"), 0.0),
+    (("compute", "cycles_per_bit"), 0.0),
+    (("compute", "cpu_freq"), 0.0),
+    (("flight", "rotors"), 0),
+    (("flight", "rotor_diameter"), 0.0),
+    (("flight", "air_density"), 0.0),
+    (("flight", "efficiency"), 1.5),
+    (("flight", "mass"), 0.0),
+    (("flight", "gravity"), 0.0),
+    (("flight", "v_max"), 0.0),
+    (("energy_budget", "e_bar"), 0.0),
+    (("energy_budget", "xi_leader"), 1.0),
+    (("energy_budget", "xi_follower"), 0.0),
+    (("control", "tau", 1), -1.0),
+    (("control", "xi_control"), 1.0),
+    (("dataset", "samples_per"), 0),
+    (("dataset", "dim"), 0),
+    (("dataset", "noise_std"), -1.0),
+    (("dataset", "sample_bits"), 0.0),
+    (("dataset", "nuisance_dims"), 6),
+    (("dataset", "owner_emphasis"), -1.0),
+    (("dataset", "signal_scale"), 0.0),
+    (("dataset", "nuisance_scale"), 0.0),
+    (("dataset", "w_scale"), 0.0),
+    (("saa", "samples_k"), 0),
+    (("saa", "c_bar"), 0.0),
+    (("saa", "epsilon_opt_frac"), 1.0),
+    (("saa", "max_iters"), 0),
+    (("saa", "step_scale"), 0.0),
+    (("saa", "inner_tol"), 0.0),
+    (("saa", "max_cycles"), 0),
+    (("saa", "xtol"), 1.0),
+    (("uplink_interference", 0, "distance"), 0.0),
+    (("uplink_interference", 1, "power"), -1.0),
+    (("downlink_interference", 2, "gain_product"), -1.0),
+    (("downlink_interference", 0, "active_prob"), 1.5),
+    (("epsilon_fracs", 1), 1.0),
+    (("mc_runs",), 0),
+    (("n_success_samples",), 0),
+    (("max_rounds",), 0),
+]
+
+
+def json_name(path) -> str:
+    """The key as error messages spell it: radio.bw_up, distances[2], ..."""
+    name = ""
+    for part in path:
+        name += f"[{part}]" if isinstance(part, int) else f"{'.' if name else ''}{part}"
+    return name
+
+
+class TestBounds:
+    @pytest.mark.parametrize("path, value", OUT_OF_RANGE, ids=[json_name(p) for p, _ in OUT_OF_RANGE])
+    def test_out_of_range_field_is_named(self, path, value):
+        raw = scenario_to_dict(SwarmScenario())
+        node = raw
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(raw)
+        name = json_name(path)
+        assert any(e.startswith(f"{name} must") for e in err.value.errors), err.value.errors
+
+
 class TestPerFollowerDefaults:
     def test_defaults_follow_follower_count(self):
         s = scenario_from_dict({"n_followers": 3})
