@@ -22,7 +22,7 @@ from .channel import (
     sinr_coefficients,
     success_mask,
 )
-from .convergence import ConvergenceInputs, convergence_round, convergence_speed
+from .convergence import TrainingProblem, convergence_round, training_problem
 from .design import DesignVector
 from .energy import (
     ComputeParams,
@@ -32,7 +32,6 @@ from .energy import (
     flight_power,
     induced_velocity,
     round_energies,
-    training_energy_follower,
     training_energy_leader,
 )
 from .experiments import (
@@ -50,28 +49,22 @@ from .fl import (
     QuadraticLossModel,
     aggregate_ideal,
     aggregate_with_losses,
-    aggregation_error,
-    local_update,
     make_regression_problem,
     run_fl,
     train_round,
 )
 from .saa import (
-    DualState,
     NoFeasibleDesignError,
-    ProblemConstants,
     ScenarioSamples,
     SmoothingConfig,
     SolveReport,
     baseline_design,
-    dual_subgradient,
     gamma_sigmoid,
     inner_maximize,
     lagrangian,
     sample_delays,
     smoothed_constraints,
     smoothed_objective,
-    smoothed_success_probs,
     solve,
     unsmoothed_feasibility,
 )
@@ -85,8 +78,7 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
-    with_overrides,
 )
-from .seeds import derive_rng, derive_seed
+from .seeds import derive_seed
 
 __version__ = "0.1.0"

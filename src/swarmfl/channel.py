@@ -12,7 +12,7 @@ All quantities are SI (seconds, watts, hertz, meters).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,22 +55,10 @@ class AntennaPattern:
                  approximation of the main lobe
     """
 
-    theta_init: float = 0.0
-    sigma2: float = 0.01
-    g_min: float = 10.0 ** -0.2
-    sections: int = 8
-
-    def validate(self, prefix: str = "antenna") -> list[str]:
-        errors = []
-        if not np.isfinite(self.theta_init):
-            errors.append(f"{prefix}.theta_init must be finite")
-        if not (self.sigma2 >= 0.0):
-            errors.append(f"{prefix}.sigma2 must be >= 0")
-        if not (0.0 < self.g_min <= 1.0):
-            errors.append(f"{prefix}.g_min must be in (0, 1]")
-        if int(self.sections) < 1 or self.sections != int(self.sections):
-            errors.append(f"{prefix}.sections must be an integer >= 1")
-        return errors
+    theta_init: float = field(default=0.0, metadata={"bound": "finite"})
+    sigma2: float = field(default=0.01, metadata={"bound": ">= 0"})
+    g_min: float = field(default=10.0 ** -0.2, metadata={"bound": "in (0, 1]"})
+    sections: int = field(default=8, metadata={"bound": ">= 1"})
 
 
 def antenna_gain_exact(pattern: AntennaPattern, total_angle) -> float | np.ndarray:
@@ -116,31 +104,13 @@ class RadioParams:
     pathloss_exp   : path loss exponent alpha
     """
 
-    bw_up: float = 1e6
-    bw_down: float = 1e6
-    noise_psd: float = 10.0 ** -20.4
-    pkt_local: float = 8e4
-    pkt_global: float = 8e4
-    rician_k: float = 10.0
-    pathloss_exp: float = 2.5
-
-    def validate(self, prefix: str = "radio") -> list[str]:
-        errors = []
-        if not (self.bw_up > 0.0):
-            errors.append(f"{prefix}.bw_up must be > 0")
-        if not (self.bw_down > 0.0):
-            errors.append(f"{prefix}.bw_down must be > 0")
-        if not (self.noise_psd > 0.0):
-            errors.append(f"{prefix}.noise_psd must be > 0")
-        if not (self.pkt_local > 0.0):
-            errors.append(f"{prefix}.pkt_local must be > 0")
-        if not (self.pkt_global > 0.0):
-            errors.append(f"{prefix}.pkt_global must be > 0")
-        if not (self.rician_k >= 0.0):
-            errors.append(f"{prefix}.rician_k must be >= 0")
-        if not (self.pathloss_exp > 0.0):
-            errors.append(f"{prefix}.pathloss_exp must be > 0")
-        return errors
+    bw_up: float = field(default=1e6, metadata={"bound": "> 0"})
+    bw_down: float = field(default=1e6, metadata={"bound": "> 0"})
+    noise_psd: float = field(default=10.0 ** -20.4, metadata={"bound": "> 0"})
+    pkt_local: float = field(default=8e4, metadata={"bound": "> 0"})
+    pkt_global: float = field(default=8e4, metadata={"bound": "> 0"})
+    rician_k: float = field(default=10.0, metadata={"bound": ">= 0"})
+    pathloss_exp: float = field(default=2.5, metadata={"bound": "> 0"})
 
 
 @dataclass(frozen=True)
@@ -153,22 +123,10 @@ class Interferer:
     active_prob  : probability the interferer transmits in a given round
     """
 
-    distance: float
-    power: float
-    gain_product: float
-    active_prob: float
-
-    def validate(self, prefix: str = "interferer") -> list[str]:
-        errors = []
-        if not (self.distance > 0.0):
-            errors.append(f"{prefix}.distance must be > 0")
-        if not (self.power >= 0.0):
-            errors.append(f"{prefix}.power must be >= 0")
-        if not (self.gain_product >= 0.0):
-            errors.append(f"{prefix}.gain_product must be >= 0")
-        if not (0.0 <= self.active_prob <= 1.0):
-            errors.append(f"{prefix}.active_prob must be in [0, 1]")
-        return errors
+    distance: float = field(metadata={"bound": "> 0"})
+    power: float = field(metadata={"bound": ">= 0"})
+    gain_product: float = field(metadata={"bound": ">= 0"})
+    active_prob: float = field(metadata={"bound": "in [0, 1]"})
 
 
 @dataclass(frozen=True)
@@ -191,12 +149,6 @@ class InterferenceField:
 
     def active_probs(self) -> np.ndarray:
         return np.array([it.active_prob for it in self.interferers], dtype=float)
-
-    def validate(self, prefix: str = "interference") -> list[str]:
-        errors = []
-        for j, it in enumerate(self.interferers):
-            errors += it.validate(f"{prefix}[{j}]")
-        return errors
 
 
 # === per-round randomness ===

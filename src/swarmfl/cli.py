@@ -84,14 +84,10 @@ def _load(args) -> SwarmScenario:
     if args.seed is not None:
         scenario = replace(scenario, base_seed=int(args.seed))
     if args.mc_runs is not None:
-        if args.mc_runs < 1:
-            raise ConfigError(["--mc-runs must be >= 1"])
         scenario = replace(scenario, mc_runs=int(args.mc_runs))
     if args.samples_k is not None:
-        if args.samples_k < 1:
-            raise ConfigError(["--samples-k must be >= 1"])
         scenario = replace(scenario, saa=replace(scenario.saa, samples_k=int(args.samples_k)))
-    return scenario.require_valid()
+    return scenario.require_valid()  # the overrides meet the same field bounds
 
 
 def _run_command(args) -> int:

@@ -15,73 +15,94 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ConvergenceInputs", "convergence_speed", "convergence_round"]
+__all__ = ["ROUND_CAP", "TrainingProblem", "training_problem", "convergence_round"]
+
+# Round count standing in for "never converges" when no follower ever
+# participates (the prediction would be infinite; a finite cap keeps
+# aggregates computable and is conservative in every comparison we report).
+ROUND_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class ConvergenceInputs:
-    """Everything the round predictor needs.
+def convergence_round(rho: float, epsilon: float, initial_loss_sum: float) -> int:
+    """Predicted rounds until the raw loss sum falls below epsilon at speed rho.
 
-    success_prob     : per-follower probability of finishing both transfers
-                       in time, shape (I,)
+    Raises ValueError when rho is too small to move 1 - rho (no
+    participation, no finite prediction) or rho >= 1 (contraction factor
+    would be nonpositive).  Targets at or above the initial loss clamp to
+    0 rounds.
+    """
+    if 1.0 - rho >= 1.0:
+        raise ValueError("rho is 0 to float precision: no follower ever participates")
+    if rho >= 1.0:
+        raise ValueError("rho >= 1: contraction factor must stay positive")
+    ratio = epsilon / initial_loss_sum
+    if ratio >= 1.0:
+        return 0
+    return max(0, math.ceil(math.log(ratio) / math.log(1.0 - rho)))
+
+
+@dataclass(frozen=True, eq=False)
+class TrainingProblem:
+    """The training problem the swarm solves, and its round predictor.
+
     counts           : samples per follower, shape (I,)
     mu               : strong convexity of the mean loss
     lipschitz_u      : smoothness of the mean loss
-    epsilon          : target for the raw loss sum (same scale as
-                       initial_loss_sum)
-    initial_loss_sum : sum of all per-sample losses at the starting model
+    initial_loss_sum : sum of all per-sample losses at the zero model
+    model            : the loss model these constants come from
     """
 
-    success_prob: np.ndarray
     counts: np.ndarray
     mu: float
     lipschitz_u: float
-    epsilon: float
     initial_loss_sum: float
+    model: object = None
 
     def __post_init__(self):
-        probs = np.asarray(self.success_prob, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        object.__setattr__(self, "success_prob", probs)
-        object.__setattr__(self, "counts", counts)
-        if probs.shape != counts.shape:
-            raise ValueError("success_prob and counts must have matching shapes")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        if np.any(counts <= 0):
+        object.__setattr__(self, "counts", np.array(self.counts, dtype=float))
+        self.counts.flags.writeable = False  # one cached problem serves every caller
+        if np.any(self.counts <= 0):
             raise ValueError("counts must be positive")
         if not (0.0 < self.mu <= self.lipschitz_u):
             raise ValueError("need 0 < mu <= lipschitz_u")
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be > 0")
         if not (self.initial_loss_sum > 0.0):
             raise ValueError("initial_loss_sum must be > 0")
 
+    def speed(self, probs) -> float:
+        """Per-round contraction speed rho in [0, mu/U] at success probabilities probs."""
+        p = np.asarray(probs, dtype=float)
+        if p.shape != self.counts.shape or not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError(f"success probabilities must lie in [0, 1], shape {self.counts.shape}")
+        weighted = float((self.counts * p).sum())
+        return weighted * self.mu / (self.counts.sum() * self.lipschitz_u)
 
-def convergence_speed(inputs: ConvergenceInputs) -> float:
-    """Per-round contraction speed rho in [0, mu/U]."""
-    n = inputs.counts.sum()
-    weighted = float((inputs.counts * inputs.success_prob).sum())
-    return weighted * inputs.mu / (n * inputs.lipschitz_u)
+    def predicted_round(self, probs, eps_sum: float) -> int:
+        """Predicted rounds until the raw loss sum falls below eps_sum.
+
+        At most ROUND_CAP, which also stands for "never" when no follower
+        participates.  rho = 1 (mu = U and every link up) would contract the
+        gap to zero; it is held just below 1, as the optimizer's rows hold it.
+        """
+        rho = min(self.speed(probs), 1.0 - 1e-12)
+        if not (eps_sum > 0.0):
+            raise ValueError("eps_sum must be > 0")
+        if 1.0 - rho >= 1.0:  # convergence_round has no finite answer
+            return ROUND_CAP
+        return min(convergence_round(rho, eps_sum, self.initial_loss_sum), ROUND_CAP)
 
 
-def convergence_round(inputs: ConvergenceInputs) -> int:
-    """Predicted rounds until the raw loss sum falls below epsilon.
+@lru_cache(maxsize=32)
+def training_problem(n_followers: int, dataset) -> TrainingProblem:
+    """Build the dataset split across n_followers once and keep its problem.
 
-    Raises ValueError when rho <= 0 (no participation, no finite
-    prediction) or rho >= 1 (contraction factor would be nonpositive).
-    Targets at or above the initial loss clamp to 0 rounds.
+    Everything that predicts or trains on a scenario reads this one cached
+    entry; scenarios that differ elsewhere (bandwidth, jitter, budgets)
+    share it.
     """
-    rho = convergence_speed(inputs)
-    if rho <= 0.0:
-        raise ValueError("rho <= 0: no follower ever participates, prediction diverges")
-    if rho >= 1.0:
-        raise ValueError("rho >= 1: contraction factor must stay positive")
-    ratio = inputs.epsilon / inputs.initial_loss_sum
-    if ratio >= 1.0:
-        return 0
-    rounds = math.log(ratio) / math.log(1.0 - rho)
-    return max(0, math.ceil(rounds))
+    _, model = dataset.build(n_followers)
+    s0 = model.total_loss_sum(np.zeros(model.dim))
+    return TrainingProblem(model.counts, model.strong_mu, model.lipschitz_u, s0, model)

@@ -14,7 +14,7 @@ is part of the model definition and is kept as is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "ControlRequirements",
     "EnergyBudget",
     "training_energy_leader",
-    "training_energy_follower",
     "induced_velocity",
     "flight_power",
     "round_energies",
@@ -45,22 +44,12 @@ class ComputeParams:
     cpu_freq       : clock frequency [cycles/s]
     """
 
-    kappa: float = 1e-28
-    cycles_per_bit: float = 1e3
-    cpu_freq: float = 1e9
+    kappa: float = field(default=1e-28, metadata={"bound": "> 0"})
+    cycles_per_bit: float = field(default=1e3, metadata={"bound": "> 0"})
+    cpu_freq: float = field(default=1e9, metadata={"bound": "> 0"})
 
     def energy_per_bit(self) -> float:
         return self.kappa * self.cycles_per_bit * self.cpu_freq**2
-
-    def validate(self, prefix: str = "compute") -> list[str]:
-        errors = []
-        if not (self.kappa > 0.0):
-            errors.append(f"{prefix}.kappa must be > 0")
-        if not (self.cycles_per_bit > 0.0):
-            errors.append(f"{prefix}.cycles_per_bit must be > 0")
-        if not (self.cpu_freq > 0.0):
-            errors.append(f"{prefix}.cpu_freq must be > 0")
-        return errors
 
 
 @dataclass(frozen=True)
@@ -76,13 +65,13 @@ class FlightParams:
     v_max          : maximum forward speed [m/s]
     """
 
-    rotors: int = 4
-    rotor_diameter: float = 0.254
-    air_density: float = 1.225
-    efficiency: float = 0.7
-    mass: float = 2.0
-    gravity: float = 9.81
-    v_max: float = 20.0
+    rotors: int = field(default=4, metadata={"bound": ">= 1"})
+    rotor_diameter: float = field(default=0.254, metadata={"bound": "> 0"})
+    air_density: float = field(default=1.225, metadata={"bound": "> 0"})
+    efficiency: float = field(default=0.7, metadata={"bound": "in (0, 1]"})
+    mass: float = field(default=2.0, metadata={"bound": "> 0"})
+    gravity: float = field(default=9.81, metadata={"bound": "> 0"})
+    v_max: float = field(default=20.0, metadata={"bound": "> 0"})
 
     def thrust(self) -> float:
         """Level-flight thrust requirement [N]."""
@@ -91,24 +80,6 @@ class FlightParams:
     def disk_loading_denom(self) -> float:
         """q * r^2 * pi * rho, the denominator of the induced-velocity map."""
         return self.rotors * self.rotor_diameter**2 * np.pi * self.air_density
-
-    def validate(self, prefix: str = "flight") -> list[str]:
-        errors = []
-        if int(self.rotors) < 1 or self.rotors != int(self.rotors):
-            errors.append(f"{prefix}.rotors must be an integer >= 1")
-        if not (self.rotor_diameter > 0.0):
-            errors.append(f"{prefix}.rotor_diameter must be > 0")
-        if not (self.air_density > 0.0):
-            errors.append(f"{prefix}.air_density must be > 0")
-        if not (0.0 < self.efficiency <= 1.0):
-            errors.append(f"{prefix}.efficiency must be in (0, 1]")
-        if not (self.mass > 0.0):
-            errors.append(f"{prefix}.mass must be > 0")
-        if not (self.gravity > 0.0):
-            errors.append(f"{prefix}.gravity must be > 0")
-        if not (self.v_max > 0.0):
-            errors.append(f"{prefix}.v_max must be > 0")
-        return errors
 
 
 @dataclass(frozen=True)
@@ -121,17 +92,8 @@ class ControlRequirements:
     xi_control : required probability of meeting the deadline
     """
 
-    tau: tuple[float, ...]
-    xi_control: float = 0.9
-
-    def validate(self, prefix: str = "control") -> list[str]:
-        errors = []
-        for i, t in enumerate(self.tau):
-            if not (t > 0.0):
-                errors.append(f"{prefix}.tau[{i}] must be > 0")
-        if not (0.0 < self.xi_control < 1.0):
-            errors.append(f"{prefix}.xi_control must be in (0, 1)")
-        return errors
+    tau: tuple[float, ...] = field(metadata={"bound": "> 0"})
+    xi_control: float = field(default=0.9, metadata={"bound": "in (0, 1)"})
 
 
 @dataclass(frozen=True)
@@ -143,19 +105,9 @@ class EnergyBudget:
     xi_follower : required probability per follower
     """
 
-    e_bar: float = 7000.0
-    xi_leader: float = 0.9
-    xi_follower: float = 0.9
-
-    def validate(self, prefix: str = "energy_budget") -> list[str]:
-        errors = []
-        if not (self.e_bar > 0.0):
-            errors.append(f"{prefix}.e_bar must be > 0")
-        if not (0.0 < self.xi_leader < 1.0):
-            errors.append(f"{prefix}.xi_leader must be in (0, 1)")
-        if not (0.0 < self.xi_follower < 1.0):
-            errors.append(f"{prefix}.xi_follower must be in (0, 1)")
-        return errors
+    e_bar: float = field(default=7000.0, metadata={"bound": "> 0"})
+    xi_leader: float = field(default=0.9, metadata={"bound": "in (0, 1)"})
+    xi_follower: float = field(default=0.9, metadata={"bound": "in (0, 1)"})
 
 
 def training_energy_leader(compute: ComputeParams, pkt_local_bits: float, n_followers: int) -> float:
@@ -163,14 +115,6 @@ def training_energy_leader(compute: ComputeParams, pkt_local_bits: float, n_foll
     if n_followers < 0:
         raise ValueError("n_followers must be >= 0")
     return compute.energy_per_bit() * pkt_local_bits * n_followers
-
-
-def training_energy_follower(compute: ComputeParams, sample_bits) -> float:
-    """Energy one follower spends on a local training pass over its samples [J]."""
-    bits = np.asarray(sample_bits, dtype=float)
-    if bits.size == 0:
-        return 0.0
-    return float(compute.energy_per_bit() * bits.sum())
 
 
 def induced_velocity(flight: FlightParams, v) -> float | np.ndarray:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import estimate_success_probs, participation_masks
-from .convergence import ConvergenceInputs, convergence_round
 from .design import DesignVector
 from .energy import round_energies
 from .fl import run_fl
@@ -44,13 +43,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-# Round-count cap standing in for "never converges" when a candidate design
-# has zero estimated success probability everywhere (the prediction would be
-# infinite; a finite cap keeps aggregates computable and is conservative in
-# every comparison we report).
-ROUND_CAP = 10**6
-
 
 @dataclass
 class ExperimentResult:
@@ -113,22 +105,6 @@ def _prob_columns(n_followers: int) -> list[str]:
 
 def _prob_cells(probs) -> dict:
     return {f"success_prob_{i + 1}": float(p) for i, p in enumerate(probs)}
-
-
-def _predicted_round(probs, counts, mu, lipschitz_u, epsilon_sum, s0) -> int:
-    """Predicted round count, capped instead of raising when rho = 0."""
-    inputs = ConvergenceInputs(
-        success_prob=np.asarray(probs, dtype=float),
-        counts=np.asarray(counts, dtype=float),
-        mu=mu,
-        lipschitz_u=lipschitz_u,
-        epsilon=epsilon_sum,
-        initial_loss_sum=s0,
-    )
-    try:
-        return min(convergence_round(inputs), ROUND_CAP)
-    except ValueError:
-        return ROUND_CAP
 
 
 def _mc_crossings(model, masks, eps_means):
@@ -199,8 +175,8 @@ def experiment_validate_theorem(
     )
     t_start = time.perf_counter()
 
-    _, model = scenario.build_dataset()
-    s0 = model.total_loss_sum(np.zeros(model.dim))
+    problem = problem_constants(scenario)
+    model, s0 = problem.model, problem.initial_loss_sum
     n_total = model.n_total
     probs = estimate_success_probs(
         design, scenario, scenario.n_success_samples, derive_seed(base_seed, "vt-probs")
@@ -224,9 +200,7 @@ def experiment_validate_theorem(
     e_leader_round, e_followers_ub = round_energies(design, np.inf, scenario)
     e_follower_round_ub = float(np.max(e_followers_ub))
     for frac, eps_sum, col in zip(eps_fracs, eps_sums, range(len(eps_fracs))):
-        predicted = _predicted_round(
-            probs, model.counts, model.strong_mu, model.lipschitz_u, eps_sum, s0
-        )
+        predicted = problem.predicted_round(probs, eps_sum)
         emp_mean, emp_std, n_conv = _mean_std(crossings[:, col])
         rel_gap = None if emp_mean is None or predicted == 0 else abs(predicted - emp_mean) / predicted
         result.append(
@@ -299,9 +273,9 @@ def experiment_sweep_sigma(
         + _design_columns(scenario.n_followers)
     )
     result = ExperimentResult("sweep-sigma", columns)
-    _, model = scenario.build_dataset()
-    s0 = model.total_loss_sum(np.zeros(model.dim))
-    eps_sum = eps_frac * s0
+    problem = problem_constants(scenario)
+    model = problem.model
+    eps_sum = eps_frac * problem.initial_loss_sum
     seeds = _run_seeds(base_seed, "ss-run", mc_runs)
     for sigma2 in sigma2_list:
         # one channel draw per repetition and jitter variance, read at every bandwidth
@@ -311,9 +285,7 @@ def experiment_sweep_sigma(
             design, bw_points, scenario.n_success_samples, derive_seed(base_seed, "ss-probs")
         )
         for k_bw, (bw, probs) in enumerate(zip(bw_list, bw_probs)):
-            predicted = _predicted_round(
-                probs, model.counts, model.strong_mu, model.lipschitz_u, eps_sum, s0
-            )
+            predicted = problem.predicted_round(probs, eps_sum)
             crossings = _mc_crossings(model, masks[k_bw], [eps_sum / model.n_total])
             emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
             result.append(
@@ -369,14 +341,14 @@ def experiment_compare_designs(
     )
     result = ExperimentResult("compare-designs", columns)
     # bandwidth leaves the training problem alone: one set of constants serves every point
-    consts = problem_constants(scenario)
-    problem = (consts.counts, consts.mu, consts.lipschitz_u, consts.epsilon_sum, consts.initial_loss_sum)
+    problem = problem_constants(scenario)
+    eps_sum = scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
     for k_bw, (bw, point) in enumerate(zip(bw_list, points)):
         probs_seed = derive_seed(base_seed, "cd-probs", k_bw)
 
         joint, _, _ = solve(point, rng_seed=derive_seed(base_seed, "cd-solve", k_bw))
         joint_probs = estimate_success_probs(joint, point, point.n_success_samples, probs_seed)
-        joint_round = _predicted_round(joint_probs, *problem)
+        joint_round = problem.predicted_round(joint_probs, eps_sum)
         result.append(
             experiment="compare-designs",
             schema_version=SCHEMA_VERSION,
@@ -394,7 +366,7 @@ def experiment_compare_designs(
             for d in range(n_baseline_draws):
                 cand = baseline_design(kind, joint, point, derive_seed(base_seed, "cd-base", kind, k_bw, d))
                 cand_probs = estimate_success_probs(cand, point, point.n_success_samples, probs_seed)
-                rounds[d] = _predicted_round(cand_probs, *problem)
+                rounds[d] = problem.predicted_round(cand_probs, eps_sum)
             mean_round = float(rounds.mean())
             reduction = (mean_round - joint_round) / mean_round if mean_round > 0 else 0.0
             result.append(
@@ -428,9 +400,9 @@ def experiment_simulate(
     _check(_fraction_errors("eps_frac", eps_frac) + _count_errors("mc_runs", mc_runs))
     t_start = time.perf_counter()
 
-    _, model = scenario.build_dataset()
-    s0 = model.total_loss_sum(np.zeros(model.dim))
-    eps_mean = eps_frac * s0 / model.n_total
+    problem = problem_constants(scenario)
+    model = problem.model
+    eps_mean = eps_frac * problem.initial_loss_sum / model.n_total
     masks = participation_masks(
         [scenario], design, scenario.max_rounds, _run_seeds(base_seed, "sim-run", mc_runs)
     )[0]
@@ -461,7 +433,6 @@ def experiment_simulate(
 
 def experiment_optimize(
     scenario: SwarmScenario,
-    samples_k: int | None = None,
     base_seed: int | None = None,
     method: str = "subgradient",
 ) -> ExperimentResult:
@@ -474,9 +445,7 @@ def experiment_optimize(
     base_seed = scenario.base_seed if base_seed is None else base_seed
     t_start = time.perf_counter()
 
-    design, predicted, report = solve(
-        scenario, samples_k=samples_k, rng_seed=base_seed, method=method
-    )
+    design, predicted, report = solve(scenario, rng_seed=base_seed, method=method)
     columns = (
         ["experiment", "schema_version", "record", "iteration", "dual_value",
          "lambda_norm", "min_margin", "predicted_round"]

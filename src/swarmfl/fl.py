@@ -23,10 +23,8 @@ __all__ = [
     "QuadraticLossModel",
     "make_regression_problem",
     "FlState",
-    "local_update",
     "aggregate_ideal",
     "aggregate_with_losses",
-    "aggregation_error",
     "train_round",
     "run_fl",
 ]
@@ -285,13 +283,6 @@ class FlState:
         return hits / np.maximum(self.rounds, 1)[:, None]
 
 
-def local_update(w_ref: np.ndarray, i: int, loss: QuadraticLossModel, lr: float) -> np.ndarray:
-    """One local gradient step of follower i from its newest received model w_ref."""
-    if lr <= 0.0:
-        raise ValueError("lr must be > 0")
-    return w_ref - (lr / loss.counts[i]) * loss.follower_grad_sum(i, w_ref)
-
-
 def aggregate_ideal(local_ws, counts) -> np.ndarray:
     """Count-weighted mean of all local models."""
     ws = np.asarray(local_ws, dtype=float)
@@ -315,24 +306,6 @@ def aggregate_with_losses(local_ws, counts, participation, previous_global) -> n
     return (n[:, None] * ws).sum(axis=0) / n.sum()
 
 
-def aggregation_error(loss: QuadraticLossModel, local_grads, w: np.ndarray, participation) -> np.ndarray:
-    """Difference between the lossy aggregate gradient and the true gradient.
-
-    local_grads[i] is follower i's mean local gradient (grad sum / count) at
-    its reference point; the lossy aggregate is their count-weighted mean
-    over participants.  With no participants the aggregate step is zero, so
-    the error is exactly minus the true gradient.
-    """
-    mask = np.asarray(participation, dtype=bool)
-    grad = loss.global_grad(w)
-    if not mask.any():
-        return -grad
-    g = np.asarray(local_grads, dtype=float)
-    n = loss.counts.astype(float) * mask
-    agg = (n[:, None] * g).sum(axis=0) / n.sum()
-    return agg - grad
-
-
 def train_round(
     loss: QuadraticLossModel,
     last_received: np.ndarray,
@@ -345,8 +318,8 @@ def train_round(
 
     last_received is (R, I, dim), global_w (R, dim), participation (R, I).
     Returns (local_w, new global_w); a run where nobody participates keeps
-    its previous global model.  Per run this equals local_update for each
-    follower followed by aggregate_with_losses.
+    its previous global model.  Per run this equals one local gradient step
+    per follower followed by aggregate_with_losses.
     """
     counts = loss.counts
     local_w = last_received - (lr / counts)[:, None] * loss.follower_grad_sums(last_received)

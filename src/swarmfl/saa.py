@@ -16,14 +16,13 @@ and feasibility is always reported against those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from .channel import ChannelDraw, draw_channel, estimate_success_probs, sinr_coefficients
-from .convergence import ConvergenceInputs, convergence_round, convergence_speed
+from .channel import draw_channel, estimate_success_probs, sinr_coefficients, success_mask
+from .convergence import TrainingProblem, training_problem
 from .design import DesignVector
 from .energy import ControlRequirements, EnergyBudget, round_energies
 from .scenario import SwarmScenario
@@ -33,19 +32,15 @@ __all__ = [
     "NoFeasibleDesignError",
     "SmoothingConfig",
     "ScenarioSamples",
-    "ProblemConstants",
-    "DualState",
     "SolveReport",
     "problem_constants",
     "gamma_sigmoid",
     "sample_delays",
-    "smoothed_success_probs",
     "smoothed_objective",
     "smoothed_constraints",
     "unsmoothed_feasibility",
     "lagrangian",
     "inner_maximize",
-    "dual_subgradient",
     "solve",
     "baseline_design",
 ]
@@ -79,7 +74,7 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class ScenarioSamples:
-    """K frozen channel draws with their SINR-per-watt kernels.
+    """The SINR-per-watt kernels of K frozen channel draws.
 
     Interferer activity, fading, and antenna jitter are fixed at draw time,
     so a candidate design only rescales the kernels: uplink SINR of
@@ -88,7 +83,6 @@ class ScenarioSamples:
     inside the solver.
     """
 
-    draws: ChannelDraw
     c_up: np.ndarray  # (K, I)
     c_dn: np.ndarray  # (K, I)
 
@@ -102,41 +96,17 @@ class ScenarioSamples:
             raise ValueError("samples_k must be >= 1")
         draws = draw_channel(scenario, np.random.default_rng(rng_seed), size=samples_k)
         c_up, c_dn = sinr_coefficients(draws, scenario)
-        return ScenarioSamples(draws=draws, c_up=c_up, c_dn=c_dn)
+        return ScenarioSamples(c_up=c_up, c_dn=c_dn)
 
 
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Loss-model constants the round predictor needs, fixed per scenario."""
-
-    counts: tuple[int, ...]
-    mu: float
-    lipschitz_u: float
-    initial_loss_sum: float
-    epsilon_sum: float
+def problem_constants(scenario: SwarmScenario) -> TrainingProblem:
+    """The scenario's training problem, built once per follower count and dataset."""
+    return training_problem(scenario.n_followers, scenario.dataset)
 
 
-def problem_constants(scenario: SwarmScenario) -> ProblemConstants:
-    """Build the scenario's training problem once and keep its constants.
-
-    The constants depend only on the follower count, the dataset and the
-    optimizer's loss target, so scenarios that differ elsewhere (bandwidth,
-    jitter, budgets) share one cached entry.
-    """
-    return _problem_constants(scenario.n_followers, scenario.dataset, scenario.saa.epsilon_opt_frac)
-
-
-@lru_cache(maxsize=32)
-def _problem_constants(n_followers: int, dataset, epsilon_opt_frac: float) -> ProblemConstants:
-    _, model = dataset.build(n_followers)
-    s0 = model.total_loss_sum(np.zeros(model.dim))
-    return ProblemConstants(
-        counts=tuple(int(c) for c in model.counts),
-        mu=model.strong_mu,
-        lipschitz_u=model.lipschitz_u,
-        initial_loss_sum=s0,
-        epsilon_sum=epsilon_opt_frac * s0,
-    )
+def _eps_sum(scenario: SwarmScenario, problem: TrainingProblem) -> float:
+    """The optimizer's target for the raw loss sum."""
+    return scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
 
 
 def gamma_sigmoid(r, c_bar: float, scale: float = 1.0):
@@ -176,14 +146,8 @@ def _window_sigmoids(design, samples, smoothing, scenario):
     return g_up, g_dn, t_up, t_dn
 
 
-def smoothed_success_probs(design, samples, smoothing, scenario) -> np.ndarray:
-    """Per-follower mean of the smoothed participation indicator, shape (I,)."""
-    g_up, g_dn, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
-    return (g_up * g_dn).mean(axis=0)
-
-
-def _objective(both, constants: ProblemConstants) -> float:
-    return float((np.asarray(constants.counts, dtype=float) * both).sum())
+def _objective(both, constants: TrainingProblem) -> float:
+    return float((constants.counts * both).sum())
 
 
 def smoothed_objective(design, samples, smoothing, scenario) -> float:
@@ -205,14 +169,11 @@ def _constraint_rows(both, t_up, control_rows, design, smoothing, scenario, budg
     """Smoothed residual rows from the participation sigmoids, uplink delays
     and precomputed control rows."""
     k = both.shape[0]
-    counts = np.asarray(constants.counts, dtype=float)
-    rho = float((counts * both.mean(axis=0)).sum()) * constants.mu / (
-        counts.sum() * constants.lipschitz_u
-    )
-    rho = min(rho, 1.0 - 1e-12)
+    rho = min(constants.speed(both.mean(axis=0)), 1.0 - 1e-12)
     log_decay = np.log(1.0 - rho)
     # rho too small to move 1 - rho means no participation, so no finite round prediction
-    phi = np.log(constants.epsilon_sum / constants.initial_loss_sum) / log_decay if log_decay < 0.0 else np.inf
+    ratio = _eps_sum(scenario, constants) / constants.initial_loss_sum
+    phi = np.log(ratio) / log_decay if log_decay < 0.0 else np.inf
 
     e_leader, e_followers = round_energies(design, t_up, scenario)
     c_bar, e_scale = smoothing.c_bar, smoothing.energy_scale
@@ -232,7 +193,7 @@ def smoothed_constraints(
     scenario,
     budgets: EnergyBudget,
     control: ControlRequirements,
-    constants: ProblemConstants | None = None,
+    constants: TrainingProblem | None = None,
 ) -> np.ndarray:
     """Sigmoid-smoothed chance-constraint residuals, length 2I+1, >= 0 when met.
 
@@ -256,34 +217,23 @@ def unsmoothed_feasibility(
     scenario,
     budgets: EnergyBudget,
     control: ControlRequirements,
-    constants: ProblemConstants | None = None,
+    constants: TrainingProblem | None = None,
 ):
     """Indicator-based sample constraints: (feasible, margins, phi).
 
     margins are empirical frequencies minus required probabilities (length
-    2I+1).  phi is the integer round prediction from indicator success
-    frequencies; when no follower ever succeeds there is no finite
-    prediction and the design is infeasible outright (margins all -1).
+    2I+1).  phi is the predicted round count (TrainingProblem.predicted_round)
+    at the indicator success frequencies; when no follower ever succeeds
+    there is no finite prediction and the design is infeasible outright
+    (margins all -1).
     """
     if constants is None:
         constants = problem_constants(scenario)
     t_up, t_dn = sample_delays(design, samples, scenario)
-    ok = (t_up <= design.beta * scenario.round_time_s) & (
-        t_dn <= (1.0 - design.beta) * scenario.round_time_s
-    )
-    probs = ok.mean(axis=0)
-    counts = np.asarray(constants.counts, dtype=float)
-    inputs = ConvergenceInputs(
-        success_prob=probs,
-        counts=counts,
-        mu=constants.mu,
-        lipschitz_u=constants.lipschitz_u,
-        epsilon=constants.epsilon_sum,
-        initial_loss_sum=constants.initial_loss_sum,
-    )
-    if convergence_speed(inputs) <= 0.0:
+    probs = success_mask(t_up, t_dn, design.beta, scenario.round_time_s).mean(axis=0)
+    if constants.speed(probs) <= 0.0:
         return False, np.full(2 * scenario.n_followers + 1, -1.0), None
-    phi = convergence_round(inputs)
+    phi = constants.predicted_round(probs, _eps_sum(scenario, constants))
 
     e_leader, e_followers = round_energies(design, t_up, scenario)
     leader_margin = float(budgets.e_bar - phi * e_leader >= 0.0) - budgets.xi_leader
@@ -304,7 +254,7 @@ def lagrangian(
     scenario,
     budgets,
     control,
-    constants: ProblemConstants | None = None,
+    constants: TrainingProblem | None = None,
 ) -> float:
     """Smoothed objective plus multiplier-weighted smoothed residuals."""
     lam = np.asarray(lambda_, dtype=float)
@@ -409,7 +359,7 @@ def inner_maximize(
     budgets,
     control,
     init: DesignVector,
-    constants: ProblemConstants | None = None,
+    constants: TrainingProblem | None = None,
     report: "SolveReport | None" = None,
 ) -> tuple[DesignVector, float]:
     """Approximate maximizer of the Lagrangian over the design box.
@@ -451,28 +401,11 @@ def inner_maximize(
     return DesignVector.from_flat(flat, scenario.n_followers), j_curr
 
 
-def dual_subgradient(
-    lambda_,
-    maximizer_design,
-    samples,
-    smoothing,
-    scenario,
-    budgets,
-    control,
-    constants: ProblemConstants | None = None,
-) -> np.ndarray:
-    """Subgradient of the dual at lambda_: the residuals at the inner maximizer."""
-    return smoothed_constraints(
-        maximizer_design, samples, smoothing, scenario, budgets, control, constants
-    )
-
-
 @dataclass
-class DualState:
+class _DualState:
     """Bookkeeping of the outer multiplier iteration."""
 
     lambda_: np.ndarray
-    best_dual: float = np.inf
     best_feasible_primal: DesignVector | None = None
     best_feasible_objective: float = -np.inf
 
@@ -512,10 +445,6 @@ def _track_feasible(state, design, samples, smoothing, scenario, budgets, contro
 
 def solve(
     scenario: SwarmScenario,
-    budgets: EnergyBudget | None = None,
-    control: ControlRequirements | None = None,
-    samples_k: int | None = None,
-    smoothing: SmoothingConfig | None = None,
     rng_seed: int | None = None,
     max_iters: int | None = None,
     method: str = "subgradient",
@@ -532,16 +461,14 @@ def solve(
     constraints.
     """
     scenario.require_valid()
-    budgets = scenario.energy_budget if budgets is None else budgets
-    control = scenario.control if control is None else control
-    samples_k = scenario.saa.samples_k if samples_k is None else samples_k
-    smoothing = SmoothingConfig.from_scenario(scenario) if smoothing is None else smoothing
+    budgets, control = scenario.energy_budget, scenario.control
+    smoothing = SmoothingConfig.from_scenario(scenario)
     rng_seed = scenario.base_seed if rng_seed is None else rng_seed
     max_iters = scenario.saa.max_iters if max_iters is None else max_iters
     constants = problem_constants(scenario)
-
-    samples = ScenarioSamples.generate(scenario, samples_k, derive_seed(rng_seed, "saa-samples"))
-    n_rows = 2 * scenario.n_followers + 1
+    samples = ScenarioSamples.generate(
+        scenario, scenario.saa.samples_k, derive_seed(rng_seed, "saa-samples")
+    )
 
     if method == "ellipsoid":
         state, report = _solve_ellipsoid(
@@ -549,7 +476,7 @@ def solve(
         )
     elif method == "subgradient":
         state, report = _solve_subgradient(
-            scenario, budgets, control, samples, smoothing, constants, max_iters, samples_k, n_rows
+            scenario, budgets, control, samples, smoothing, constants, max_iters
         )
     else:
         raise ValueError(f"unknown method: {method!r}")
@@ -565,16 +492,7 @@ def solve(
     probs = estimate_success_probs(
         best, scenario, scenario.n_success_samples, derive_seed(rng_seed, "opt-probs")
     )
-    predicted = convergence_round(
-        ConvergenceInputs(
-            success_prob=probs,
-            counts=np.asarray(constants.counts, dtype=float),
-            mu=constants.mu,
-            lipschitz_u=constants.lipschitz_u,
-            epsilon=constants.epsilon_sum,
-            initial_loss_sum=constants.initial_loss_sum,
-        )
-    )
+    predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
     report.feasible = feasible
     report.margins = margins
     report.predicted_round = predicted
@@ -582,22 +500,19 @@ def solve(
     return best, predicted, report
 
 
-def _solve_subgradient(
-    scenario, budgets, control, samples, smoothing, constants, max_iters, samples_k, n_rows
-):
-    state = DualState(lambda_=np.zeros(n_rows))
+def _solve_subgradient(scenario, budgets, control, samples, smoothing, constants, max_iters):
+    state = _DualState(lambda_=np.zeros(2 * scenario.n_followers + 1))
     report = SolveReport(method="subgradient")
     design = scenario.default_design()
-    step_a = scenario.saa.step_scale * samples_k
+    step_a = scenario.saa.step_scale * samples.k
     for t in range(1, max_iters + 1):
         design, dual_value = inner_maximize(
             state.lambda_, samples, smoothing, scenario, budgets, control, design, constants,
             report,
         )
-        residuals = dual_subgradient(
-            state.lambda_, design, samples, smoothing, scenario, budgets, control, constants
+        residuals = smoothed_constraints(
+            design, samples, smoothing, scenario, budgets, control, constants
         )
-        state.best_dual = min(state.best_dual, dual_value)
         _track_feasible(state, design, samples, smoothing, scenario, budgets, control, constants)
         new_lambda = np.maximum(0.0, state.lambda_ - (step_a / np.sqrt(t)) * residuals)
         report.iterations.append(
@@ -624,7 +539,7 @@ def _solve_ellipsoid(scenario, budgets, control, samples, smoothing, constants, 
     unsmoothed-feasible primal iterate.
     """
     n_rows = 2 * scenario.n_followers + 1
-    state = DualState(lambda_=np.zeros(n_rows))
+    state = _DualState(lambda_=np.zeros(n_rows))
     report = SolveReport(method="ellipsoid")
     radius = 10.0 * scenario.saa.step_scale * samples.k
     center = np.full(n_rows, 0.1 * radius)
@@ -640,10 +555,9 @@ def _solve_ellipsoid(scenario, budgets, control, samples, smoothing, constants, 
                 center, samples, smoothing, scenario, budgets, control, design, constants,
                 report,
             )
-            g = dual_subgradient(
-                center, design, samples, smoothing, scenario, budgets, control, constants
+            g = smoothed_constraints(
+                design, samples, smoothing, scenario, budgets, control, constants
             )
-            state.best_dual = min(state.best_dual, dual_value)
             _track_feasible(state, design, samples, smoothing, scenario, budgets, control, constants)
             report.iterations.append(
                 {

@@ -18,8 +18,9 @@ single number for control.tau, which stands for every follower.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_type_hints
 
@@ -39,7 +40,6 @@ __all__ = [
     "scenario_to_dict",
     "serialize_scenario",
     "save_scenario",
-    "with_overrides",
 ]
 
 
@@ -65,41 +65,30 @@ class DatasetSpec:
     on-device size of one training sample, used by the energy model.
     """
 
-    samples_per: int = 40
-    dim: int = 6
-    noise_std: float = 0.0
-    sample_bits: float = 8e4
+    samples_per: int = field(default=40, metadata={"bound": ">= 1"})
+    dim: int = field(default=6, metadata={"bound": ">= 1"})
+    noise_std: float = field(default=0.0, metadata={"bound": ">= 0"})
+    sample_bits: float = field(default=8e4, metadata={"bound": "> 0"})
     nuisance_dims: int = 1
-    signal_scale: float = 0.4862
-    owner_emphasis: float | None = 0.12
-    nuisance_scale: float = 1.0
+    signal_scale: float = field(default=0.4862, metadata={"bound": "finite"})
+    owner_emphasis: float | None = field(default=0.12, metadata={"bound": ">= 0"})
+    nuisance_scale: float = field(default=1.0, metadata={"bound": "finite"})
     exact_second_moments: bool = True
-    w_scale: float = 1.0
+    w_scale: float = field(default=1.0, metadata={"bound": "finite"})
     seed: int = 7
 
     def validate(self, prefix: str = "dataset") -> list[str]:
-        errors = []
-        if self.samples_per < 1:
-            errors.append(f"{prefix}.samples_per must be >= 1")
-        if self.dim < 1:
-            errors.append(f"{prefix}.dim must be >= 1")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            errors.append(f"{prefix}.noise_std must be finite and >= 0")
-        if not (self.sample_bits > 0.0):
-            errors.append(f"{prefix}.sample_bits must be > 0")
-        if self.owner_emphasis is not None:
-            if not (0 <= self.nuisance_dims < self.dim):
-                errors.append(f"{prefix}.nuisance_dims must be in [0, dim)")
-            if not (self.owner_emphasis >= 0.0):
-                errors.append(f"{prefix}.owner_emphasis must be >= 0")
-            if not (self.signal_scale > 0.0):
-                errors.append(f"{prefix}.signal_scale must be > 0")
-            if not (self.nuisance_scale > 0.0):
-                errors.append(f"{prefix}.nuisance_scale must be > 0")
+        """The rules that hold only for the owner-emphasis layout."""
+        if self.owner_emphasis is None:
+            return []
+        checks = [
+            ("nuisance_dims", 0 <= self.nuisance_dims < self.dim, "in [0, dim)"),
+            ("signal_scale", self.signal_scale > 0.0, "> 0"),
+            ("nuisance_scale", self.nuisance_scale > 0.0, "> 0"),
             # a negative w_scale only flips the sign of the truth vector
-            if not (np.isfinite(self.w_scale) and self.w_scale != 0.0):
-                errors.append(f"{prefix}.w_scale must be finite and nonzero")
-        return errors
+            ("w_scale", self.w_scale != 0.0, "nonzero"),
+        ]
+        return [f"{prefix}.{name} must be {rule}" for name, ok, rule in checks if not ok]
 
     def build(self, n_followers: int, seed: int | None = None):
         """Instantiate the problem split across n_followers: (datasets, loss_model)."""
@@ -136,34 +125,14 @@ class SaaConfig:
     the coordinate's box).
     """
 
-    samples_k: int = 1000
-    c_bar: float = 50.0
-    epsilon_opt_frac: float = 0.05
-    max_iters: int = 200
-    step_scale: float = 0.1
-    inner_tol: float = 1e-6
-    max_cycles: int = 50
-    xtol: float = 1e-3
-
-    def validate(self, prefix: str = "saa") -> list[str]:
-        errors = []
-        if self.samples_k < 1:
-            errors.append(f"{prefix}.samples_k must be >= 1")
-        if not (self.c_bar > 0.0):
-            errors.append(f"{prefix}.c_bar must be > 0")
-        if not (0.0 < self.epsilon_opt_frac < 1.0):
-            errors.append(f"{prefix}.epsilon_opt_frac must be in (0, 1)")
-        if self.max_iters < 1:
-            errors.append(f"{prefix}.max_iters must be >= 1")
-        if not (self.step_scale > 0.0):
-            errors.append(f"{prefix}.step_scale must be > 0")
-        if not (self.inner_tol > 0.0):
-            errors.append(f"{prefix}.inner_tol must be > 0")
-        if self.max_cycles < 1:
-            errors.append(f"{prefix}.max_cycles must be >= 1")
-        if not (0.0 < self.xtol < 1.0):
-            errors.append(f"{prefix}.xtol must be in (0, 1)")
-        return errors
+    samples_k: int = field(default=1000, metadata={"bound": ">= 1"})
+    c_bar: float = field(default=50.0, metadata={"bound": "> 0"})
+    epsilon_opt_frac: float = field(default=0.05, metadata={"bound": "in (0, 1)"})
+    max_iters: int = field(default=200, metadata={"bound": ">= 1"})
+    step_scale: float = field(default=0.1, metadata={"bound": "> 0"})
+    inner_tol: float = field(default=1e-6, metadata={"bound": "> 0"})
+    max_cycles: int = field(default=50, metadata={"bound": ">= 1"})
+    xtol: float = field(default=1e-3, metadata={"bound": "in (0, 1)"})
 
 
 def _default_distances(n_followers: int) -> tuple[float, ...]:
@@ -188,10 +157,12 @@ def _default_interferers() -> tuple[Interferer, ...]:
 class SwarmScenario:
     """Complete description of the swarm, its radio environment, and the job."""
 
-    n_followers: int = 5
-    distances: tuple[float, ...] = field(default_factory=lambda: _default_distances(5))
-    round_time_s: float = 0.1
-    p_max: float = 0.5
+    n_followers: int = field(default=5, metadata={"bound": ">= 1"})
+    distances: tuple[float, ...] = field(
+        default_factory=lambda: _default_distances(5), metadata={"bound": "> 0"}
+    )
+    round_time_s: float = field(default=0.1, metadata={"bound": "> 0"})
+    p_max: float = field(default=0.5, metadata={"bound": "> 0"})
     antenna: AntennaPattern = field(default_factory=AntennaPattern)
     radio: RadioParams = field(default_factory=RadioParams)
     compute: ComputeParams = field(default_factory=ComputeParams)
@@ -208,10 +179,12 @@ class SwarmScenario:
     downlink_interference: InterferenceField = field(
         default_factory=lambda: InterferenceField(_default_interferers())
     )
-    epsilon_fracs: tuple[float, ...] = (0.05, 0.10, 0.15, 0.20, 0.25)
-    mc_runs: int = 100
-    n_success_samples: int = 10000
-    max_rounds: int = 500
+    epsilon_fracs: tuple[float, ...] = field(
+        default=(0.05, 0.10, 0.15, 0.20, 0.25), metadata={"bound": "in (0, 1)"}
+    )
+    mc_runs: int = field(default=100, metadata={"bound": ">= 1"})
+    n_success_samples: int = field(default=10000, metadata={"bound": ">= 1"})
+    max_rounds: int = field(default=500, metadata={"bound": ">= 1"})
     use_sectionalized_gain: bool = False
     base_seed: int = 20240501
 
@@ -237,46 +210,20 @@ class SwarmScenario:
         )
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.n_followers < 1:
-            errors.append("n_followers must be >= 1")
-        if len(self.distances) != self.n_followers:
-            errors.append(
-                f"distances must list one entry per follower ({self.n_followers}), got {len(self.distances)}"
-            )
-        for i, d in enumerate(self.distances):
-            if not (d > 0.0):
-                errors.append(f"distances[{i}] must be > 0")
-        if not (self.round_time_s > 0.0):
-            errors.append("round_time must be > 0")
-        if not (self.p_max > 0.0):
-            errors.append("p_max must be > 0")
-        errors += self.antenna.validate("antenna")
-        errors += self.radio.validate("radio")
-        errors += self.compute.validate("compute")
-        errors += self.flight.validate("flight")
-        errors += self.energy_budget.validate("energy_budget")
-        errors += self.control.validate("control")
-        if len(self.control.tau) != self.n_followers:
-            errors.append(
-                f"control.tau must list one entry per follower ({self.n_followers}), got {len(self.control.tau)}"
-            )
-        errors += self.dataset.validate("dataset")
-        errors += self.saa.validate("saa")
-        errors += self.uplink_interference.validate("uplink_interference")
-        errors += self.downlink_interference.validate("downlink_interference")
+        """Every problem with the scenario, each naming its JSON key.
+
+        Field bounds come from the "bound" metadata of the fields; the rules
+        that tie fields together are checked here.
+        """
+        errors = _bound_errors(self, "")
+        for key, values in (("distances", self.distances), ("control.tau", self.control.tau)):
+            if len(values) != self.n_followers:
+                errors.append(
+                    f"{key} must list one entry per follower ({self.n_followers}), got {len(values)}"
+                )
         if len(self.epsilon_fracs) == 0:
             errors.append("epsilon_fracs must not be empty")
-        for i, f in enumerate(self.epsilon_fracs):
-            if not (0.0 < f < 1.0):
-                errors.append(f"epsilon_fracs[{i}] must be in (0, 1)")
-        if self.mc_runs < 1:
-            errors.append("mc_runs must be >= 1")
-        if self.n_success_samples < 1:
-            errors.append("n_success_samples must be >= 1")
-        if self.max_rounds < 1:
-            errors.append("max_rounds must be >= 1")
-        return errors
+        return errors + self.dataset.validate("dataset")
 
     def require_valid(self) -> "SwarmScenario":
         errors = self.validate()
@@ -345,6 +292,47 @@ def _json_key(cls, name: str) -> str:
 @cache
 def _field_types(cls) -> dict:
     return get_type_hints(cls)
+
+
+# a field's "bound" metadata -> the test each of its values must pass; the
+# bound is also the error text
+_BOUNDS = {
+    "finite": lambda x: True,
+    "> 0": lambda x: x > 0,
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "in (0, 1)": lambda x: 0 < x < 1,
+    "in (0, 1]": lambda x: 0 < x <= 1,
+    "in [0, 1]": lambda x: 0 <= x <= 1,
+}
+
+
+def _bound_errors(obj, path: str) -> list[str]:
+    """Values of obj and of its sections outside their field bounds.
+
+    Walks the fields as _Reader does (into sections, into each interferer,
+    into each tuple element) and names each value by its JSON key.  Every
+    bounded number must also be finite.
+    """
+    prefix = f"{path}." if path else ""
+    errors = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        where = prefix + _json_key(type(obj), f.name)
+        if isinstance(value, InterferenceField):
+            for j, interferer in enumerate(value.interferers):
+                errors += _bound_errors(interferer, f"{where}[{j}]")
+        elif is_dataclass(value):
+            errors += _bound_errors(value, where)
+        elif "bound" in f.metadata:
+            bound, many = f.metadata["bound"], isinstance(value, (tuple, list))
+            for i, x in enumerate(value if many else [value]):
+                name = f"{where}[{i}]" if many else where
+                if isinstance(x, float) and not math.isfinite(x):
+                    errors.append(f"{name} must be finite")
+                elif x is not None and not _BOUNDS[bound](x):
+                    errors.append(f"{name} must be {bound}")
+    return errors
 
 
 class _Reader:
@@ -462,7 +450,3 @@ def save_scenario(s: SwarmScenario, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_scenario(s))
 
-
-def with_overrides(s: SwarmScenario, **kwargs) -> SwarmScenario:
-    """Frozen-dataclass convenience: replace top-level fields and revalidate."""
-    return replace(s, **kwargs).require_valid()

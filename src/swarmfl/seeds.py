@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng"]
+__all__ = ["derive_seed"]
 
 
 def _to_word(part) -> int:
@@ -29,7 +29,3 @@ def derive_seed(base_seed: int, *path) -> int:
     state = np.random.SeedSequence(words).generate_state(2, dtype=np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
 
-
-def derive_rng(base_seed: int, *path) -> np.random.Generator:
-    """A generator seeded by derive_seed(base_seed, *path)."""
-    return np.random.default_rng(derive_seed(base_seed, *path))

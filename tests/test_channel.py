@@ -26,6 +26,7 @@ from swarmfl.channel import (
     success_mask,
 )
 from swarmfl.design import DesignVector
+from swarmfl.scenario import SwarmScenario
 
 G_MIN_DEFAULT = 10.0 ** -0.2
 
@@ -309,11 +310,18 @@ class TestSuccessProbability:
 
 class TestValidation:
     def test_component_validators_flag_bad_values(self):
-        assert AntennaPattern(sigma2=-1.0).validate()
-        assert Interferer(distance=10.0, power=-2.0, gain_product=0.1, active_prob=0.5).validate()
-        assert Interferer(distance=10.0, power=1.0, gain_product=0.1, active_prob=1.5).validate()
-        field = InterferenceField(
-            (Interferer(distance=-5.0, power=1.0, gain_product=0.1, active_prob=0.5),)
+        def errors(**kwargs):
+            return SwarmScenario(**kwargs).validate()
+
+        assert errors(antenna=AntennaPattern(sigma2=-1.0)) == ["antenna.sigma2 must be >= 0"]
+        assert errors(antenna=AntennaPattern(theta_init=np.nan)) == ["antenna.theta_init must be finite"]
+        bad = (
+            Interferer(distance=10.0, power=-2.0, gain_product=0.1, active_prob=0.5),
+            Interferer(distance=10.0, power=1.0, gain_product=0.1, active_prob=1.5),
+            Interferer(distance=-5.0, power=1.0, gain_product=0.1, active_prob=0.5),
         )
-        msgs = field.validate(prefix="uplink_interference")
-        assert any("uplink_interference" in m for m in msgs)
+        assert errors(downlink_interference=InterferenceField(bad)) == [
+            "downlink_interference[0].power must be >= 0",
+            "downlink_interference[1].active_prob must be in [0, 1]",
+            "downlink_interference[2].distance must be > 0",
+        ]

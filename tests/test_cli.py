@@ -161,6 +161,26 @@ class TestFailureModes:
         assert f"dataset.{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("flight", "mass"),
+        (None, "round_time"),
+        ("energy_budget", "e_bar"),
+        (None, "p_max"),
+        ("flight", "v_max"),
+        ("dataset", "signal_scale"),
+    ])
+    def test_infinite_value_rejected(self, config_path, tmp_path, capsys, section, key):
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        (cfg.setdefault(section, {}) if section else cfg)[key] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")  # an Infinity literal
+        out = tmp_path / "x.csv"
+        code = main(["validate-theorem", "--config", str(bad), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        name = f"{section}.{key}" if section else key
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_w_scale_accepted(self, config_path, tmp_path, capsys):
         cfg = json.loads(config_path.read_text(encoding="utf-8"))
         cfg["dataset"] = {"w_scale": -1.0}

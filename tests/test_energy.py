@@ -24,9 +24,9 @@ from swarmfl.energy import (
     flight_power,
     induced_velocity,
     round_energies,
-    training_energy_follower,
     training_energy_leader,
 )
+from swarmfl.scenario import SwarmScenario
 
 
 class TestComputeEnergy:
@@ -39,12 +39,10 @@ class TestComputeEnergy:
         got = training_energy_leader(ComputeParams(), 8e4, 5)
         assert got == pytest.approx(0.04, rel=1e-12)
 
-    def test_follower_per_sample_cost(self):
-        assert training_energy_follower(ComputeParams(), 8e4) == pytest.approx(
-            0.008, rel=1e-12
-        )
-        batch = training_energy_follower(ComputeParams(), np.full(40, 8e4))
-        assert np.sum(batch) == pytest.approx(0.32, rel=1e-12)
+    def test_follower_per_sample_cost(self, default_scenario):
+        one = replace(default_scenario, dataset=replace(default_scenario.dataset, samples_per=1))
+        assert one.follower_training_energies() == pytest.approx(np.full(5, 0.008), rel=1e-12)
+        assert default_scenario.follower_training_energies() == pytest.approx(np.full(5, 0.32), rel=1e-12)
 
     def test_follower_dataset_energy_from_scenario(self, default_scenario):
         per = default_scenario.follower_training_energies()
@@ -184,6 +182,13 @@ class TestRoundEnergy:
 
 class TestBudgetValidation:
     def test_invalid_budget_flagged(self):
-        assert EnergyBudget(e_bar=-1.0).validate()
-        assert EnergyBudget(xi_leader=1.5).validate()
-        assert not EnergyBudget().validate()
+        assert SwarmScenario(energy_budget=EnergyBudget(e_bar=-1.0)).validate() == [
+            "energy_budget.e_bar must be > 0"
+        ]
+        assert SwarmScenario(energy_budget=EnergyBudget(xi_leader=1.5)).validate() == [
+            "energy_budget.xi_leader must be in (0, 1)"
+        ]
+        assert SwarmScenario(energy_budget=EnergyBudget(e_bar=np.inf)).validate() == [
+            "energy_budget.e_bar must be finite"
+        ]
+        assert not SwarmScenario(energy_budget=EnergyBudget()).validate()

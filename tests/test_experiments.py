@@ -5,10 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swarmfl.convergence import ROUND_CAP
 from swarmfl.experiments import (
-    ROUND_CAP,
     ExperimentResult,
-    _predicted_round,
     emit_csv,
     experiment_compare_designs,
     experiment_optimize,
@@ -16,6 +15,7 @@ from swarmfl.experiments import (
     experiment_sweep_sigma,
     experiment_validate_theorem,
 )
+from swarmfl.saa import problem_constants
 
 
 class TestEmitCsv:
@@ -54,26 +54,20 @@ class TestEmitCsv:
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
-def constants(model, s0):
-    """Predictor inputs of the model at a 5% loss target."""
-    return model.counts, model.strong_mu, model.lipschitz_u, 0.05 * s0, s0
-
-
 class TestPredictedRound:
-    def test_zero_probability_hits_cap(self, default_problem):
-        _, model = default_problem
-        s0 = model.total_loss_sum(np.zeros(model.dim))
-        assert _predicted_round(np.zeros(5), *constants(model, s0)) == ROUND_CAP
+    """The capped prediction the experiments report, at a 5% loss target."""
 
-    def test_tiny_probability_capped(self, default_problem):
-        _, model = default_problem
-        s0 = model.total_loss_sum(np.zeros(model.dim))
-        assert _predicted_round(np.full(5, 1e-12), *constants(model, s0)) == ROUND_CAP
+    def test_zero_probability_hits_cap(self, default_scenario):
+        problem = problem_constants(default_scenario)
+        assert problem.predicted_round(np.zeros(5), 0.05 * problem.initial_loss_sum) == ROUND_CAP
 
-    def test_good_probability_finite(self, default_problem):
-        _, model = default_problem
-        s0 = model.total_loss_sum(np.zeros(model.dim))
-        rounds = _predicted_round(np.full(5, 0.9), *constants(model, s0))
+    def test_tiny_probability_capped(self, default_scenario):
+        problem = problem_constants(default_scenario)
+        assert problem.predicted_round(np.full(5, 1e-12), 0.05 * problem.initial_loss_sum) == ROUND_CAP
+
+    def test_good_probability_finite(self, default_scenario):
+        problem = problem_constants(default_scenario)
+        rounds = problem.predicted_round(np.full(5, 0.9), 0.05 * problem.initial_loss_sum)
         assert 0 < rounds < ROUND_CAP
 
 

@@ -13,12 +13,17 @@ from swarmfl.fl import (
     QuadraticLossModel,
     aggregate_ideal,
     aggregate_with_losses,
-    aggregation_error,
-    local_update,
     make_regression_problem,
     run_fl,
     train_round,
 )
+
+
+def local_update(w_ref, i, loss, lr):
+    """Reference for train_round: follower i's local step from its newest received model."""
+    if lr <= 0.0:
+        raise ValueError("lr must be > 0")
+    return w_ref - (lr / loss.counts[i]) * loss.follower_grad_sum(i, w_ref)
 
 
 def constant_feature_problem():
@@ -190,23 +195,24 @@ class TestAggregation:
 
 
 class TestAggregationError:
+    """The step train_round aggregates from a shared model, against the true gradient."""
+
     @staticmethod
-    def mean_grads(model, w):
-        return [
-            model.follower_grad_sum(i, w) / model.counts[i]
-            for i in range(model.n_followers)
-        ]
+    def aggregation_error(model, w, participation, lr=1.0):
+        received = np.tile(w, (1, model.n_followers, 1))
+        _, new_global = train_round(model, received, w[None, :], participation[None, :], lr)
+        return (w - new_global[0]) / lr - model.global_grad(w)
 
     def test_zero_when_everyone_participates(self):
         datasets, model = make_regression_problem(3, 25, 4, rng_seed=8, noise_std=0.1)
         w = np.ones(model.dim)
-        e = aggregation_error(model, self.mean_grads(model, w), w, np.ones(3, dtype=bool))
+        e = self.aggregation_error(model, w, np.ones(3, dtype=bool))
         assert np.linalg.norm(e) < 1e-12
 
     def test_full_outage_cancels_descent(self):
         datasets, model = make_regression_problem(3, 25, 4, rng_seed=8, noise_std=0.1)
         w = np.ones(model.dim)
-        e = aggregation_error(model, self.mean_grads(model, w), w, np.zeros(3, dtype=bool))
+        e = self.aggregation_error(model, w, np.zeros(3, dtype=bool))
         assert e == pytest.approx(-model.global_grad(w))
 
     def test_partial_participation_hand_value(self):
@@ -216,7 +222,7 @@ class TestAggregationError:
         # only follower 0 lands, so the implied mean step is its own
         # count-normalized gradient; the error is its gap to the full gradient
         want = model.follower_grad_sum(0, w) / model.counts[0] - model.global_grad(w)
-        got = aggregation_error(model, self.mean_grads(model, w), w, part)
+        got = self.aggregation_error(model, w, part)
         assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -4,16 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from swarmfl.design import DesignVector
-from swarmfl.energy import ControlRequirements, EnergyBudget
+from swarmfl.energy import ControlRequirements, EnergyBudget, round_energies
 from swarmfl.saa import (
     NoFeasibleDesignError,
     ScenarioSamples,
     SmoothingConfig,
+    _constraint_rows,
+    _window_sigmoids,
     baseline_design,
-    dual_subgradient,
     gamma_sigmoid,
     inner_maximize,
     lagrangian,
@@ -21,7 +24,6 @@ from swarmfl.saa import (
     sample_delays,
     smoothed_constraints,
     smoothed_objective,
-    smoothed_success_probs,
     solve,
     unsmoothed_feasibility,
 )
@@ -92,6 +94,12 @@ class TestScenarioSamples:
     def test_rejects_empty(self, default_scenario):
         with pytest.raises(ValueError):
             ScenarioSamples.generate(default_scenario, 0, 5)
+
+
+def smoothed_success_probs(design, samples, smoothing, scenario):
+    """Per-follower mean of the smoothed participation indicator, shape (I,)."""
+    g_up, g_dn, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
+    return (g_up * g_dn).mean(axis=0)
 
 
 class TestSmoothedProbs:
@@ -371,22 +379,17 @@ class TestInnerMaximize:
         assert ja == jb
 
     def test_subgradient_is_residual_at_maximizer(self, one_scenario, one_samples):
+        """The Lagrangian is affine in lambda with the residuals as slope, so the
+        residuals at the inner maximizer are a subgradient of the dual there."""
         smoothing = SmoothingConfig.from_scenario(one_scenario)
         lam = np.full(3, 0.5)
-        best, _ = inner_maximize(
-            lam, one_samples, smoothing, one_scenario,
-            one_scenario.energy_budget, one_scenario.control,
-            one_scenario.default_design(),
-        )
-        sub = dual_subgradient(
-            lam, best, one_samples, smoothing, one_scenario,
-            one_scenario.energy_budget, one_scenario.control,
-        )
-        rows = smoothed_constraints(
-            best, one_samples, smoothing, one_scenario,
-            one_scenario.energy_budget, one_scenario.control,
-        )
-        assert np.array_equal(sub, rows)
+        args = (one_samples, smoothing, one_scenario, one_scenario.energy_budget, one_scenario.control)
+        best, _ = inner_maximize(lam, *args, one_scenario.default_design())
+        rows = smoothed_constraints(best, *args)
+        obj = smoothed_objective(best, one_samples, smoothing, one_scenario)
+        for shift in (np.zeros(3), np.array([1.0, 0.0, 2.0])):
+            want = obj + float((lam + shift) @ rows)
+            assert lagrangian(best, lam + shift, *args) == pytest.approx(want, rel=1e-12)
 
 
 class TestCoordinateLagrangian:
@@ -482,9 +485,9 @@ class TestSolve:
         assert report.dual_trace().min() >= obj - 0.05 * abs(obj)
 
     def test_starved_budget_raises(self, small_scenario):
-        budgets = EnergyBudget(e_bar=1e-6, xi_leader=0.9, xi_follower=0.9)
+        starved = replace(small_scenario, energy_budget=EnergyBudget(e_bar=1e-6, xi_leader=0.9, xi_follower=0.9))
         with pytest.raises(NoFeasibleDesignError):
-            solve(small_scenario, budgets=budgets, max_iters=3)
+            solve(starved, max_iters=3)
 
     def test_ellipsoid_variant(self, small_scenario):
         design, rounds, report = solve(small_scenario, max_iters=8, method="ellipsoid")
@@ -574,4 +577,32 @@ class TestProblemConstants:
         assert consts.mu == pytest.approx(model.strong_mu)
         assert consts.lipschitz_u == pytest.approx(model.lipschitz_u)
         assert sum(consts.counts) == 200
-        assert consts.epsilon_sum == pytest.approx(0.05 * consts.initial_loss_sum)
+        assert consts.initial_loss_sum == pytest.approx(model.total_loss_sum(np.zeros(model.dim)))
+        assert consts.model is problem_constants(replace(default_scenario, p_max=0.3)).model
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40),
+           scale=st.sampled_from([1.0, 1e-3, 1e-12, 0.0]))
+    def test_constraint_rows_use_the_predictors_speed(self, default_scenario, seed, k, scale):
+        """The energy rows charge phi from rho = speed(both.mean(axis=0)), bit for bit."""
+        rng = np.random.default_rng(seed)
+        n = default_scenario.n_followers
+        both, t_up = scale * rng.random((k, n)), rng.uniform(0.0, 0.05, (k, n))
+        problem = problem_constants(default_scenario)
+        counts, mean = np.asarray(problem.counts, dtype=float), both.mean(axis=0)
+        inline = float((counts * mean).sum()) * problem.mu / (counts.sum() * problem.lipschitz_u)
+        assert problem.speed(mean) == inline
+
+        design, budgets = default_scenario.default_design(), default_scenario.energy_budget
+        smoothing, control_rows = SmoothingConfig.from_scenario(default_scenario), rng.random(n)
+        rows = _constraint_rows(both, t_up, control_rows, design, smoothing, default_scenario,
+                                budgets, problem)
+        log_decay = np.log(1.0 - min(problem.speed(mean), 1.0 - 1e-12))
+        eps_sum = default_scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
+        phi = np.log(eps_sum / problem.initial_loss_sum) / log_decay if log_decay < 0.0 else np.inf
+        e_leader, e_followers = round_energies(design, t_up, default_scenario)
+        c_bar, e_scale, e_bar = smoothing.c_bar, smoothing.energy_scale, budgets.e_bar
+        leader = k * gamma_sigmoid(e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
+        followers = (gamma_sigmoid(e_bar - phi * e_followers, c_bar, e_scale).sum(axis=0)
+                     - k * budgets.xi_follower)
+        assert np.array_equal(rows, np.concatenate([[leader], followers, control_rows]))

@@ -18,7 +18,6 @@ from swarmfl.scenario import (
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
-    with_overrides,
 )
 
 
@@ -218,6 +217,10 @@ OUT_OF_RANGE = [
     (("saa", "xtol"), 1.0),
     (("uplink_interference", 0, "distance"), 0.0),
     (("uplink_interference", 1, "power"), -1.0),
+    (("uplink_interference", 2, "gain_product"), -1.0),
+    (("uplink_interference", 0, "active_prob"), -0.5),
+    (("downlink_interference", 1, "distance"), -3.0),
+    (("downlink_interference", 2, "power"), -1.0),
     (("downlink_interference", 2, "gain_product"), -1.0),
     (("downlink_interference", 0, "active_prob"), 1.5),
     (("epsilon_fracs", 1), 1.0),
@@ -248,6 +251,34 @@ class TestBounds:
         name = json_name(path)
         assert any(e.startswith(f"{name} must") for e in err.value.errors), err.value.errors
 
+    def test_every_bounded_field_is_covered(self):
+        def bounded(cls, prefix):
+            for f in fields(cls):
+                tp = get_type_hints(cls)[f.name]
+                key = "round_time" if f.name == "round_time_s" else f.name
+                if tp is InterferenceField:
+                    yield from bounded(Interferer, f"{prefix}{key}.")
+                elif is_dataclass(tp):
+                    yield from bounded(tp, f"{prefix}{key}.")
+                elif "bound" in f.metadata:
+                    yield prefix + key
+
+        covered = {".".join(p for p in path if isinstance(p, str)) for path, _ in OUT_OF_RANGE}
+        assert set(bounded(SwarmScenario, "")) <= covered
+
+    @pytest.mark.parametrize("path", [("p_max",), ("flight", "mass"), ("distances", 0),
+                                      ("control", "tau", 4), ("uplink_interference", 2, "distance")])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_rejected(self, path, value):
+        raw = scenario_to_dict(SwarmScenario())
+        node = raw
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(raw)
+        assert err.value.errors == [f"{json_name(path)} must be finite"]
+
 
 class TestPerFollowerDefaults:
     def test_defaults_follow_follower_count(self):
@@ -275,12 +306,6 @@ class TestUnitAliases:
 
 
 class TestOverrides:
-    def test_with_overrides_revalidates(self, default_scenario):
-        s = with_overrides(default_scenario, mc_runs=7)
-        assert s.mc_runs == 7
-        with pytest.raises(ValueError):
-            with_overrides(default_scenario, round_time_s=-1.0)
-
     def test_follower_distances_array(self, default_scenario):
         d = default_scenario.follower_distances()
         assert isinstance(d, np.ndarray)

@@ -1,9 +1,8 @@
 """Seed derivation: stable, collision-averse child seeds per sub-task."""
 
-import numpy as np
 import pytest
 
-from swarmfl.seeds import derive_rng, derive_seed
+from swarmfl.seeds import derive_seed
 
 
 def test_same_path_same_seed():
@@ -28,12 +27,6 @@ def test_string_and_int_parts_distinct():
 def test_seed_fits_in_64_bits():
     s = derive_seed(2**80, "x", 999999)
     assert 0 <= s < 2**64
-
-
-def test_rng_matches_manual_seeding():
-    direct = np.random.default_rng(derive_seed(5, "draws", 0)).random(4)
-    helper = derive_rng(5, "draws", 0).random(4)
-    assert np.array_equal(direct, helper)
 
 
 def test_bad_path_part_rejected():
