@@ -12,6 +12,7 @@ from .channel import (
     Interferer,
     InterferenceField,
     RadioParams,
+    ScenarioSamples,
     antenna_gain_exact,
     antenna_gain_sectionalized,
     draw_channel,
@@ -55,7 +56,6 @@ from .fl import (
 )
 from .saa import (
     NoFeasibleDesignError,
-    ScenarioSamples,
     SmoothingConfig,
     SolveReport,
     baseline_design,

@@ -27,6 +27,7 @@ __all__ = [
     "Interferer",
     "InterferenceField",
     "ChannelDraw",
+    "ScenarioSamples",
     "antenna_gain_exact",
     "antenna_gain_sectionalized",
     "rician_power_fading",
@@ -280,15 +281,14 @@ def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.
 
     Returns (c_up, c_dn), each shaped like draw.fading_up, such that the
     uplink SINR of follower i at power p_i is p_i * c_up[..., i] and the
-    downlink SINR at leader power p_L is p_L * c_dn[..., i].  Everything in
-    these coefficients is fixed once the draw is fixed, so design search
-    can reuse them.
+    downlink SINR at leader power p_L is p_L * c_dn[..., i].
     """
     return _kernels(_sinr_parts(draw, scenario), scenario.radio)
 
 
-def _delay(pkt_bits: float, bandwidth: float, sinr: np.ndarray) -> np.ndarray:
-    rate = bandwidth * np.log2(1.0 + sinr)
+def _delay(pkt_bits: float, bandwidth: float, sinr) -> np.ndarray:
+    """Link delay [s] of a packet at the given SINR; inf where the rate is zero."""
+    rate = bandwidth * np.log1p(sinr) / np.log(2.0)
     with np.errstate(divide="ignore"):
         return np.where(rate > 0.0, pkt_bits / np.maximum(rate, 1e-300), np.inf)
 
@@ -296,9 +296,7 @@ def _delay(pkt_bits: float, bandwidth: float, sinr: np.ndarray) -> np.ndarray:
 def _kernel_delays(c_up, c_dn, design: "DesignVector", scenario: "SwarmScenario"):
     p = np.asarray(design.p, dtype=float)
     if p.shape != (scenario.n_followers,):
-        raise ValueError(
-            f"design.p has shape {p.shape}, expected ({scenario.n_followers},)"
-        )
+        raise ValueError(f"design.p has shape {p.shape}, expected ({scenario.n_followers},)")
     if np.any(p <= 0.0) or design.p_leader <= 0.0:
         raise ValueError("transmit powers must be positive")
     t_up = _delay(scenario.radio.pkt_local, scenario.radio.bw_up, p * c_up)
@@ -320,11 +318,60 @@ def success_mask(t_up: np.ndarray, t_dn: np.ndarray, beta: float, round_time: fl
     return (t_up <= beta * round_time) & (t_dn <= (1.0 - beta) * round_time)
 
 
+@dataclass(frozen=True)
+class ScenarioSamples:
+    """The SINR parts of K frozen channel draws, read by every design scored on them.
+
+    A design only rescales the SINR-per-watt kernels: uplink SINR of
+    follower i in sample k is p_i * c_up[k, i], downlink p_L * c_dn[k, i].
+    A point that differs from the drawn scenario only in its link
+    bandwidths, which draw_channel never reads, is read off the same draws.
+    """
+
+    scenario: "SwarmScenario"
+    parts: tuple  # bandwidth-free (num_up, interf_up, num_dn, interf_dn), see _sinr_parts
+    c_up: np.ndarray  # (K, I) kernels at the scenario's own bandwidths
+    c_dn: np.ndarray  # (K, I)
+
+    @staticmethod
+    def generate(scenario: "SwarmScenario", samples_k: int, rng_seed: int) -> "ScenarioSamples":
+        """samples_k draws from a generator seeded with rng_seed."""
+        if samples_k < 1:
+            raise ValueError("samples_k must be >= 1")
+        draws = draw_channel(scenario, np.random.default_rng(rng_seed), size=samples_k)
+        parts = _sinr_parts(draws, scenario)
+        return ScenarioSamples(scenario, parts, *_kernels(parts, scenario.radio))
+
+    @property
+    def k(self) -> int:
+        return self.c_up.shape[0]
+
+    def kernels(self, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+        """(c_up, c_dn), the SINR per watt of every link under radio's bandwidths."""
+        if radio == self.scenario.radio:
+            return self.c_up, self.c_dn
+        return _kernels(self.parts, radio)
+
+    def _masks(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
+        t_up, t_dn = _kernel_delays(*self.kernels(point.radio), design, point)
+        return success_mask(t_up, t_dn, design.beta, point.round_time_s)
+
+    def success_probs(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
+        """Per-follower participation frequency of design at point, shape (I,)."""
+        _require_same_draws(self.scenario, [point])
+        return self._masks(design, point).mean(axis=0)
+
+
+def _require_same_draws(scenario: "SwarmScenario", points) -> None:
+    """Points read off the draws of scenario may differ from it only in bandwidth."""
+    for point in points:
+        radio = replace(point.radio, bw_up=scenario.radio.bw_up, bw_down=scenario.radio.bw_down)
+        if replace(point, radio=radio) != scenario:
+            raise ValueError("points may differ only in radio.bw_up and radio.bw_down")
+
+
 def participation_masks(
-    points: "list[SwarmScenario]",
-    design: "DesignVector",
-    n_rounds: int,
-    seeds,
+    points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds
 ) -> np.ndarray:
     """Participation indicators of coupled training runs, shape (B, R, T, I).
 
@@ -332,37 +379,23 @@ def participation_masks(
     seeded with seeds[r], so trajectories with the same seed are coupled
     draw-for-draw across scenarios that differ only in jitter variance or
     bandwidth.  The B scenarios in points may differ only in their link
-    bandwidths, which draw_channel never reads: each repetition is drawn
-    once, its bandwidth-free SINR parts are computed once, and its delays
-    are evaluated under every point.
+    bandwidths: each repetition is drawn once and read under every point.
     """
-    first = points[0]
-    for point in points[1:]:
-        radio = replace(point.radio, bw_up=first.radio.bw_up, bw_down=first.radio.bw_down)
-        if replace(point, radio=radio) != first:
-            raise ValueError("points may differ only in radio.bw_up and radio.bw_down")
+    _require_same_draws(points[0], points[1:])
     if n_rounds < 0:
         raise ValueError("n_rounds must be >= 0")
-    out = np.empty((len(points), len(seeds), n_rounds, first.n_followers), dtype=bool)
-    for r, seed in enumerate(seeds):
-        draws = draw_channel(first, np.random.default_rng(seed), size=n_rounds)
-        parts = _sinr_parts(draws, first)
+    out = np.empty((len(points), len(seeds), n_rounds, points[0].n_followers), dtype=bool)
+    for r, seed in enumerate(seeds if n_rounds > 0 else ()):  # zero rounds draw nothing
+        samples = ScenarioSamples.generate(points[0], n_rounds, seed)
         for k, point in enumerate(points):
-            t_up, t_dn = _kernel_delays(*_kernels(parts, point.radio), design, point)
-            out[k, r] = success_mask(t_up, t_dn, design.beta, point.round_time_s)
+            out[k, r] = samples._masks(design, point)
     return out
 
 
-def estimate_success_probs(design: "DesignVector", scenario, n_samples: int, rng_seed: int) -> np.ndarray:
-    """Monte Carlo per-follower participation probabilities, shape (I,).
-
-    The estimate is the mean of n_samples participation masks drawn from
-    one seeded generator.  scenario may also be a list of points that
-    differ only in bandwidth, as in participation_masks; every point is
-    then read off the same draws, shape (B, I).
-    """
+def estimate_success_probs(
+    design: "DesignVector", scenario: "SwarmScenario", n_samples: int, rng_seed: int
+) -> np.ndarray:
+    """Per-follower participation frequency over n_samples seeded draws, shape (I,)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    points = scenario if isinstance(scenario, list) else [scenario]
-    probs = participation_masks(points, design, n_samples, [rng_seed])[:, 0].mean(axis=1)
-    return probs if isinstance(scenario, list) else probs[0]
+    return ScenarioSamples.generate(scenario, n_samples, rng_seed).success_probs(design, scenario)

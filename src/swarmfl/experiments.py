@@ -24,12 +24,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import estimate_success_probs, participation_masks
+from .channel import ScenarioSamples, estimate_success_probs, participation_masks
 from .design import DesignVector
 from .energy import round_energies
 from .fl import run_fl
 from .saa import baseline_design, problem_constants, solve
-from .scenario import ConfigError, SwarmScenario
+from .scenario import ConfigError, SwarmScenario, _value_errors
 from .seeds import derive_seed
 
 __all__ = [
@@ -133,14 +133,6 @@ def _check(errors) -> None:
         raise ConfigError(errors)
 
 
-def _fraction_errors(name, value) -> list[str]:
-    return [] if 0.0 < value < 1.0 else [f"{name} must be in (0, 1), got {value!r}"]
-
-
-def _count_errors(name, value) -> list[str]:
-    return [] if value >= 1 else [f"{name} must be >= 1, got {value!r}"]
-
-
 def _mean_std(values: np.ndarray) -> tuple[float | None, float | None, int]:
     """Mean/stddev over converged entries (-1 marks no crossing)."""
     good = values[values >= 0]
@@ -169,9 +161,9 @@ def experiment_validate_theorem(
     mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
     base_seed = scenario.base_seed if base_seed is None else base_seed
     _check(
-        [err for k, frac in enumerate(eps_fracs) for err in _fraction_errors(f"eps_fracs[{k}]", frac)]
+        _value_errors("eps_fracs", eps_fracs, "in (0, 1)")
         + ([] if eps_fracs else ["eps_fracs must not be empty"])
-        + _count_errors("mc_runs", mc_runs)
+        + _value_errors("mc_runs", mc_runs, ">= 1")
     )
     t_start = time.perf_counter()
 
@@ -258,8 +250,8 @@ def experiment_sweep_sigma(
         for bw in bw_list
     }
     _check(
-        _fraction_errors("eps_frac", eps_frac)
-        + _count_errors("mc_runs", mc_runs)
+        _value_errors("eps_frac", eps_frac, "in (0, 1)")
+        + _value_errors("mc_runs", mc_runs, ">= 1")
         + ([] if points else ["the sigma2 and bandwidth grids must not be empty"])
         + [f"sigma2={s!r}, bw={b!r}: {err}" for (s, b), point in points.items() for err in point.validate()]
     )
@@ -281,10 +273,11 @@ def experiment_sweep_sigma(
         # one channel draw per repetition and jitter variance, read at every bandwidth
         bw_points = [points[(sigma2, bw)] for bw in bw_list]
         masks = participation_masks(bw_points, design, scenario.max_rounds, seeds)
-        bw_probs = estimate_success_probs(
-            design, bw_points, scenario.n_success_samples, derive_seed(base_seed, "ss-probs")
+        samples = ScenarioSamples.generate(
+            bw_points[0], scenario.n_success_samples, derive_seed(base_seed, "ss-probs")
         )
-        for k_bw, (bw, probs) in enumerate(zip(bw_list, bw_probs)):
+        for k_bw, (bw, point) in enumerate(zip(bw_list, bw_points)):
+            probs = samples.success_probs(design, point)
             predicted = problem.predicted_round(probs, eps_sum)
             crossings = _mc_crossings(model, masks[k_bw], [eps_sum / model.n_total])
             emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
@@ -303,6 +296,7 @@ def experiment_sweep_sigma(
                 **_prob_cells(probs),
                 **_design_cells(design),
             )
+        del samples  # so the next draw is not made while this one is held
     result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result
 
@@ -317,9 +311,9 @@ def experiment_compare_designs(
 
     Per bandwidth: one full joint solve, then power-only (random schedule
     split) and scheduling-only (random powers) baselines redrawn
-    n_baseline_draws times.  All designs at one bandwidth are scored with
-    the same success-probability draws, and rounds are predictions from
-    those probabilities.
+    n_baseline_draws times.  All designs at one bandwidth are scored on one
+    frozen channel draw (ScenarioSamples), drawn once per bandwidth, and
+    rounds are predictions from those success probabilities.
     """
     scenario.require_valid()
     base_seed = scenario.base_seed if base_seed is None else base_seed
@@ -328,7 +322,7 @@ def experiment_compare_designs(
         for bw in bw_list
     ]
     _check(
-        _count_errors("n_baseline_draws", n_baseline_draws)
+        _value_errors("n_baseline_draws", n_baseline_draws, ">= 1")
         + [f"bw={bw!r}: {err}" for bw, point in zip(bw_list, points) for err in point.validate()]
     )
     t_start = time.perf_counter()
@@ -344,10 +338,11 @@ def experiment_compare_designs(
     problem = problem_constants(scenario)
     eps_sum = scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
     for k_bw, (bw, point) in enumerate(zip(bw_list, points)):
-        probs_seed = derive_seed(base_seed, "cd-probs", k_bw)
-
         joint, _, _ = solve(point, rng_seed=derive_seed(base_seed, "cd-solve", k_bw))
-        joint_probs = estimate_success_probs(joint, point, point.n_success_samples, probs_seed)
+        samples = ScenarioSamples.generate(
+            point, point.n_success_samples, derive_seed(base_seed, "cd-probs", k_bw)
+        )
+        joint_probs = samples.success_probs(joint, point)
         joint_round = problem.predicted_round(joint_probs, eps_sum)
         result.append(
             experiment="compare-designs",
@@ -365,8 +360,7 @@ def experiment_compare_designs(
             rounds = np.empty(n_baseline_draws)
             for d in range(n_baseline_draws):
                 cand = baseline_design(kind, joint, point, derive_seed(base_seed, "cd-base", kind, k_bw, d))
-                cand_probs = estimate_success_probs(cand, point, point.n_success_samples, probs_seed)
-                rounds[d] = problem.predicted_round(cand_probs, eps_sum)
+                rounds[d] = problem.predicted_round(samples.success_probs(cand, point), eps_sum)
             mean_round = float(rounds.mean())
             reduction = (mean_round - joint_round) / mean_round if mean_round > 0 else 0.0
             result.append(
@@ -379,6 +373,7 @@ def experiment_compare_designs(
                 predicted_round_std=float(rounds.std(ddof=0)),
                 reduction_vs_joint=reduction,
             )
+        del samples  # so the next bandwidth's solve and draw run without this one held
     result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result
 
@@ -397,7 +392,7 @@ def experiment_simulate(
     eps_frac = scenario.epsilon_fracs[0] if eps_frac is None else eps_frac
     mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
     base_seed = scenario.base_seed if base_seed is None else base_seed
-    _check(_fraction_errors("eps_frac", eps_frac) + _count_errors("mc_runs", mc_runs))
+    _check(_value_errors("eps_frac", eps_frac, "in (0, 1)") + _value_errors("mc_runs", mc_runs, ">= 1"))
     t_start = time.perf_counter()
 
     problem = problem_constants(scenario)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from .channel import draw_channel, estimate_success_probs, sinr_coefficients, success_mask
+from .channel import ScenarioSamples, _delay, _kernel_delays, estimate_success_probs, success_mask
 from .convergence import TrainingProblem, training_problem
 from .design import DesignVector
 from .energy import ControlRequirements, EnergyBudget, round_energies
@@ -72,33 +72,6 @@ class SmoothingConfig:
         )
 
 
-@dataclass(frozen=True)
-class ScenarioSamples:
-    """The SINR-per-watt kernels of K frozen channel draws.
-
-    Interferer activity, fading, and antenna jitter are fixed at draw time,
-    so a candidate design only rescales the kernels: uplink SINR of
-    follower i in sample k is p_i * c_up[k, i], downlink p_L * c_dn[k, i].
-    The whole optimization reuses these arrays; nothing random happens
-    inside the solver.
-    """
-
-    c_up: np.ndarray  # (K, I)
-    c_dn: np.ndarray  # (K, I)
-
-    @property
-    def k(self) -> int:
-        return self.c_up.shape[0]
-
-    @staticmethod
-    def generate(scenario: SwarmScenario, samples_k: int, rng_seed: int) -> "ScenarioSamples":
-        if samples_k < 1:
-            raise ValueError("samples_k must be >= 1")
-        draws = draw_channel(scenario, np.random.default_rng(rng_seed), size=samples_k)
-        c_up, c_dn = sinr_coefficients(draws, scenario)
-        return ScenarioSamples(c_up=c_up, c_dn=c_dn)
-
-
 def problem_constants(scenario: SwarmScenario) -> TrainingProblem:
     """The scenario's training problem, built once per follower count and dataset."""
     return training_problem(scenario.n_followers, scenario.dataset)
@@ -114,19 +87,9 @@ def gamma_sigmoid(r, c_bar: float, scale: float = 1.0):
     return expit(c_bar * np.asarray(r, dtype=float) / scale)
 
 
-def _delays(pkt_bits: float, bandwidth: float, power, kernel) -> np.ndarray:
-    """Link delay [s] at SINR power * kernel; inf where the rate is zero."""
-    rate = bandwidth * np.log1p(power * kernel) / np.log(2.0)
-    with np.errstate(divide="ignore"):
-        return np.where(rate > 0.0, pkt_bits / np.maximum(rate, 1e-300), np.inf)
-
-
 def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
     """Per-sample link delays (t_up, t_dn), each (K, I) seconds."""
-    radio = scenario.radio
-    t_up = _delays(radio.pkt_local, radio.bw_up, np.asarray(design.p), samples.c_up)
-    t_dn = _delays(radio.pkt_global, radio.bw_down, design.p_leader, samples.c_dn)
-    return t_up, t_dn
+    return _kernel_delays(samples.c_up, samples.c_dn, design, scenario)
 
 
 def _window_gamma(window: float, delays, smoothing) -> np.ndarray:
@@ -321,12 +284,12 @@ class _CoordinateLagrangian:
         g_up, g_dn = self.g_up, self.g_dn
         if idx is not None and idx < self.n:
             t_up, g_up = t_up.copy(), g_up.copy()
-            t_up[:, idx] = _delays(
-                radio.pkt_local, radio.bw_up, design.p[idx], self.samples.c_up[:, idx]
+            t_up[:, idx] = _delay(
+                radio.pkt_local, radio.bw_up, design.p[idx] * self.samples.c_up[:, idx]
             )
             g_up[:, idx] = _window_gamma(design.beta * round_time, t_up[:, idx], self.smoothing)
         elif idx == self.n:
-            t_dn = _delays(radio.pkt_global, radio.bw_down, design.p_leader, self.samples.c_dn)
+            t_dn = _delay(radio.pkt_global, radio.bw_down, design.p_leader * self.samples.c_dn)
             g_dn = _window_gamma((1.0 - design.beta) * round_time, t_dn, self.smoothing)
             control_rows = _control_rows(t_dn, self.smoothing, self.control)
         elif idx == self.n + 1:

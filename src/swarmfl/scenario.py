@@ -311,8 +311,7 @@ def _bound_errors(obj, path: str) -> list[str]:
     """Values of obj and of its sections outside their field bounds.
 
     Walks the fields as _Reader does (into sections, into each interferer,
-    into each tuple element) and names each value by its JSON key.  Every
-    bounded number must also be finite.
+    into each tuple element) and names each value by its JSON key.
     """
     prefix = f"{path}." if path else ""
     errors = []
@@ -325,13 +324,22 @@ def _bound_errors(obj, path: str) -> list[str]:
         elif is_dataclass(value):
             errors += _bound_errors(value, where)
         elif "bound" in f.metadata:
-            bound, many = f.metadata["bound"], isinstance(value, (tuple, list))
-            for i, x in enumerate(value if many else [value]):
-                name = f"{where}[{i}]" if many else where
-                if isinstance(x, float) and not math.isfinite(x):
-                    errors.append(f"{name} must be finite")
-                elif x is not None and not _BOUNDS[bound](x):
-                    errors.append(f"{name} must be {bound}")
+            errors += _value_errors(where, value, f.metadata["bound"])
+    return errors
+
+
+def _value_errors(name: str, value, bound: str) -> list[str]:
+    """value, or each entry of a tuple or list, outside bound (a key of
+    _BOUNDS), named name or name[i].  Every bounded number must also be
+    finite."""
+    many = isinstance(value, (tuple, list))
+    errors = []
+    for i, x in enumerate(value if many else [value]):
+        where = f"{name}[{i}]" if many else name
+        if isinstance(x, float) and not math.isfinite(x):
+            errors.append(f"{where} must be finite")
+        elif x is not None and not _BOUNDS[bound](x):
+            errors.append(f"{where} must be {bound}")
     return errors
 
 

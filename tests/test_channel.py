@@ -10,12 +10,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmfl.channel import (
     AntennaPattern,
     ChannelDraw,
     Interferer,
     InterferenceField,
+    ScenarioSamples,
     antenna_gain_exact,
     antenna_gain_sectionalized,
     draw_channel,
@@ -152,6 +155,13 @@ class TestFadingAndDraws:
         se = h.std(ddof=1) / math.sqrt(h.size)
         assert abs(h.mean() - 1.0) < 3 * se
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k_factor=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
+    def test_rician_unit_mean_any_k(self, k_factor, seed):
+        h = rician_power_fading(np.random.default_rng(seed), k_factor, 20000)
+        se = h.std(ddof=1) / math.sqrt(h.size)
+        assert abs(h.mean() - 1.0) <= 4 * se
+
     def test_rician_line_of_sight_limit(self):
         rng = np.random.default_rng(7)
         h = rician_power_fading(rng, 1e12, 1000)
@@ -252,6 +262,27 @@ class TestLinkDelays:
         )
         assert wide < near
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(1e-3, 0.5), bw=st.floats(1e4, 1e8), distance=st.floats(1.0, 1000.0),
+        factor=st.floats(1.0, 10.0),
+    )
+    def test_delay_monotone_property(self, default_scenario, p, bw, distance, factor):
+        """More power or bandwidth never slows a link, more distance never
+        speeds it up (up to rounding), with an interferer in the SINR."""
+        interferer = Interferer(distance=300.0, power=1.0, gain_product=0.1, active_prob=1.0)
+        draw = unit_draw(n_up=1, n_down=1)
+
+        def delays(p=p, bw=bw, distance=distance):
+            s = one_follower_scenario(default_scenario, distance, bw, (interferer,))
+            return np.concatenate(link_delays(draw, design_for(s, p=p), s))
+
+        base = delays()
+        slack = base * (1.0 + 1e-12)
+        assert np.all(delays(p=p * factor) <= slack)
+        assert np.all(delays(bw=bw * factor) <= slack)
+        assert np.all(delays(distance=distance * factor) >= base * (1.0 - 1e-12))
+
     def test_nonpositive_power_rejected(self, default_scenario):
         s = one_follower_scenario(default_scenario)
         bad = DesignVector(p=np.array([0.0]), p_leader=0.5, beta=0.5, v=10.0)
@@ -290,11 +321,18 @@ class TestSuccessProbability:
             replace(default_scenario, radio=replace(default_scenario.radio, bw_up=bw, bw_down=bw))
             for bw in (1e6, 2e6, 5e6)
         ]
-        shared = estimate_success_probs(design, points, n_samples=2000, rng_seed=9)
-        assert shared.shape == (3, default_scenario.n_followers)
-        for k, point in enumerate(points):
+        samples = ScenarioSamples.generate(points[0], 2000, 9)
+        for point in points:
+            shared = samples.success_probs(design, point)
+            assert shared.shape == (default_scenario.n_followers,)
             alone = estimate_success_probs(design, point, n_samples=2000, rng_seed=9)
-            assert np.array_equal(shared[k], alone)
+            assert np.array_equal(shared, alone)
+
+    def test_frozen_samples_reject_other_draw_statistics(self, default_scenario):
+        samples = ScenarioSamples.generate(default_scenario, 100, 9)
+        jittered = replace(default_scenario, antenna=replace(default_scenario.antenna, sigma2=0.2))
+        with pytest.raises(ValueError, match="bw_up and radio.bw_down"):
+            samples.success_probs(default_scenario.default_design(), jittered)
 
     def test_sample_count_checked(self, default_scenario):
         with pytest.raises(ValueError, match="n_samples"):

@@ -1,11 +1,15 @@
 """Experiment tables: column layout, CSV bytes, reproducibility."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from swarmfl import channel
+from swarmfl.channel import ScenarioSamples, participation_masks
 from swarmfl.convergence import ROUND_CAP
+from swarmfl.design import DesignVector
 from swarmfl.experiments import (
     ExperimentResult,
     emit_csv,
@@ -15,7 +19,8 @@ from swarmfl.experiments import (
     experiment_sweep_sigma,
     experiment_validate_theorem,
 )
-from swarmfl.saa import problem_constants
+from swarmfl.saa import baseline_design, problem_constants
+from swarmfl.seeds import derive_seed
 
 
 class TestEmitCsv:
@@ -115,12 +120,64 @@ class TestSweepSigma:
         assert row["empirical_mean"] is not None
 
 
+COMPARE_BWS = (1e6, 2e6)
+
+
 @pytest.fixture(scope="module")
-def compare(small_scenario):
-    return experiment_compare_designs(small_scenario, bw_list=(1e6, 2e6), n_baseline_draws=3)
+def compare_draws(small_scenario):
+    """compare-designs at two bandwidths, and the number of draw_channel calls it made.
+
+    draw_channel is counted at every swarmfl module that binds it.
+    """
+    original, calls = channel.draw_channel, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("swarmfl") and getattr(module, "draw_channel", None) is original:
+                mp.setattr(module, "draw_channel", counting)
+        result = experiment_compare_designs(small_scenario, bw_list=COMPARE_BWS, n_baseline_draws=3)
+    return result, len(calls)
+
+
+@pytest.fixture(scope="module")
+def compare(compare_draws):
+    return compare_draws[0]
+
+
+def _design_of(row, n_followers) -> DesignVector:
+    p = np.array([row[f"p_{i + 1}"] for i in range(n_followers)])
+    return DesignVector(p=p, p_leader=row["p_leader"], beta=row["beta"], v=row["v"])
 
 
 class TestCompareDesigns:
+    def test_three_channel_draws_per_bandwidth(self, compare_draws):
+        """saa-samples, opt-probs and cd-probs: the designs do not redraw the channel."""
+        assert compare_draws[1] == 3 * len(COMPARE_BWS)
+
+    def test_designs_scored_on_the_cd_probs_draw(self, compare, small_scenario):
+        n = small_scenario.n_followers
+        for k_bw, bw in enumerate(COMPARE_BWS):
+            point = replace(small_scenario, radio=replace(small_scenario.radio, bw_up=bw, bw_down=bw))
+            seed = derive_seed(small_scenario.base_seed, "cd-probs", k_bw)
+            samples = ScenarioSamples.generate(point, point.n_success_samples, seed)
+            row = compare.rows[3 * k_bw]
+            joint = _design_of(row, n)
+            want = [row[f"success_prob_{i + 1}"] for i in range(n)]
+            assert np.array_equal(samples.success_probs(joint, point), want)
+            designs = [joint] + [
+                baseline_design(kind, joint, point, d)
+                for kind in ("power-only", "scheduling-only") for d in range(3)
+            ]
+            for design in designs:
+                masks = participation_masks([point], design, point.n_success_samples, [seed])
+                assert np.array_equal(
+                    samples.success_probs(design, point), masks[0, 0].mean(axis=0)
+                )
+
     def test_three_kinds_per_bandwidth(self, compare):
         assert len(compare.rows) == 6
         kinds = [r["design_kind"] for r in compare.rows]
