@@ -189,9 +189,13 @@ def rician_power_fading(rng: np.random.Generator, k_factor: float, size) -> np.n
 def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int | None = None) -> ChannelDraw:
     """Draw one (size=None) or a batch of channel realizations.
 
-    The draw order is fixed so that scenarios differing only in jitter
-    variance or bandwidth consume the generator identically, which keeps
-    sweeps over those parameters coupled draw-for-draw.
+    Condition that must hold: the generator is consumed the same way at
+    every jitter variance.  The jitter is sqrt(antenna.sigma2) times the
+    first standard normals drawn, and nothing else drawn depends on sigma2
+    (bandwidth is not read at all).  ScenarioSamples draws once at unit
+    variance and rescales that jitter to read any sigma2 off the same
+    draws, bit for bit as a draw at that sigma2 would give; sweeps over
+    jitter variance or bandwidth are coupled draw-for-draw because of it.
     """
     n_f = scenario.n_followers
     j_up = len(scenario.uplink_interference)
@@ -243,34 +247,33 @@ def _interference_power(field: InterferenceField, fading, active, pathloss_exp, 
     return term.sum(axis=-1)
 
 
-def _sinr_parts(draw: ChannelDraw, scenario: "SwarmScenario"):
-    """The bandwidth-free parts of the SINR kernels of a draw.
+def _jitter_free_parts(draw: ChannelDraw, scenario: "SwarmScenario"):
+    """The parts of a draw's SINR kernels that neither jitter nor bandwidth changes.
 
-    Returns (num_up, interf_up, num_dn, interf_dn): the received signal
-    power per watt and the received interference power of every uplink and
-    downlink.  Only the noise term bw * N0 that sinr_coefficients adds to
-    the interference depends on bandwidth.
+    Returns (faded_up, interf_up, faded_dn, interf_dn): fading times path
+    loss of every uplink and downlink, and the received interference power
+    at each receiver.
     """
     alpha = scenario.radio.pathloss_exp
-    dist = scenario.follower_distances()
-    gain_follower = _gain(scenario, scenario.antenna.theta_init + draw.angle_dev[..., 1:])
-    gain_leader = _gain(scenario, scenario.antenna.theta_init + draw.angle_dev[..., :1])
-    gain_product = gain_follower * gain_leader
-    path = dist ** (-alpha)
-
+    path = scenario.follower_distances() ** (-alpha)
     interf_up = _interference_power(
         scenario.uplink_interference, draw.fading_up_interf, draw.active_up, alpha, per_victim=False
     )
     interf_dn = _interference_power(
         scenario.downlink_interference, draw.fading_down_interf, draw.active_down, alpha, per_victim=True
     )
-    num_up = draw.fading_up * path * gain_product
-    num_dn = draw.fading_down * path * gain_product
-    return num_up, np.asarray(interf_up)[..., None], num_dn, interf_dn
+    return draw.fading_up * path, np.asarray(interf_up)[..., None], draw.fading_down * path, interf_dn
 
 
-def _kernels(parts, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
-    num_up, interf_up, num_dn, interf_dn = parts
+def _signal_power(faded_up, faded_dn, angle_dev, scenario: "SwarmScenario"):
+    """Received signal power per watt of every uplink and downlink under jitter angle_dev."""
+    theta = scenario.antenna.theta_init
+    gain_product = _gain(scenario, theta + angle_dev[..., 1:]) * _gain(scenario, theta + angle_dev[..., :1])
+    return faded_up * gain_product, faded_dn * gain_product
+
+
+def _kernels(num_up, interf_up, num_dn, interf_dn, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
+    """SINR per watt; only the noise term bw * N0 added to the interference reads bandwidth."""
     c_up = num_up / (interf_up + radio.bw_up * radio.noise_psd)
     c_dn = num_dn / (interf_dn + radio.bw_down * radio.noise_psd)
     return c_up, c_dn
@@ -283,7 +286,9 @@ def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.
     uplink SINR of follower i at power p_i is p_i * c_up[..., i] and the
     downlink SINR at leader power p_L is p_L * c_dn[..., i].
     """
-    return _kernels(_sinr_parts(draw, scenario), scenario.radio)
+    faded_up, interf_up, faded_dn, interf_dn = _jitter_free_parts(draw, scenario)
+    num_up, num_dn = _signal_power(faded_up, faded_dn, draw.angle_dev, scenario)
+    return _kernels(num_up, interf_up, num_dn, interf_dn, scenario.radio)
 
 
 def _delay(pkt_bits: float, bandwidth: float, sinr) -> np.ndarray:
@@ -320,40 +325,62 @@ def success_mask(t_up: np.ndarray, t_dn: np.ndarray, beta: float, round_time: fl
 
 @dataclass(frozen=True)
 class ScenarioSamples:
-    """The SINR parts of K frozen channel draws, read by every design scored on them.
+    """K frozen channel draws, read by every design and grid point scored on them.
 
-    A design only rescales the SINR-per-watt kernels: uplink SINR of
+    The draws are made once, through draw_channel at unit jitter variance.
+    A point read off them may differ from the drawn scenario in
+    antenna.sigma2 and in its link bandwidths.  Fading times path loss and
+    the interference powers are kept from the draw; per jitter variance only
+    the antenna gain is recomputed, from sqrt(sigma2) * unit_jitter, which
+    is the product draw_channel forms.  So every point reads exactly the
+    kernels of a draw at its own sigma2 (see draw_channel for the condition
+    this rests on).  A design only rescales the kernels: uplink SINR of
     follower i in sample k is p_i * c_up[k, i], downlink p_L * c_dn[k, i].
-    A point that differs from the drawn scenario only in its link
-    bandwidths, which draw_channel never reads, is read off the same draws.
     """
 
     scenario: "SwarmScenario"
-    parts: tuple  # bandwidth-free (num_up, interf_up, num_dn, interf_dn), see _sinr_parts
-    c_up: np.ndarray  # (K, I) kernels at the scenario's own bandwidths
+    unit_jitter: np.ndarray  # (K, I+1) orientation jitter at unit variance, leader first
+    parts: tuple  # (faded_up, interf_up, faded_dn, interf_dn), see _jitter_free_parts
+    c_up: np.ndarray  # (K, I) kernels at the scenario's own jitter variance and bandwidths
     c_dn: np.ndarray  # (K, I)
+    # the signal power of one jitter variance, the last one read: {sigma2: (num_up, num_dn)}
+    _signal: dict = field(repr=False, compare=False)
 
     @staticmethod
     def generate(scenario: "SwarmScenario", samples_k: int, rng_seed: int) -> "ScenarioSamples":
         """samples_k draws from a generator seeded with rng_seed."""
         if samples_k < 1:
             raise ValueError("samples_k must be >= 1")
-        draws = draw_channel(scenario, np.random.default_rng(rng_seed), size=samples_k)
-        parts = _sinr_parts(draws, scenario)
-        return ScenarioSamples(scenario, parts, *_kernels(parts, scenario.radio))
+        unit = replace(scenario, antenna=replace(scenario.antenna, sigma2=1.0))
+        draws = draw_channel(unit, np.random.default_rng(rng_seed), size=samples_k)
+        faded_up, interf_up, faded_dn, interf_dn = parts = _jitter_free_parts(draws, scenario)
+        sigma2 = scenario.antenna.sigma2
+        num_up, num_dn = signal = _signal_power(
+            faded_up, faded_dn, np.sqrt(sigma2) * draws.angle_dev, scenario
+        )
+        c_up, c_dn = _kernels(num_up, interf_up, num_dn, interf_dn, scenario.radio)
+        return ScenarioSamples(scenario, draws.angle_dev, parts, c_up, c_dn, {sigma2: signal})
 
     @property
     def k(self) -> int:
         return self.c_up.shape[0]
 
-    def kernels(self, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
-        """(c_up, c_dn), the SINR per watt of every link under radio's bandwidths."""
-        if radio == self.scenario.radio:
+    def kernels(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
+        """(c_up, c_dn), the SINR per watt of every link at point's jitter variance and bandwidths."""
+        sigma2 = point.antenna.sigma2
+        if sigma2 == self.scenario.antenna.sigma2 and point.radio == self.scenario.radio:
             return self.c_up, self.c_dn
-        return _kernels(self.parts, radio)
+        faded_up, interf_up, faded_dn, interf_dn = self.parts
+        if sigma2 not in self._signal:
+            self._signal.clear()  # hold one jitter variance's signal at a time
+            self._signal[sigma2] = _signal_power(
+                faded_up, faded_dn, np.sqrt(sigma2) * self.unit_jitter, self.scenario
+            )
+        num_up, num_dn = self._signal[sigma2]
+        return _kernels(num_up, interf_up, num_dn, interf_dn, point.radio)
 
     def _masks(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
-        t_up, t_dn = _kernel_delays(*self.kernels(point.radio), design, point)
+        t_up, t_dn = _kernel_delays(*self.kernels(point), design, point)
         return success_mask(t_up, t_dn, design.beta, point.round_time_s)
 
     def success_probs(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
@@ -363,11 +390,12 @@ class ScenarioSamples:
 
 
 def _require_same_draws(scenario: "SwarmScenario", points) -> None:
-    """Points read off the draws of scenario may differ from it only in bandwidth."""
+    """Points read off the draws of scenario may differ from it only in jitter variance and bandwidth."""
     for point in points:
+        antenna = replace(point.antenna, sigma2=scenario.antenna.sigma2)
         radio = replace(point.radio, bw_up=scenario.radio.bw_up, bw_down=scenario.radio.bw_down)
-        if replace(point, radio=radio) != scenario:
-            raise ValueError("points may differ only in radio.bw_up and radio.bw_down")
+        if replace(point, antenna=antenna, radio=radio) != scenario:
+            raise ValueError("points may differ only in antenna.sigma2, radio.bw_up and radio.bw_down")
 
 
 def participation_masks(
@@ -375,11 +403,13 @@ def participation_masks(
 ) -> np.ndarray:
     """Participation indicators of coupled training runs, shape (B, R, T, I).
 
-    Repetition r draws n_rounds channel realizations from its own generator,
-    seeded with seeds[r], so trajectories with the same seed are coupled
-    draw-for-draw across scenarios that differ only in jitter variance or
-    bandwidth.  The B scenarios in points may differ only in their link
-    bandwidths: each repetition is drawn once and read under every point.
+    Repetition r draws n_rounds channel realizations once, from its own
+    generator seeded with seeds[r], and reads them under each of the B
+    points, which may differ only in jitter variance and link bandwidths
+    (see ScenarioSamples).  Trajectories with the same seed are thus coupled
+    draw-for-draw across the points.  Points that share a jitter variance
+    are cheapest read one after another: the antenna gain is recomputed
+    whenever the variance changes.
     """
     _require_same_draws(points[0], points[1:])
     if n_rounds < 0:

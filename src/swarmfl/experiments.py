@@ -234,10 +234,11 @@ def experiment_sweep_sigma(
 ) -> ExperimentResult:
     """Round counts over an (antenna jitter variance, bandwidth) grid.
 
-    All grid points reuse the same per-repetition seeds and the same
-    success-probability draw seed, so the grid is coupled draw-for-draw and
-    the emitted trends reflect the parameters, not resampling luck.  The
-    bandwidths of one jitter variance are all read off the same draws.
+    The whole grid is read off one ss-probs draw of success-probability
+    samples and, per repetition, one ss-run draw shared by every point
+    (ScenarioSamples and participation_masks), so the grid is coupled
+    draw-for-draw and the emitted trends reflect the parameters, not
+    resampling luck.  Rows follow sigma2_list, then bw_list, repeats kept.
     """
     scenario.require_valid()
     design = scenario.default_design() if design is None else design
@@ -268,35 +269,33 @@ def experiment_sweep_sigma(
     problem = problem_constants(scenario)
     model = problem.model
     eps_sum = eps_frac * problem.initial_loss_sum
-    seeds = _run_seeds(base_seed, "ss-run", mc_runs)
-    for sigma2 in sigma2_list:
-        # one channel draw per repetition and jitter variance, read at every bandwidth
-        bw_points = [points[(sigma2, bw)] for bw in bw_list]
-        masks = participation_masks(bw_points, design, scenario.max_rounds, seeds)
-        samples = ScenarioSamples.generate(
-            bw_points[0], scenario.n_success_samples, derive_seed(base_seed, "ss-probs")
+    keys = [(sigma2, bw) for sigma2 in sigma2_list for bw in bw_list]
+    grid = [points[key] for key in keys]
+    samples = ScenarioSamples.generate(
+        grid[0], scenario.n_success_samples, derive_seed(base_seed, "ss-probs")
+    )
+    probs = [samples.success_probs(design, point) for point in grid]
+    del samples  # scored first, so it is never held together with the grid's masks
+    masks = participation_masks(grid, design, scenario.max_rounds, _run_seeds(base_seed, "ss-run", mc_runs))
+    for (sigma2, bw), point_probs, point_masks in zip(keys, probs, masks):
+        predicted = problem.predicted_round(point_probs, eps_sum)
+        crossings = _mc_crossings(model, point_masks, [eps_sum / model.n_total])
+        emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
+        result.append(
+            experiment="sweep-sigma",
+            schema_version=SCHEMA_VERSION,
+            sigma2=float(sigma2),
+            bandwidth=float(bw),
+            epsilon_frac=eps_frac,
+            epsilon_sum=eps_sum,
+            predicted_round=predicted,
+            empirical_mean=emp_mean,
+            empirical_std=emp_std,
+            mc_runs=mc_runs,
+            n_converged=n_conv,
+            **_prob_cells(point_probs),
+            **_design_cells(design),
         )
-        for k_bw, (bw, point) in enumerate(zip(bw_list, bw_points)):
-            probs = samples.success_probs(design, point)
-            predicted = problem.predicted_round(probs, eps_sum)
-            crossings = _mc_crossings(model, masks[k_bw], [eps_sum / model.n_total])
-            emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
-            result.append(
-                experiment="sweep-sigma",
-                schema_version=SCHEMA_VERSION,
-                sigma2=float(sigma2),
-                bandwidth=float(bw),
-                epsilon_frac=eps_frac,
-                epsilon_sum=eps_sum,
-                predicted_round=predicted,
-                empirical_mean=emp_mean,
-                empirical_std=emp_std,
-                mc_runs=mc_runs,
-                n_converged=n_conv,
-                **_prob_cells(probs),
-                **_design_cells(design),
-            )
-        del samples  # so the next draw is not made while this one is held
     result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result
 
@@ -338,12 +337,13 @@ def experiment_compare_designs(
     problem = problem_constants(scenario)
     eps_sum = scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
     for k_bw, (bw, point) in enumerate(zip(bw_list, points)):
-        joint, _, _ = solve(point, rng_seed=derive_seed(base_seed, "cd-solve", k_bw))
         samples = ScenarioSamples.generate(
             point, point.n_success_samples, derive_seed(base_seed, "cd-probs", k_bw)
         )
-        joint_probs = samples.success_probs(joint, point)
-        joint_round = problem.predicted_round(joint_probs, eps_sum)
+        joint, joint_round, report = solve(
+            point, rng_seed=derive_seed(base_seed, "cd-solve", k_bw), scoring=samples
+        )
+        joint_probs = report.success_probs
         result.append(
             experiment="compare-designs",
             schema_version=SCHEMA_VERSION,

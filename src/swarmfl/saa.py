@@ -411,6 +411,7 @@ def solve(
     rng_seed: int | None = None,
     max_iters: int | None = None,
     method: str = "subgradient",
+    scoring: ScenarioSamples | None = None,
 ) -> tuple[DesignVector, int, SolveReport]:
     """Full design optimization: returns (design, predicted_round, report).
 
@@ -418,10 +419,11 @@ def solve(
     a = step_scale * K), warm-starting each inner maximization from the
     previous iterate; stops early once the multipliers go stationary.  The
     returned design is the unsmoothed-feasible iterate with the best
-    smoothed objective; its round prediction uses fresh Monte Carlo success
-    probabilities, independent of the frozen optimizer samples.  Raises
-    NoFeasibleDesignError when every iterate violates the sample
-    constraints.
+    smoothed objective.  Its success probabilities and round prediction are
+    read off scoring, draws of scenario independent of the frozen optimizer
+    samples; by default a fresh n_success_samples draw seeded from rng_seed
+    and "opt-probs".  Raises NoFeasibleDesignError when every iterate
+    violates the sample constraints.
     """
     scenario.require_valid()
     budgets, control = scenario.energy_budget, scenario.control
@@ -452,9 +454,12 @@ def solve(
     feasible, margins, _ = unsmoothed_feasibility(
         best, samples, scenario, budgets, control, constants
     )
-    probs = estimate_success_probs(
-        best, scenario, scenario.n_success_samples, derive_seed(rng_seed, "opt-probs")
-    )
+    if scoring is None:
+        probs = estimate_success_probs(
+            best, scenario, scenario.n_success_samples, derive_seed(rng_seed, "opt-probs")
+        )
+    else:
+        probs = scoring.success_probs(best, scenario)
     predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
     report.feasible = feasible
     report.margins = margins

@@ -26,6 +26,7 @@ from swarmfl.channel import (
     link_delays,
     participation_masks,
     rician_power_fading,
+    sinr_coefficients,
     success_mask,
 )
 from swarmfl.design import DesignVector
@@ -328,11 +329,44 @@ class TestSuccessProbability:
             alone = estimate_success_probs(design, point, n_samples=2000, rng_seed=9)
             assert np.array_equal(shared, alone)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sigma2=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        bw=st.floats(2e5, 1e7),
+        sectionalized=st.booleans(),
+    )
+    def test_any_jitter_variance_and_bandwidth_read_one_draw(self, default_scenario, sigma2, bw, sectionalized):
+        base = replace(default_scenario, use_sectionalized_gain=sectionalized)
+        point = replace(
+            base,
+            antenna=replace(base.antenna, sigma2=sigma2),
+            radio=replace(base.radio, bw_up=bw, bw_down=bw),
+        )
+        design = base.default_design()
+        samples = ScenarioSamples.generate(base, 300, 9)
+        alone = sinr_coefficients(draw_channel(point, np.random.default_rng(9), size=300), point)
+        for shared, own in zip(samples.kernels(point), alone):
+            assert np.array_equal(shared, own)
+        assert np.array_equal(
+            samples.success_probs(design, point), estimate_success_probs(design, point, 300, 9)
+        )
+        points = [point, base, replace(point, radio=base.radio), point, replace(base, radio=point.radio)]
+        grid = participation_masks(points, design, 40, [3, 4])
+        for k, one in enumerate(points):
+            assert np.array_equal(grid[k], participation_masks([one], design, 40, [3, 4])[0])
+
     def test_frozen_samples_reject_other_draw_statistics(self, default_scenario):
+        design = default_scenario.default_design()
         samples = ScenarioSamples.generate(default_scenario, 100, 9)
-        jittered = replace(default_scenario, antenna=replace(default_scenario.antenna, sigma2=0.2))
-        with pytest.raises(ValueError, match="bw_up and radio.bw_down"):
-            samples.success_probs(default_scenario.default_design(), jittered)
+        other_k = replace(default_scenario, radio=replace(default_scenario.radio, rician_k=3.0))
+        first, *rest = default_scenario.downlink_interference.interferers
+        quieter = replace(
+            default_scenario,
+            downlink_interference=InterferenceField((replace(first, active_prob=0.1), *rest)),
+        )
+        for point in (other_k, quieter):
+            with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
+                samples.success_probs(design, point)
 
     def test_sample_count_checked(self, default_scenario):
         with pytest.raises(ValueError, match="n_samples"):

@@ -1,6 +1,7 @@
 """Experiment tables: column layout, CSV bytes, reproducibility."""
 
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -119,16 +120,40 @@ class TestSweepSigma:
         assert row["predicted_round"] >= 1
         assert row["empirical_mean"] is not None
 
+    @pytest.mark.parametrize(
+        "sigma2_list, bw_list",
+        [((0.05,), (1e6,)), ((0.01, 0.2), (1e6, 5e6)), ((0.05, 0.05, 0.1, 0.0), (2e6, 1e6, 2e6))],
+    )
+    def test_one_draw_per_repetition_for_the_whole_grid(self, small_scenario, sigma2_list, bw_list):
+        """ss-probs once and ss-run once per repetition, not once per jitter variance."""
+        mc_runs = 3
+        with counting_draws() as calls:
+            experiment_sweep_sigma(small_scenario, sigma2_list=sigma2_list, bw_list=bw_list, mc_runs=mc_runs)
+        assert len(calls) == mc_runs + 1
+
+    def test_grid_rows_match_one_jitter_variance_at_a_time(self, small_scenario):
+        """Repeated variances keep their rows and order, and each row equals a sweep of its variance alone."""
+        sigma2_list, bw_list = (0.2, 0.05, 0.05), (1e6, 5e6)
+        res = experiment_sweep_sigma(small_scenario, sigma2_list=sigma2_list, bw_list=bw_list, mc_runs=3)
+        alone = [
+            row
+            for sigma2 in sigma2_list
+            for row in experiment_sweep_sigma(
+                small_scenario, sigma2_list=(sigma2,), bw_list=bw_list, mc_runs=3
+            ).rows
+        ]
+        assert res.rows == alone
+        assert [(r["sigma2"], r["bandwidth"]) for r in res.rows] == [
+            (s, b) for s in sigma2_list for b in bw_list
+        ]
+
 
 COMPARE_BWS = (1e6, 2e6)
 
 
-@pytest.fixture(scope="module")
-def compare_draws(small_scenario):
-    """compare-designs at two bandwidths, and the number of draw_channel calls it made.
-
-    draw_channel is counted at every swarmfl module that binds it.
-    """
+@contextmanager
+def counting_draws():
+    """A list that gains one entry per draw_channel call, at every swarmfl module that binds it."""
     original, calls = channel.draw_channel, []
 
     def counting(*args, **kwargs):
@@ -139,6 +164,13 @@ def compare_draws(small_scenario):
         for name, module in list(sys.modules.items()):
             if name.startswith("swarmfl") and getattr(module, "draw_channel", None) is original:
                 mp.setattr(module, "draw_channel", counting)
+        yield calls
+
+
+@pytest.fixture(scope="module")
+def compare_draws(small_scenario):
+    """compare-designs at two bandwidths, and the number of draw_channel calls it made."""
+    with counting_draws() as calls:
         result = experiment_compare_designs(small_scenario, bw_list=COMPARE_BWS, n_baseline_draws=3)
     return result, len(calls)
 
@@ -154,9 +186,9 @@ def _design_of(row, n_followers) -> DesignVector:
 
 
 class TestCompareDesigns:
-    def test_three_channel_draws_per_bandwidth(self, compare_draws):
-        """saa-samples, opt-probs and cd-probs: the designs do not redraw the channel."""
-        assert compare_draws[1] == 3 * len(COMPARE_BWS)
+    def test_two_channel_draws_per_bandwidth(self, compare_draws):
+        """saa-samples and cd-probs: the solve and the designs do not redraw the channel."""
+        assert compare_draws[1] == 2 * len(COMPARE_BWS)
 
     def test_designs_scored_on_the_cd_probs_draw(self, compare, small_scenario):
         n = small_scenario.n_followers

@@ -349,9 +349,9 @@ class TestParticipationMasks:
             assert np.array_equal(shared[k, 0], fresh)
 
     def test_points_must_share_their_draws(self, default_scenario):
-        jittered = replace(default_scenario, antenna=replace(default_scenario.antenna, sigma2=0.2))
-        with pytest.raises(ValueError, match="bw_up"):
-            participation_masks([default_scenario, jittered], default_scenario.default_design(), 5, [1])
+        other_k = replace(default_scenario, radio=replace(default_scenario.radio, rician_k=3.0))
+        with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
+            participation_masks([default_scenario, other_k], default_scenario.default_design(), 5, [1])
 
 
 class TestDatasetValidation:
