@@ -95,15 +95,16 @@ def _run_command(args) -> int:
     if args.command == "validate-theorem":
         result = experiment_validate_theorem(scenario, eps_fracs=args.eps_fracs)
     elif args.command == "sweep-sigma":
+        # a given but empty grid is passed on, so the experiment rejects it
         kwargs = {}
-        if args.sigma2:
+        if args.sigma2 is not None:
             kwargs["sigma2_list"] = tuple(args.sigma2)
-        if args.bw:
+        if args.bw is not None:
             kwargs["bw_list"] = tuple(args.bw)
         result = experiment_sweep_sigma(scenario, eps_frac=args.eps_frac, **kwargs)
     elif args.command == "compare-designs":
         kwargs = {"n_baseline_draws": args.baseline_draws}
-        if args.bw:
+        if args.bw is not None:
             kwargs["bw_list"] = tuple(args.bw)
         result = experiment_compare_designs(scenario, **kwargs)
     elif args.command == "optimize":

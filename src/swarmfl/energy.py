@@ -150,13 +150,32 @@ def round_energies(design: "DesignVector", t_up, scenario: "SwarmScenario"):
     delay capped at the uplink window (the radio stops transmitting when
     the window closes), so t_up = inf gives each follower's upper bound.
     """
-    t_round = scenario.round_time_s
-    e_fly = flight_power(scenario.flight, design.v) * t_round
-    e_leader = (
+    e_fly = _flight_energy(scenario, design.v)
+    e_work = _follower_work_energies(
+        scenario.follower_training_energies(), np.asarray(design.p), t_up,
+        design.beta * scenario.round_time_s,
+    )
+    return _leader_energy(scenario, design.p_leader, design.beta, e_fly), e_work + e_fly
+
+
+def _flight_energy(scenario: "SwarmScenario", v) -> float:
+    """Energy of flying one round at speed v [J]."""
+    return flight_power(scenario.flight, v) * scenario.round_time_s
+
+
+def _leader_energy(scenario: "SwarmScenario", p_leader, beta, e_fly) -> float:
+    """The leader's round: aggregation, the whole downlink window, flight [J]."""
+    return (
         training_energy_leader(scenario.compute, scenario.radio.pkt_local, scenario.n_followers)
-        + design.p_leader * (1.0 - design.beta) * t_round
+        + p_leader * (1.0 - beta) * scenario.round_time_s
         + e_fly
     )
-    t_tx = np.minimum(t_up, design.beta * t_round)
-    e_followers = scenario.follower_training_energies() + np.asarray(design.p) * t_tx + e_fly
-    return e_leader, e_followers
+
+
+def _follower_work_energies(train, p, t_up, uplink_window):
+    """Follower compute plus upload energy, before flight [J].
+
+    Elementwise in its arguments, so a single follower's column is computed
+    from that follower's entries exactly as the full array is.
+    """
+    return train + p * np.minimum(t_up, uplink_window)

@@ -253,7 +253,8 @@ def experiment_sweep_sigma(
     _check(
         _value_errors("eps_frac", eps_frac, "in (0, 1)")
         + _value_errors("mc_runs", mc_runs, ">= 1")
-        + ([] if points else ["the sigma2 and bandwidth grids must not be empty"])
+        + [f"{name} must not be empty" for name, grid in (("sigma2_list", sigma2_list), ("bw_list", bw_list))
+           if len(grid) == 0]
         + [f"sigma2={s!r}, bw={b!r}: {err}" for (s, b), point in points.items() for err in point.validate()]
     )
     t_start = time.perf_counter()
@@ -322,6 +323,7 @@ def experiment_compare_designs(
     ]
     _check(
         _value_errors("n_baseline_draws", n_baseline_draws, ">= 1")
+        + ([] if len(bw_list) else ["bw_list must not be empty"])
         + [f"bw={bw!r}: {err}" for bw, point in zip(bw_list, points) for err in point.validate()]
     )
     t_start = time.perf_counter()

@@ -24,7 +24,14 @@ from scipy.special import expit
 from .channel import ScenarioSamples, _delay, _kernel_delays, estimate_success_probs, success_mask
 from .convergence import TrainingProblem, training_problem
 from .design import DesignVector
-from .energy import ControlRequirements, EnergyBudget, round_energies
+from .energy import (
+    ControlRequirements,
+    EnergyBudget,
+    _flight_energy,
+    _follower_work_energies,
+    _leader_energy,
+    round_energies,
+)
 from .scenario import SwarmScenario
 from .seeds import derive_seed
 
@@ -82,9 +89,24 @@ def _eps_sum(scenario: SwarmScenario, problem: TrainingProblem) -> float:
     return scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
 
 
-def gamma_sigmoid(r, c_bar: float, scale: float = 1.0):
-    """Smooth indicator surrogate: 1/(1+exp(-c_bar*r/scale))."""
-    return expit(c_bar * np.asarray(r, dtype=float) / scale)
+def gamma_sigmoid(r, c_bar: float, scale: float = 1.0, out: np.ndarray | None = None):
+    """Smooth indicator surrogate: 1/(1+exp(-c_bar*r/scale)).
+
+    With out (a float array shaped like r, r itself allowed) every step
+    runs in out and no temporary is allocated.
+    """
+    z = np.multiply(c_bar, np.asarray(r, dtype=float), out=out)
+    return expit(np.divide(z, scale, out=out), out=out)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0) of a C-contiguous (K, I) array, bit for bit.
+
+    With two or more columns numpy adds the rows in order, and einsum adds
+    them in the same order, faster.  A single column is a one-dimensional
+    reduction, which numpy sums pairwise, so it goes through sum.
+    """
+    return np.einsum("ki->i", a) if a.shape[1] > 1 else a.sum(axis=0)
 
 
 def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
@@ -94,7 +116,8 @@ def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: Swar
 
 def _window_gamma(window: float, delays, smoothing) -> np.ndarray:
     """Smoothed indicator that delays fit a window of the given length [s]."""
-    return gamma_sigmoid(window - delays, smoothing.c_bar, smoothing.delay_scale)
+    r = np.subtract(window, delays)
+    return gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r)
 
 
 def _window_sigmoids(design, samples, smoothing, scenario):
@@ -109,21 +132,27 @@ def _window_sigmoids(design, samples, smoothing, scenario):
     return g_up, g_dn, t_up, t_dn
 
 
-def _objective(both, constants: TrainingProblem) -> float:
-    return float((constants.counts * both).sum())
+def _objective(both, counts) -> float:
+    """Count-weighted sum of the participation product; counts has shape (I,)
+    or is tiled to both's shape, which gives the same products faster."""
+    return float(np.multiply(counts, both).sum())
 
 
 def smoothed_objective(design, samples, smoothing, scenario) -> float:
     """Count-weighted smoothed tally of in-time uploads across all samples."""
     g_up, g_dn, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
-    return _objective(g_up * g_dn, problem_constants(scenario))
+    return _objective(g_up * g_dn, problem_constants(scenario).counts)
 
 
-def _control_rows(t_dn, smoothing, control: ControlRequirements) -> np.ndarray:
-    """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control."""
-    tau = np.asarray(control.tau, dtype=float)
+def _control_rows(t_dn, smoothing, control: ControlRequirements, tau=None) -> np.ndarray:
+    """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control.
+
+    tau defaults to control.tau; a copy tiled to t_dn's shape gives the same
+    rows faster.
+    """
+    r = (np.asarray(control.tau, dtype=float) if tau is None else tau) - t_dn
     return (
-        gamma_sigmoid(tau - t_dn, smoothing.c_bar, smoothing.delay_scale).sum(axis=0)
+        _column_sums(gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r))
         - t_dn.shape[0] * control.xi_control
     )
 
@@ -131,20 +160,34 @@ def _control_rows(t_dn, smoothing, control: ControlRequirements) -> np.ndarray:
 def _constraint_rows(both, t_up, control_rows, design, smoothing, scenario, budgets, constants):
     """Smoothed residual rows from the participation sigmoids, uplink delays
     and precomputed control rows."""
-    k = both.shape[0]
-    rho = min(constants.speed(both.mean(axis=0)), 1.0 - 1e-12)
+    e_leader, e_followers = round_energies(design, t_up, scenario)
+    return _rows(
+        _column_sums(both), e_leader, e_followers, control_rows,
+        smoothing, scenario, budgets, constants, out=e_followers,
+    )
+
+
+def _rows(both_sums, e_leader, e_followers, control_rows, smoothing, scenario, budgets,
+          constants, out):
+    """Smoothed residual rows from their parts.
+
+    both_sums are the column sums of the (K, I) participation sigmoids,
+    e_leader and e_followers the per-round energies, control_rows the
+    finished control rows.  The follower energy sigmoids are computed in
+    out, a (K, I) float array that may be e_followers itself.
+    """
+    k = e_followers.shape[0]
+    rho = min(constants.speed(both_sums / k), 1.0 - 1e-12)
     log_decay = np.log(1.0 - rho)
     # rho too small to move 1 - rho means no participation, so no finite round prediction
     ratio = _eps_sum(scenario, constants) / constants.initial_loss_sum
     phi = np.log(ratio) / log_decay if log_decay < 0.0 else np.inf
-
-    e_leader, e_followers = round_energies(design, t_up, scenario)
     c_bar, e_scale = smoothing.c_bar, smoothing.energy_scale
 
     leader_row = k * gamma_sigmoid(budgets.e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
+    energy_args = np.subtract(budgets.e_bar, np.multiply(phi, e_followers, out=out), out=out)
     follower_rows = (
-        gamma_sigmoid(budgets.e_bar - phi * e_followers, c_bar, e_scale).sum(axis=0)
-        - k * budgets.xi_follower
+        _column_sums(gamma_sigmoid(energy_args, c_bar, e_scale, out=out)) - k * budgets.xi_follower
     )
     return np.concatenate([[leader_row], follower_rows, control_rows])
 
@@ -209,6 +252,16 @@ def unsmoothed_feasibility(
     return bool(np.all(margins >= 0.0)), margins, phi
 
 
+def _checked_multipliers(lambda_, n_followers: int) -> np.ndarray:
+    """lambda_ as a float array, after checking it holds 2I+1 finite values >= 0."""
+    lam = np.asarray(lambda_, dtype=float)
+    if lam.shape != (2 * n_followers + 1,):
+        raise ValueError(f"multipliers must have shape ({2 * n_followers + 1},), got {lam.shape}")
+    if not np.all((lam >= 0.0) & (lam < np.inf)):  # NaN fails both
+        raise ValueError("multipliers must be finite and nonnegative")
+    return lam
+
+
 def lagrangian(
     design,
     lambda_,
@@ -220,9 +273,7 @@ def lagrangian(
     constants: TrainingProblem | None = None,
 ) -> float:
     """Smoothed objective plus multiplier-weighted smoothed residuals."""
-    lam = np.asarray(lambda_, dtype=float)
-    if np.any(lam < 0.0):
-        raise ValueError("multipliers must be nonnegative")
+    lam = _checked_multipliers(lambda_, scenario.n_followers)
     if constants is None:
         constants = problem_constants(scenario)
     g_up, g_dn, t_up, t_dn = _window_sigmoids(design, samples, smoothing, scenario)
@@ -231,23 +282,33 @@ def lagrangian(
         both, t_up, _control_rows(t_dn, smoothing, control),
         design, smoothing, scenario, budgets, constants,
     )
-    return _objective(both, constants) + float(lam @ rows)
+    return _objective(both, constants.counts) + float(lam @ rows)
 
 
 class _CoordinateLagrangian:
     """The Lagrangian at trial points that move one coordinate of a base design.
 
     rebuild(flat) caches the base design's delays, window sigmoids,
-    participation product, objective and control rows; value(idx, x) then
-    recomputes only what coordinate idx (order p_1..p_I, p_L, beta, v)
-    touches: column i of t_up and g_up for p_i, the downlink delays,
-    sigmoids and control rows for p_L, both sigmoids for beta, nothing for
-    v.  rho, phi and the energy rows are always recomputed, since phi
-    couples every column.  Patched columns are computed elementwise exactly
-    as the full arrays are and every reduction runs over the full arrays,
-    so value(idx, x) equals lagrangian() at the trial design bit for bit.
-    inner_maximize rebuilds the cache whenever it accepts a move, so every
-    scalar search starts from the current iterate.
+    participation product with its objective and column sums, control rows,
+    flight energy e_fly, follower compute-plus-upload energies e_work and
+    follower energies e_work + e_fly.  value(idx, x) then recomputes only
+    what coordinate idx (order p_1..p_I, p_L, beta, v) touches:
+
+    - p_i: follower i's uplink delays and window sigmoid, then column i of
+      the product and of e_work + e_fly;
+    - p_L: the downlink delays, g_dn, the product and the control rows;
+    - beta: both window sigmoids, the product, e_work and e_work + e_fly;
+    - v: e_fly and e_work + e_fly.
+
+    The objective and the column sums are recomputed whenever the product
+    changes, and the leader energy on every trial (it is a scalar).  rho,
+    phi and the energy sigmoids are always recomputed, since phi couples
+    every column; that chain runs in one preallocated (K, I) buffer.
+    Patched columns are computed elementwise exactly as the full arrays are,
+    every reduction runs over the full arrays, and lagrangian() builds its
+    rows through the same _rows, so value(idx, x) equals lagrangian() at the
+    trial design bit for bit.  inner_maximize rebuilds the cache whenever it
+    accepts a move, so every scalar search starts from the current iterate.
     """
 
     def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants):
@@ -259,48 +320,71 @@ class _CoordinateLagrangian:
         self.control = control
         self.constants = constants
         self.n = scenario.n_followers
+        # per-follower constants tiled to (K, I): same elementwise results as
+        # broadcasting, without numpy's short inner loops
+        self.shape = (samples.k, self.n)
+        self.counts = np.broadcast_to(constants.counts, self.shape).copy()
+        self.tau = np.broadcast_to(np.asarray(control.tau, dtype=float), self.shape).copy()
+        self.train = np.broadcast_to(scenario.follower_training_energies(), self.shape).copy()
+        self.buf = np.empty(self.shape)
         self.evals = 0
 
     def rebuild(self, flat: np.ndarray) -> None:
-        self.flat = flat.copy()
-        design = DesignVector.from_flat(flat, self.n)
+        design = self.design = DesignVector.from_flat(flat, self.n)
         self.g_up, self.g_dn, self.t_up, self.t_dn = _window_sigmoids(
             design, self.samples, self.smoothing, self.scenario
         )
         self.both = self.g_up * self.g_dn
-        self.obj = _objective(self.both, self.constants)
-        self.control_rows = _control_rows(self.t_dn, self.smoothing, self.control)
+        self.obj = _objective(self.both, self.counts)
+        self.both_sums = _column_sums(self.both)
+        self.control_rows = _control_rows(self.t_dn, self.smoothing, self.control, self.tau)
+        self.e_fly = _flight_energy(self.scenario, design.v)
+        self.p = np.broadcast_to(design.p, self.shape).copy()
+        self.e_work = _follower_work_energies(
+            self.train, self.p, self.t_up, design.beta * self.scenario.round_time_s
+        )
+        self.e_followers = self.e_work + self.e_fly
 
     def value(self, idx: int | None = None, x: float | None = None) -> float:
         """Lagrangian at the base design with coordinate idx set to x
         (at the base design itself when idx is None)."""
         self.evals += 1
-        flat = self.flat.copy()
-        if idx is not None:
-            flat[idx] = x
-        design = DesignVector.from_flat(flat, self.n)
-        t_up, both, obj, control_rows = self.t_up, self.both, self.obj, self.control_rows
+        n, design, smoothing = self.n, self.design, self.smoothing
         radio, round_time = self.scenario.radio, self.scenario.round_time_s
-        g_up, g_dn = self.g_up, self.g_dn
-        if idx is not None and idx < self.n:
-            t_up, g_up = t_up.copy(), g_up.copy()
-            t_up[:, idx] = _delay(
-                radio.pkt_local, radio.bw_up, design.p[idx] * self.samples.c_up[:, idx]
+        p_leader, beta, e_fly = design.p_leader, design.beta, self.e_fly
+        both, control_rows, e_followers = self.both, self.control_rows, self.e_followers
+        if idx is None:
+            pass
+        elif idx < n:
+            x = float(x)
+            t_col = _delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
+            both = both.copy()
+            both[:, idx] = _window_gamma(beta * round_time, t_col, smoothing) * self.g_dn[:, idx]
+            e_followers = e_followers.copy()
+            e_followers[:, idx] = (
+                _follower_work_energies(self.train[:, idx], x, t_col, beta * round_time) + e_fly
             )
-            g_up[:, idx] = _window_gamma(design.beta * round_time, t_up[:, idx], self.smoothing)
-        elif idx == self.n:
-            t_dn = _delay(radio.pkt_global, radio.bw_down, design.p_leader * self.samples.c_dn)
-            g_dn = _window_gamma((1.0 - design.beta) * round_time, t_dn, self.smoothing)
-            control_rows = _control_rows(t_dn, self.smoothing, self.control)
-        elif idx == self.n + 1:
-            g_up = _window_gamma(design.beta * round_time, t_up, self.smoothing)
-            g_dn = _window_gamma((1.0 - design.beta) * round_time, self.t_dn, self.smoothing)
-        if g_up is not self.g_up or g_dn is not self.g_dn:
-            both = g_up * g_dn
-            obj = _objective(both, self.constants)
-        rows = _constraint_rows(
-            both, t_up, control_rows, design, self.smoothing, self.scenario,
-            self.budgets, self.constants,
+        elif idx == n:
+            p_leader = float(x)
+            t_dn = _delay(radio.pkt_global, radio.bw_down, p_leader * self.samples.c_dn)
+            both = self.g_up * _window_gamma((1.0 - beta) * round_time, t_dn, smoothing)
+            control_rows = _control_rows(t_dn, smoothing, self.control, self.tau)
+        elif idx == n + 1:
+            beta = float(x)
+            both = (_window_gamma(beta * round_time, self.t_up, smoothing)
+                    * _window_gamma((1.0 - beta) * round_time, self.t_dn, smoothing))
+            e_followers = (
+                _follower_work_energies(self.train, self.p, self.t_up, beta * round_time) + e_fly
+            )
+        else:
+            e_fly = _flight_energy(self.scenario, float(x))
+            e_followers = self.e_work + e_fly
+        obj, both_sums = self.obj, self.both_sums
+        if both is not self.both:
+            obj, both_sums = _objective(both, self.counts), _column_sums(both)
+        rows = _rows(
+            both_sums, _leader_energy(self.scenario, p_leader, beta, e_fly), e_followers,
+            control_rows, smoothing, self.scenario, self.budgets, self.constants, out=self.buf,
         )
         return obj + float(self.lam @ rows)
 
@@ -333,12 +417,14 @@ def inner_maximize(
     flat in stay put.  Stops when a full cycle improves less than the
     configured relative tolerance, or after the configured cycle cap.
     Returns the design and the achieved value (the dual value at lambda_).
-    The Lagrangian evaluations are added to report.lagrangian_evals when a
-    report is given.
+    When a report is given, the Lagrangian evaluations are added to
+    report.lagrangian_evals, and a row {"inner_cycles": cycles run} is
+    appended to report.iterations for the dual loop to complete.  Raises
+    ValueError unless lambda_ holds 2I+1 finite nonnegative values.
     """
+    lam = _checked_multipliers(lambda_, scenario.n_followers)
     if constants is None:
         constants = problem_constants(scenario)
-    lam = np.asarray(lambda_, dtype=float)
     cfg = scenario.saa
     bounds = _coordinate_bounds(scenario, scenario.n_followers)
     flat = init.as_flat().copy()
@@ -346,7 +432,7 @@ def inner_maximize(
 
     lagr.rebuild(flat)
     j_curr = lagr.value()
-    for _ in range(cfg.max_cycles):
+    for cycles in range(1, cfg.max_cycles + 1):
         j_cycle_start = j_curr
         for idx, (lo, hi) in enumerate(bounds):
             res = minimize_scalar(
@@ -361,6 +447,7 @@ def inner_maximize(
             break
     if report is not None:
         report.lagrangian_evals += lagr.evals
+        report.iterations.append({"inner_cycles": cycles})
     return DesignVector.from_flat(flat, scenario.n_followers), j_curr
 
 
@@ -377,7 +464,9 @@ class _DualState:
 class SolveReport:
     """Trace and outcome of one optimization run.
 
-    lagrangian_evals counts the Lagrangian evaluations of every inner
+    Each row of iterations holds iteration, dual_value, lambda, residuals
+    and inner_cycles, the coordinate-ascent cycles its inner maximization
+    ran.  lagrangian_evals counts the Lagrangian evaluations of every inner
     maximization.  stop_reason is "stationary" (the subgradient multipliers
     stopped moving), "degenerate" (an ellipsoid cut had no direction) or
     "max_iters".
@@ -483,7 +572,7 @@ def _solve_subgradient(scenario, budgets, control, samples, smoothing, constants
         )
         _track_feasible(state, design, samples, smoothing, scenario, budgets, control, constants)
         new_lambda = np.maximum(0.0, state.lambda_ - (step_a / np.sqrt(t)) * residuals)
-        report.iterations.append(
+        report.iterations[-1].update(  # the row inner_maximize opened
             {
                 "iteration": t,
                 "dual_value": dual_value,
@@ -527,7 +616,7 @@ def _solve_ellipsoid(scenario, budgets, control, samples, smoothing, constants, 
                 design, samples, smoothing, scenario, budgets, control, constants
             )
             _track_feasible(state, design, samples, smoothing, scenario, budgets, control, constants)
-            report.iterations.append(
+            report.iterations[-1].update(  # the row inner_maximize opened
                 {
                     "iteration": t,
                     "dual_value": dual_value,

@@ -216,6 +216,20 @@ class TestFailureModes:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, field", [
+        (["sweep-sigma", "--sigma2", ""], "sigma2_list"),
+        (["sweep-sigma", "--bw", ","], "bw_list"),
+        (["compare-designs", "--bw", ""], "bw_list"),
+        (["validate-theorem", "--eps-fracs", ""], "eps_fracs"),
+    ])
+    def test_empty_grid_rejected(self, config_path, tmp_path, capsys, args, field):
+        """A grid given empty is an error, not a request for the default grid."""
+        out = tmp_path / "x.csv"
+        code = main(args + ["--config", str(config_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"{field} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_infeasible_design_problem(self, config_path, tmp_path, capsys):
         cfg = json.loads(config_path.read_text(encoding="utf-8"))
         cfg["energy_budget"] = {"e_bar": 1e-6}

@@ -319,6 +319,23 @@ class TestLagrangian:
                 one_scenario, one_scenario.energy_budget, one_scenario.control,
             )
 
+    @pytest.mark.parametrize("lam, match", [
+        ([0.1, -1.0, 0.0], "finite and nonnegative"),
+        ([0.1, np.nan, 0.0], "finite and nonnegative"),
+        ([0.1, np.inf, 0.0], "finite and nonnegative"),
+        ([0.1, 0.2], r"shape \(3,\)"),
+        ([[0.1, 0.2, 0.3]], r"shape \(3,\)"),
+    ], ids=["negative", "nan", "inf", "short", "two-dimensional"])
+    def test_bad_multipliers_rejected_by_both_entry_points(self, one_scenario, one_samples, lam, match):
+        """One check guards lagrangian and inner_maximize: 2I+1 finite values >= 0."""
+        args = (one_samples, SmoothingConfig.from_scenario(one_scenario), one_scenario,
+                one_scenario.energy_budget, one_scenario.control)
+        design = one_scenario.default_design()
+        with pytest.raises(ValueError, match=match):
+            lagrangian(design, np.array(lam), *args)
+        with pytest.raises(ValueError, match=match):
+            inner_maximize(np.array(lam), *args, design)
+
 
 class TestInnerMaximize:
     def test_never_worse_than_start(self, one_scenario, one_samples):
@@ -437,6 +454,60 @@ class TestCoordinateLagrangian:
         assert evaluator.value() == want
         assert evaluator.value(n + 2, flat[n + 2]) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        k=st.sampled_from([1, 2, 3, 17, 64]),
+        sectionalized=st.booleans(),
+        e_bar=st.sampled_from([350.0, 510.0, 7000.0]),
+        lam=st.lists(st.floats(0.0, 1e7), min_size=11, max_size=11),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.integers(0, 7), st.floats(0.0, 1.0), st.booleans()),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_trials_equal_lagrangian_bit_for_bit(self, default_scenario, n, k, sectionalized,
+                                                 e_bar, lam, seed, steps):
+        """Any mix of trials and rebuilds: each trial equals lagrangian() at the
+        trial design under ==, and the base value never moves between rebuilds.
+        Budgets of 350 and 510 J keep the energy sigmoids off their plateau."""
+        from swarmfl.saa import _coordinate_bounds, _CoordinateLagrangian
+
+        scenario = replace(
+            default_scenario,
+            n_followers=n,
+            distances=tuple(np.linspace(50.0, 80.0, n)),
+            control=ControlRequirements(tau=(0.05,) * n),
+            use_sectionalized_gain=sectionalized,
+            energy_budget=EnergyBudget(e_bar=e_bar),
+        ).require_valid()
+        lam = np.array(lam[: 2 * n + 1])
+        constants = problem_constants(scenario)
+        args = (ScenarioSamples.generate(scenario, k, seed), SmoothingConfig.from_scenario(scenario),
+                scenario, scenario.energy_budget, scenario.control)
+        bounds = _coordinate_bounds(scenario, n)
+        rng = np.random.default_rng(seed)
+        flat = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+        evaluator = _CoordinateLagrangian(lam, *args, constants)
+        evaluator.rebuild(flat)
+        base = lagrangian(DesignVector.from_flat(flat, n), lam, *args, constants)
+        assert evaluator.value() == base
+        for pick, u, accept in steps:
+            idx = pick % (n + 3)
+            lo, hi = bounds[idx]
+            x = lo + u * (hi - lo)
+            trial = flat.copy()
+            trial[idx] = x
+            want = lagrangian(DesignVector.from_flat(trial, n), lam, *args, constants)
+            if accept:
+                flat = trial
+                evaluator.rebuild(flat)
+                base = want
+            else:
+                assert evaluator.value(idx, x) == want, (idx, x)
+            assert evaluator.value() == base
+
     def test_inner_maximize_never_calls_lagrangian(self, one_scenario, one_samples, monkeypatch):
         import swarmfl.saa as saa
 
@@ -499,6 +570,7 @@ class TestSolve:
         _, rounds, report = solve(default_scenario, method="ellipsoid", max_iters=5)
         trace = report.dual_trace()
         assert trace[-1] < trace[0]
+        assert all(row["inner_cycles"] >= 1 for row in report.iterations)
         assert report.feasible
         assert rounds == 59
 
@@ -517,6 +589,10 @@ class TestSolve:
         _, _, slack = solve(default_scenario)
         assert (slack.stop_reason, len(slack.iterations)) == ("stationary", 2)
         assert slack.lagrangian_evals == len(calls) > 0
+        # the second inner maximization restarts at the first one's answer, same lambda
+        assert [row["inner_cycles"] for row in slack.iterations] == [2, 1]
+        assert set(slack.iterations[0]) == {"iteration", "dual_value", "lambda", "residuals",
+                                            "inner_cycles"}
         # the design-solve budget: the energy rows bind and lambda moves
         calls.clear()
         binding = replace(default_scenario, energy_budget=EnergyBudget(e_bar=510.0))
@@ -525,6 +601,10 @@ class TestSolve:
         assert len(bound.iterations) > 2
         assert max(np.linalg.norm(row["lambda"]) for row in bound.iterations) > 0.0
         assert bound.lagrangian_evals == len(calls) > slack.lagrangian_evals
+        # lambda = 0 at iteration 1 makes its inner problem the slack one
+        cycles = [row["inner_cycles"] for row in bound.iterations]
+        assert cycles[0] == 2
+        assert all(1 <= c <= default_scenario.saa.max_cycles for c in cycles)
         _, _, capped = solve(binding, max_iters=3)
         assert capped.stop_reason == "max_iters"
 
@@ -565,6 +645,17 @@ class TestBaselines:
         with pytest.raises(ValueError):
             baseline_design("antenna-only", default_scenario.default_design(),
                             default_scenario, rng_seed=0)
+
+
+class TestColumnSums:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2500), i=st.integers(1, 6),
+           scale=st.sampled_from([1.0, 1e-9, 1e9]))
+    def test_equal_to_numpy_sum_over_rows(self, seed, k, i, scale):
+        from swarmfl.saa import _column_sums
+
+        a = scale * np.random.default_rng(seed).standard_normal((k, i))
+        assert np.array_equal(_column_sums(a), a.sum(axis=0))
 
 
 class TestProblemConstants:
