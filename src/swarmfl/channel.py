@@ -12,7 +12,7 @@ All quantities are SI (seconds, watts, hertz, meters).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -327,7 +327,11 @@ def success_mask(t_up: np.ndarray, t_dn: np.ndarray, beta: float, round_time: fl
 class ScenarioSamples:
     """K frozen channel draws, read by every design and grid point scored on them.
 
-    The draws are made once, through draw_channel at unit jitter variance.
+    The draws are made once, through draw_channel at unit jitter variance:
+    one batch of K (generate), or the kept rows of several batches stacked
+    into K rows (_from_parts, as participation_masks does).  Every kernel,
+    delay and mask is computed row by row, so a row reads the same bits
+    whichever rows it is stacked with.
     A point read off them may differ from the drawn scenario in
     antenna.sigma2 and in its link bandwidths.  Fading times path loss and
     the interference powers are kept from the draw; per jitter variance only
@@ -351,15 +355,17 @@ class ScenarioSamples:
         """samples_k draws from a generator seeded with rng_seed."""
         if samples_k < 1:
             raise ValueError("samples_k must be >= 1")
-        unit = replace(scenario, antenna=replace(scenario.antenna, sigma2=1.0))
-        draws = draw_channel(unit, np.random.default_rng(rng_seed), size=samples_k)
-        faded_up, interf_up, faded_dn, interf_dn = parts = _jitter_free_parts(draws, scenario)
+        draws = draw_channel(_unit_variance(scenario), np.random.default_rng(rng_seed), size=samples_k)
+        return ScenarioSamples._from_parts(scenario, draws.angle_dev, _jitter_free_parts(draws, scenario))
+
+    @staticmethod
+    def _from_parts(scenario: "SwarmScenario", unit_jitter: np.ndarray, parts: tuple) -> "ScenarioSamples":
+        """Samples from the unit-variance jitter and the jitter-free parts of draws of scenario."""
+        faded_up, interf_up, faded_dn, interf_dn = parts
         sigma2 = scenario.antenna.sigma2
-        num_up, num_dn = signal = _signal_power(
-            faded_up, faded_dn, np.sqrt(sigma2) * draws.angle_dev, scenario
-        )
+        num_up, num_dn = signal = _signal_power(faded_up, faded_dn, np.sqrt(sigma2) * unit_jitter, scenario)
         c_up, c_dn = _kernels(num_up, interf_up, num_dn, interf_dn, scenario.radio)
-        return ScenarioSamples(scenario, draws.angle_dev, parts, c_up, c_dn, {sigma2: signal})
+        return ScenarioSamples(scenario, unit_jitter, parts, c_up, c_dn, {sigma2: signal})
 
     @property
     def k(self) -> int:
@@ -398,28 +404,79 @@ def _require_same_draws(scenario: "SwarmScenario", points) -> None:
             raise ValueError("points may differ only in antenna.sigma2, radio.bw_up and radio.bw_down")
 
 
+def _unit_variance(scenario: "SwarmScenario") -> "SwarmScenario":
+    """scenario at jitter variance 1, the variance every ScenarioSamples is drawn at."""
+    return replace(scenario, antenna=replace(scenario.antenna, sigma2=1.0))
+
+
+# Rounds whose SINR parts participation_masks stacks into one ScenarioSamples
+# (4I + 2 floats a round, 22 at five followers), so memory stays flat however
+# many repetitions are read.
+_ROW_BUDGET = 4096
+
+
 def participation_masks(
-    points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds
+    points: "list[SwarmScenario]",
+    design: "DesignVector",
+    n_rounds: int,
+    seeds,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
-    """Participation indicators of coupled training runs, shape (B, R, T, I).
+    """Participation indicators of coupled training runs in rounds [start, stop).
+
+    The shape is (B, R, stop - start, I).
 
     Repetition r draws n_rounds channel realizations once, from its own
     generator seeded with seeds[r], and reads them under each of the B
     points, which may differ only in jitter variance and link bandwidths
     (see ScenarioSamples).  Trajectories with the same seed are thus coupled
-    draw-for-draw across the points.  Points that share a jitter variance
-    are cheapest read one after another: the antenna gain is recomputed
-    whenever the variance changes.
+    draw-for-draw across the points.  stop defaults to n_rounds.  Every
+    repetition draws all n_rounds, so the random stream of a round does not
+    depend on the window; only the window's rounds are turned into kernels,
+    delays and masks, and they equal the same rounds of the full-horizon
+    masks.  Repetitions are stacked, in groups of at most _ROW_BUDGET rounds
+    (at least one repetition), into one ScenarioSamples each group, read
+    once per point.  Points that share a jitter variance are cheapest read
+    one after another: the antenna gain is recomputed whenever the variance
+    changes.
     """
+    if len(points) == 0:
+        raise ValueError("points must not be empty")
     _require_same_draws(points[0], points[1:])
+    stop = n_rounds if stop is None else stop
     if n_rounds < 0:
         raise ValueError("n_rounds must be >= 0")
-    out = np.empty((len(points), len(seeds), n_rounds, points[0].n_followers), dtype=bool)
-    for r, seed in enumerate(seeds if n_rounds > 0 else ()):  # zero rounds draw nothing
-        samples = ScenarioSamples.generate(points[0], n_rounds, seed)
+    if not 0 <= start <= stop <= n_rounds:
+        raise ValueError(f"need 0 <= start <= stop <= n_rounds, got {start}, {stop}, {n_rounds}")
+    scenario, width, n_f = points[0], stop - start, points[0].n_followers
+    out = np.empty((len(points), len(seeds), width, n_f), dtype=bool)
+    if width == 0:
+        return out  # an empty window draws nothing
+    group = max(1, _ROW_BUDGET // width)
+    for first in range(0, len(seeds), group):
+        reps = slice(first, first + group)
+        samples = _stacked_windows(scenario, n_rounds, seeds[reps], start, stop)
         for k, point in enumerate(points):
-            out[k, r] = samples._masks(design, point)
+            out[k, reps] = samples._masks(design, point).reshape(-1, width, n_f)
     return out
+
+
+def _stacked_windows(scenario: "SwarmScenario", n_rounds: int, seeds, start: int, stop: int):
+    """Rounds [start, stop) of n_rounds draws per seed, stacked seed after seed into one ScenarioSamples."""
+    unit = _unit_variance(scenario)
+    width, n_f = stop - start, scenario.n_followers
+    rows = len(seeds) * width
+    unit_jitter = np.empty((rows, n_f + 1))
+    parts = (np.empty((rows, n_f)), np.empty((rows, 1)), np.empty((rows, n_f)), np.empty((rows, n_f)))
+    for r, seed in enumerate(seeds):
+        draw = draw_channel(unit, np.random.default_rng(seed), size=n_rounds)
+        window = ChannelDraw(**{f.name: getattr(draw, f.name)[start:stop] for f in fields(ChannelDraw)})
+        kept = slice(r * width, (r + 1) * width)
+        unit_jitter[kept] = window.angle_dev
+        for stacked, part in zip(parts, _jitter_free_parts(window, scenario)):
+            stacked[kept] = part
+    return ScenarioSamples._from_parts(scenario, unit_jitter, parts)
 
 
 def estimate_success_probs(

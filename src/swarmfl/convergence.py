@@ -77,6 +77,10 @@ class TrainingProblem:
         p = np.asarray(probs, dtype=float)
         if p.shape != self.counts.shape or not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError(f"success probabilities must lie in [0, 1], shape {self.counts.shape}")
+        return self._speed(p)
+
+    def _speed(self, p: np.ndarray) -> float:
+        """speed without its checks, for callers whose p is an (I,) float array in [0, 1] by construction."""
         weighted = float((self.counts * p).sum())
         return weighted * self.mu / (self.counts.sum() * self.lipschitz_u)
 

@@ -107,16 +107,49 @@ def _prob_cells(probs) -> dict:
     return {f"success_prob_{i + 1}": float(p) for i, p in enumerate(probs)}
 
 
-def _mc_crossings(model, masks, eps_means):
+# Rounds of masks every repetition is trained on first; the rest of the round
+# budget is computed only for repetitions still running after them.  At the
+# default scenario runs stop well before (by round 78 at the seeds tried), so
+# each repetition is drawn once there.
+_FIRST_CHUNK = 128
+
+
+def _train(model, points, design, n_rounds, seeds, epsilon):
+    """(FlState, hits) per point of coupled runs trained to the loss gap epsilon.
+
+    Equal to run_fl on participation_masks(points, design, n_rounds, seeds),
+    at the rate-matched step, but masks are computed only for the rounds the
+    runs reach: the first _FIRST_CHUNK rounds of every repetition, then the
+    remaining rounds of the repetitions still running at some point, which
+    are drawn a second time, and those runs are resumed.  A state's masks
+    and loss history stop at the last round computed.
+    """
+    lr = 0.5 / model.lipschitz_u
+    first = min(_FIRST_CHUNK, n_rounds)
+    runs = [
+        run_fl(model, masks, epsilon, lr=lr)
+        for masks in participation_masks(points, design, n_rounds, seeds, 0, first)
+    ]
+    running = np.any([hits < 0 for _, hits in runs], axis=0)
+    if first == n_rounds or not running.any():
+        return runs
+    reps = np.flatnonzero(running)
+    more = participation_masks(points, design, n_rounds, [seeds[r] for r in reps], first)
+    return [
+        run_fl(model, masks[(hits < 0)[reps]], epsilon, lr=lr, resume=(state, hits))
+        for (state, hits), masks in zip(runs, more)
+    ]
+
+
+def _crossing_rounds(model, state, eps_means):
     """Per-threshold empirical crossing rounds of coupled training runs.
 
-    One trajectory per repetition (masks is (R, T, I)), run to the tightest
-    threshold; all crossings are read off the same trajectory.  Returns an
+    One trajectory per repetition, trained to the tightest threshold (see
+    _train); all crossings are read off the same trajectory.  Returns an
     array of shape (R, len(eps_means)) with -1 for thresholds never reached.
     """
-    state, _ = run_fl(model, masks, min(eps_means), lr=0.5 / model.lipschitz_u)
     gaps = state.loss_history - model.f_star  # NaN once a run has stopped
-    rounds = np.empty((len(masks), len(eps_means)), dtype=int)
+    rounds = np.empty((len(gaps), len(eps_means)), dtype=int)
     for j, theta in enumerate(eps_means):
         below = gaps <= theta
         rounds[:, j] = np.where(below.any(axis=1), below.argmax(axis=1), -1)
@@ -175,10 +208,9 @@ def experiment_validate_theorem(
     )
     eps_sums = [frac * s0 for frac in eps_fracs]
     eps_means = [eps / n_total for eps in eps_sums]
-    masks = participation_masks(
-        [scenario], design, scenario.max_rounds, _run_seeds(base_seed, "vt-run", mc_runs)
-    )[0]
-    crossings = _mc_crossings(model, masks, eps_means)
+    seeds = _run_seeds(base_seed, "vt-run", mc_runs)
+    [(state, _)] = _train(model, [scenario], design, scenario.max_rounds, seeds, min(eps_means))
+    crossings = _crossing_rounds(model, state, eps_means)
 
     columns = (
         ["experiment", "schema_version", "epsilon_frac", "epsilon_sum", "predicted_round",
@@ -277,10 +309,11 @@ def experiment_sweep_sigma(
     )
     probs = [samples.success_probs(design, point) for point in grid]
     del samples  # scored first, so it is never held together with the grid's masks
-    masks = participation_masks(grid, design, scenario.max_rounds, _run_seeds(base_seed, "ss-run", mc_runs))
-    for (sigma2, bw), point_probs, point_masks in zip(keys, probs, masks):
+    eps_mean = eps_sum / model.n_total
+    runs = _train(model, grid, design, scenario.max_rounds, _run_seeds(base_seed, "ss-run", mc_runs), eps_mean)
+    for (sigma2, bw), point_probs, (state, _) in zip(keys, probs, runs):
         predicted = problem.predicted_round(point_probs, eps_sum)
-        crossings = _mc_crossings(model, point_masks, [eps_sum / model.n_total])
+        crossings = _crossing_rounds(model, state, [eps_mean])
         emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
         result.append(
             experiment="sweep-sigma",
@@ -400,10 +433,8 @@ def experiment_simulate(
     problem = problem_constants(scenario)
     model = problem.model
     eps_mean = eps_frac * problem.initial_loss_sum / model.n_total
-    masks = participation_masks(
-        [scenario], design, scenario.max_rounds, _run_seeds(base_seed, "sim-run", mc_runs)
-    )[0]
-    state, hits = run_fl(model, masks, eps_mean, lr=0.5 / model.lipschitz_u)
+    seeds = _run_seeds(base_seed, "sim-run", mc_runs)
+    [(state, hits)] = _train(model, [scenario], design, scenario.max_rounds, seeds, eps_mean)
     rates = state.participation_rates()
     final_gaps = state.loss_history[np.arange(mc_runs), state.rounds] - model.f_star
 

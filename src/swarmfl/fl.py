@@ -260,16 +260,19 @@ def make_regression_problem(
 class FlState:
     """State of R coupled federated training runs, one row per repetition.
 
+    T is the number of rounds whose participation masks were computed, which
+    may be fewer than a run's round budget (see run_fl's resume).
     rounds[r] counts the rounds repetition r executed before it reached its
     loss target (or ran out of participation masks); loss_history[r, t] is
-    F after round t, NaN past rounds[r].
+    F after round t, NaN past rounds[r].  Masks of a repetition past
+    rounds[r] are never read.
     """
 
     global_w: np.ndarray  # (R, dim)
     last_received: np.ndarray  # (R, I, dim) newest global model each follower holds
     rounds: np.ndarray  # (R,) rounds executed
     loss_history: np.ndarray  # (R, T + 1)
-    participation: np.ndarray  # (R, T, I) participation masks the runs drew from
+    participation: np.ndarray  # (R, T, I) participation masks of the rounds computed
 
     @property
     def round(self) -> int:
@@ -339,6 +342,7 @@ def run_fl(
     lr: float | None = None,
     stale_models: bool = True,
     w0: np.ndarray | None = None,
+    resume: "tuple[FlState, np.ndarray] | None" = None,
 ) -> tuple[FlState, np.ndarray]:
     """Run R coupled federated trainings until each loss gap F(w) - F(w*)
     falls below epsilon.
@@ -352,6 +356,12 @@ def run_fl(
     defaults to 1/lipschitz_u; stale_models=False is an idealized ablation
     where every follower always receives the broadcast even in rounds it
     does not contribute to.
+
+    resume continues the (state, hits) an earlier call returned, with the
+    same epsilon and options: participation then holds the next rounds of
+    only the repetitions still running (hits == -1), in order.  The result
+    equals one call on the masks of both calls joined, bit for bit, since
+    every round trains the same repetitions in the same order.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
@@ -362,25 +372,13 @@ def run_fl(
     if step <= 0.0:
         raise ValueError("lr must be > 0")
 
-    n_reps, max_rounds, n_f = ok.shape
-    start = np.zeros(loss.dim) if w0 is None else np.asarray(w0, dtype=float)
-    state = FlState(
-        global_w=np.tile(start, (n_reps, 1)),
-        last_received=np.tile(start, (n_reps, n_f, 1)),
-        rounds=np.zeros(n_reps, dtype=int),
-        loss_history=np.full((n_reps, max_rounds + 1), np.nan),
-        participation=ok,
-    )
-    f_start = loss.global_loss(start)
-    state.loss_history[:, 0] = f_start
-    hits = np.full(n_reps, -1)
-    if f_start - loss.f_star <= epsilon:
-        hits[:] = 0
-        return state, hits
-
-    live = np.arange(n_reps)
-    for t in range(1, max_rounds + 1):
-        mask = ok[live, t - 1]
+    state, hits = _start(loss, ok, epsilon, w0) if resume is None else _resumed(*resume, ok)
+    done = state.participation.shape[1] - ok.shape[1]  # rounds an earlier call ran
+    live = np.flatnonzero(hits < 0)
+    for t in range(done + 1, state.participation.shape[1] + 1):
+        if live.size == 0:
+            break
+        mask = state.participation[live, t - 1]
         received = state.last_received[live]
         _, global_w = train_round(loss, received, state.global_w[live], mask, step)
         state.global_w[live] = global_w
@@ -395,6 +393,38 @@ def run_fl(
         crossed = f_now - loss.f_star <= epsilon
         hits[live[crossed]] = t
         live = live[~crossed]
-        if live.size == 0:
-            break
     return state, hits
+
+
+def _start(loss: QuadraticLossModel, ok: np.ndarray, epsilon: float, w0) -> tuple[FlState, np.ndarray]:
+    """Fresh runs at w0 over masks ok; every hit is 0 if the start already meets epsilon, else -1."""
+    n_reps, max_rounds, n_f = ok.shape
+    start = np.zeros(loss.dim) if w0 is None else np.asarray(w0, dtype=float)
+    state = FlState(
+        global_w=np.tile(start, (n_reps, 1)),
+        last_received=np.tile(start, (n_reps, n_f, 1)),
+        rounds=np.zeros(n_reps, dtype=int),
+        loss_history=np.full((n_reps, max_rounds + 1), np.nan),
+        participation=ok,
+    )
+    f_start = loss.global_loss(start)
+    state.loss_history[:, 0] = f_start
+    hits = np.full(n_reps, 0 if f_start - loss.f_star <= epsilon else -1)
+    return state, hits
+
+
+def _resumed(state: FlState, hits: np.ndarray, more: np.ndarray) -> tuple[FlState, np.ndarray]:
+    """A copy of state widened by the masks more of its still-running repetitions."""
+    live = np.flatnonzero(hits < 0)
+    if len(more) != live.size:
+        raise ValueError(f"resume needs masks of the {live.size} running repetitions, got {len(more)}")
+    n_reps, done, n_f = state.participation.shape
+    participation = np.zeros((n_reps, done + more.shape[1], n_f), dtype=bool)
+    participation[:, :done] = state.participation
+    participation[live, done:] = more
+    loss_history = np.full((n_reps, participation.shape[1] + 1), np.nan)
+    loss_history[:, : done + 1] = state.loss_history
+    widened = FlState(
+        state.global_w.copy(), state.last_received.copy(), state.rounds.copy(), loss_history, participation
+    )
+    return widened, hits.copy()

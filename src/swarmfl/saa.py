@@ -177,7 +177,8 @@ def _rows(both_sums, e_leader, e_followers, control_rows, smoothing, scenario, b
     out, a (K, I) float array that may be e_followers itself.
     """
     k = e_followers.shape[0]
-    rho = min(constants.speed(both_sums / k), 1.0 - 1e-12)
+    # column sums of sigmoid products over K samples: in [0, 1] by construction
+    rho = min(constants._speed(both_sums / k), 1.0 - 1e-12)
     log_decay = np.log(1.0 - rho)
     # rho too small to move 1 - rho means no participation, so no finite round prediction
     ratio = _eps_sum(scenario, constants) / constants.initial_loss_sum

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmfl import channel
 from swarmfl.channel import (
     AntennaPattern,
     ChannelDraw,
@@ -378,6 +379,73 @@ class TestSuccessProbability:
         got = success_mask(t_up, t_dn, beta=0.35, round_time=0.1)
         want = np.array([[True, False], [False, True]])
         assert np.array_equal(got, want)
+
+
+class TestMaskWindows:
+    """participation_masks over a window of rounds, repetitions stacked in row-budget groups."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n_rounds=st.integers(1, 30),
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
+        grid=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(2e5, 1e7)), min_size=1, max_size=3),
+        budget=st.integers(1, 40),
+    )
+    def test_window_equals_rounds_of_full_horizon(self, default_scenario, data, n_rounds, seeds, grid, budget):
+        start = data.draw(st.integers(0, n_rounds), label="start")
+        stop = data.draw(st.integers(start, n_rounds), label="stop")
+        points = [
+            replace(
+                default_scenario,
+                antenna=replace(default_scenario.antenna, sigma2=sigma2),
+                radio=replace(default_scenario.radio, bw_up=bw, bw_down=bw),
+            )
+            for sigma2, bw in grid
+        ]
+        design = default_scenario.default_design()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_ROW_BUDGET", budget)  # groups split mid-list
+            window = participation_masks(points, design, n_rounds, seeds, start, stop)
+            full = participation_masks(points, design, n_rounds, seeds)
+        assert window.shape == (len(points), len(seeds), stop - start, default_scenario.n_followers)
+        assert np.array_equal(window, full[:, :, start:stop, :])
+        for r, seed in enumerate(seeds):  # each repetition's own draw, read alone
+            own = ScenarioSamples.generate(points[0], n_rounds, seed)
+            for k, point in enumerate(points):
+                assert np.array_equal(full[k, r], own._masks(design, point))
+
+    @pytest.mark.parametrize("sectionalized", [False, True])
+    def test_stacked_kernels_equal_each_draws_own(self, default_scenario, sectionalized):
+        """Kernels of stacked windows equal the same rows of each repetition's draw, bit for bit."""
+        base = replace(default_scenario, use_sectionalized_gain=sectionalized)
+        seeds, n_rounds, start, stop = [5, 6, 7], 50, 13, 41
+        stacked = channel._stacked_windows(base, n_rounds, seeds, start, stop)
+        for sigma2, bw in [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)]:
+            antenna, radio = replace(base.antenna, sigma2=sigma2), replace(base.radio, bw_up=bw, bw_down=bw)
+            point = replace(base, antenna=antenna, radio=radio)
+            kernels = stacked.kernels(point)
+            for r, seed in enumerate(seeds):
+                own = ScenarioSamples.generate(base, n_rounds, seed).kernels(point)
+                rows = slice(r * (stop - start), (r + 1) * (stop - start))
+                for got, want in zip(kernels, own):
+                    assert np.array_equal(got[rows], want[start:stop])
+
+    def test_empty_points_rejected(self, default_scenario):
+        with pytest.raises(ValueError, match="points"):
+            participation_masks([], default_scenario.default_design(), 3, [1])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 6)])
+    def test_window_bounds_checked(self, default_scenario, start, stop):
+        with pytest.raises(ValueError, match=r"start <= stop <= n_rounds, got -?\d+, \d+, 5"):
+            participation_masks([default_scenario], default_scenario.default_design(), 5, [1], start, stop)
+
+    def test_empty_window_draws_nothing(self, default_scenario, monkeypatch):
+        calls = []
+        monkeypatch.setattr(channel, "draw_channel", lambda *a, **k: calls.append(1))
+        out = participation_masks([default_scenario], default_scenario.default_design(), 5, [1, 2], 3, 3)
+        assert out.shape == (1, 2, 0, default_scenario.n_followers)
+        assert calls == []
 
 
 class TestValidation:

@@ -90,6 +90,19 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             problem([10], 0.5, 1.0, 10.0).predicted_round([0.5, 0.5], 1.0)
 
+    @pytest.mark.parametrize(
+        "probs", [[1.2, 0.5], [-0.1, 0.5], [np.nan, 0.5], [0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]]
+    )
+    def test_public_entry_points_check_what_the_unchecked_core_skips(self, probs):
+        """speed and predicted_round reject bad shapes and values; _speed (the hot-loop core) equals speed."""
+        prob = problem([10, 30], 0.5, 1.0, 10.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\], shape \(2,\)"):
+            prob.speed(probs)
+        with pytest.raises(ValueError, match=r"\[0, 1\], shape \(2,\)"):
+            prob.predicted_round(probs, 1.0)
+        good = np.array([0.25, 0.75])
+        assert prob._speed(good) == prob.speed(good)
+
     def test_bad_curvature_order(self):
         with pytest.raises(ValueError):
             problem([10], 2.0, 1.0, 10.0)

@@ -11,8 +11,11 @@ from swarmfl import channel
 from swarmfl.channel import ScenarioSamples, participation_masks
 from swarmfl.convergence import ROUND_CAP
 from swarmfl.design import DesignVector
+from swarmfl.fl import run_fl
 from swarmfl.experiments import (
+    _FIRST_CHUNK,
     ExperimentResult,
+    _train,
     emit_csv,
     experiment_compare_designs,
     experiment_optimize,
@@ -258,6 +261,106 @@ class TestSimulate:
         for row in res.rows:
             assert row["empirical_round"] == -1
             assert row["rounds_executed"] == 2
+
+
+def full_horizon(scenario, label, mc_runs, eps_frac, points=None):
+    """Oracle: (problem, [(state, hits)] per point) of run_fl on masks of the whole round budget."""
+    problem = problem_constants(scenario)
+    model = problem.model
+    seeds = [derive_seed(scenario.base_seed, label, rep) for rep in range(mc_runs)]
+    masks = participation_masks(points or [scenario], scenario.default_design(), scenario.max_rounds, seeds)
+    eps_mean = eps_frac * problem.initial_loss_sum / model.n_total
+    return problem, [run_fl(model, m, eps_mean, lr=0.5 / model.lipschitz_u) for m in masks]
+
+
+def crossing_stats(problem, state, eps_frac):
+    """(mean, std, count) of the first rounds whose loss gap meets eps_frac, over the runs that reach it."""
+    theta = eps_frac * problem.initial_loss_sum / problem.model.n_total
+    gaps = state.loss_history - problem.model.f_star
+    hits = np.array([np.flatnonzero(g <= theta)[0] for g in gaps if np.any(g <= theta)])
+    if hits.size == 0:
+        return None, None, 0
+    return float(hits.mean()), float(hits.std(ddof=0)), int(hits.size)
+
+
+def redrawn(hits_per_point):
+    """Repetitions still running after the first chunk at some point: these are drawn a second time."""
+    return int(np.any([(h < 0) | (h > _FIRST_CHUNK) for h in hits_per_point], axis=0).sum())
+
+
+class TestMasksOnlyForRoundsReached:
+    """Training reads masks of its first chunk of rounds, and more only for runs still going after it."""
+
+    MC_RUNS = 12
+
+    @pytest.fixture(scope="class")
+    def late(self, default_scenario):
+        """At seed 5 and a loss target of 5e-4, runs cross after round 128, some past round 155."""
+        return replace(default_scenario, base_seed=5, max_rounds=155).require_valid()
+
+    def test_default_scenario_draws_each_repetition_once(self, default_scenario):
+        with counting_draws() as calls:
+            experiment_validate_theorem(default_scenario, mc_runs=self.MC_RUNS)
+        assert len(calls) == self.MC_RUNS + 1  # vt-probs, then one vt-run draw per repetition
+        with counting_draws() as calls:
+            experiment_simulate(default_scenario, mc_runs=self.MC_RUNS)
+        assert len(calls) == self.MC_RUNS
+
+    def test_simulate_matches_full_horizon(self, late):
+        with counting_draws() as calls:
+            res = experiment_simulate(late, eps_frac=5e-4, mc_runs=self.MC_RUNS)
+        problem, [(state, hits)] = full_horizon(late, "sim-run", self.MC_RUNS, 5e-4)
+        assert np.any(hits > _FIRST_CHUNK) and np.any(hits < 0)  # both kinds of late run occur
+        rates = state.participation_rates()
+        for rep, row in enumerate(res.rows):
+            assert row["empirical_round"] == hits[rep]
+            assert row["rounds_executed"] == state.rounds[rep]
+            final_gap = state.loss_history[rep, state.rounds[rep]] - problem.model.f_star
+            assert row["final_loss_gap"] == float(final_gap)
+            for i in range(late.n_followers):
+                assert row[f"participation_rate_{i + 1}"] == float(rates[rep, i])
+        assert len(calls) == self.MC_RUNS + redrawn([hits]) <= 2 * self.MC_RUNS
+
+    def test_validate_theorem_matches_full_horizon(self, late):
+        eps_fracs = (0.01, 5e-4)
+        with counting_draws() as calls:
+            res = experiment_validate_theorem(late, eps_fracs=eps_fracs, mc_runs=self.MC_RUNS)
+        problem, [(state, hits)] = full_horizon(late, "vt-run", self.MC_RUNS, min(eps_fracs))
+        assert np.any(hits > _FIRST_CHUNK) and np.any(hits < 0)
+        for row, frac in zip(res.rows, eps_fracs):
+            mean, std, count = crossing_stats(problem, state, frac)
+            assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
+        assert len(calls) == 1 + self.MC_RUNS + redrawn([hits]) <= 1 + 2 * self.MC_RUNS
+
+    @pytest.mark.parametrize("sigma2_list", [(0.01, 0.2, 0.4), (0.2,)])
+    def test_sweep_sigma_matches_full_horizon(self, default_scenario, sigma2_list):
+        """Each point resumes its own running repetitions, which need not lead the list."""
+        late = replace(default_scenario, base_seed=5, max_rounds=150).require_valid()
+        eps_frac, mc_runs = 0.012, 10
+        with counting_draws() as calls:
+            res = experiment_sweep_sigma(
+                late, sigma2_list=sigma2_list, bw_list=(1e6,), eps_frac=eps_frac, mc_runs=mc_runs
+            )
+        points = [replace(late, antenna=replace(late.antenna, sigma2=s2)) for s2 in sigma2_list]
+        problem, runs = full_horizon(late, "ss-run", mc_runs, eps_frac, points)
+        all_hits = np.concatenate([hits for _, hits in runs])
+        assert np.any((all_hits > 0) & (all_hits <= _FIRST_CHUNK)) and np.any(all_hits > _FIRST_CHUNK)
+        for row, (state, _) in zip(res.rows, runs):
+            mean, std, count = crossing_stats(problem, state, eps_frac)
+            assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
+        assert len(calls) == 1 + mc_runs + redrawn([hits for _, hits in runs]) <= 1 + 2 * mc_runs
+
+        # the trajectories themselves, not only their crossing rounds
+        seeds = [derive_seed(late.base_seed, "ss-run", rep) for rep in range(mc_runs)]
+        eps_mean = eps_frac * problem.initial_loss_sum / problem.model.n_total
+        trained = _train(problem.model, points, late.default_design(), late.max_rounds, seeds, eps_mean)
+        for (state, hits), (want, want_hits) in zip(trained, runs):
+            width = state.loss_history.shape[1]
+            assert np.array_equal(hits, want_hits)
+            assert np.array_equal(state.rounds, want.rounds)
+            assert np.array_equal(state.loss_history, want.loss_history[:, :width], equal_nan=True)
+            assert np.all(np.isnan(want.loss_history[:, width:]))
+            assert np.array_equal(state.participation_rates(), want.participation_rates())
 
 
 class TestOptimize:

@@ -289,6 +289,42 @@ class TestRunFl:
         assert hits.tolist() == [-1]
         assert state.loss_history.shape == (1, 1)
 
+    def test_resume_equals_one_call_on_joined_masks(self, default_scenario):
+        """Resumes over [0, 30), [30, 69), [69, 70) reproduce one run over 70 rounds, bit for bit."""
+        _, model = default_scenario.build_dataset()
+        masks = masks_for(default_scenario, 70, *range(1, 9))
+        eps = 1e-3 * (model.global_loss(np.zeros(model.dim)) - model.f_star)
+        whole, whole_hits = run_fl(model, masks, eps)
+        # some runs cross in the first 69 rounds, some in round 70, some never
+        assert {69, 70, -1} <= set(whole_hits.tolist())
+        state, hits = run_fl(model, masks[:, :30], eps)
+        for lo, hi in ((30, 69), (69, 70)):
+            state, hits = run_fl(model, masks[hits < 0, lo:hi], eps, resume=(state, hits))
+            assert state.loss_history.shape == (8, hi + 1)
+        assert np.array_equal(hits, whole_hits)
+        assert np.array_equal(state.rounds, whole.rounds)
+        assert np.array_equal(state.loss_history, whole.loss_history, equal_nan=True)
+        assert np.array_equal(state.global_w, whole.global_w)
+        assert np.array_equal(state.last_received, whole.last_received)
+        assert np.array_equal(state.participation_rates(), whole.participation_rates())
+
+    def test_resume_leaves_the_earlier_state_alone(self, default_scenario):
+        _, model = default_scenario.build_dataset()
+        masks = masks_for(default_scenario, 20, 3, 4)
+        first, hits = run_fl(model, masks[:, :10], 1e-12)
+        before = first.loss_history.copy(), first.global_w.copy(), hits.copy()
+        run_fl(model, masks[:, 10:], 1e-12, resume=(first, hits))
+        assert np.array_equal(before[0], first.loss_history, equal_nan=True)
+        assert np.array_equal(before[1], first.global_w)
+        assert np.array_equal(before[2], hits)
+
+    def test_resume_needs_masks_of_the_running_repetitions(self, default_scenario):
+        _, model = default_scenario.build_dataset()
+        masks = masks_for(default_scenario, 20, 3, 4)
+        state, hits = run_fl(model, masks[:, :10], 1e-12)
+        with pytest.raises(ValueError, match="2 running repetitions, got 1"):
+            run_fl(model, masks[:1, 10:], 1e-12, resume=(state, hits))
+
     def test_mask_shape_checked(self, default_problem):
         _, model = default_problem
         with pytest.raises(ValueError, match="participation"):

@@ -1,0 +1,99 @@
+"""Check that two source trees write byte-identical benchmark CSVs.
+
+    python3 tools/csv_identity.py BASE_TREE NEW_TREE --seeds 1,77,4242
+
+Runs the five CLI commands of the benchmark workloads (validate-theorem,
+sweep-sigma and simulate on mc-train, optimize on design-solve and
+compare-designs on design-compare), with the arguments BASE_TREE's
+`perfbench/run.py` gives them, once per seed in each tree, each as
+`python3 -m swarmfl` with that tree's `src/` on PYTHONPATH, and compares
+the sha256 of every CSV.  Both trees read the scenario files of BASE_TREE
+(`perfbench/scenarios/`), so only the program differs.  Prints one line per
+command and seed, and exits 1 on any mismatch or failed command, 2 on an
+unknown command, 0 otherwise.
+
+--only restricts the run to the named commands; --default-scenario runs
+them at the built-in default scenario instead of the workload's file.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def benchmark_commands(tree: str) -> dict:
+    """command -> (workload scenario file, CLI arguments after the command), from tree's perfbench/run.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(tree, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return {
+        argv[0]: (f"{workload}.json", argv[1:])
+        for workload, ops in run.WORKLOADS.items()
+        for _, argv in ops
+    }
+
+
+def csv_hash(tree: str, command: str, args: list, seed: int, out_dir: str) -> str | None:
+    """sha256 of the CSV that command writes at seed from tree's sources; None if it fails."""
+    out = os.path.join(out_dir, f"{command}-{seed}.csv")
+    argv = [sys.executable, "-m", "swarmfl", command, *args, "--seed", str(seed), "--out", out]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        print(f"  {tree}: {command} exited {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
+        return None
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="source tree whose CSVs are the reference")
+    parser.add_argument("new", help="source tree to compare against it")
+    parser.add_argument("--seeds", default="1", help="comma-separated base seeds (default 1)")
+    parser.add_argument("--only", action="append", help="run only this command (repeatable)")
+    parser.add_argument("--default-scenario", action="store_true",
+                        help="run at the built-in default scenario, without --config")
+    args = parser.parse_args(argv)
+    try:
+        args.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
+    if not args.seeds:
+        parser.error("--seeds must name at least one seed")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    commands = benchmark_commands(args.base)
+    unknown = set(args.only or ()) - set(commands)
+    if unknown:
+        print(f"unknown commands {sorted(unknown)}; the benchmark runs {sorted(commands)}", file=sys.stderr)
+        return 2
+    scenarios = os.path.join(os.path.abspath(args.base), "perfbench", "scenarios")
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for command in args.only or commands:
+                config_file, cli_args = commands[command]
+                if not args.default_scenario:
+                    cli_args = cli_args + ["--config", os.path.join(scenarios, config_file)]
+                hashes = []
+                for side, tree in (("base", args.base), ("new", args.new)):
+                    out_dir = os.path.join(tmp, side)
+                    os.makedirs(out_dir, exist_ok=True)
+                    hashes.append(csv_hash(tree, command, cli_args, seed, out_dir))
+                same = hashes[0] is not None and hashes[0] == hashes[1]
+                mismatches += not same
+                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {command}  {hashes[0]}  {hashes[1]}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
