@@ -302,7 +302,7 @@ def _kernel_delays(c_up, c_dn, design: "DesignVector", scenario: "SwarmScenario"
     p = np.asarray(design.p, dtype=float)
     if p.shape != (scenario.n_followers,):
         raise ValueError(f"design.p has shape {p.shape}, expected ({scenario.n_followers},)")
-    if np.any(p <= 0.0) or design.p_leader <= 0.0:
+    if not (np.all(p > 0.0) and design.p_leader > 0.0):  # NaN fails too
         raise ValueError("transmit powers must be positive")
     t_up = _delay(scenario.radio.pkt_local, scenario.radio.bw_up, p * c_up)
     t_dn = _delay(scenario.radio.pkt_global, scenario.radio.bw_down, design.p_leader * c_dn)

@@ -32,7 +32,7 @@ class DesignVector:
         if self.p.ndim != 1:
             errors.append(f"{prefix}.p must be a 1-d array")
             return errors
-        if np.any(self.p <= 0.0) or np.any(self.p > p_max):
+        if not np.all((self.p > 0.0) & (self.p <= p_max)):  # NaN fails too
             errors.append(f"{prefix}.p must lie in (0, p_max={p_max}] per follower")
         if not (0.0 < self.p_leader <= p_max):
             errors.append(f"{prefix}.p_leader must lie in (0, p_max={p_max}]")

@@ -28,7 +28,7 @@ from .channel import ScenarioSamples, estimate_success_probs, participation_mask
 from .design import DesignVector
 from .energy import round_energies
 from .fl import run_fl
-from .saa import baseline_design, problem_constants, solve
+from .saa import _eps_sum, baseline_design, problem_constants, solve
 from .scenario import ConfigError, SwarmScenario, _value_errors
 from .seeds import derive_seed
 
@@ -370,7 +370,7 @@ def experiment_compare_designs(
     result = ExperimentResult("compare-designs", columns)
     # bandwidth leaves the training problem alone: one set of constants serves every point
     problem = problem_constants(scenario)
-    eps_sum = scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
+    eps_sum = _eps_sum(scenario, problem)
     for k_bw, (bw, point) in enumerate(zip(bw_list, points)):
         samples = ScenarioSamples.generate(
             point, point.n_success_samples, derive_seed(base_seed, "cd-probs", k_bw)

@@ -9,6 +9,12 @@ arguments, and the constrained problem by its Lagrangian dual, minimized
 over multipliers with projected subgradient steps (an ellipsoid variant is
 available behind the same interface).
 
+One evaluator, _CoordinateLagrangian, computes a design's smoothed
+quantities (delays, window sigmoids, participation, objective, residual
+rows, energies); the public smoothed functions and every dual iteration
+read an evaluator rebuilt at their design, and the inner maximization
+moves one coordinate of it at a time.
+
 The smoothed problem is a solver device only: the returned design is the
 best iterate that passes the original indicator-based sample constraints,
 and feasibility is always reported against those.
@@ -66,9 +72,9 @@ class SmoothingConfig:
     one sharpness c_bar serves quantities five orders of magnitude apart.
     """
 
-    c_bar: float = 50.0
-    delay_scale: float = 0.1
-    energy_scale: float = 7000.0
+    c_bar: float
+    delay_scale: float
+    energy_scale: float
 
     @staticmethod
     def from_scenario(scenario: SwarmScenario) -> "SmoothingConfig":
@@ -120,51 +126,11 @@ def _window_gamma(window: float, delays, smoothing) -> np.ndarray:
     return gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r)
 
 
-def _window_sigmoids(design, samples, smoothing, scenario):
-    """Window sigmoids and delays (g_up, g_dn, t_up, t_dn), each (K, I).
-
-    g_up * g_dn = Gamma(beta T_r - t_up) * Gamma((1 - beta) T_r - t_dn) is
-    the smoothed participation indicator.
-    """
-    t_up, t_dn = sample_delays(design, samples, scenario)
-    g_up = _window_gamma(design.beta * scenario.round_time_s, t_up, smoothing)
-    g_dn = _window_gamma((1.0 - design.beta) * scenario.round_time_s, t_dn, smoothing)
-    return g_up, g_dn, t_up, t_dn
-
-
-def _objective(both, counts) -> float:
-    """Count-weighted sum of the participation product; counts has shape (I,)
-    or is tiled to both's shape, which gives the same products faster."""
-    return float(np.multiply(counts, both).sum())
-
-
 def smoothed_objective(design, samples, smoothing, scenario) -> float:
     """Count-weighted smoothed tally of in-time uploads across all samples."""
-    g_up, g_dn, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
-    return _objective(g_up * g_dn, problem_constants(scenario).counts)
-
-
-def _control_rows(t_dn, smoothing, control: ControlRequirements, tau=None) -> np.ndarray:
-    """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control.
-
-    tau defaults to control.tau; a copy tiled to t_dn's shape gives the same
-    rows faster.
-    """
-    r = (np.asarray(control.tau, dtype=float) if tau is None else tau) - t_dn
-    return (
-        _column_sums(gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r))
-        - t_dn.shape[0] * control.xi_control
-    )
-
-
-def _constraint_rows(both, t_up, control_rows, design, smoothing, scenario, budgets, constants):
-    """Smoothed residual rows from the participation sigmoids, uplink delays
-    and precomputed control rows."""
-    e_leader, e_followers = round_energies(design, t_up, scenario)
-    return _rows(
-        _column_sums(both), e_leader, e_followers, control_rows,
-        smoothing, scenario, budgets, constants, out=e_followers,
-    )
+    return _CoordinateLagrangian(
+        None, samples, smoothing, scenario, scenario.energy_budget, scenario.control
+    ).rebuild(design.as_flat()).obj
 
 
 def _rows(both_sums, e_leader, e_followers, control_rows, smoothing, scenario, budgets,
@@ -209,13 +175,9 @@ def smoothed_constraints(
     design, so tightening a link budget hurts both the objective and the
     energy slack through the same machinery.
     """
-    if constants is None:
-        constants = problem_constants(scenario)
-    g_up, g_dn, t_up, t_dn = _window_sigmoids(design, samples, smoothing, scenario)
-    return _constraint_rows(
-        g_up * g_dn, t_up, _control_rows(t_dn, smoothing, control),
-        design, smoothing, scenario, budgets, constants,
-    )
+    return _CoordinateLagrangian(
+        None, samples, smoothing, scenario, budgets, control, constants
+    ).rebuild(design.as_flat()).rows()
 
 
 def unsmoothed_feasibility(
@@ -275,25 +237,24 @@ def lagrangian(
 ) -> float:
     """Smoothed objective plus multiplier-weighted smoothed residuals."""
     lam = _checked_multipliers(lambda_, scenario.n_followers)
-    if constants is None:
-        constants = problem_constants(scenario)
-    g_up, g_dn, t_up, t_dn = _window_sigmoids(design, samples, smoothing, scenario)
-    both = g_up * g_dn
-    rows = _constraint_rows(
-        both, t_up, _control_rows(t_dn, smoothing, control),
-        design, smoothing, scenario, budgets, constants,
-    )
-    return _objective(both, constants.counts) + float(lam @ rows)
+    return _CoordinateLagrangian(
+        lam, samples, smoothing, scenario, budgets, control, constants
+    ).rebuild(design.as_flat()).value()
 
 
 class _CoordinateLagrangian:
-    """The Lagrangian at trial points that move one coordinate of a base design.
+    """A design's smoothed quantities, and the Lagrangian at trial points that
+    move one coordinate of it.
 
-    rebuild(flat) caches the base design's delays, window sigmoids,
-    participation product with its objective and column sums, control rows,
-    flight energy e_fly, follower compute-plus-upload energies e_work and
-    follower energies e_work + e_fly.  value(idx, x) then recomputes only
-    what coordinate idx (order p_1..p_I, p_L, beta, v) touches:
+    This is the one place the smoothed problem is evaluated: lagrangian,
+    smoothed_objective, smoothed_constraints and the dual loops all read an
+    evaluator rebuilt at their design.  rebuild(flat) computes the base
+    design's delays, window sigmoids, participation product with its
+    objective obj and column sums, control rows, flight energy e_fly,
+    follower compute-plus-upload energies e_work and follower energies
+    e_work + e_fly.  rows() reads the residual rows at the base design.
+    value(idx, x) recomputes only what coordinate idx (order p_1..p_I, p_L,
+    beta, v) touches:
 
     - p_i: follower i's uplink delays and window sigmoid, then column i of
       the product and of e_work + e_fly;
@@ -305,46 +266,53 @@ class _CoordinateLagrangian:
     changes, and the leader energy on every trial (it is a scalar).  rho,
     phi and the energy sigmoids are always recomputed, since phi couples
     every column; that chain runs in one preallocated (K, I) buffer.
-    Patched columns are computed elementwise exactly as the full arrays are,
-    every reduction runs over the full arrays, and lagrangian() builds its
-    rows through the same _rows, so value(idx, x) equals lagrangian() at the
-    trial design bit for bit.  inner_maximize rebuilds the cache whenever it
-    accepts a move, so every scalar search starts from the current iterate.
+    Patched columns are computed elementwise exactly as the full arrays are
+    and every reduction runs over the full arrays, so value(idx, x) equals
+    value() after a rebuild at the trial design bit for bit.  Only value()
+    counts in evals.  inner_maximize rebuilds whenever it accepts a move, so
+    every scalar search starts from the current iterate.
     """
 
-    def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants):
+    def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants=None):
         self.lam = lam
         self.samples = samples
         self.smoothing = smoothing
         self.scenario = scenario
         self.budgets = budgets
         self.control = control
-        self.constants = constants
+        self.constants = problem_constants(scenario) if constants is None else constants
         self.n = scenario.n_followers
         # per-follower constants tiled to (K, I): same elementwise results as
         # broadcasting, without numpy's short inner loops
         self.shape = (samples.k, self.n)
-        self.counts = np.broadcast_to(constants.counts, self.shape).copy()
+        self.counts = np.broadcast_to(self.constants.counts, self.shape).copy()
         self.tau = np.broadcast_to(np.asarray(control.tau, dtype=float), self.shape).copy()
         self.train = np.broadcast_to(scenario.follower_training_energies(), self.shape).copy()
         self.buf = np.empty(self.shape)
         self.evals = 0
 
-    def rebuild(self, flat: np.ndarray) -> None:
+    def rebuild(self, flat: np.ndarray) -> "_CoordinateLagrangian":
         design = self.design = DesignVector.from_flat(flat, self.n)
-        self.g_up, self.g_dn, self.t_up, self.t_dn = _window_sigmoids(
-            design, self.samples, self.smoothing, self.scenario
-        )
+        round_time = self.scenario.round_time_s
+        self.t_up, self.t_dn = sample_delays(design, self.samples, self.scenario)
+        self.g_up = _window_gamma(design.beta * round_time, self.t_up, self.smoothing)
+        self.g_dn = _window_gamma((1.0 - design.beta) * round_time, self.t_dn, self.smoothing)
         self.both = self.g_up * self.g_dn
-        self.obj = _objective(self.both, self.counts)
-        self.both_sums = _column_sums(self.both)
-        self.control_rows = _control_rows(self.t_dn, self.smoothing, self.control, self.tau)
+        self.obj, self.both_sums = self._tally(self.both)
+        self.control_rows = self._control_rows(self.t_dn)
         self.e_fly = _flight_energy(self.scenario, design.v)
         self.p = np.broadcast_to(design.p, self.shape).copy()
         self.e_work = _follower_work_energies(
-            self.train, self.p, self.t_up, design.beta * self.scenario.round_time_s
+            self.train, self.p, self.t_up, design.beta * round_time
         )
         self.e_followers = self.e_work + self.e_fly
+        return self
+
+    def rows(self) -> np.ndarray:
+        """Smoothed residual rows at the base design, length 2I+1, >= 0 when met."""
+        design = self.design
+        return self._residuals(self.both_sums, design.p_leader, design.beta, self.e_fly,
+                               self.e_followers, self.control_rows)
 
     def value(self, idx: int | None = None, x: float | None = None) -> float:
         """Lagrangian at the base design with coordinate idx set to x
@@ -369,7 +337,7 @@ class _CoordinateLagrangian:
             p_leader = float(x)
             t_dn = _delay(radio.pkt_global, radio.bw_down, p_leader * self.samples.c_dn)
             both = self.g_up * _window_gamma((1.0 - beta) * round_time, t_dn, smoothing)
-            control_rows = _control_rows(t_dn, smoothing, self.control, self.tau)
+            control_rows = self._control_rows(t_dn)
         elif idx == n + 1:
             beta = float(x)
             both = (_window_gamma(beta * round_time, self.t_up, smoothing)
@@ -380,14 +348,28 @@ class _CoordinateLagrangian:
         else:
             e_fly = _flight_energy(self.scenario, float(x))
             e_followers = self.e_work + e_fly
-        obj, both_sums = self.obj, self.both_sums
-        if both is not self.both:
-            obj, both_sums = _objective(both, self.counts), _column_sums(both)
-        rows = _rows(
-            both_sums, _leader_energy(self.scenario, p_leader, beta, e_fly), e_followers,
-            control_rows, smoothing, self.scenario, self.budgets, self.constants, out=self.buf,
-        )
+        obj, both_sums = (self.obj, self.both_sums) if both is self.both else self._tally(both)
+        rows = self._residuals(both_sums, p_leader, beta, e_fly, e_followers, control_rows)
         return obj + float(self.lam @ rows)
+
+    def _tally(self, both) -> tuple[float, np.ndarray]:
+        """Count-weighted sum and column sums of a (K, I) participation product."""
+        return float(np.multiply(self.counts, both).sum()), _column_sums(both)
+
+    def _control_rows(self, t_dn) -> np.ndarray:
+        """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control."""
+        r = np.subtract(self.tau, t_dn)
+        smoothing = self.smoothing
+        return (
+            _column_sums(gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r))
+            - t_dn.shape[0] * self.control.xi_control
+        )
+
+    def _residuals(self, both_sums, p_leader, beta, e_fly, e_followers, control_rows):
+        """Residual rows of a design whose parts these are (see _rows)."""
+        e_leader = _leader_energy(self.scenario, p_leader, beta, e_fly)
+        return _rows(both_sums, e_leader, e_followers, control_rows, self.smoothing,
+                     self.scenario, self.budgets, self.constants, out=self.buf)
 
 
 def _coordinate_bounds(scenario: SwarmScenario, n_followers: int):
@@ -424,15 +406,12 @@ def inner_maximize(
     ValueError unless lambda_ holds 2I+1 finite nonnegative values.
     """
     lam = _checked_multipliers(lambda_, scenario.n_followers)
-    if constants is None:
-        constants = problem_constants(scenario)
     cfg = scenario.saa
     bounds = _coordinate_bounds(scenario, scenario.n_followers)
     flat = init.as_flat().copy()
     lagr = _CoordinateLagrangian(lam, samples, smoothing, scenario, budgets, control, constants)
 
-    lagr.rebuild(flat)
-    j_curr = lagr.value()
+    j_curr = lagr.rebuild(flat).value()
     for cycles in range(1, cfg.max_cycles + 1):
         j_cycle_start = j_curr
         for idx, (lo, hi) in enumerate(bounds):
@@ -450,15 +429,6 @@ def inner_maximize(
         report.lagrangian_evals += lagr.evals
         report.iterations.append({"inner_cycles": cycles})
     return DesignVector.from_flat(flat, scenario.n_followers), j_curr
-
-
-@dataclass
-class _DualState:
-    """Bookkeeping of the outer multiplier iteration."""
-
-    lambda_: np.ndarray
-    best_feasible_primal: DesignVector | None = None
-    best_feasible_objective: float = -np.inf
 
 
 @dataclass
@@ -486,14 +456,47 @@ class SolveReport:
         return np.array([row["dual_value"] for row in self.iterations])
 
 
-def _track_feasible(state, design, samples, smoothing, scenario, budgets, control, constants):
-    feasible, _, _ = unsmoothed_feasibility(design, samples, scenario, budgets, control, constants)
-    if feasible:
-        obj = smoothed_objective(design, samples, smoothing, scenario)
-        if obj > state.best_feasible_objective:
-            state.best_feasible_objective = obj
-            state.best_feasible_primal = design
-    return feasible
+@dataclass
+class _DualState:
+    """The outer multiplier iteration: the sampled problem, the report, the
+    last inner maximizer (the next one's start) and the best
+    unsmoothed-feasible iterate so far."""
+
+    samples: ScenarioSamples
+    smoothing: SmoothingConfig
+    scenario: SwarmScenario
+    constants: TrainingProblem
+    report: SolveReport
+    design: DesignVector
+    best_feasible_primal: DesignVector | None = None
+    best_feasible_objective: float = -np.inf
+
+    def step(self, t: int, lam: np.ndarray) -> np.ndarray:
+        """Dual iteration t at multipliers lam; returns the residuals there.
+
+        Maximizes the Lagrangian from the last maximizer, and reads the
+        residuals (a subgradient of the dual at lam) and the smoothed
+        objective off one evaluator rebuilt at the new maximizer.  Keeps
+        the maximizer if it is the best unsmoothed-feasible iterate so far,
+        and completes the report row inner_maximize opened.
+        """
+        scenario = self.scenario
+        budgets, control = scenario.energy_budget, scenario.control
+        args = (self.samples, self.smoothing, scenario, budgets, control)
+        self.design, dual_value = inner_maximize(
+            lam, *args, self.design, self.constants, self.report
+        )
+        at = _CoordinateLagrangian(lam, *args, self.constants).rebuild(self.design.as_flat())
+        residuals = at.rows()
+        feasible, _, _ = unsmoothed_feasibility(
+            self.design, self.samples, scenario, budgets, control, self.constants
+        )
+        if feasible and at.obj > self.best_feasible_objective:
+            self.best_feasible_objective, self.best_feasible_primal = at.obj, self.design
+        self.report.iterations[-1].update(
+            {"iteration": t, "dual_value": dual_value, "lambda": lam.copy(), "residuals": residuals}
+        )
+        return residuals
 
 
 def solve(
@@ -516,31 +519,27 @@ def solve(
     violates the sample constraints.
     """
     scenario.require_valid()
+    solvers = {"subgradient": _solve_subgradient, "ellipsoid": _solve_ellipsoid}
+    if method not in solvers:
+        raise ValueError(f"unknown method: {method!r}")
     budgets, control = scenario.energy_budget, scenario.control
-    smoothing = SmoothingConfig.from_scenario(scenario)
     rng_seed = scenario.base_seed if rng_seed is None else rng_seed
     max_iters = scenario.saa.max_iters if max_iters is None else max_iters
     constants = problem_constants(scenario)
     samples = ScenarioSamples.generate(
         scenario, scenario.saa.samples_k, derive_seed(rng_seed, "saa-samples")
     )
-
-    if method == "ellipsoid":
-        state, report = _solve_ellipsoid(
-            scenario, budgets, control, samples, smoothing, constants, max_iters
-        )
-    elif method == "subgradient":
-        state, report = _solve_subgradient(
-            scenario, budgets, control, samples, smoothing, constants, max_iters
-        )
-    else:
-        raise ValueError(f"unknown method: {method!r}")
+    state = _DualState(
+        samples, SmoothingConfig.from_scenario(scenario), scenario, constants,
+        SolveReport(method=method), scenario.default_design(),
+    )
+    solvers[method](state, max_iters)
 
     if state.best_feasible_primal is None:
         raise NoFeasibleDesignError(
             "no design satisfied the sample chance constraints; relax e_bar, tau, or xi"
         )
-    best = state.best_feasible_primal
+    best, report = state.best_feasible_primal, state.report
     feasible, margins, _ = unsmoothed_feasibility(
         best, samples, scenario, budgets, control, constants
     )
@@ -558,87 +557,48 @@ def solve(
     return best, predicted, report
 
 
-def _solve_subgradient(scenario, budgets, control, samples, smoothing, constants, max_iters):
-    state = _DualState(lambda_=np.zeros(2 * scenario.n_followers + 1))
-    report = SolveReport(method="subgradient")
-    design = scenario.default_design()
-    step_a = scenario.saa.step_scale * samples.k
+def _solve_subgradient(state: _DualState, max_iters: int) -> None:
+    lam = np.zeros(2 * state.scenario.n_followers + 1)
+    step_a = state.scenario.saa.step_scale * state.samples.k
     for t in range(1, max_iters + 1):
-        design, dual_value = inner_maximize(
-            state.lambda_, samples, smoothing, scenario, budgets, control, design, constants,
-            report,
-        )
-        residuals = smoothed_constraints(
-            design, samples, smoothing, scenario, budgets, control, constants
-        )
-        _track_feasible(state, design, samples, smoothing, scenario, budgets, control, constants)
-        new_lambda = np.maximum(0.0, state.lambda_ - (step_a / np.sqrt(t)) * residuals)
-        report.iterations[-1].update(  # the row inner_maximize opened
-            {
-                "iteration": t,
-                "dual_value": dual_value,
-                "lambda": state.lambda_.copy(),
-                "residuals": residuals.copy(),
-            }
-        )
-        moved = np.linalg.norm(new_lambda - state.lambda_)
-        state.lambda_ = new_lambda
-        if moved <= 1e-12 * (1.0 + np.linalg.norm(state.lambda_)) and t >= 2:
-            report.stop_reason = "stationary"
+        residuals = state.step(t, lam)
+        new_lambda = np.maximum(0.0, lam - (step_a / np.sqrt(t)) * residuals)
+        moved = np.linalg.norm(new_lambda - lam)
+        lam = new_lambda
+        if moved <= 1e-12 * (1.0 + np.linalg.norm(lam)) and t >= 2:
+            state.report.stop_reason = "stationary"
             break
-    return state, report
 
 
-def _solve_ellipsoid(scenario, budgets, control, samples, smoothing, constants, max_iters):
+def _solve_ellipsoid(state: _DualState, max_iters: int) -> None:
     """Ellipsoid method on the dual: center updates along Danskin subgradients.
 
     Multiplier nonnegativity is handled with feasibility cuts.  Kept as an
     alternative to the subgradient default; same tracking of the best
     unsmoothed-feasible primal iterate.
     """
-    n_rows = 2 * scenario.n_followers + 1
-    state = _DualState(lambda_=np.zeros(n_rows))
-    report = SolveReport(method="ellipsoid")
-    radius = 10.0 * scenario.saa.step_scale * samples.k
+    n_rows = 2 * state.scenario.n_followers + 1
+    radius = 10.0 * state.scenario.saa.step_scale * state.samples.k
     center = np.full(n_rows, 0.1 * radius)
     shape = np.eye(n_rows) * radius**2
-    design = scenario.default_design()
     for t in range(1, max_iters + 1):
         if np.any(center < 0.0):
             g = np.zeros(n_rows)
             g[int(np.argmin(center))] = -1.0
-            dual_value = None
         else:
-            design, dual_value = inner_maximize(
-                center, samples, smoothing, scenario, budgets, control, design, constants,
-                report,
-            )
-            g = smoothed_constraints(
-                design, samples, smoothing, scenario, budgets, control, constants
-            )
-            _track_feasible(state, design, samples, smoothing, scenario, budgets, control, constants)
-            report.iterations[-1].update(  # the row inner_maximize opened
-                {
-                    "iteration": t,
-                    "dual_value": dual_value,
-                    "lambda": center.copy(),
-                    "residuals": g.copy(),
-                }
-            )
+            g = state.step(t, center)
         # Each cut keeps {g . (lambda - center) <= 0}.  For the residuals, a
         # subgradient of D at the center, that half-space holds every
         # minimizer of D; for g = -e_j it holds lambda_j >= center_j.
         denom = float(g @ shape @ g)
         if denom <= 0.0:
-            report.stop_reason = "degenerate"
+            state.report.stop_reason = "degenerate"
             break
         gn = shape @ g / np.sqrt(denom)
         center = center - gn / (n_rows + 1)
         shape = (n_rows**2 / (n_rows**2 - 1.0)) * (
             shape - (2.0 / (n_rows + 1)) * np.outer(gn, gn)
         )
-        state.lambda_ = np.maximum(center, 0.0)
-    return state, report
 
 
 def baseline_design(

@@ -75,19 +75,20 @@ class DatasetSpec:
     nuisance_scale: float = field(default=1.0, metadata={"bound": "finite"})
     exact_second_moments: bool = True
     w_scale: float = field(default=1.0, metadata={"bound": "finite"})
-    seed: int = 7
+    seed: int = field(default=7, metadata={"bound": ">= 0"})
 
     def validate(self, prefix: str = "dataset") -> list[str]:
-        """The rules that hold only for the owner-emphasis layout."""
-        if self.owner_emphasis is None:
-            return []
-        checks = [
-            ("nuisance_dims", 0 <= self.nuisance_dims < self.dim, "in [0, dim)"),
-            ("signal_scale", self.signal_scale > 0.0, "> 0"),
-            ("nuisance_scale", self.nuisance_scale > 0.0, "> 0"),
-            # a negative w_scale only flips the sign of the truth vector
-            ("w_scale", self.w_scale != 0.0, "nonzero"),
-        ]
+        """The rules that tie the dataset's fields together."""
+        # both layouts need a nonsingular pooled Gram matrix
+        checks = [("samples_per", self.samples_per >= self.dim, f">= dim ({self.dim})")]
+        if self.owner_emphasis is not None:
+            checks += [
+                ("nuisance_dims", 0 <= self.nuisance_dims < self.dim, "in [0, dim)"),
+                ("signal_scale", self.signal_scale > 0.0, "> 0"),
+                ("nuisance_scale", self.nuisance_scale > 0.0, "> 0"),
+                # a negative w_scale only flips the sign of the truth vector
+                ("w_scale", self.w_scale != 0.0, "nonzero"),
+            ]
         return [f"{prefix}.{name} must be {rule}" for name, ok, rule in checks if not ok]
 
     def build(self, n_followers: int, seed: int | None = None):

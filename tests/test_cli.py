@@ -149,6 +149,8 @@ class TestFailureModes:
         ("w_scale", float("nan")),
         ("w_scale", float("inf")),
         ("w_scale", 0.0),
+        ("seed", -1),
+        ("samples_per", 3),
     ])
     def test_bad_dataset_value(self, config_path, tmp_path, capsys, key, value):
         cfg = json.loads(config_path.read_text(encoding="utf-8"))

@@ -22,6 +22,7 @@ def test_valid_design_passes():
         (dict(p=np.array([0.1, 0.2]), p_leader=0.3, beta=1.0, v=10.0), "beta"),
         (dict(p=np.array([0.1, 0.2]), p_leader=0.3, beta=0.5, v=0.0), "v"),
         (dict(p=np.array([0.1, 0.2]), p_leader=0.3, beta=0.5, v=25.0), "v"),
+        (dict(p=np.array([np.nan, 0.2]), p_leader=0.3, beta=0.5, v=10.0), "design.p must"),
     ],
 )
 def test_box_violations_named(kwargs, needle):

@@ -14,8 +14,9 @@ from swarmfl.saa import (
     NoFeasibleDesignError,
     ScenarioSamples,
     SmoothingConfig,
-    _constraint_rows,
-    _window_sigmoids,
+    _column_sums,
+    _CoordinateLagrangian,
+    _rows,
     baseline_design,
     gamma_sigmoid,
     inner_maximize,
@@ -98,8 +99,10 @@ class TestScenarioSamples:
 
 def smoothed_success_probs(design, samples, smoothing, scenario):
     """Per-follower mean of the smoothed participation indicator, shape (I,)."""
-    g_up, g_dn, _, _ = _window_sigmoids(design, samples, smoothing, scenario)
-    return (g_up * g_dn).mean(axis=0)
+    evaluator = _CoordinateLagrangian(
+        None, samples, smoothing, scenario, scenario.energy_budget, scenario.control
+    ).rebuild(design.as_flat())
+    return (evaluator.g_up * evaluator.g_dn).mean(axis=0)
 
 
 class TestSmoothedProbs:
@@ -526,6 +529,21 @@ class TestCoordinateLagrangian:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
+    def test_dual_loop_reads_the_evaluator(self, small_scenario, monkeypatch, method):
+        """Residuals and the smoothed objective come off the evaluator rebuilt at
+        each inner maximizer, never from a second evaluation path."""
+        import swarmfl.saa as saa
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dual loop must read its evaluator")
+
+        monkeypatch.setattr(saa, "smoothed_constraints", forbidden)
+        monkeypatch.setattr(saa, "smoothed_objective", forbidden)
+        _, _, report = solve(small_scenario, max_iters=3, method=method)
+        assert report.feasible
+        assert len(report.iterations) >= 1
+
     def test_small_scenario_end_to_end(self, small_scenario):
         design, rounds, report = solve(small_scenario, max_iters=12)
         assert report.feasible
@@ -686,12 +704,12 @@ class TestProblemConstants:
 
         design, budgets = default_scenario.default_design(), default_scenario.energy_budget
         smoothing, control_rows = SmoothingConfig.from_scenario(default_scenario), rng.random(n)
-        rows = _constraint_rows(both, t_up, control_rows, design, smoothing, default_scenario,
-                                budgets, problem)
+        e_leader, e_followers = round_energies(design, t_up, default_scenario)
+        rows = _rows(_column_sums(both), e_leader, e_followers, control_rows, smoothing,
+                     default_scenario, budgets, problem, out=np.empty((k, n)))
         log_decay = np.log(1.0 - min(problem.speed(mean), 1.0 - 1e-12))
         eps_sum = default_scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
         phi = np.log(eps_sum / problem.initial_loss_sum) / log_decay if log_decay < 0.0 else np.inf
-        e_leader, e_followers = round_energies(design, t_up, default_scenario)
         c_bar, e_scale, e_bar = smoothing.c_bar, smoothing.energy_scale, budgets.e_bar
         leader = k * gamma_sigmoid(e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
         followers = (gamma_sigmoid(e_bar - phi * e_followers, c_bar, e_scale).sum(axis=0)

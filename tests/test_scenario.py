@@ -207,6 +207,7 @@ OUT_OF_RANGE = [
     (("dataset", "signal_scale"), 0.0),
     (("dataset", "nuisance_scale"), 0.0),
     (("dataset", "w_scale"), 0.0),
+    (("dataset", "seed"), -1),
     (("saa", "samples_k"), 0),
     (("saa", "c_bar"), 0.0),
     (("saa", "epsilon_opt_frac"), 1.0),
