@@ -13,6 +13,7 @@ All quantities are SI (seconds, watts, hertz, meters).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -230,6 +231,14 @@ def _gain(scenario: "SwarmScenario", angle) -> np.ndarray:
     return antenna_gain_exact(scenario.antenna, angle)
 
 
+@cache
+def _interference_coefficients(field: InterferenceField, pathloss_exp: float) -> np.ndarray:
+    """Power times path loss times antenna gains of each interferer, (J,)."""
+    coef = field.powers() * field.distances() ** (-pathloss_exp) * field.gain_products()
+    coef.flags.writeable = False  # shared by every call with this field
+    return coef
+
+
 def _interference_power(field: InterferenceField, fading, active, pathloss_exp, per_victim: bool):
     """Received interference, summed over active interferers.
 
@@ -239,7 +248,7 @@ def _interference_power(field: InterferenceField, fading, active, pathloss_exp, 
     """
     if len(field) == 0:
         return 0.0
-    coef = field.powers() * field.distances() ** (-pathloss_exp) * field.gain_products()
+    coef = _interference_coefficients(field, pathloss_exp)
     if per_victim:
         term = coef[:, None] * fading * np.asarray(active)[..., :, None]
         return term.sum(axis=-2)

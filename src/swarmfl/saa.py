@@ -7,7 +7,10 @@ downlink deadlines.  Probabilities are replaced by empirical frequencies
 over K frozen channel draws, indicators by a steep sigmoid on normalized
 arguments, and the constrained problem by its Lagrangian dual, minimized
 over multipliers with projected subgradient steps (an ellipsoid variant is
-available behind the same interface).
+available behind the same interface).  Each coordinate of the inner
+maximization is searched by _fminbound, a port of scipy's bounded scalar
+minimizer, so importing saa does not import scipy; scipy.special.expit is
+imported on the first sigmoid.
 
 One evaluator, _CoordinateLagrangian, computes a design's smoothed
 quantities (delays, window sigmoids, participation, objective, residual
@@ -21,11 +24,10 @@ and feasibility is always reported against those.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import expit
 
 from .channel import ScenarioSamples, _delay, _kernel_delays, estimate_success_probs, success_mask
 from .convergence import TrainingProblem, training_problem
@@ -95,14 +97,21 @@ def _eps_sum(scenario: SwarmScenario, problem: TrainingProblem) -> float:
     return scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
 
 
+_expit = None  # scipy.special.expit, imported on the first gamma_sigmoid call
+
+
 def gamma_sigmoid(r, c_bar: float, scale: float = 1.0, out: np.ndarray | None = None):
     """Smooth indicator surrogate: 1/(1+exp(-c_bar*r/scale)).
 
     With out (a float array shaped like r, r itself allowed) every step
-    runs in out and no temporary is allocated.
+    runs in out and no temporary is allocated.  The sigmoid is scipy's
+    expit: a numpy exp differs from it in the last bit on some arguments.
     """
+    global _expit
+    if _expit is None:
+        from scipy.special import expit as _expit
     z = np.multiply(c_bar, np.asarray(r, dtype=float), out=out)
-    return expit(np.divide(z, scale, out=out), out=out)
+    return _expit(np.divide(z, scale, out=out), out=out)
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
@@ -372,6 +381,89 @@ class _CoordinateLagrangian:
                      self.scenario, self.budgets, self.constants, out=self.buf)
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(x: float) -> float:
+    """np.sign(x) + (x == 0): 1.0 for x >= 0, -1.0 below, NaN for NaN."""
+    return 1.0 if x >= 0.0 else -1.0 if x < 0.0 else x
+
+
+def _fminbound(func, lo: float, hi: float, xatol: float, maxfun: int = 500) -> tuple[float, float]:
+    """Minimize func over [lo, hi]: (x, func(x)) at the best point found.
+
+    Brent's bounded search (golden-section steps, parabolic steps where a
+    fit is acceptable), ported from scipy 1.17's _minimize_scalar_bounded
+    in plain floats with the same operation order, so it returns what
+    minimize_scalar(func, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol}) returns, bit for bit.  Stops when the
+    bracket is within about xatol of the best point, or after maxfun
+    evaluations.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        # max passes a NaN step through, as np.maximum does
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def _coordinate_bounds(scenario: SwarmScenario, n_followers: int):
     """Search interval per coordinate in the order p_1..p_I, p_L, beta, v."""
     p_lo = 1e-4 * scenario.p_max
@@ -415,13 +507,12 @@ def inner_maximize(
     for cycles in range(1, cfg.max_cycles + 1):
         j_cycle_start = j_curr
         for idx, (lo, hi) in enumerate(bounds):
-            res = minimize_scalar(
-                lambda x, idx=idx: -lagr.value(idx, x), bounds=(lo, hi), method="bounded",
-                options={"xatol": cfg.xtol * (hi - lo)},
+            x, neg_j = _fminbound(
+                lambda x, idx=idx: -lagr.value(idx, x), lo, hi, cfg.xtol * (hi - lo)
             )
-            if -res.fun > j_curr:
-                flat[idx] = float(res.x)
-                j_curr = float(-res.fun)
+            if -neg_j > j_curr:
+                flat[idx] = x
+                j_curr = -neg_j
                 lagr.rebuild(flat)
         if abs(j_curr - j_cycle_start) <= cfg.inner_tol * max(abs(j_curr), 1.0):
             break

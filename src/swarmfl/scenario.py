@@ -187,7 +187,7 @@ class SwarmScenario:
     n_success_samples: int = field(default=10000, metadata={"bound": ">= 1"})
     max_rounds: int = field(default=500, metadata={"bound": ">= 1"})
     use_sectionalized_gain: bool = False
-    base_seed: int = 20240501
+    base_seed: int = field(default=20240501, metadata={"bound": "in [0, 2**64)"})
 
     def follower_distances(self) -> np.ndarray:
         return np.asarray(self.distances, dtype=float)
@@ -305,6 +305,7 @@ _BOUNDS = {
     "in (0, 1)": lambda x: 0 < x < 1,
     "in (0, 1]": lambda x: 0 < x <= 1,
     "in [0, 1]": lambda x: 0 <= x <= 1,
+    "in [0, 2**64)": lambda x: 0 <= x < 2**64,  # a seed derive_seed keeps whole
 }
 
 

@@ -1,9 +1,11 @@
 """Command line: argument wiring, exit codes, reproducible output files."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +197,20 @@ class TestFailureModes:
         assert code == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed(self, config_path, tmp_path, capsys, seed):
+        """A seed outside [0, 2**64) is rejected, not wrapped onto another seed."""
+        cfg = json.loads(config_path.read_text(encoding="utf-8"))
+        cfg["base_seed"] = seed
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "x.csv"
+        for argv in (["--config", str(bad)], ["--config", str(config_path), "--seed", str(seed)]):
+            code = main(["simulate", *argv, "--mc-runs", "2", "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert "base_seed must be in [0, 2**64)" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_nonpositive_mc_runs(self, config_path, tmp_path, capsys):
         code = main([
             "simulate", "--config", str(config_path), "--mc-runs", "0",
@@ -269,3 +285,39 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+# Runs in a fresh interpreter: after importing swarmfl and after each command,
+# records whether scipy is loaded and the command's exit code.
+SCIPY_PROBE = """
+import json, sys
+from swarmfl.cli import main
+loaded = {"import": "scipy" in sys.modules}
+config, out = sys.argv[1:3]
+for command in ("validate-theorem", "sweep-sigma", "simulate", "optimize"):
+    code = main([command, "--config", config, "--mc-runs", "2", "--out", out])
+    loaded[command] = [code, "scipy" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+class TestImportPath:
+    def test_scipy_loads_only_for_the_design_commands(self, config_path, tmp_path):
+        """Importing swarmfl and the training commands leave scipy unloaded;
+        optimize loads it (for the sigmoid) on its first solve."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, str(config_path), str(tmp_path / "x.csv")],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import": False,
+            "validate-theorem": [EXIT_OK, False],
+            "sweep-sigma": [EXIT_OK, False],
+            "simulate": [EXIT_OK, False],
+            "optimize": [EXIT_OK, True],
+        }

@@ -1,11 +1,14 @@
 """Design optimizer: smoothing, sampled constraints, dual ascent, baselines."""
 
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from swarmfl.design import DesignVector
@@ -16,6 +19,7 @@ from swarmfl.saa import (
     SmoothingConfig,
     _column_sums,
     _CoordinateLagrangian,
+    _fminbound,
     _rows,
     baseline_design,
     gamma_sigmoid,
@@ -410,6 +414,101 @@ class TestInnerMaximize:
         for shift in (np.zeros(3), np.array([1.0, 0.0, 2.0])):
             want = obj + float((lam + shift) @ rows)
             assert lagrangian(best, lam + shift, *args) == pytest.approx(want, rel=1e-12)
+
+
+def scipy_fminbound(func, lo, hi, xatol, maxfun=500):
+    """_fminbound's reference: scipy's bounded minimize_scalar, as (x, f)."""
+    res = minimize_scalar(
+        func, bounds=(lo, hi), method="bounded", options={"xatol": xatol, "maxiter": maxfun}
+    )
+    return float(res.x), float(res.fun)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def bounded_problems(draw):
+    """(func, lo, hi, xatol): a smooth unimodal, flat, step (with ties) or
+    partly-NaN function over an interval that may have zero width."""
+    lo = draw(st.floats(-1e3, 1e3))
+    width = draw(st.one_of(st.just(0.0), st.floats(1e-9, 1e3)))
+    hi = lo + width
+    xatol = draw(st.one_of(st.floats(1e-12, 1.0), st.floats(0.0, 10.0)))
+    centre = draw(st.floats(lo - width, hi + width))
+    scale = draw(st.floats(1e-3, 1e3))
+    power = draw(st.floats(0.5, 4.0))
+    level = draw(st.floats(-1e3, 1e3))
+    step = draw(st.floats(1e-4 * max(width, 1e-9), max(width, 1e-9)))
+    kind = draw(st.sampled_from(["smooth", "flat", "steps", "nan"]))
+    if kind == "smooth":
+        return (lambda x: scale * abs(x - centre) ** power + level), lo, hi, xatol
+    if kind == "flat":
+        return (lambda x: level), lo, hi, xatol
+    if kind == "steps":
+        return (lambda x: level + scale * math.floor(abs(x - centre) / step)), lo, hi, xatol
+    hole = draw(st.floats(lo, hi))
+
+    def partly_nan(x):
+        return math.nan if hole <= x <= hole + step else scale * abs(x - centre) ** power
+
+    return partly_nan, lo, hi, xatol
+
+
+class TestFminbound:
+    """_fminbound against scipy's bounded minimize_scalar, which it ports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(problem=bounded_problems())
+    def test_equals_scipy_bit_for_bit(self, problem):
+        func, lo, hi, xatol = problem
+        got = _fminbound(func, lo, hi, xatol)
+        want = scipy_fminbound(func, lo, hi, xatol)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    @pytest.mark.parametrize("func, lo, hi", [
+        (abs, -1.0, 1.0),
+        (abs, -1.0, 2.0),
+        (lambda x: abs(x) ** 0.5, -1.0, 3.0),
+    ])
+    def test_evaluation_cap(self, func, lo, hi):
+        """An xatol far below the spacing of floats near the minimum runs
+        into the cap of 500 evaluations, where both searches stop."""
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return func(x)
+
+        got = _fminbound(counted, lo, hi, 1e-300)
+        assert len(calls) == 500
+        want = scipy_fminbound(func, lo, hi, 1e-300)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+    def test_zero_width_interval_evaluates_once(self):
+        calls = []
+        assert _fminbound(lambda x: calls.append(x) or 2.0 * x, 0.25, 0.25, 1e-5) == (0.25, 0.5)
+        assert calls == [0.25]
+
+    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
+    def test_solve_matches_scipy_search(self, small_scenario, monkeypatch, method):
+        import swarmfl.saa as saa
+
+        # a budget tight enough that the energy rows bind and lambda moves
+        tight = replace(small_scenario, energy_budget=EnergyBudget(e_bar=200.0))
+        runs = [solve(tight, max_iters=8, method=method)]
+        monkeypatch.setattr(saa, "_fminbound", scipy_fminbound)
+        runs.append(solve(tight, max_iters=8, method=method))
+        (d1, r1, rep1), (d2, r2, rep2) = runs
+        assert np.array_equal(d1.as_flat(), d2.as_flat()) and r1 == r2
+        assert rep1.lagrangian_evals == rep2.lagrangian_evals
+        assert rep1.stop_reason == rep2.stop_reason
+        assert len(rep1.iterations) == len(rep2.iterations)
+        for row1, row2 in zip(rep1.iterations, rep2.iterations):
+            assert row1.keys() == row2.keys()
+            for key in row1:
+                assert np.array_equal(row1[key], row2[key]), key
 
 
 class TestCoordinateLagrangian:

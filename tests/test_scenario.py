@@ -228,6 +228,8 @@ OUT_OF_RANGE = [
     (("mc_runs",), 0),
     (("n_success_samples",), 0),
     (("max_rounds",), 0),
+    (("base_seed",), -1),
+    (("base_seed",), 2**64),
 ]
 
 
