@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 
 from .experiments import (
@@ -47,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="scenario JSON (omit for built-in defaults)")
         p.add_argument("--seed", type=int, help="base seed (overrides the scenario's)")
         p.add_argument("--out", default=default_out, help=f"output CSV path (default {default_out})")
-        p.add_argument("--mc-runs", type=int, dest="mc_runs", help="Monte Carlo repetitions")
-        p.add_argument("--samples-k", type=int, dest="samples_k", help="frozen optimizer sample count")
 
     p_vt = sub.add_parser("validate-theorem", help="predicted vs. simulated convergence rounds")
     common(p_vt, "validate-theorem.csv")
@@ -76,21 +75,26 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim, "simulate.csv")
     p_sim.add_argument("--eps-frac", type=float, help="loss target fraction (default: first scenario entry)")
 
+    for p in (p_vt, p_ss, p_sim):  # the commands that train
+        p.add_argument("--mc-runs", type=int, dest="mc_runs", help="Monte Carlo repetitions")
+    for p in (p_cd, p_opt):  # the commands that solve
+        p.add_argument("--samples-k", type=int, dest="samples_k", help="frozen optimizer sample count")
     return parser
 
 
 def _load(args) -> SwarmScenario:
-    scenario = load_scenario(args.config) if args.config else SwarmScenario().require_valid()
+    scenario = load_scenario(args.config) if args.config else SwarmScenario()
     if args.seed is not None:
         scenario = replace(scenario, base_seed=int(args.seed))
-    if args.mc_runs is not None:
+    if getattr(args, "mc_runs", None) is not None:
         scenario = replace(scenario, mc_runs=int(args.mc_runs))
-    if args.samples_k is not None:
+    if getattr(args, "samples_k", None) is not None:
         scenario = replace(scenario, saa=replace(scenario.saa, samples_k=int(args.samples_k)))
     return scenario.require_valid()  # the overrides meet the same field bounds
 
 
 def _run_command(args) -> int:
+    t_start = time.perf_counter()
     scenario = _load(args)
     if args.command == "validate-theorem":
         result = experiment_validate_theorem(scenario, eps_fracs=args.eps_fracs)
@@ -114,9 +118,8 @@ def _run_command(args) -> int:
     else:  # pragma: no cover - argparse enforces the choices
         raise RuntimeError(f"unhandled command {args.command!r}")
     emit_csv(result, args.out)
-    wall = result.meta.get("wall_time_s")
-    note = f" in {wall:.1f} s" if wall is not None else ""
-    print(f"{args.command}: wrote {len(result.rows)} rows to {args.out}{note}")
+    wall = time.perf_counter() - t_start
+    print(f"{args.command}: wrote {len(result.rows)} rows to {args.out} in {wall:.1f} s")
     return EXIT_OK
 
 

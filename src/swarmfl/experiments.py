@@ -19,7 +19,6 @@ experiments pin the rate-matched step.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,25 +42,29 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_FIXED_COLUMNS = ("experiment", "schema_version")
+
 
 @dataclass
 class ExperimentResult:
     """Tidy result table: fixed column list, one dict per row.
 
-    meta holds run information (wall time, software versions) that must not
-    influence the emitted CSV bytes.
+    Every table starts with the experiment id and SCHEMA_VERSION: the
+    columns given are placed after them, and append fills them in.
     """
 
     experiment_id: str
     columns: list[str]
     rows: list[dict] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
-    def append(self, **kwargs):
-        unknown = set(kwargs) - set(self.columns)
+    def __post_init__(self):
+        self.columns = [*_FIXED_COLUMNS, *self.columns]
+
+    def append(self, **cells):
+        unknown = set(cells) - set(self.columns[len(_FIXED_COLUMNS):])
         if unknown:
             raise KeyError(f"row keys not in columns: {sorted(unknown)}")
-        self.rows.append(kwargs)
+        self.rows.append({"experiment": self.experiment_id, "schema_version": SCHEMA_VERSION, **cells})
 
 
 def _fmt_cell(value) -> str:
@@ -156,8 +159,13 @@ def _crossing_rounds(model, state, eps_means):
     return rounds
 
 
-def _run_seeds(base_seed, label, mc_runs) -> list[int]:
-    return [derive_seed(base_seed, label, rep) for rep in range(mc_runs)]
+def _run_seeds(scenario: SwarmScenario, label: str) -> list[int]:
+    return [derive_seed(scenario.base_seed, label, rep) for rep in range(scenario.mc_runs)]
+
+
+def _with_mc_runs(scenario: SwarmScenario, mc_runs: int | None) -> SwarmScenario:
+    """The scenario, validated, with mc_runs in place of its own if given."""
+    return (scenario if mc_runs is None else replace(scenario, mc_runs=mc_runs)).require_valid()
 
 
 def _check(errors) -> None:
@@ -176,45 +184,39 @@ def _mean_std(values: np.ndarray) -> tuple[float | None, float | None, int]:
 
 def experiment_validate_theorem(
     scenario: SwarmScenario,
-    design: DesignVector | None = None,
     eps_fracs=None,
     mc_runs: int | None = None,
-    base_seed: int | None = None,
 ) -> ExperimentResult:
     """Predicted vs. empirical convergence rounds across loss targets.
 
     Loss targets are fractions of the initial loss sum; the prediction uses
-    Monte Carlo success probabilities at the given design, the empirical
-    side averages first-crossing rounds over mc_runs coupled training runs.
+    Monte Carlo success probabilities at the scenario's default design, the
+    empirical side averages first-crossing rounds over mc_runs coupled
+    training runs.
     """
-    scenario.require_valid()
-    design = scenario.default_design() if design is None else design
-    design.require_valid(scenario.p_max, scenario.flight.v_max)
+    scenario = _with_mc_runs(scenario, mc_runs)
+    design = scenario.default_design()
     eps_fracs = tuple(scenario.epsilon_fracs if eps_fracs is None else eps_fracs)
-    mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
-    base_seed = scenario.base_seed if base_seed is None else base_seed
     _check(
         _value_errors("eps_fracs", eps_fracs, "in (0, 1)")
         + ([] if eps_fracs else ["eps_fracs must not be empty"])
-        + _value_errors("mc_runs", mc_runs, ">= 1")
     )
-    t_start = time.perf_counter()
 
     problem = problem_constants(scenario)
     model, s0 = problem.model, problem.initial_loss_sum
     n_total = model.n_total
     probs = estimate_success_probs(
-        design, scenario, scenario.n_success_samples, derive_seed(base_seed, "vt-probs")
+        design, scenario, scenario.n_success_samples, derive_seed(scenario.base_seed, "vt-probs")
     )
     eps_sums = [frac * s0 for frac in eps_fracs]
     eps_means = [eps / n_total for eps in eps_sums]
-    seeds = _run_seeds(base_seed, "vt-run", mc_runs)
+    seeds = _run_seeds(scenario, "vt-run")
     [(state, _)] = _train(model, [scenario], design, scenario.max_rounds, seeds, min(eps_means))
     crossings = _crossing_rounds(model, state, eps_means)
 
     columns = (
-        ["experiment", "schema_version", "epsilon_frac", "epsilon_sum", "predicted_round",
-         "empirical_mean", "empirical_std", "relative_gap", "mc_runs", "n_converged"]
+        ["epsilon_frac", "epsilon_sum", "predicted_round", "empirical_mean",
+         "empirical_std", "relative_gap", "mc_runs", "n_converged"]
         + _prob_columns(scenario.n_followers)
         + _design_columns(scenario.n_followers)
         + ["energy_leader_total", "energy_follower_total_ub"]
@@ -228,22 +230,19 @@ def experiment_validate_theorem(
         emp_mean, emp_std, n_conv = _mean_std(crossings[:, col])
         rel_gap = None if emp_mean is None or predicted == 0 else abs(predicted - emp_mean) / predicted
         result.append(
-            experiment="validate-theorem",
-            schema_version=SCHEMA_VERSION,
             epsilon_frac=frac,
             epsilon_sum=eps_sum,
             predicted_round=predicted,
             empirical_mean=emp_mean,
             empirical_std=emp_std,
             relative_gap=rel_gap,
-            mc_runs=mc_runs,
+            mc_runs=scenario.mc_runs,
             n_converged=n_conv,
             **_prob_cells(probs),
             **_design_cells(design),
             energy_leader_total=predicted * e_leader_round,
             energy_follower_total_ub=predicted * e_follower_round_ub,
         )
-    result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result
 
 
@@ -257,12 +256,10 @@ def _with_sigma_bw(scenario: SwarmScenario, sigma2: float, bw: float) -> SwarmSc
 
 def experiment_sweep_sigma(
     scenario: SwarmScenario,
-    design: DesignVector | None = None,
     sigma2_list=(0.01, 0.05, 0.1, 0.2),
     bw_list=(1e6, 2e6, 5e6),
     eps_frac: float = 0.10,
     mc_runs: int | None = None,
-    base_seed: int | None = None,
 ) -> ExperimentResult:
     """Round counts over an (antenna jitter variance, bandwidth) grid.
 
@@ -271,12 +268,10 @@ def experiment_sweep_sigma(
     (ScenarioSamples and participation_masks), so the grid is coupled
     draw-for-draw and the emitted trends reflect the parameters, not
     resampling luck.  Rows follow sigma2_list, then bw_list, repeats kept.
+    Every point runs the scenario's default design.
     """
-    scenario.require_valid()
-    design = scenario.default_design() if design is None else design
-    design.require_valid(scenario.p_max, scenario.flight.v_max)
-    mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
-    base_seed = scenario.base_seed if base_seed is None else base_seed
+    scenario = _with_mc_runs(scenario, mc_runs)
+    design = scenario.default_design()
     points = {
         (sigma2, bw): _with_sigma_bw(scenario, float(sigma2), float(bw))
         for sigma2 in sigma2_list
@@ -284,17 +279,14 @@ def experiment_sweep_sigma(
     }
     _check(
         _value_errors("eps_frac", eps_frac, "in (0, 1)")
-        + _value_errors("mc_runs", mc_runs, ">= 1")
         + [f"{name} must not be empty" for name, grid in (("sigma2_list", sigma2_list), ("bw_list", bw_list))
            if len(grid) == 0]
         + [f"sigma2={s!r}, bw={b!r}: {err}" for (s, b), point in points.items() for err in point.validate()]
     )
-    t_start = time.perf_counter()
 
     columns = (
-        ["experiment", "schema_version", "sigma2", "bandwidth", "epsilon_frac",
-         "epsilon_sum", "predicted_round", "empirical_mean", "empirical_std",
-         "mc_runs", "n_converged"]
+        ["sigma2", "bandwidth", "epsilon_frac", "epsilon_sum", "predicted_round",
+         "empirical_mean", "empirical_std", "mc_runs", "n_converged"]
         + _prob_columns(scenario.n_followers)
         + _design_columns(scenario.n_followers)
     )
@@ -305,19 +297,17 @@ def experiment_sweep_sigma(
     keys = [(sigma2, bw) for sigma2 in sigma2_list for bw in bw_list]
     grid = [points[key] for key in keys]
     samples = ScenarioSamples.generate(
-        grid[0], scenario.n_success_samples, derive_seed(base_seed, "ss-probs")
+        grid[0], scenario.n_success_samples, derive_seed(scenario.base_seed, "ss-probs")
     )
     probs = [samples.success_probs(design, point) for point in grid]
     del samples  # scored first, so it is never held together with the grid's masks
     eps_mean = eps_sum / model.n_total
-    runs = _train(model, grid, design, scenario.max_rounds, _run_seeds(base_seed, "ss-run", mc_runs), eps_mean)
+    runs = _train(model, grid, design, scenario.max_rounds, _run_seeds(scenario, "ss-run"), eps_mean)
     for (sigma2, bw), point_probs, (state, _) in zip(keys, probs, runs):
         predicted = problem.predicted_round(point_probs, eps_sum)
         crossings = _crossing_rounds(model, state, [eps_mean])
         emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
         result.append(
-            experiment="sweep-sigma",
-            schema_version=SCHEMA_VERSION,
             sigma2=float(sigma2),
             bandwidth=float(bw),
             epsilon_frac=eps_frac,
@@ -325,12 +315,11 @@ def experiment_sweep_sigma(
             predicted_round=predicted,
             empirical_mean=emp_mean,
             empirical_std=emp_std,
-            mc_runs=mc_runs,
+            mc_runs=scenario.mc_runs,
             n_converged=n_conv,
             **_prob_cells(point_probs),
             **_design_cells(design),
         )
-    result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result
 
 
@@ -338,7 +327,6 @@ def experiment_compare_designs(
     scenario: SwarmScenario,
     bw_list=(1e6, 2e6, 5e6),
     n_baseline_draws: int = 20,
-    base_seed: int | None = None,
 ) -> ExperimentResult:
     """Optimized joint design vs. partial baselines across bandwidths.
 
@@ -349,21 +337,16 @@ def experiment_compare_designs(
     rounds are predictions from those success probabilities.
     """
     scenario.require_valid()
-    base_seed = scenario.base_seed if base_seed is None else base_seed
-    points = [
-        replace(scenario, radio=replace(scenario.radio, bw_up=float(bw), bw_down=float(bw)))
-        for bw in bw_list
-    ]
+    points = [_with_sigma_bw(scenario, scenario.antenna.sigma2, float(bw)) for bw in bw_list]
     _check(
         _value_errors("n_baseline_draws", n_baseline_draws, ">= 1")
         + ([] if len(bw_list) else ["bw_list must not be empty"])
         + [f"bw={bw!r}: {err}" for bw, point in zip(bw_list, points) for err in point.validate()]
     )
-    t_start = time.perf_counter()
 
     columns = (
-        ["experiment", "schema_version", "bandwidth", "design_kind", "n_draws",
-         "predicted_round_mean", "predicted_round_std", "reduction_vs_joint"]
+        ["bandwidth", "design_kind", "n_draws", "predicted_round_mean",
+         "predicted_round_std", "reduction_vs_joint"]
         + _prob_columns(scenario.n_followers)
         + _design_columns(scenario.n_followers)
     )
@@ -371,6 +354,7 @@ def experiment_compare_designs(
     # bandwidth leaves the training problem alone: one set of constants serves every point
     problem = problem_constants(scenario)
     eps_sum = _eps_sum(scenario, problem)
+    base_seed = scenario.base_seed
     for k_bw, (bw, point) in enumerate(zip(bw_list, points)):
         samples = ScenarioSamples.generate(
             point, point.n_success_samples, derive_seed(base_seed, "cd-probs", k_bw)
@@ -380,8 +364,6 @@ def experiment_compare_designs(
         )
         joint_probs = report.success_probs
         result.append(
-            experiment="compare-designs",
-            schema_version=SCHEMA_VERSION,
             bandwidth=float(bw),
             design_kind="joint",
             n_draws=1,
@@ -399,8 +381,6 @@ def experiment_compare_designs(
             mean_round = float(rounds.mean())
             reduction = (mean_round - joint_round) / mean_round if mean_round > 0 else 0.0
             result.append(
-                experiment="compare-designs",
-                schema_version=SCHEMA_VERSION,
                 bandwidth=float(bw),
                 design_kind=kind,
                 n_draws=n_baseline_draws,
@@ -409,45 +389,37 @@ def experiment_compare_designs(
                 reduction_vs_joint=reduction,
             )
         del samples  # so the next bandwidth's solve and draw run without this one held
-    result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result
 
 
 def experiment_simulate(
     scenario: SwarmScenario,
-    design: DesignVector | None = None,
     eps_frac: float | None = None,
     mc_runs: int | None = None,
-    base_seed: int | None = None,
 ) -> ExperimentResult:
-    """Per-repetition training telemetry at one design and one loss target."""
-    scenario.require_valid()
-    design = scenario.default_design() if design is None else design
-    design.require_valid(scenario.p_max, scenario.flight.v_max)
+    """Per-repetition training telemetry at the scenario's default design
+    and one loss target."""
+    scenario = _with_mc_runs(scenario, mc_runs)
     eps_frac = scenario.epsilon_fracs[0] if eps_frac is None else eps_frac
-    mc_runs = scenario.mc_runs if mc_runs is None else mc_runs
-    base_seed = scenario.base_seed if base_seed is None else base_seed
-    _check(_value_errors("eps_frac", eps_frac, "in (0, 1)") + _value_errors("mc_runs", mc_runs, ">= 1"))
-    t_start = time.perf_counter()
+    _check(_value_errors("eps_frac", eps_frac, "in (0, 1)"))
 
     problem = problem_constants(scenario)
     model = problem.model
     eps_mean = eps_frac * problem.initial_loss_sum / model.n_total
-    seeds = _run_seeds(base_seed, "sim-run", mc_runs)
-    [(state, hits)] = _train(model, [scenario], design, scenario.max_rounds, seeds, eps_mean)
+    seeds = _run_seeds(scenario, "sim-run")
+    [(state, hits)] = _train(
+        model, [scenario], scenario.default_design(), scenario.max_rounds, seeds, eps_mean
+    )
     rates = state.participation_rates()
-    final_gaps = state.loss_history[np.arange(mc_runs), state.rounds] - model.f_star
+    final_gaps = state.loss_history[np.arange(scenario.mc_runs), state.rounds] - model.f_star
 
     columns = (
-        ["experiment", "schema_version", "run", "epsilon_frac", "empirical_round",
-         "final_loss_gap", "rounds_executed"]
+        ["run", "epsilon_frac", "empirical_round", "final_loss_gap", "rounds_executed"]
         + [f"participation_rate_{i + 1}" for i in range(scenario.n_followers)]
     )
     result = ExperimentResult("simulate", columns)
-    for rep in range(mc_runs):
+    for rep in range(scenario.mc_runs):
         result.append(
-            experiment="simulate",
-            schema_version=SCHEMA_VERSION,
             run=rep,
             epsilon_frac=eps_frac,
             empirical_round=int(hits[rep]),
@@ -455,13 +427,11 @@ def experiment_simulate(
             rounds_executed=int(state.rounds[rep]),
             **{f"participation_rate_{i + 1}": float(rates[rep, i]) for i in range(scenario.n_followers)},
         )
-    result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result
 
 
 def experiment_optimize(
     scenario: SwarmScenario,
-    base_seed: int | None = None,
     method: str = "subgradient",
 ) -> ExperimentResult:
     """One full design optimization: solver trace rows plus a result row.
@@ -469,22 +439,16 @@ def experiment_optimize(
     Raises NoFeasibleDesignError (for the CLI to map to its exit code) when
     the constraints cannot be met.
     """
-    scenario.require_valid()
-    base_seed = scenario.base_seed if base_seed is None else base_seed
-    t_start = time.perf_counter()
-
-    design, predicted, report = solve(scenario, rng_seed=base_seed, method=method)
+    design, predicted, report = solve(scenario, method=method)
     columns = (
-        ["experiment", "schema_version", "record", "iteration", "dual_value",
-         "lambda_norm", "min_margin", "predicted_round"]
+        ["record", "iteration", "dual_value", "lambda_norm", "min_margin",
+         "predicted_round"]
         + _prob_columns(scenario.n_followers)
         + _design_columns(scenario.n_followers)
     )
     result = ExperimentResult("optimize", columns)
     for row in report.iterations:
         result.append(
-            experiment="optimize",
-            schema_version=SCHEMA_VERSION,
             record="iteration",
             iteration=row["iteration"],
             dual_value=row["dual_value"],
@@ -492,8 +456,6 @@ def experiment_optimize(
             min_margin=float(np.min(row["residuals"])),
         )
     result.append(
-        experiment="optimize",
-        schema_version=SCHEMA_VERSION,
         record="result",
         iteration=len(report.iterations),
         dual_value=None,
@@ -503,5 +465,4 @@ def experiment_optimize(
         **_prob_cells(report.success_probs),
         **_design_cells(design),
     )
-    result.meta["wall_time_s"] = time.perf_counter() - t_start
     return result

@@ -593,7 +593,6 @@ class _DualState:
 def solve(
     scenario: SwarmScenario,
     rng_seed: int | None = None,
-    max_iters: int | None = None,
     method: str = "subgradient",
     scoring: ScenarioSamples | None = None,
 ) -> tuple[DesignVector, int, SolveReport]:
@@ -606,8 +605,10 @@ def solve(
     smoothed objective.  Its success probabilities and round prediction are
     read off scoring, draws of scenario independent of the frozen optimizer
     samples; by default a fresh n_success_samples draw seeded from rng_seed
-    and "opt-probs".  Raises NoFeasibleDesignError when every iterate
-    violates the sample constraints.
+    and "opt-probs".  rng_seed defaults to the scenario's base_seed and
+    must lie in [0, 2**64), as that field does.  Raises
+    NoFeasibleDesignError when every iterate violates the sample
+    constraints.
     """
     scenario.require_valid()
     solvers = {"subgradient": _solve_subgradient, "ellipsoid": _solve_ellipsoid}
@@ -615,7 +616,8 @@ def solve(
         raise ValueError(f"unknown method: {method!r}")
     budgets, control = scenario.energy_budget, scenario.control
     rng_seed = scenario.base_seed if rng_seed is None else rng_seed
-    max_iters = scenario.saa.max_iters if max_iters is None else max_iters
+    if not 0 <= rng_seed < 2**64:  # derive_seed would alias it onto a seed in range
+        raise ValueError(f"rng_seed must be in [0, 2**64), got {rng_seed}")
     constants = problem_constants(scenario)
     samples = ScenarioSamples.generate(
         scenario, scenario.saa.samples_k, derive_seed(rng_seed, "saa-samples")
@@ -624,7 +626,7 @@ def solve(
         samples, SmoothingConfig.from_scenario(scenario), scenario, constants,
         SolveReport(method=method), scenario.default_design(),
     )
-    solvers[method](state, max_iters)
+    solvers[method](state)
 
     if state.best_feasible_primal is None:
         raise NoFeasibleDesignError(
@@ -648,10 +650,10 @@ def solve(
     return best, predicted, report
 
 
-def _solve_subgradient(state: _DualState, max_iters: int) -> None:
+def _solve_subgradient(state: _DualState) -> None:
     lam = np.zeros(2 * state.scenario.n_followers + 1)
     step_a = state.scenario.saa.step_scale * state.samples.k
-    for t in range(1, max_iters + 1):
+    for t in range(1, state.scenario.saa.max_iters + 1):
         residuals = state.step(t, lam)
         new_lambda = np.maximum(0.0, lam - (step_a / np.sqrt(t)) * residuals)
         moved = np.linalg.norm(new_lambda - lam)
@@ -661,7 +663,7 @@ def _solve_subgradient(state: _DualState, max_iters: int) -> None:
             break
 
 
-def _solve_ellipsoid(state: _DualState, max_iters: int) -> None:
+def _solve_ellipsoid(state: _DualState) -> None:
     """Ellipsoid method on the dual: center updates along Danskin subgradients.
 
     Multiplier nonnegativity is handled with feasibility cuts.  Kept as an
@@ -672,7 +674,7 @@ def _solve_ellipsoid(state: _DualState, max_iters: int) -> None:
     radius = 10.0 * state.scenario.saa.step_scale * state.samples.k
     center = np.full(n_rows, 0.1 * radius)
     shape = np.eye(n_rows) * radius**2
-    for t in range(1, max_iters + 1):
+    for t in range(1, state.scenario.saa.max_iters + 1):
         if np.any(center < 0.0):
             g = np.zeros(n_rows)
             g[int(np.argmin(center))] = -1.0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,16 @@ def config_path(tmp_path):
     return path
 
 
+# each command's own sample-count flag; the other one is not accepted
+OWN_FLAG = {
+    "validate-theorem": "--mc-runs",
+    "sweep-sigma": "--mc-runs",
+    "simulate": "--mc-runs",
+    "compare-designs": "--samples-k",
+    "optimize": "--samples-k",
+}
+
+
 class TestParser:
     def test_subcommands_registered(self):
         parser = build_parser()
@@ -39,17 +50,21 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         "validate-theorem", "sweep-sigma", "compare-designs", "optimize", "simulate",
     ])
-    def test_common_flags_parse(self, command):
+    def test_common_flags_parse(self, command, capsys):
+        own = OWN_FLAG[command]
         args = build_parser().parse_args([
-            command, "--config", "c.json", "--seed", "7", "--out", "x.csv",
-            "--mc-runs", "4", "--samples-k", "128",
+            command, "--config", "c.json", "--seed", "7", "--out", "x.csv", own, "4",
         ])
         assert args.command == command
         assert args.config == "c.json"
         assert args.seed == 7
         assert args.out == "x.csv"
-        assert args.mc_runs == 4
-        assert args.samples_k == 128
+        assert getattr(args, own[2:].replace("-", "_")) == 4
+        other = ({"--mc-runs", "--samples-k"} - {own}).pop()
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args([command, other, "4"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {other}" in capsys.readouterr().err
 
     def test_missing_subcommand_exits(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -74,7 +89,8 @@ class TestRuns:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("experiment,schema_version,epsilon_frac")
         assert len(lines) == 2
-        assert "wrote 1 rows" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert re.fullmatch(rf"validate-theorem: wrote 1 rows to {re.escape(str(out))} in \d+\.\d s\n", stdout)
 
     def test_sweep_sigma_grid(self, config_path, tmp_path, capsys):
         out = tmp_path / "ss.csv"
@@ -294,9 +310,10 @@ import json, sys
 from swarmfl.cli import main
 loaded = {"import": "scipy" in sys.modules}
 config, out = sys.argv[1:3]
-for command in ("validate-theorem", "sweep-sigma", "simulate", "optimize"):
+for command in ("validate-theorem", "sweep-sigma", "simulate"):
     code = main([command, "--config", config, "--mc-runs", "2", "--out", out])
     loaded[command] = [code, "scipy" in sys.modules]
+loaded["optimize"] = [main(["optimize", "--config", config, "--out", out]), "scipy" in sys.modules]
 print(json.dumps(loaded))
 """
 

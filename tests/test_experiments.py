@@ -39,9 +39,9 @@ class TestEmitCsv:
         emit_csv(self.make_result(), path)
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
-        assert lines[0] == "name,weight,flag,note,n"
-        assert lines[1] == "alpha,0.123456789,1,,7"
-        assert lines[2] == "beta,2,0,x,-1"
+        assert lines[0] == "experiment,schema_version,name,weight,flag,note,n"
+        assert lines[1] == "demo,1,alpha,0.123456789,1,,7"
+        assert lines[2] == "demo,1,beta,2,0,x,-1"
         assert text.endswith("\n")
 
     def test_unix_line_endings(self, tmp_path):
@@ -54,13 +54,8 @@ class TestEmitCsv:
         result = ExperimentResult("demo", ["a"])
         with pytest.raises(KeyError):
             result.append(a=1, b=2)
-
-    def test_meta_not_in_bytes(self, tmp_path):
-        result = self.make_result()
-        emit_csv(result, tmp_path / "one.csv")
-        result.meta["wall_time_s"] = 123.456
-        emit_csv(result, tmp_path / "two.csv")
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+        with pytest.raises(KeyError):  # the table fills in its fixed columns
+            result.append(a=1, experiment="other")
 
 
 class TestPredictedRound:
@@ -382,14 +377,6 @@ class TestByteReproducibility:
     def test_same_process_rerun_identical(self, small_scenario, tmp_path):
         a = experiment_simulate(small_scenario, mc_runs=3, eps_frac=0.25)
         b = experiment_simulate(small_scenario, mc_runs=3, eps_frac=0.25)
-        emit_csv(a, tmp_path / "a.csv")
-        emit_csv(b, tmp_path / "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_wall_time_varies_but_bytes_do_not(self, small_scenario, tmp_path):
-        a = experiment_simulate(small_scenario, mc_runs=2, eps_frac=0.25)
-        b = experiment_simulate(small_scenario, mc_runs=2, eps_frac=0.25)
-        assert "wall_time_s" in a.meta and "wall_time_s" in b.meta
         emit_csv(a, tmp_path / "a.csv")
         emit_csv(b, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -57,6 +57,11 @@ def default_samples(default_scenario) -> ScenarioSamples:
     return ScenarioSamples.generate(default_scenario, 2000, 999)
 
 
+def with_max_iters(scenario: SwarmScenario, max_iters: int) -> SwarmScenario:
+    """The scenario with its dual-iteration cap set to max_iters."""
+    return replace(scenario, saa=replace(scenario.saa, max_iters=max_iters))
+
+
 class TestGammaSigmoid:
     def test_zero_crossing_is_half(self):
         assert gamma_sigmoid(0.0, 50.0) == pytest.approx(0.5, abs=1e-15)
@@ -497,9 +502,9 @@ class TestFminbound:
 
         # a budget tight enough that the energy rows bind and lambda moves
         tight = replace(small_scenario, energy_budget=EnergyBudget(e_bar=200.0))
-        runs = [solve(tight, max_iters=8, method=method)]
+        runs = [solve(with_max_iters(tight, 8), method=method)]
         monkeypatch.setattr(saa, "_fminbound", scipy_fminbound)
-        runs.append(solve(tight, max_iters=8, method=method))
+        runs.append(solve(with_max_iters(tight, 8), method=method))
         (d1, r1, rep1), (d2, r2, rep2) = runs
         assert np.array_equal(d1.as_flat(), d2.as_flat()) and r1 == r2
         assert rep1.lagrangian_evals == rep2.lagrangian_evals
@@ -639,12 +644,12 @@ class TestSolve:
 
         monkeypatch.setattr(saa, "smoothed_constraints", forbidden)
         monkeypatch.setattr(saa, "smoothed_objective", forbidden)
-        _, _, report = solve(small_scenario, max_iters=3, method=method)
+        _, _, report = solve(with_max_iters(small_scenario, 3), method=method)
         assert report.feasible
         assert len(report.iterations) >= 1
 
     def test_small_scenario_end_to_end(self, small_scenario):
-        design, rounds, report = solve(small_scenario, max_iters=12)
+        design, rounds, report = solve(with_max_iters(small_scenario, 12))
         assert report.feasible
         assert np.all(report.margins >= 0.0)
         assert rounds >= 1
@@ -652,8 +657,8 @@ class TestSolve:
         assert np.all(report.success_probs > 0.0)
 
     def test_deterministic_reruns(self, small_scenario):
-        d1, r1, rep1 = solve(small_scenario, max_iters=12)
-        d2, r2, rep2 = solve(small_scenario, max_iters=12)
+        d1, r1, rep1 = solve(with_max_iters(small_scenario, 12))
+        d2, r2, rep2 = solve(with_max_iters(small_scenario, 12))
         assert np.array_equal(d1.as_flat(), d2.as_flat())
         assert r1 == r2
         assert np.array_equal(rep1.dual_trace(), rep2.dual_trace())
@@ -662,7 +667,7 @@ class TestSolve:
         """Every dual value bounds the smoothed objective of the answer."""
         from swarmfl.seeds import derive_seed
 
-        design, _, report = solve(small_scenario, max_iters=12)
+        design, _, report = solve(with_max_iters(small_scenario, 12))
         samples = ScenarioSamples.generate(
             small_scenario, small_scenario.saa.samples_k,
             derive_seed(small_scenario.base_seed, "saa-samples"),
@@ -675,16 +680,16 @@ class TestSolve:
     def test_starved_budget_raises(self, small_scenario):
         starved = replace(small_scenario, energy_budget=EnergyBudget(e_bar=1e-6, xi_leader=0.9, xi_follower=0.9))
         with pytest.raises(NoFeasibleDesignError):
-            solve(starved, max_iters=3)
+            solve(with_max_iters(starved, 3))
 
     def test_ellipsoid_variant(self, small_scenario):
-        design, rounds, report = solve(small_scenario, max_iters=8, method="ellipsoid")
+        design, rounds, report = solve(with_max_iters(small_scenario, 8), method="ellipsoid")
         assert report.method == "ellipsoid"
         assert report.feasible
         assert design.validate(small_scenario.p_max, small_scenario.flight.v_max) == []
 
     def test_ellipsoid_descends_the_dual(self, default_scenario):
-        _, rounds, report = solve(default_scenario, method="ellipsoid", max_iters=5)
+        _, rounds, report = solve(with_max_iters(default_scenario, 5), method="ellipsoid")
         trace = report.dual_trace()
         assert trace[-1] < trace[0]
         assert all(row["inner_cycles"] >= 1 for row in report.iterations)
@@ -722,12 +727,25 @@ class TestSolve:
         cycles = [row["inner_cycles"] for row in bound.iterations]
         assert cycles[0] == 2
         assert all(1 <= c <= default_scenario.saa.max_cycles for c in cycles)
-        _, _, capped = solve(binding, max_iters=3)
+        _, _, capped = solve(with_max_iters(binding, 3))
         assert capped.stop_reason == "max_iters"
 
     def test_unknown_method(self, small_scenario):
         with pytest.raises(ValueError):
-            solve(small_scenario, max_iters=2, method="newton")
+            solve(with_max_iters(small_scenario, 2), method="newton")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed(self, small_scenario, monkeypatch, seed):
+        """A seed outside [0, 2**64) is rejected before anything is drawn, not
+        wrapped onto another seed."""
+        import swarmfl.saa as saa
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve drew samples for an out-of-range seed")
+
+        monkeypatch.setattr(saa, "derive_seed", forbidden)
+        with pytest.raises(ValueError, match=r"rng_seed must be in \[0, 2\*\*64\)"):
+            solve(small_scenario, rng_seed=seed)
 
 
 class TestBaselines:

@@ -6,7 +6,7 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from swarmfl.channel import Interferer, InterferenceField
@@ -19,18 +19,6 @@ from swarmfl.scenario import (
     scenario_to_dict,
     serialize_scenario,
 )
-
-
-class TestDefaults:
-    def test_default_scenario_valid(self, default_scenario):
-        assert default_scenario.validate() == []
-
-    def test_default_design_within_boxes(self, default_scenario):
-        d = default_scenario.default_design()
-        assert d.validate(default_scenario.p_max, default_scenario.flight.v_max) == []
-
-    def test_control_deadlines_match_followers(self, default_scenario):
-        assert len(default_scenario.control.tau) == default_scenario.n_followers
 
 
 FRACTION = st.floats(0.01, 0.99)
@@ -65,6 +53,23 @@ def valid_scenarios(draw):
     scenario = replace(draw(instances(SwarmScenario, n_followers)), n_followers=n_followers)
     assume(scenario.validate() == [])
     return scenario
+
+
+class TestDefaults:
+    def test_default_scenario_valid(self, default_scenario):
+        assert default_scenario.validate() == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=valid_scenarios())
+    @example(scenario=SwarmScenario())  # v_max >= 12, which the draws never reach
+    def test_default_design_within_boxes(self, scenario):
+        """The experiments run default_design() unchecked: it lies in its boxes
+        for every valid scenario."""
+        d = scenario.default_design()
+        assert d.validate(scenario.p_max, scenario.flight.v_max) == []
+
+    def test_control_deadlines_match_followers(self, default_scenario):
+        assert len(default_scenario.control.tau) == default_scenario.n_followers
 
 
 class TestRoundTrip:
