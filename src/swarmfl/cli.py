@@ -7,6 +7,7 @@ CSV.  Exit codes: 0 success, 2 bad configuration, 3 no feasible design,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from dataclasses import replace
@@ -30,11 +31,27 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(text: str) -> tuple[float, ...]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return tuple(float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _defaulted(p: argparse.ArgumentParser, flag: str, experiment, name: str, text: str, **kwargs):
+    """Add flag with no argparse default, so it is passed on only when given.
+    Its help shows the experiment's own default for the parameter name."""
+    value = inspect.signature(experiment).parameters[name].default
+    shown = ",".join(f"{v:g}" for v in value) if isinstance(value, tuple) else value
+    p.add_argument(flag, help=f"{text} (default {shown})", **kwargs)
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose flag was given; the rest keep the experiment's defaults.
+
+    A grid given empty is kept, so the experiment rejects it.
+    """
+    return {name: value for name, value in kwargs.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,20 +72,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ss = sub.add_parser("sweep-sigma", help="round counts over a jitter/bandwidth grid")
     common(p_ss, "sweep-sigma.csv")
-    p_ss.add_argument("--sigma2", type=_float_list, help="jitter variances (default 0.01,0.05,0.1,0.2)")
-    p_ss.add_argument("--bw", type=_float_list, help="bandwidths in Hz (default 1e6,2e6,5e6)")
-    p_ss.add_argument("--eps-frac", type=float, default=0.10, help="loss target fraction (default 0.10)")
+    _defaulted(p_ss, "--sigma2", experiment_sweep_sigma, "sigma2_list", "jitter variances", type=_float_list)
+    _defaulted(p_ss, "--bw", experiment_sweep_sigma, "bw_list", "bandwidths in Hz", type=_float_list)
+    _defaulted(p_ss, "--eps-frac", experiment_sweep_sigma, "eps_frac", "loss target fraction", type=float)
 
     p_cd = sub.add_parser("compare-designs", help="joint design vs. partial baselines")
     common(p_cd, "compare-designs.csv")
-    p_cd.add_argument("--bw", type=_float_list, help="bandwidths in Hz (default 1e6,2e6,5e6)")
-    p_cd.add_argument("--baseline-draws", type=int, default=20, help="random baseline redraws (default 20)")
+    _defaulted(p_cd, "--bw", experiment_compare_designs, "bw_list", "bandwidths in Hz", type=_float_list)
+    _defaulted(
+        p_cd, "--baseline-draws", experiment_compare_designs, "n_baseline_draws", "random baseline redraws",
+        type=int,
+    )
 
     p_opt = sub.add_parser("optimize", help="solve the joint design problem")
     common(p_opt, "optimize.csv")
-    p_opt.add_argument(
-        "--method", choices=("subgradient", "ellipsoid"), default="subgradient",
-        help="dual solver (default subgradient)",
+    _defaulted(
+        p_opt, "--method", experiment_optimize, "method", "dual solver", choices=("subgradient", "ellipsoid")
     )
 
     p_sim = sub.add_parser("simulate", help="per-run federated training telemetry")
@@ -97,24 +116,19 @@ def _run_command(args) -> int:
     t_start = time.perf_counter()
     scenario = _load(args)
     if args.command == "validate-theorem":
-        result = experiment_validate_theorem(scenario, eps_fracs=args.eps_fracs)
+        result = experiment_validate_theorem(scenario, **_given(eps_fracs=args.eps_fracs))
     elif args.command == "sweep-sigma":
-        # a given but empty grid is passed on, so the experiment rejects it
-        kwargs = {}
-        if args.sigma2 is not None:
-            kwargs["sigma2_list"] = tuple(args.sigma2)
-        if args.bw is not None:
-            kwargs["bw_list"] = tuple(args.bw)
-        result = experiment_sweep_sigma(scenario, eps_frac=args.eps_frac, **kwargs)
+        result = experiment_sweep_sigma(
+            scenario, **_given(sigma2_list=args.sigma2, bw_list=args.bw, eps_frac=args.eps_frac)
+        )
     elif args.command == "compare-designs":
-        kwargs = {"n_baseline_draws": args.baseline_draws}
-        if args.bw is not None:
-            kwargs["bw_list"] = tuple(args.bw)
-        result = experiment_compare_designs(scenario, **kwargs)
+        result = experiment_compare_designs(
+            scenario, **_given(bw_list=args.bw, n_baseline_draws=args.baseline_draws)
+        )
     elif args.command == "optimize":
-        result = experiment_optimize(scenario, method=args.method)
+        result = experiment_optimize(scenario, **_given(method=args.method))
     elif args.command == "simulate":
-        result = experiment_simulate(scenario, eps_frac=args.eps_frac)
+        result = experiment_simulate(scenario, **_given(eps_frac=args.eps_frac))
     else:  # pragma: no cover - argparse enforces the choices
         raise RuntimeError(f"unhandled command {args.command!r}")
     emit_csv(result, args.out)

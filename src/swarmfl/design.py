@@ -26,27 +26,21 @@ class DesignVector:
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
-    def validate(self, p_max: float, v_max: float, prefix: str = "design") -> list[str]:
+    def validate(self, p_max: float, v_max: float) -> list[str]:
         """Box-constraint violations as human-readable messages (empty if valid)."""
         errors = []
         if self.p.ndim != 1:
-            errors.append(f"{prefix}.p must be a 1-d array")
+            errors.append("design.p must be a 1-d array")
             return errors
         if not np.all((self.p > 0.0) & (self.p <= p_max)):  # NaN fails too
-            errors.append(f"{prefix}.p must lie in (0, p_max={p_max}] per follower")
+            errors.append(f"design.p must lie in (0, p_max={p_max}] per follower")
         if not (0.0 < self.p_leader <= p_max):
-            errors.append(f"{prefix}.p_leader must lie in (0, p_max={p_max}]")
+            errors.append(f"design.p_leader must lie in (0, p_max={p_max}]")
         if not (0.0 < self.beta < 1.0):
-            errors.append(f"{prefix}.beta must lie in (0, 1)")
+            errors.append("design.beta must lie in (0, 1)")
         if not (0.0 < self.v <= v_max):
-            errors.append(f"{prefix}.v must lie in (0, v_max={v_max}]")
+            errors.append(f"design.v must lie in (0, v_max={v_max}]")
         return errors
-
-    def require_valid(self, p_max: float, v_max: float) -> "DesignVector":
-        errors = self.validate(p_max, v_max)
-        if errors:
-            raise ValueError("; ".join(errors))
-        return self
 
     def as_flat(self) -> np.ndarray:
         """Concatenated (p_1..p_I, p_leader, beta, v) vector."""

@@ -28,7 +28,6 @@ __all__ = [
     "FlightParams",
     "ControlRequirements",
     "EnergyBudget",
-    "training_energy_leader",
     "induced_velocity",
     "flight_power",
     "round_energies",
@@ -110,13 +109,6 @@ class EnergyBudget:
     xi_follower: float = field(default=0.9, metadata={"bound": "in (0, 1)"})
 
 
-def training_energy_leader(compute: ComputeParams, pkt_local_bits: float, n_followers: int) -> float:
-    """Energy the leader spends aggregating one round of follower uploads [J]."""
-    if n_followers < 0:
-        raise ValueError("n_followers must be >= 0")
-    return compute.energy_per_bit() * pkt_local_bits * n_followers
-
-
 def induced_velocity(flight: FlightParams, v) -> float | np.ndarray:
     """Rotor downwash speed at forward speed v [m/s].
 
@@ -164,9 +156,9 @@ def _flight_energy(scenario: "SwarmScenario", v) -> float:
 
 
 def _leader_energy(scenario: "SwarmScenario", p_leader, beta, e_fly) -> float:
-    """The leader's round: aggregation, the whole downlink window, flight [J]."""
+    """The leader's round: aggregating every upload, the whole downlink window, flight [J]."""
     return (
-        training_energy_leader(scenario.compute, scenario.radio.pkt_local, scenario.n_followers)
+        scenario.compute.energy_per_bit() * scenario.radio.pkt_local * scenario.n_followers
         + p_leader * (1.0 - beta) * scenario.round_time_s
         + e_fly
     )

@@ -36,7 +36,6 @@ class Dataset:
 
     features: np.ndarray  # (count, dim)
     labels: np.ndarray  # (count,)
-    owner: int
 
     @property
     def count(self) -> int:
@@ -65,7 +64,7 @@ class QuadraticLossModel:
     (zeta1, zeta2) feed only diagnostic bounds.
     """
 
-    def __init__(self, datasets: list[Dataset], *, zeta_seed: int = 0, w0: np.ndarray | None = None):
+    def __init__(self, datasets: list[Dataset], *, zeta_seed: int = 0):
         if not datasets:
             raise ValueError("need at least one dataset")
         dims = {d.dim for d in datasets}
@@ -87,8 +86,7 @@ class QuadraticLossModel:
         self.lipschitz_u = float(eigvals[-1])
         self.w_star = np.linalg.solve(hessian, sum(self._b) / n)
         self.f_star = self.global_loss(self.w_star)
-        w_ref = np.zeros(self.dim) if w0 is None else np.asarray(w0, dtype=float)
-        self.zeta1, self.zeta2 = self._fit_gradient_diversity(w_ref, zeta_seed)
+        self.zeta1, self.zeta2 = self._fit_gradient_diversity(zeta_seed)
 
     @property
     def n_followers(self) -> int:
@@ -98,18 +96,13 @@ class QuadraticLossModel:
     def n_total(self) -> int:
         return int(self.counts.sum())
 
-    def follower_loss_sum(self, i: int, w: np.ndarray) -> float:
-        """Sum of sample losses of follower i at w."""
-        d = self.datasets[i]
-        r = d.features @ w - d.labels
-        return float(r @ r)
-
     def follower_grad_sum(self, i: int, w: np.ndarray) -> np.ndarray:
         """Sum of sample gradients of follower i at w."""
         return self._a[i] @ w - self._b[i]
 
     def total_loss_sum(self, w: np.ndarray) -> float:
-        return sum(self.follower_loss_sum(i, w) for i in range(self.n_followers))
+        """Sum of all sample losses at w, added up follower by follower."""
+        return sum(float(r @ r) for r in (d.features @ w - d.labels for d in self.datasets))
 
     def global_loss(self, w: np.ndarray) -> float:
         """F(w): mean loss over all samples of all followers."""
@@ -129,17 +122,17 @@ class QuadraticLossModel:
         resid = self._x @ ws.T - self._y[:, None]
         return np.einsum("nr,nr->r", resid, resid) / self.n_total
 
-    def _fit_gradient_diversity(self, w0: np.ndarray, seed: int) -> tuple[float, float]:
+    def _fit_gradient_diversity(self, seed: int) -> tuple[float, float]:
         """Smallest (zeta1, zeta2) with max_i |grad_i|^2 <= zeta1 + zeta2 |grad F|^2
         on a sample of points around the optimum.
 
-        Points are drawn uniformly from the ball of radius 3 |w0 - w*|
-        centered at w*; the optimum itself is included so the intercept
-        covers the residual gradient diversity there.  zeta2 >= 1 and
-        zeta1 >= 0 by construction.
+        Points are drawn uniformly from the ball centered at w* of radius
+        3 |w*|, three times the distance of the zero start; the optimum
+        itself is included so the intercept covers the residual gradient
+        diversity there.  zeta2 >= 1 and zeta1 >= 0 by construction.
         """
         rng = np.random.default_rng(seed)
-        radius = 3.0 * float(np.linalg.norm(w0 - self.w_star))
+        radius = 3.0 * float(np.linalg.norm(self.w_star))
         if radius == 0.0:
             radius = 1.0
         n_pts = 1000
@@ -248,7 +241,6 @@ def make_regression_problem(
         Dataset(
             features=x[i * samples_per : (i + 1) * samples_per],
             labels=y[i * samples_per : (i + 1) * samples_per],
-            owner=i,
         )
         for i in range(n_followers)
     ]
@@ -341,7 +333,6 @@ def run_fl(
     *,
     lr: float | None = None,
     stale_models: bool = True,
-    w0: np.ndarray | None = None,
     resume: "tuple[FlState, np.ndarray] | None" = None,
 ) -> tuple[FlState, np.ndarray]:
     """Run R coupled federated trainings until each loss gap F(w) - F(w*)
@@ -363,16 +354,16 @@ def run_fl(
     equals one call on the masks of both calls joined, bit for bit, since
     every round trains the same repetitions in the same order.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails too
         raise ValueError("epsilon must be > 0")
     ok = np.asarray(participation, dtype=bool)
     if ok.ndim != 3 or ok.shape[2] != loss.n_followers:
         raise ValueError(f"participation must have shape (R, T, {loss.n_followers}), got {ok.shape}")
     step = 1.0 / loss.lipschitz_u if lr is None else float(lr)
-    if step <= 0.0:
-        raise ValueError("lr must be > 0")
+    if not 0.0 < step < np.inf:  # NaN fails too
+        raise ValueError("lr must be finite and > 0")
 
-    state, hits = _start(loss, ok, epsilon, w0) if resume is None else _resumed(*resume, ok)
+    state, hits = _start(loss, ok, epsilon) if resume is None else _resumed(*resume, ok)
     done = state.participation.shape[1] - ok.shape[1]  # rounds an earlier call ran
     live = np.flatnonzero(hits < 0)
     for t in range(done + 1, state.participation.shape[1] + 1):
@@ -396,10 +387,10 @@ def run_fl(
     return state, hits
 
 
-def _start(loss: QuadraticLossModel, ok: np.ndarray, epsilon: float, w0) -> tuple[FlState, np.ndarray]:
-    """Fresh runs at w0 over masks ok; every hit is 0 if the start already meets epsilon, else -1."""
+def _start(loss: QuadraticLossModel, ok: np.ndarray, epsilon: float) -> tuple[FlState, np.ndarray]:
+    """Fresh runs from the zero model over masks ok; every hit is 0 if it meets epsilon, else -1."""
     n_reps, max_rounds, n_f = ok.shape
-    start = np.zeros(loss.dim) if w0 is None else np.asarray(w0, dtype=float)
+    start = np.zeros(loss.dim)
     state = FlState(
         global_w=np.tile(start, (n_reps, 1)),
         last_received=np.tile(start, (n_reps, n_f, 1)),

@@ -77,7 +77,7 @@ class DatasetSpec:
     w_scale: float = field(default=1.0, metadata={"bound": "finite"})
     seed: int = field(default=7, metadata={"bound": ">= 0"})
 
-    def validate(self, prefix: str = "dataset") -> list[str]:
+    def validate(self) -> list[str]:
         """The rules that tie the dataset's fields together."""
         # both layouts need a nonsingular pooled Gram matrix
         checks = [("samples_per", self.samples_per >= self.dim, f">= dim ({self.dim})")]
@@ -89,9 +89,9 @@ class DatasetSpec:
                 # a negative w_scale only flips the sign of the truth vector
                 ("w_scale", self.w_scale != 0.0, "nonzero"),
             ]
-        return [f"{prefix}.{name} must be {rule}" for name, ok, rule in checks if not ok]
+        return [f"dataset.{name} must be {rule}" for name, ok, rule in checks if not ok]
 
-    def build(self, n_followers: int, seed: int | None = None):
+    def build(self, n_followers: int):
         """Instantiate the problem split across n_followers: (datasets, loss_model)."""
         from .fl import make_regression_problem
 
@@ -105,13 +105,7 @@ class DatasetSpec:
                 exact_second_moments=self.exact_second_moments,
                 w_scale=self.w_scale,
             )
-        return make_regression_problem(
-            n_followers,
-            self.samples_per,
-            self.dim,
-            self.seed if seed is None else seed,
-            **kwargs,
-        )
+        return make_regression_problem(n_followers, self.samples_per, self.dim, self.seed, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -197,9 +191,9 @@ class SwarmScenario:
         per_follower = self.compute.energy_per_bit() * self.dataset.sample_bits * self.dataset.samples_per
         return np.full(self.n_followers, per_follower)
 
-    def build_dataset(self, seed: int | None = None):
+    def build_dataset(self):
         """Instantiate the synthetic problem: (datasets, loss_model)."""
-        return self.dataset.build(self.n_followers, seed)
+        return self.dataset.build(self.n_followers)
 
     def default_design(self) -> DesignVector:
         """A hand-tuned feasible operating point used by the validation runs."""
@@ -224,7 +218,7 @@ class SwarmScenario:
                 )
         if len(self.epsilon_fracs) == 0:
             errors.append("epsilon_fracs must not be empty")
-        return errors + self.dataset.validate("dataset")
+        return errors + self.dataset.validate()
 
     def require_valid(self) -> "SwarmScenario":
         errors = self.validate()

@@ -1,5 +1,7 @@
 """Command line: argument wiring, exit codes, reproducible output files."""
 
+import functools
+import inspect
 import json
 import os
 import re
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from swarmfl import cli
 from swarmfl.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME, build_parser, main
+from swarmfl.experiments import ExperimentResult
 
 
 @pytest.fixture()
@@ -129,6 +133,49 @@ class TestRuns:
         assert code_a == EXIT_OK and code_b == EXIT_OK
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         capsys.readouterr()
+
+
+class TestDefaults:
+    """The experiments own their defaults: a flag left out passes nothing on."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {}
+
+        def recorder(command, experiment):
+            @functools.wraps(experiment)  # keeps the signature the help text reads
+            def record(scenario, **kwargs):
+                calls[command] = kwargs
+                return ExperimentResult(command, [])
+
+            return record
+
+        for command, name in (("sweep-sigma", "experiment_sweep_sigma"),
+                              ("compare-designs", "experiment_compare_designs")):
+            monkeypatch.setattr(cli, name, recorder(command, getattr(cli, name)))
+        return calls
+
+    @pytest.mark.parametrize("argv, passed", [
+        (["sweep-sigma"], {}),
+        (["compare-designs"], {}),
+        (["sweep-sigma", "--eps-frac", "0.3", "--sigma2", "0.02"], {"eps_frac": 0.3, "sigma2_list": (0.02,)}),
+        (["compare-designs", "--baseline-draws", "3", "--bw", "2e6"], {"n_baseline_draws": 3, "bw_list": (2e6,)}),
+    ])
+    def test_only_given_flags_are_passed(self, calls, argv, passed, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        assert calls == {argv[0]: passed}
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, experiment, name", [
+        ("sweep-sigma", "experiment_sweep_sigma", "eps_frac"),
+        ("compare-designs", "experiment_compare_designs", "n_baseline_draws"),
+        ("optimize", "experiment_optimize", "method"),
+    ])
+    def test_help_shows_the_experiment_default(self, command, experiment, name, capsys):
+        default = inspect.signature(getattr(cli, experiment)).parameters[name].default
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert f"(default {default})" in " ".join(capsys.readouterr().out.split())
 
 
 class TestFailureModes:
@@ -318,18 +365,32 @@ print(json.dumps(loaded))
 """
 
 
+# Runs in a fresh interpreter: the swarmfl modules that importing the package
+# root loads, and whether load_scenario resolves there.
+ROOT_PROBE = """
+import json, sys
+import swarmfl
+loaded = sorted(name for name in sys.modules if name.startswith("swarmfl."))
+print(json.dumps([loaded, callable(swarmfl.load_scenario)]))
+"""
+
+
+def run_probe(*args: str) -> subprocess.CompletedProcess:
+    """python -c args in a fresh interpreter that imports swarmfl from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", *args], capture_output=True, text=True, timeout=300, env=env,
+    )
+
+
 class TestImportPath:
     def test_scipy_loads_only_for_the_design_commands(self, config_path, tmp_path):
         """Importing swarmfl and the training commands leave scipy unloaded;
         optimize loads it (for the sigmoid) on its first solve."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE, str(config_path), str(tmp_path / "x.csv")],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
+        proc = run_probe(SCIPY_PROBE, str(config_path), str(tmp_path / "x.csv"))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {
             "import": False,
@@ -338,3 +399,12 @@ class TestImportPath:
             "simulate": [EXIT_OK, False],
             "optimize": [EXIT_OK, True],
         }
+
+    def test_package_root_loads_only_the_scenario(self):
+        """import swarmfl loads the scenario and the sections it is built from,
+        and exposes load_scenario."""
+        proc = run_probe(ROOT_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            ["swarmfl.channel", "swarmfl.design", "swarmfl.energy", "swarmfl.scenario"], True,
+        ]

@@ -9,7 +9,6 @@ from swarmfl.design import DesignVector
 def test_valid_design_passes():
     d = DesignVector(p=np.array([0.1, 0.2]), p_leader=0.3, beta=0.5, v=10.0)
     assert d.validate(p_max=0.5, v_max=20.0) == []
-    assert d.require_valid(0.5, 20.0) is d
 
 
 @pytest.mark.parametrize(
@@ -28,8 +27,6 @@ def test_valid_design_passes():
 def test_box_violations_named(kwargs, needle):
     msgs = DesignVector(**kwargs).validate(p_max=0.5, v_max=20.0)
     assert msgs and any(needle in m for m in msgs)
-    with pytest.raises(ValueError):
-        DesignVector(**kwargs).require_valid(0.5, 20.0)
 
 
 def test_flat_round_trip():

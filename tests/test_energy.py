@@ -24,7 +24,6 @@ from swarmfl.energy import (
     flight_power,
     induced_velocity,
     round_energies,
-    training_energy_leader,
 )
 from swarmfl.scenario import SwarmScenario
 
@@ -35,8 +34,8 @@ class TestComputeEnergy:
         assert ComputeParams().energy_per_bit() == pytest.approx(1e-7, rel=1e-12)
 
     def test_leader_processes_all_follower_packets(self):
-        # 5 packets of 8e4 bits at 1e-7 J/bit
-        got = training_energy_leader(ComputeParams(), 8e4, 5)
+        # 5 packets of 8e4 bits at 1e-7 J/bit, with no downlink power and no flight
+        got = energy._leader_energy(SwarmScenario(), 0.0, 0.5, 0.0)
         assert got == pytest.approx(0.04, rel=1e-12)
 
     def test_follower_per_sample_cost(self, default_scenario):

@@ -30,7 +30,7 @@ def constant_feature_problem():
     """Two followers, every sample x=1, y=1: the textbook scalar case."""
     feats = np.ones((20, 1))
     labels = np.ones(20)
-    datasets = [Dataset(feats, labels, owner=0), Dataset(feats, labels, owner=1)]
+    datasets = [Dataset(feats, labels), Dataset(feats, labels)]
     return datasets, QuadraticLossModel(datasets)
 
 
@@ -63,7 +63,7 @@ class TestQuadraticLossModel:
     def test_rank_deficient_features_rejected(self):
         feats = np.zeros((10, 3))
         feats[:, 0] = 1.0
-        datasets = [Dataset(feats, np.ones(10), owner=0)]
+        datasets = [Dataset(feats, np.ones(10))]
         with pytest.raises(ValueError, match="singular"):
             QuadraticLossModel(datasets)
 
@@ -80,8 +80,8 @@ class TestQuadraticLossModel:
         assert model.zeta1 >= worst - 1e-9
 
     def test_mismatched_dimensions_rejected(self):
-        a = Dataset(np.ones((5, 2)), np.ones(5), owner=0)
-        b = Dataset(np.ones((5, 3)), np.ones(5), owner=1)
+        a = Dataset(np.ones((5, 2)), np.ones(5))
+        b = Dataset(np.ones((5, 3)), np.ones(5))
         with pytest.raises(ValueError):
             QuadraticLossModel([a, b])
 
@@ -129,7 +129,7 @@ class TestLocalUpdate:
     def test_scalar_hand_step(self):
         # one sample x=2, y=3 at w=0: summed gradient 2*x*(x.w - y) = -12,
         # count-normalized step w - lr/1 * (-12) = 12*lr
-        d = Dataset(np.array([[2.0]]), np.array([3.0]), owner=0)
+        d = Dataset(np.array([[2.0]]), np.array([3.0]))
         model = QuadraticLossModel([d])
         got = local_update(np.array([0.0]), 0, model, lr=0.1)
         assert got[0] == pytest.approx(1.2, abs=1e-12)
@@ -239,12 +239,6 @@ class TestRunFl:
         assert hits.tolist() == [0]
         assert state.round == 0
 
-    def test_start_at_optimum_reports_round_zero(self, default_problem, default_scenario):
-        _, model = default_problem
-        state, hits = run_fl(model, masks_for(default_scenario, 10, 4), epsilon=1e-12, w0=model.w_star)
-        assert hits.tolist() == [0]
-        assert state.global_w[0] == pytest.approx(model.w_star)
-
     def test_perfect_links_contract_every_round(self, easy_scenario):
         _, model = easy_scenario.build_dataset()
         state, hit = run_fl(model, masks_for(easy_scenario, 60, 2), epsilon=1e-9)
@@ -330,6 +324,18 @@ class TestRunFl:
         with pytest.raises(ValueError, match="participation"):
             run_fl(model, np.ones((2, 10, 3), dtype=bool), epsilon=1e-3)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan])
+    def test_bad_epsilon_rejected(self, default_problem, epsilon):
+        _, model = default_problem
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            run_fl(model, np.ones((1, 10, model.n_followers), dtype=bool), epsilon)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_lr_rejected(self, default_problem, lr):
+        _, model = default_problem
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            run_fl(model, np.ones((1, 10, model.n_followers), dtype=bool), 1e-3, lr=lr)
+
 
 class TestBatchedKernel:
     """The batched round and run against the per-follower reference steps."""
@@ -393,4 +399,4 @@ class TestParticipationMasks:
 class TestDatasetValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(np.ones((5, 2)), np.ones(4), owner=0)
+            Dataset(np.ones((5, 2)), np.ones(4))

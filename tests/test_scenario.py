@@ -332,6 +332,9 @@ class TestBuildDataset:
         assert m1.strong_mu == m2.strong_mu
 
     def test_build_dataset_seed_override(self, default_scenario):
-        d1, _ = default_scenario.build_dataset(seed=1)
-        d2, _ = default_scenario.build_dataset(seed=2)
+        def with_seed(seed):
+            return replace(default_scenario, dataset=replace(default_scenario.dataset, seed=seed))
+
+        d1, _ = with_seed(1).build_dataset()
+        d2, _ = with_seed(2).build_dataset()
         assert not np.array_equal(d1[0].features, d2[0].features)
