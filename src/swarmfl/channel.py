@@ -429,12 +429,11 @@ def participation_masks(
     design: "DesignVector",
     n_rounds: int,
     seeds,
-    start: int = 0,
     stop: int | None = None,
 ) -> np.ndarray:
-    """Participation indicators of coupled training runs in rounds [start, stop).
+    """Participation indicators of coupled training runs in rounds [0, stop).
 
-    The shape is (B, R, stop - start, I).
+    The shape is (B, R, stop, I).
 
     Repetition r draws n_rounds channel realizations once, from its own
     generator seeded with seeds[r], and reads them under each of the B
@@ -442,7 +441,7 @@ def participation_masks(
     (see ScenarioSamples).  Trajectories with the same seed are thus coupled
     draw-for-draw across the points.  stop defaults to n_rounds.  Every
     repetition draws all n_rounds, so the random stream of a round does not
-    depend on the window; only the window's rounds are turned into kernels,
+    depend on stop; only the first stop rounds are turned into kernels,
     delays and masks, and they equal the same rounds of the full-horizon
     masks.  Repetitions are stacked, in groups of at most _ROW_BUDGET rounds
     (at least one repetition), into one ScenarioSamples each group, read
@@ -456,32 +455,32 @@ def participation_masks(
     stop = n_rounds if stop is None else stop
     if n_rounds < 0:
         raise ValueError("n_rounds must be >= 0")
-    if not 0 <= start <= stop <= n_rounds:
-        raise ValueError(f"need 0 <= start <= stop <= n_rounds, got {start}, {stop}, {n_rounds}")
-    scenario, width, n_f = points[0], stop - start, points[0].n_followers
-    out = np.empty((len(points), len(seeds), width, n_f), dtype=bool)
-    if width == 0:
-        return out  # an empty window draws nothing
-    group = max(1, _ROW_BUDGET // width)
+    if not 0 <= stop <= n_rounds:
+        raise ValueError(f"need 0 <= stop <= n_rounds, got {stop}, {n_rounds}")
+    scenario, n_f = points[0], points[0].n_followers
+    out = np.empty((len(points), len(seeds), stop, n_f), dtype=bool)
+    if stop == 0:
+        return out  # no rounds, nothing to draw
+    group = max(1, _ROW_BUDGET // stop)
     for first in range(0, len(seeds), group):
         reps = slice(first, first + group)
-        samples = _stacked_windows(scenario, n_rounds, seeds[reps], start, stop)
+        samples = _stacked_windows(scenario, n_rounds, seeds[reps], stop)
         for k, point in enumerate(points):
-            out[k, reps] = samples._masks(design, point).reshape(-1, width, n_f)
+            out[k, reps] = samples._masks(design, point).reshape(-1, stop, n_f)
     return out
 
 
-def _stacked_windows(scenario: "SwarmScenario", n_rounds: int, seeds, start: int, stop: int):
-    """Rounds [start, stop) of n_rounds draws per seed, stacked seed after seed into one ScenarioSamples."""
+def _stacked_windows(scenario: "SwarmScenario", n_rounds: int, seeds, stop: int):
+    """Rounds [0, stop) of n_rounds draws per seed, stacked seed after seed into one ScenarioSamples."""
     unit = _unit_variance(scenario)
-    width, n_f = stop - start, scenario.n_followers
-    rows = len(seeds) * width
+    n_f = scenario.n_followers
+    rows = len(seeds) * stop
     unit_jitter = np.empty((rows, n_f + 1))
     parts = (np.empty((rows, n_f)), np.empty((rows, 1)), np.empty((rows, n_f)), np.empty((rows, n_f)))
     for r, seed in enumerate(seeds):
         draw = draw_channel(unit, np.random.default_rng(seed), size=n_rounds)
-        window = ChannelDraw(**{f.name: getattr(draw, f.name)[start:stop] for f in fields(ChannelDraw)})
-        kept = slice(r * width, (r + 1) * width)
+        window = ChannelDraw(**{f.name: getattr(draw, f.name)[:stop] for f in fields(ChannelDraw)})
+        kept = slice(r * stop, (r + 1) * stop)
         unit_jitter[kept] = window.angle_dev
         for stacked, part in zip(parts, _jitter_free_parts(window, scenario)):
             stacked[kept] = part

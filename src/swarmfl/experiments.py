@@ -110,38 +110,30 @@ def _prob_cells(probs) -> dict:
     return {f"success_prob_{i + 1}": float(p) for i, p in enumerate(probs)}
 
 
-# Rounds of masks every repetition is trained on first; the rest of the round
-# budget is computed only for repetitions still running after them.  At the
-# default scenario runs stop well before (by round 78 at the seeds tried), so
-# each repetition is drawn once there.
+# Rounds of masks every repetition is trained on first.  If any run at any
+# point is still going after them, every repetition is drawn and trained again
+# on the whole round budget.  At the default scenario runs stop well before
+# (by round 78 at the seeds tried), so each repetition is drawn once there.
 _FIRST_CHUNK = 128
 
 
 def _train(model, points, design, n_rounds, seeds, epsilon):
     """(FlState, hits) per point of coupled runs trained to the loss gap epsilon.
 
-    Equal to run_fl on participation_masks(points, design, n_rounds, seeds),
-    at the rate-matched step, but masks are computed only for the rounds the
-    runs reach: the first _FIRST_CHUNK rounds of every repetition, then the
-    remaining rounds of the repetitions still running at some point, which
-    are drawn a second time, and those runs are resumed.  A state's masks
-    and loss history stop at the last round computed.
+    Equal to run_fl on participation_masks(points, design, n_rounds, seeds)
+    at the rate-matched step.  Every run is first trained on the first
+    _FIRST_CHUNK rounds; if some run at some point is still going after
+    them, all runs are redrawn and trained again on the whole budget.  A
+    state's masks and loss history stop at the last round computed.
     """
     lr = 0.5 / model.lipschitz_u
-    first = min(_FIRST_CHUNK, n_rounds)
-    runs = [
-        run_fl(model, masks, epsilon, lr=lr)
-        for masks in participation_masks(points, design, n_rounds, seeds, 0, first)
-    ]
-    running = np.any([hits < 0 for _, hits in runs], axis=0)
-    if first == n_rounds or not running.any():
-        return runs
-    reps = np.flatnonzero(running)
-    more = participation_masks(points, design, n_rounds, [seeds[r] for r in reps], first)
-    return [
-        run_fl(model, masks[(hits < 0)[reps]], epsilon, lr=lr, resume=(state, hits))
-        for (state, hits), masks in zip(runs, more)
-    ]
+    for stop in (min(_FIRST_CHUNK, n_rounds), n_rounds):
+        runs = [
+            run_fl(model, masks, epsilon, lr=lr)
+            for masks in participation_masks(points, design, n_rounds, seeds, stop)
+        ]
+        if stop == n_rounds or all(np.all(hits >= 0) for _, hits in runs):
+            return runs
 
 
 def _crossing_rounds(model, state, eps_means):

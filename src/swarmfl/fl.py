@@ -253,7 +253,7 @@ class FlState:
     """State of R coupled federated training runs, one row per repetition.
 
     T is the number of rounds whose participation masks were computed, which
-    may be fewer than a run's round budget (see run_fl's resume).
+    may be fewer than a run's round budget.
     rounds[r] counts the rounds repetition r executed before it reached its
     loss target (or ran out of participation masks); loss_history[r, t] is
     F after round t, NaN past rounds[r].  Masks of a repetition past
@@ -333,7 +333,6 @@ def run_fl(
     *,
     lr: float | None = None,
     stale_models: bool = True,
-    resume: "tuple[FlState, np.ndarray] | None" = None,
 ) -> tuple[FlState, np.ndarray]:
     """Run R coupled federated trainings until each loss gap F(w) - F(w*)
     falls below epsilon.
@@ -347,12 +346,6 @@ def run_fl(
     defaults to 1/lipschitz_u; stale_models=False is an idealized ablation
     where every follower always receives the broadcast even in rounds it
     does not contribute to.
-
-    resume continues the (state, hits) an earlier call returned, with the
-    same epsilon and options: participation then holds the next rounds of
-    only the repetitions still running (hits == -1), in order.  The result
-    equals one call on the masks of both calls joined, bit for bit, since
-    every round trains the same repetitions in the same order.
     """
     if not epsilon > 0.0:  # NaN fails too
         raise ValueError("epsilon must be > 0")
@@ -363,10 +356,20 @@ def run_fl(
     if not 0.0 < step < np.inf:  # NaN fails too
         raise ValueError("lr must be finite and > 0")
 
-    state, hits = _start(loss, ok, epsilon) if resume is None else _resumed(*resume, ok)
-    done = state.participation.shape[1] - ok.shape[1]  # rounds an earlier call ran
+    n_reps, max_rounds, n_f = ok.shape
+    start = np.zeros(loss.dim)
+    state = FlState(
+        global_w=np.tile(start, (n_reps, 1)),
+        last_received=np.tile(start, (n_reps, n_f, 1)),
+        rounds=np.zeros(n_reps, dtype=int),
+        loss_history=np.full((n_reps, max_rounds + 1), np.nan),
+        participation=ok,
+    )
+    f_start = loss.global_loss(start)
+    state.loss_history[:, 0] = f_start
+    hits = np.full(n_reps, 0 if f_start - loss.f_star <= epsilon else -1)
     live = np.flatnonzero(hits < 0)
-    for t in range(done + 1, state.participation.shape[1] + 1):
+    for t in range(1, max_rounds + 1):
         if live.size == 0:
             break
         mask = state.participation[live, t - 1]
@@ -386,36 +389,3 @@ def run_fl(
         live = live[~crossed]
     return state, hits
 
-
-def _start(loss: QuadraticLossModel, ok: np.ndarray, epsilon: float) -> tuple[FlState, np.ndarray]:
-    """Fresh runs from the zero model over masks ok; every hit is 0 if it meets epsilon, else -1."""
-    n_reps, max_rounds, n_f = ok.shape
-    start = np.zeros(loss.dim)
-    state = FlState(
-        global_w=np.tile(start, (n_reps, 1)),
-        last_received=np.tile(start, (n_reps, n_f, 1)),
-        rounds=np.zeros(n_reps, dtype=int),
-        loss_history=np.full((n_reps, max_rounds + 1), np.nan),
-        participation=ok,
-    )
-    f_start = loss.global_loss(start)
-    state.loss_history[:, 0] = f_start
-    hits = np.full(n_reps, 0 if f_start - loss.f_star <= epsilon else -1)
-    return state, hits
-
-
-def _resumed(state: FlState, hits: np.ndarray, more: np.ndarray) -> tuple[FlState, np.ndarray]:
-    """A copy of state widened by the masks more of its still-running repetitions."""
-    live = np.flatnonzero(hits < 0)
-    if len(more) != live.size:
-        raise ValueError(f"resume needs masks of the {live.size} running repetitions, got {len(more)}")
-    n_reps, done, n_f = state.participation.shape
-    participation = np.zeros((n_reps, done + more.shape[1], n_f), dtype=bool)
-    participation[:, :done] = state.participation
-    participation[live, done:] = more
-    loss_history = np.full((n_reps, participation.shape[1] + 1), np.nan)
-    loss_history[:, : done + 1] = state.loss_history
-    widened = FlState(
-        state.global_w.copy(), state.last_received.copy(), state.rounds.copy(), loss_history, participation
-    )
-    return widened, hits.copy()

@@ -382,7 +382,7 @@ class TestSuccessProbability:
 
 
 class TestMaskWindows:
-    """participation_masks over a window of rounds, repetitions stacked in row-budget groups."""
+    """participation_masks over the first rounds of the budget, repetitions stacked in row-budget groups."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -393,8 +393,7 @@ class TestMaskWindows:
         budget=st.integers(1, 40),
     )
     def test_window_equals_rounds_of_full_horizon(self, default_scenario, data, n_rounds, seeds, grid, budget):
-        start = data.draw(st.integers(0, n_rounds), label="start")
-        stop = data.draw(st.integers(start, n_rounds), label="stop")
+        stop = data.draw(st.integers(0, n_rounds), label="stop")
         points = [
             replace(
                 default_scenario,
@@ -406,10 +405,10 @@ class TestMaskWindows:
         design = default_scenario.default_design()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(channel, "_ROW_BUDGET", budget)  # groups split mid-list
-            window = participation_masks(points, design, n_rounds, seeds, start, stop)
+            window = participation_masks(points, design, n_rounds, seeds, stop)
             full = participation_masks(points, design, n_rounds, seeds)
-        assert window.shape == (len(points), len(seeds), stop - start, default_scenario.n_followers)
-        assert np.array_equal(window, full[:, :, start:stop, :])
+        assert window.shape == (len(points), len(seeds), stop, default_scenario.n_followers)
+        assert np.array_equal(window, full[:, :, :stop, :])
         for r, seed in enumerate(seeds):  # each repetition's own draw, read alone
             own = ScenarioSamples.generate(points[0], n_rounds, seed)
             for k, point in enumerate(points):
@@ -419,31 +418,31 @@ class TestMaskWindows:
     def test_stacked_kernels_equal_each_draws_own(self, default_scenario, sectionalized):
         """Kernels of stacked windows equal the same rows of each repetition's draw, bit for bit."""
         base = replace(default_scenario, use_sectionalized_gain=sectionalized)
-        seeds, n_rounds, start, stop = [5, 6, 7], 50, 13, 41
-        stacked = channel._stacked_windows(base, n_rounds, seeds, start, stop)
+        seeds, n_rounds, stop = [5, 6, 7], 50, 41
+        stacked = channel._stacked_windows(base, n_rounds, seeds, stop)
         for sigma2, bw in [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)]:
             antenna, radio = replace(base.antenna, sigma2=sigma2), replace(base.radio, bw_up=bw, bw_down=bw)
             point = replace(base, antenna=antenna, radio=radio)
             kernels = stacked.kernels(point)
             for r, seed in enumerate(seeds):
                 own = ScenarioSamples.generate(base, n_rounds, seed).kernels(point)
-                rows = slice(r * (stop - start), (r + 1) * (stop - start))
+                rows = slice(r * stop, (r + 1) * stop)
                 for got, want in zip(kernels, own):
-                    assert np.array_equal(got[rows], want[start:stop])
+                    assert np.array_equal(got[rows], want[:stop])
 
     def test_empty_points_rejected(self, default_scenario):
         with pytest.raises(ValueError, match="points"):
             participation_masks([], default_scenario.default_design(), 3, [1])
 
-    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 6)])
-    def test_window_bounds_checked(self, default_scenario, start, stop):
-        with pytest.raises(ValueError, match=r"start <= stop <= n_rounds, got -?\d+, \d+, 5"):
-            participation_masks([default_scenario], default_scenario.default_design(), 5, [1], start, stop)
+    @pytest.mark.parametrize("stop", [-1, 6])
+    def test_window_bounds_checked(self, default_scenario, stop):
+        with pytest.raises(ValueError, match=r"0 <= stop <= n_rounds, got -?\d+, 5"):
+            participation_masks([default_scenario], default_scenario.default_design(), 5, [1], stop)
 
     def test_empty_window_draws_nothing(self, default_scenario, monkeypatch):
         calls = []
         monkeypatch.setattr(channel, "draw_channel", lambda *a, **k: calls.append(1))
-        out = participation_masks([default_scenario], default_scenario.default_design(), 5, [1, 2], 3, 3)
+        out = participation_masks([default_scenario], default_scenario.default_design(), 5, [1, 2], stop=0)
         assert out.shape == (1, 2, 0, default_scenario.n_followers)
         assert calls == []
 

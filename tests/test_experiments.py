@@ -1,13 +1,15 @@
 """Experiment tables: column layout, CSV bytes, reproducibility."""
 
+import importlib.util
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmfl import channel
+from swarmfl import channel, cli, experiments
 from swarmfl.channel import ScenarioSamples, participation_masks
 from swarmfl.convergence import ROUND_CAP
 from swarmfl.design import DesignVector
@@ -25,6 +27,8 @@ from swarmfl.experiments import (
 )
 from swarmfl.saa import baseline_design, problem_constants
 from swarmfl.seeds import derive_seed
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestEmitCsv:
@@ -278,13 +282,8 @@ def crossing_stats(problem, state, eps_frac):
     return float(hits.mean()), float(hits.std(ddof=0)), int(hits.size)
 
 
-def redrawn(hits_per_point):
-    """Repetitions still running after the first chunk at some point: these are drawn a second time."""
-    return int(np.any([(h < 0) | (h > _FIRST_CHUNK) for h in hits_per_point], axis=0).sum())
-
-
 class TestMasksOnlyForRoundsReached:
-    """Training reads masks of its first chunk of rounds, and more only for runs still going after it."""
+    """Training reads masks of its first chunk of rounds, and of the whole budget only if a run is still going after it."""
 
     MC_RUNS = 12
 
@@ -301,6 +300,28 @@ class TestMasksOnlyForRoundsReached:
             experiment_simulate(default_scenario, mc_runs=self.MC_RUNS)
         assert len(calls) == self.MC_RUNS
 
+    def test_benchmark_trains_on_the_first_chunk_only(self, monkeypatch, tmp_path):
+        """Every mc-train command at seed 1 draws its masks once, for the first chunk of rounds.
+
+        If this fails, the benchmark reaches the full-horizon retraining of _train.
+        """
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        stops = []
+
+        def recording(points, design, n_rounds, seeds, stop=None):
+            stops.append(stop)
+            return participation_masks(points, design, n_rounds, seeds, stop)
+
+        monkeypatch.setattr(experiments, "participation_masks", recording)
+        config = PERFBENCH / "scenarios" / "mc-train.json"
+        for _, argv in bench.WORKLOADS["mc-train"]:
+            stops.clear()
+            out = tmp_path / f"{argv[0]}.csv"
+            assert cli.main([*argv, "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
+            assert stops == [_FIRST_CHUNK], f"{argv[0]} computed masks for rounds {stops}"
+
     def test_simulate_matches_full_horizon(self, late):
         with counting_draws() as calls:
             res = experiment_simulate(late, eps_frac=5e-4, mc_runs=self.MC_RUNS)
@@ -314,7 +335,7 @@ class TestMasksOnlyForRoundsReached:
             assert row["final_loss_gap"] == float(final_gap)
             for i in range(late.n_followers):
                 assert row[f"participation_rate_{i + 1}"] == float(rates[rep, i])
-        assert len(calls) == self.MC_RUNS + redrawn([hits]) <= 2 * self.MC_RUNS
+        assert len(calls) == 2 * self.MC_RUNS  # every repetition drawn twice
 
     def test_validate_theorem_matches_full_horizon(self, late):
         eps_fracs = (0.01, 5e-4)
@@ -325,11 +346,11 @@ class TestMasksOnlyForRoundsReached:
         for row, frac in zip(res.rows, eps_fracs):
             mean, std, count = crossing_stats(problem, state, frac)
             assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
-        assert len(calls) == 1 + self.MC_RUNS + redrawn([hits]) <= 1 + 2 * self.MC_RUNS
+        assert len(calls) == 1 + 2 * self.MC_RUNS
 
     @pytest.mark.parametrize("sigma2_list", [(0.01, 0.2, 0.4), (0.2,)])
     def test_sweep_sigma_matches_full_horizon(self, default_scenario, sigma2_list):
-        """Each point resumes its own running repetitions, which need not lead the list."""
+        """A run still going at one point retrains every point, whichever point leads the list."""
         late = replace(default_scenario, base_seed=5, max_rounds=150).require_valid()
         eps_frac, mc_runs = 0.012, 10
         with counting_draws() as calls:
@@ -343,7 +364,7 @@ class TestMasksOnlyForRoundsReached:
         for row, (state, _) in zip(res.rows, runs):
             mean, std, count = crossing_stats(problem, state, eps_frac)
             assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
-        assert len(calls) == 1 + mc_runs + redrawn([hits for _, hits in runs]) <= 1 + 2 * mc_runs
+        assert len(calls) == 1 + 2 * mc_runs
 
         # the trajectories themselves, not only their crossing rounds
         seeds = [derive_seed(late.base_seed, "ss-run", rep) for rep in range(mc_runs)]

@@ -1,6 +1,9 @@
-"""tools/csv_identity.py: compares the CSV bytes two source trees write."""
+"""tools/csv_identity.py, which compares the CSV bytes two source trees write, and the pytest settings."""
 
 import importlib.util
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,26 @@ def test_commands_come_from_the_benchmark():
 def test_unknown_command_exits_two(capsys):
     assert csv_identity.main([str(ROOT), str(ROOT), "--only", "train"]) == 2
     assert "unknown commands ['train']" in capsys.readouterr().err
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    """Under the repo's warning filters a failing @given test shows its example and the session goes on."""
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 5
+
+
+        def test_passes():
+            pass
+    """))
+    cmd = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "-p", "no:cacheprovider", "test_probe.py"]
+    done = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out
+    assert "1 passed" in out
