@@ -338,9 +338,10 @@ class ScenarioSamples:
 
     The draws are made once, through draw_channel at unit jitter variance:
     one batch of K (generate), or the kept rows of several batches stacked
-    into K rows (_from_parts, as participation_masks does).  Every kernel,
-    delay and mask is computed row by row, so a row reads the same bits
-    whichever rows it is stacked with.
+    into K rows (_from_parts; participation_masks stacks the BLOCK-round
+    batches of every repetition).  Every kernel, delay and mask is computed
+    row by row, so a row reads the same bits whichever rows it is stacked
+    with.
     A point read off them may differ from the drawn scenario in
     antenna.sigma2 and in its link bandwidths.  Fading times path loss and
     the interference powers are kept from the draw; per jitter variance only
@@ -418,6 +419,9 @@ def _unit_variance(scenario: "SwarmScenario") -> "SwarmScenario":
     return replace(scenario, antenna=replace(scenario.antenna, sigma2=1.0))
 
 
+# Rounds per draw_channel call of a repetition's stream (see participation_masks).
+BLOCK = 128
+
 # Rounds whose SINR parts participation_masks stacks into one ScenarioSamples
 # (4I + 2 floats a round, 22 at five followers), so memory stays flat however
 # many repetitions are read.
@@ -429,21 +433,18 @@ def participation_masks(
     design: "DesignVector",
     n_rounds: int,
     seeds,
-    stop: int | None = None,
 ) -> np.ndarray:
-    """Participation indicators of coupled training runs in rounds [0, stop).
+    """Participation indicators of coupled training runs in rounds [0, n_rounds).
 
-    The shape is (B, R, stop, I).
+    The shape is (B, R, n_rounds, I).
 
-    Repetition r draws n_rounds channel realizations once, from its own
-    generator seeded with seeds[r], and reads them under each of the B
-    points, which may differ only in jitter variance and link bandwidths
-    (see ScenarioSamples).  Trajectories with the same seed are thus coupled
-    draw-for-draw across the points.  stop defaults to n_rounds.  Every
-    repetition draws all n_rounds, so the random stream of a round does not
-    depend on stop; only the first stop rounds are turned into kernels,
-    delays and masks, and they equal the same rounds of the full-horizon
-    masks.  Repetitions are stacked, in groups of at most _ROW_BUDGET rounds
+    Repetition r reads the generator seeded with seeds[r] one BLOCK of
+    channel realizations at a time, and draws only the blocks that cover
+    [0, n_rounds); so the masks of a shorter horizon are the first rounds of
+    a longer one.  It reads them under each of the B points, which may
+    differ only in jitter variance and link bandwidths (see ScenarioSamples),
+    so trajectories with the same seed are coupled draw-for-draw across the
+    points.  Repetitions are stacked, in groups of at most _ROW_BUDGET rounds
     (at least one repetition), into one ScenarioSamples each group, read
     once per point.  Points that share a jitter variance are cheapest read
     one after another: the antenna gain is recomputed whenever the variance
@@ -452,38 +453,39 @@ def participation_masks(
     if len(points) == 0:
         raise ValueError("points must not be empty")
     _require_same_draws(points[0], points[1:])
-    stop = n_rounds if stop is None else stop
     if n_rounds < 0:
         raise ValueError("n_rounds must be >= 0")
-    if not 0 <= stop <= n_rounds:
-        raise ValueError(f"need 0 <= stop <= n_rounds, got {stop}, {n_rounds}")
     scenario, n_f = points[0], points[0].n_followers
-    out = np.empty((len(points), len(seeds), stop, n_f), dtype=bool)
-    if stop == 0:
+    out = np.empty((len(points), len(seeds), n_rounds, n_f), dtype=bool)
+    if n_rounds == 0:
         return out  # no rounds, nothing to draw
-    group = max(1, _ROW_BUDGET // stop)
+    group = max(1, _ROW_BUDGET // n_rounds)
     for first in range(0, len(seeds), group):
         reps = slice(first, first + group)
-        samples = _stacked_windows(scenario, n_rounds, seeds[reps], stop)
+        samples = _stacked_windows(scenario, seeds[reps], n_rounds)
         for k, point in enumerate(points):
-            out[k, reps] = samples._masks(design, point).reshape(-1, stop, n_f)
+            out[k, reps] = samples._masks(design, point).reshape(-1, n_rounds, n_f)
     return out
 
 
-def _stacked_windows(scenario: "SwarmScenario", n_rounds: int, seeds, stop: int):
-    """Rounds [0, stop) of n_rounds draws per seed, stacked seed after seed into one ScenarioSamples."""
+def _stacked_windows(scenario: "SwarmScenario", seeds, n_rounds: int):
+    """Rounds [0, n_rounds) of each seed's block stream, stacked seed after seed into one ScenarioSamples."""
     unit = _unit_variance(scenario)
     n_f = scenario.n_followers
-    rows = len(seeds) * stop
+    rows = len(seeds) * n_rounds
     unit_jitter = np.empty((rows, n_f + 1))
     parts = (np.empty((rows, n_f)), np.empty((rows, 1)), np.empty((rows, n_f)), np.empty((rows, n_f)))
     for r, seed in enumerate(seeds):
-        draw = draw_channel(unit, np.random.default_rng(seed), size=n_rounds)
-        window = ChannelDraw(**{f.name: getattr(draw, f.name)[:stop] for f in fields(ChannelDraw)})
-        kept = slice(r * stop, (r + 1) * stop)
-        unit_jitter[kept] = window.angle_dev
-        for stacked, part in zip(parts, _jitter_free_parts(window, scenario)):
-            stacked[kept] = part
+        rng = np.random.default_rng(seed)
+        for start in range(0, n_rounds, BLOCK):
+            width = min(BLOCK, n_rounds - start)
+            draw = draw_channel(unit, rng, size=BLOCK)
+            window = ChannelDraw(**{f.name: getattr(draw, f.name)[:width] for f in fields(ChannelDraw)})
+            row = r * n_rounds + start
+            kept = slice(row, row + width)
+            unit_jitter[kept] = window.angle_dev
+            for stacked, part in zip(parts, _jitter_free_parts(window, scenario)):
+                stacked[kept] = part
     return ScenarioSamples._from_parts(scenario, unit_jitter, parts)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ScenarioSamples, estimate_success_probs, participation_masks
+from .channel import BLOCK, ScenarioSamples, estimate_success_probs, participation_masks
 from .design import DesignVector
 from .energy import round_energies
 from .fl import run_fl
@@ -110,29 +110,23 @@ def _prob_cells(probs) -> dict:
     return {f"success_prob_{i + 1}": float(p) for i, p in enumerate(probs)}
 
 
-# Rounds of masks every repetition is trained on first.  If any run at any
-# point is still going after them, every repetition is drawn and trained again
-# on the whole round budget.  At the default scenario runs stop well before
-# (by round 78 at the seeds tried), so each repetition is drawn once there.
-_FIRST_CHUNK = 128
-
-
 def _train(model, points, design, n_rounds, seeds, epsilon):
     """(FlState, hits) per point of coupled runs trained to the loss gap epsilon.
 
     Equal to run_fl on participation_masks(points, design, n_rounds, seeds)
     at the rate-matched step.  Every run is first trained on the first
-    _FIRST_CHUNK rounds; if some run at some point is still going after
-    them, all runs are redrawn and trained again on the whole budget.  A
-    state's masks and loss history stop at the last round computed.
+    BLOCK rounds, one block of its channel stream; only if some run at some
+    point is still going after them are all runs trained again on the whole
+    budget, whose first BLOCK rounds are the same masks.  A state's masks
+    and loss history stop at the last round computed.
     """
     lr = 0.5 / model.lipschitz_u
-    for stop in (min(_FIRST_CHUNK, n_rounds), n_rounds):
+    for horizon in (min(BLOCK, n_rounds), n_rounds):
         runs = [
             run_fl(model, masks, epsilon, lr=lr)
-            for masks in participation_masks(points, design, n_rounds, seeds, stop)
+            for masks in participation_masks(points, design, horizon, seeds)
         ]
-        if stop == n_rounds or all(np.all(hits >= 0) for _, hits in runs):
+        if horizon == n_rounds or all(np.all(hits >= 0) for _, hits in runs):
             return runs
 
 

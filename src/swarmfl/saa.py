@@ -529,9 +529,10 @@ class SolveReport:
     Each row of iterations holds iteration, dual_value, lambda, residuals
     and inner_cycles, the coordinate-ascent cycles its inner maximization
     ran.  lagrangian_evals counts the Lagrangian evaluations of every inner
-    maximization.  stop_reason is "stationary" (the subgradient multipliers
-    stopped moving), "degenerate" (an ellipsoid cut had no direction) or
-    "max_iters".
+    maximization.  nonnegativity_cuts counts the ellipsoid iterations that
+    cut off a negative multiplier, which write no row.  stop_reason is
+    "stationary" (the subgradient multipliers stopped moving), "degenerate"
+    (an ellipsoid cut had no direction) or "max_iters".
     """
 
     iterations: list[dict] = field(default_factory=list)
@@ -541,6 +542,7 @@ class SolveReport:
     success_probs: np.ndarray | None = None
     method: str = "subgradient"
     lagrangian_evals: int = 0
+    nonnegativity_cuts: int = 0
     stop_reason: str = "max_iters"  # or "stationary", "degenerate"
 
     def dual_trace(self) -> np.ndarray:
@@ -678,6 +680,7 @@ def _solve_ellipsoid(state: _DualState) -> None:
         if np.any(center < 0.0):
             g = np.zeros(n_rows)
             g[int(np.argmin(center))] = -1.0
+            state.report.nonnegativity_cuts += 1
         else:
             g = state.step(t, center)
         # Each cut keeps {g . (lambda - center) <= 0}.  For the residuals, a

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmfl import channel
@@ -314,8 +314,10 @@ class TestSuccessProbability:
     def test_estimate_is_mean_of_masks(self, default_scenario):
         design = default_scenario.default_design()
         probs = estimate_success_probs(design, default_scenario, n_samples=2000, rng_seed=9)
-        masks = participation_masks([default_scenario], design, 2000, [9])
-        assert np.array_equal(probs, masks[0, 0].mean(axis=0))
+        draws = draw_channel(default_scenario, np.random.default_rng(9), size=2000)
+        t_up, t_dn = link_delays(draws, design, default_scenario)
+        masks = success_mask(t_up, t_dn, design.beta, default_scenario.round_time_s)
+        assert np.array_equal(probs, masks.mean(axis=0))
 
     def test_bandwidth_points_share_one_draw(self, default_scenario):
         design = default_scenario.default_design()
@@ -381,8 +383,40 @@ class TestSuccessProbability:
         assert np.array_equal(got, want)
 
 
+def stream_blocks(point, n_rounds, seed):
+    """Oracle: the draws of seed's stream that cover rounds [0, n_rounds), one BLOCK per draw_channel call."""
+    rng = np.random.default_rng(seed)
+    return [draw_channel(point, rng, size=channel.BLOCK) for _ in range(0, n_rounds, channel.BLOCK)]
+
+
+def stream_kernels(point, n_rounds, seed):
+    """Oracle: (c_up, c_dn) of rounds [0, n_rounds) of seed's stream, drawn at point."""
+    blocks = [sinr_coefficients(draw, point) for draw in stream_blocks(point, n_rounds, seed)]
+    return tuple(np.concatenate(kernel)[:n_rounds] for kernel in zip(*blocks))
+
+
+def stream_masks(point, design, n_rounds, seed):
+    """Oracle: participation in rounds [0, n_rounds) of seed's stream, drawn at point."""
+    masks = [
+        success_mask(*link_delays(draw, design, point), design.beta, point.round_time_s)
+        for draw in stream_blocks(point, n_rounds, seed)
+    ]
+    return np.concatenate(masks)[:n_rounds]
+
+
+def jitter_bw_points(scenario, grid):
+    return [
+        replace(
+            scenario,
+            antenna=replace(scenario.antenna, sigma2=sigma2),
+            radio=replace(scenario.radio, bw_up=bw, bw_down=bw),
+        )
+        for sigma2, bw in grid
+    ]
+
+
 class TestMaskWindows:
-    """participation_masks over the first rounds of the budget, repetitions stacked in row-budget groups."""
+    """participation_masks over the first rounds of each repetition's block stream, stacked in row-budget groups."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -394,55 +428,79 @@ class TestMaskWindows:
     )
     def test_window_equals_rounds_of_full_horizon(self, default_scenario, data, n_rounds, seeds, grid, budget):
         stop = data.draw(st.integers(0, n_rounds), label="stop")
-        points = [
-            replace(
-                default_scenario,
-                antenna=replace(default_scenario.antenna, sigma2=sigma2),
-                radio=replace(default_scenario.radio, bw_up=bw, bw_down=bw),
-            )
-            for sigma2, bw in grid
-        ]
+        points = jitter_bw_points(default_scenario, grid)
         design = default_scenario.default_design()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(channel, "_ROW_BUDGET", budget)  # groups split mid-list
-            window = participation_masks(points, design, n_rounds, seeds, stop)
+            window = participation_masks(points, design, stop, seeds)
             full = participation_masks(points, design, n_rounds, seeds)
         assert window.shape == (len(points), len(seeds), stop, default_scenario.n_followers)
         assert np.array_equal(window, full[:, :, :stop, :])
-        for r, seed in enumerate(seeds):  # each repetition's own draw, read alone
-            own = ScenarioSamples.generate(points[0], n_rounds, seed)
+        for r, seed in enumerate(seeds):  # each repetition's own stream, read alone
             for k, point in enumerate(points):
-                assert np.array_equal(full[k, r], own._masks(design, point))
+                assert np.array_equal(full[k, r], stream_masks(point, design, n_rounds, seed))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rounds=st.tuples(st.integers(1, 400), st.integers(1, 400)),
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=3),
+        grid=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(2e5, 1e7)), min_size=1, max_size=2),
+    )
+    @example(rounds=(127, 129), seeds=[1, 2], grid=[(0.01, 1e6)])
+    @example(rounds=(128, 256), seeds=[1], grid=[(0.01, 1e6)])
+    @example(rounds=(100, 300), seeds=[3], grid=[(0.2, 2e6)])
+    @example(rounds=(130, 257), seeds=[4, 5], grid=[(0.01, 1e6), (0.1, 5e6)])
+    @example(rounds=(255, 400), seeds=[6], grid=[(0.05, 1e6)])
+    @example(rounds=(257, 400), seeds=[7], grid=[(0.01, 1e6)])
+    def test_prefix_stable_across_block_boundaries(self, default_scenario, rounds, seeds, grid):
+        """participation_masks(..., n)[:, :, :m] is participation_masks(..., m), for m <= n on either side of a block edge."""
+        m, n = sorted(rounds)
+        points = jitter_bw_points(default_scenario, grid)
+        design = default_scenario.default_design()
+        long = participation_masks(points, design, n, seeds)
+        assert np.array_equal(participation_masks(points, design, m, seeds), long[:, :, :m, :])
+        for r, seed in enumerate(seeds):
+            for k, point in enumerate(points):
+                assert np.array_equal(long[k, r], stream_masks(point, design, n, seed))
+
+    @pytest.mark.parametrize("n_rounds", [1, 128, 129, 256, 257])
+    def test_draws_only_the_blocks_it_reads(self, default_scenario, monkeypatch, n_rounds):
+        sizes, draw = [], channel.draw_channel
+
+        def counting(scenario, rng, size=None):
+            sizes.append(size)
+            return draw(scenario, rng, size)
+
+        monkeypatch.setattr(channel, "draw_channel", counting)
+        participation_masks([default_scenario], default_scenario.default_design(), n_rounds, [1, 2])
+        assert sizes == [channel.BLOCK] * (2 * math.ceil(n_rounds / channel.BLOCK))
 
     @pytest.mark.parametrize("sectionalized", [False, True])
     def test_stacked_kernels_equal_each_draws_own(self, default_scenario, sectionalized):
-        """Kernels of stacked windows equal the same rows of each repetition's draw, bit for bit."""
+        """Kernels of stacked streams equal each repetition's own block draws, bit for bit."""
         base = replace(default_scenario, use_sectionalized_gain=sectionalized)
-        seeds, n_rounds, stop = [5, 6, 7], 50, 41
-        stacked = channel._stacked_windows(base, n_rounds, seeds, stop)
-        for sigma2, bw in [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)]:
-            antenna, radio = replace(base.antenna, sigma2=sigma2), replace(base.radio, bw_up=bw, bw_down=bw)
-            point = replace(base, antenna=antenna, radio=radio)
+        seeds, n_rounds = [5, 6, 7], 150  # a whole block and part of the next
+        stacked = channel._stacked_windows(base, seeds, n_rounds)
+        for point in jitter_bw_points(base, [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)]):
             kernels = stacked.kernels(point)
             for r, seed in enumerate(seeds):
-                own = ScenarioSamples.generate(base, n_rounds, seed).kernels(point)
-                rows = slice(r * stop, (r + 1) * stop)
-                for got, want in zip(kernels, own):
-                    assert np.array_equal(got[rows], want[:stop])
+                rows = slice(r * n_rounds, (r + 1) * n_rounds)
+                for got, want in zip(kernels, stream_kernels(point, n_rounds, seed)):
+                    assert np.array_equal(got[rows], want)
 
     def test_empty_points_rejected(self, default_scenario):
         with pytest.raises(ValueError, match="points"):
             participation_masks([], default_scenario.default_design(), 3, [1])
 
-    @pytest.mark.parametrize("stop", [-1, 6])
-    def test_window_bounds_checked(self, default_scenario, stop):
-        with pytest.raises(ValueError, match=r"0 <= stop <= n_rounds, got -?\d+, 5"):
-            participation_masks([default_scenario], default_scenario.default_design(), 5, [1], stop)
+    @pytest.mark.parametrize("n_rounds", [-1])
+    def test_window_bounds_checked(self, default_scenario, n_rounds):
+        with pytest.raises(ValueError, match="n_rounds must be >= 0"):
+            participation_masks([default_scenario], default_scenario.default_design(), n_rounds, [1])
 
     def test_empty_window_draws_nothing(self, default_scenario, monkeypatch):
         calls = []
         monkeypatch.setattr(channel, "draw_channel", lambda *a, **k: calls.append(1))
-        out = participation_masks([default_scenario], default_scenario.default_design(), 5, [1, 2], stop=0)
+        out = participation_masks([default_scenario], default_scenario.default_design(), 0, [1, 2])
         assert out.shape == (1, 2, 0, default_scenario.n_followers)
         assert calls == []
 

@@ -8,14 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmfl import channel, cli, experiments
-from swarmfl.channel import ScenarioSamples, participation_masks
+from swarmfl.channel import BLOCK, ScenarioSamples, draw_channel, link_delays, participation_masks, success_mask
 from swarmfl.convergence import ROUND_CAP
 from swarmfl.design import DesignVector
 from swarmfl.fl import run_fl
 from swarmfl.experiments import (
-    _FIRST_CHUNK,
     ExperimentResult,
     _train,
     emit_csv,
@@ -206,11 +207,10 @@ class TestCompareDesigns:
                 baseline_design(kind, joint, point, d)
                 for kind in ("power-only", "scheduling-only") for d in range(3)
             ]
+            draws = draw_channel(point, np.random.default_rng(seed), size=point.n_success_samples)
             for design in designs:
-                masks = participation_masks([point], design, point.n_success_samples, [seed])
-                assert np.array_equal(
-                    samples.success_probs(design, point), masks[0, 0].mean(axis=0)
-                )
+                masks = success_mask(*link_delays(draws, design, point), design.beta, point.round_time_s)
+                assert np.array_equal(samples.success_probs(design, point), masks.mean(axis=0))
 
     def test_three_kinds_per_bandwidth(self, compare):
         assert len(compare.rows) == 6
@@ -283,7 +283,7 @@ def crossing_stats(problem, state, eps_frac):
 
 
 class TestMasksOnlyForRoundsReached:
-    """Training reads masks of its first chunk of rounds, and of the whole budget only if a run is still going after it."""
+    """Training reads masks of the first block of rounds, and of the whole budget only if a run is still going after it."""
 
     MC_RUNS = 12
 
@@ -301,32 +301,57 @@ class TestMasksOnlyForRoundsReached:
         assert len(calls) == self.MC_RUNS
 
     def test_benchmark_trains_on_the_first_chunk_only(self, monkeypatch, tmp_path):
-        """Every mc-train command at seed 1 draws its masks once, for the first chunk of rounds.
+        """Every mc-train command at seed 1 draws its masks once, for the first block of rounds.
 
         If this fails, the benchmark reaches the full-horizon retraining of _train.
         """
         spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
-        stops = []
+        horizons = []
 
-        def recording(points, design, n_rounds, seeds, stop=None):
-            stops.append(stop)
-            return participation_masks(points, design, n_rounds, seeds, stop)
+        def recording(points, design, n_rounds, seeds):
+            horizons.append(n_rounds)
+            return participation_masks(points, design, n_rounds, seeds)
 
         monkeypatch.setattr(experiments, "participation_masks", recording)
         config = PERFBENCH / "scenarios" / "mc-train.json"
         for _, argv in bench.WORKLOADS["mc-train"]:
-            stops.clear()
+            horizons.clear()
             out = tmp_path / f"{argv[0]}.csv"
             assert cli.main([*argv, "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
-            assert stops == [_FIRST_CHUNK], f"{argv[0]} computed masks for rounds {stops}"
+            assert horizons == [BLOCK], f"{argv[0]} computed masks for horizons {horizons}"
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4),
+        eps_frac=st.floats(4e-4, 0.2),
+    )
+    def test_run_crossing_in_the_first_block_trains_the_same_on_the_full_horizon(
+        self, default_scenario, seeds, eps_frac
+    ):
+        """The fallback: a run that crosses by round BLOCK keeps its loss_history, rounds and hit."""
+        problem = problem_constants(default_scenario)
+        model, design = problem.model, default_scenario.default_design()
+        eps_mean = eps_frac * problem.initial_loss_sum / model.n_total
+        (first, first_hits), (full, full_hits) = [
+            run_fl(model, masks[0], eps_mean, lr=0.5 / model.lipschitz_u)
+            for masks in (participation_masks([default_scenario], design, n, seeds)
+                          for n in (BLOCK, default_scenario.max_rounds))
+        ]
+        crossed = first_hits >= 0
+        assert np.array_equal(first_hits[crossed], full_hits[crossed])
+        assert np.array_equal(first.rounds[crossed], full.rounds[crossed])
+        assert np.array_equal(first.loss_history[crossed], full.loss_history[crossed, :BLOCK + 1], equal_nan=True)
+        assert np.all(np.isnan(full.loss_history[crossed, BLOCK + 1:]))
+        # a run still going after round BLOCK has the same first BLOCK rounds
+        assert np.array_equal(first.loss_history[~crossed], full.loss_history[~crossed, :BLOCK + 1])
 
     def test_simulate_matches_full_horizon(self, late):
         with counting_draws() as calls:
             res = experiment_simulate(late, eps_frac=5e-4, mc_runs=self.MC_RUNS)
         problem, [(state, hits)] = full_horizon(late, "sim-run", self.MC_RUNS, 5e-4)
-        assert np.any(hits > _FIRST_CHUNK) and np.any(hits < 0)  # both kinds of late run occur
+        assert np.any(hits > BLOCK) and np.any(hits < 0)  # both kinds of late run occur
         rates = state.participation_rates()
         for rep, row in enumerate(res.rows):
             assert row["empirical_round"] == hits[rep]
@@ -335,18 +360,18 @@ class TestMasksOnlyForRoundsReached:
             assert row["final_loss_gap"] == float(final_gap)
             for i in range(late.n_followers):
                 assert row[f"participation_rate_{i + 1}"] == float(rates[rep, i])
-        assert len(calls) == 2 * self.MC_RUNS  # every repetition drawn twice
+        assert len(calls) == 3 * self.MC_RUNS  # one block per repetition, then both blocks of the budget
 
     def test_validate_theorem_matches_full_horizon(self, late):
         eps_fracs = (0.01, 5e-4)
         with counting_draws() as calls:
             res = experiment_validate_theorem(late, eps_fracs=eps_fracs, mc_runs=self.MC_RUNS)
         problem, [(state, hits)] = full_horizon(late, "vt-run", self.MC_RUNS, min(eps_fracs))
-        assert np.any(hits > _FIRST_CHUNK) and np.any(hits < 0)
+        assert np.any(hits > BLOCK) and np.any(hits < 0)
         for row, frac in zip(res.rows, eps_fracs):
             mean, std, count = crossing_stats(problem, state, frac)
             assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
-        assert len(calls) == 1 + 2 * self.MC_RUNS
+        assert len(calls) == 1 + 3 * self.MC_RUNS
 
     @pytest.mark.parametrize("sigma2_list", [(0.01, 0.2, 0.4), (0.2,)])
     def test_sweep_sigma_matches_full_horizon(self, default_scenario, sigma2_list):
@@ -360,11 +385,11 @@ class TestMasksOnlyForRoundsReached:
         points = [replace(late, antenna=replace(late.antenna, sigma2=s2)) for s2 in sigma2_list]
         problem, runs = full_horizon(late, "ss-run", mc_runs, eps_frac, points)
         all_hits = np.concatenate([hits for _, hits in runs])
-        assert np.any((all_hits > 0) & (all_hits <= _FIRST_CHUNK)) and np.any(all_hits > _FIRST_CHUNK)
+        assert np.any((all_hits > 0) & (all_hits <= BLOCK)) and np.any(all_hits > BLOCK)
         for row, (state, _) in zip(res.rows, runs):
             mean, std, count = crossing_stats(problem, state, eps_frac)
             assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
-        assert len(calls) == 1 + 2 * mc_runs
+        assert len(calls) == 1 + 3 * mc_runs
 
         # the trajectories themselves, not only their crossing rounds
         seeds = [derive_seed(late.base_seed, "ss-run", rep) for rep in range(mc_runs)]

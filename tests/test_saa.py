@@ -696,6 +696,14 @@ class TestSolve:
         assert report.feasible
         assert rounds == 59
 
+    def test_ellipsoid_counts_its_nonnegativity_cuts(self, default_scenario):
+        """Every ellipsoid iteration writes a row or cuts off a negative multiplier."""
+        _, _, report = solve(default_scenario, method="ellipsoid")
+        assert report.stop_reason == "max_iters"
+        assert report.nonnegativity_cuts > 0
+        assert len(report.iterations) + report.nonnegativity_cuts == default_scenario.saa.max_iters
+        assert solve(with_max_iters(default_scenario, 3))[2].nonnegativity_cuts == 0  # subgradient
+
     def test_report_counts_work_and_stop_reason(self, default_scenario, monkeypatch):
         import swarmfl.saa as saa
 

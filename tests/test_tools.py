@@ -1,6 +1,7 @@
-"""tools/csv_identity.py, which compares the CSV bytes two source trees write, and the pytest settings."""
+"""tools/csv_identity.py and tools/ab_bench.py, which compare two source trees, and the pytest settings."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 import textwrap
@@ -9,9 +10,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("csv_identity", ROOT / "tools" / "csv_identity.py")
-csv_identity = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(csv_identity)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+csv_identity = load_tool("csv_identity")
+ab_bench = load_tool("ab_bench")
 
 OPTIMIZE_AT_DEFAULT = ["--seeds", "1", "--only", "optimize", "--default-scenario"]
 
@@ -65,3 +74,95 @@ def test_failing_property_test_reports_its_example(tmp_path):
     assert "Falsifying example" in out
     assert "INTERNALERROR" not in out
     assert "1 passed" in out
+
+
+# perfbench/run.py of a fake tree: logs which tree ran, then prints the next canned record of that tree
+FAKE_RUN = textwrap.dedent("""
+    import json, os, sys
+    tree = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(tree, "..", "order.log"), "a") as fh:
+        fh.write(os.path.basename(tree) + " " + " ".join(sys.argv[1:]) + "\\n")
+    with open(os.path.join(tree, "canned.json")) as fh:
+        canned = json.load(fh)
+    record = canned.pop(0) if len(canned) > 1 else canned[0]
+    with open(os.path.join(tree, "canned.json"), "w") as fh:
+        json.dump(canned, fh)
+    print("command ... = 1 s")
+    print(json.dumps(record))
+""")
+
+FAKE_SPEC = {
+    "workloads": [{"name": "toy"}],
+    "end_to_end": [{"name": "round_s", "unit": "s", "better": "lower", "bound": 0.25},
+                   {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}],
+    "per_layer": [{"name": "channel.draws", "unit": "count", "better": "lower"}],
+}
+
+
+def record(round_s, rss=50.0, correct=True, failed=0):
+    metrics = {"round_s": {"value": round_s, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"},
+               "channel.draws": {"value": 100 * round_s, "unit": "count"}}
+    return {"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics}
+
+
+def fake_tree(root, name, canned, run_py=FAKE_RUN):
+    tree = root / name
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(run_py)
+    (tree / "BENCHMARK.json").write_text(json.dumps(FAKE_SPEC))
+    (tree / "canned.json").write_text(json.dumps(canned))
+    return str(tree)
+
+
+def test_pairs_alternate_and_the_file_holds_the_comparison(tmp_path):
+    base = fake_tree(tmp_path, "base", [record(v) for v in (1.0, 1.2, 0.9, 1.1)] + [record(1.0)])
+    new = fake_tree(tmp_path, "new", [record(v) for v in (0.7, 0.8, 1.3, 0.75)] + [record(0.6)])
+    assert ab_bench.main([base, new, "--label", "toy", "--pairs", "4", "--seconds", "1"]) == 0
+    runs = (tmp_path / "order.log").read_text().splitlines()
+    assert [line.split()[0] for line in runs] == ["base", "new", "new", "base", "base", "new", "new", "base",
+                                                  "base", "new"]
+    assert all("--trace 0" in line for line in runs[:8]) and all("--trace 1" in line for line in runs[8:])
+    out = json.loads((tmp_path / "new" / "BENCH_toy.json").read_text())
+    toy = out["workloads"]["toy"]
+    assert [r["first"] for r in toy["runs"]] == ["base", "new", "base", "new"]
+    m = toy["metrics"]["round_s"]
+    assert (m["base"], m["new"]) == ([1.0, 1.2, 0.9, 1.1], [0.7, 0.8, 1.3, 0.75])
+    assert (m["base_median"], m["new_median"], m["new_won"], m["pairs"]) == (1.05, 0.775, 3, 4)
+    assert m["base_quartiles"] == pytest.approx([0.925, 1.175])
+    assert m["change"] == pytest.approx(0.775 / 1.05 - 1.0)
+    assert m["within_bound"] is True and m["gain_resolved"] is False  # 3 of 4 pairs is under nine tenths
+    assert toy["metrics"]["peak_rss_mb"]["new_won"] == 0  # ties count for neither side
+    assert toy["per_layer"] == {"channel.draws": {"base": 100.0, "new": 60.0}}
+
+
+def test_a_regression_beyond_the_bound_is_marked(tmp_path):
+    base = fake_tree(tmp_path, "base", [record(1.0, rss=50.0)])
+    new = fake_tree(tmp_path, "new", [record(1.3, rss=50.0)])
+    assert ab_bench.main([base, new, "--label", "slow", "--pairs", "2", "--seconds", "1", "--no-trace"]) == 0
+    m = json.loads((tmp_path / "new" / "BENCH_slow.json").read_text())["workloads"]["toy"]["metrics"]
+    assert m["round_s"]["within_bound"] is False and m["peak_rss_mb"]["within_bound"] is True
+    assert "per_layer" not in json.loads((tmp_path / "new" / "BENCH_slow.json").read_text())["workloads"]["toy"]
+
+
+@pytest.mark.parametrize("bad", [record(1.0, correct=False), record(1.0, failed=1), "crash"])
+def test_a_bad_run_on_either_side_exits_one(tmp_path, capsys, bad):
+    crash = FAKE_RUN.replace("print(json.dumps(record))", "sys.exit(3) if record == 'crash' else print(json.dumps(record))")
+    base = fake_tree(tmp_path, "base", [record(1.0)], crash)
+    new = fake_tree(tmp_path, "new", [bad], crash)
+    assert ab_bench.main([base, new, "--label", "bad", "--pairs", "1", "--seconds", "1", "--no-trace"]) == 1
+    assert "FAILED: toy pair 0 new" in capsys.readouterr().err
+    assert json.loads((tmp_path / "new" / "BENCH_bad.json").read_text())["failures"]
+
+
+def test_different_benchmarks_or_unknown_workload_exit_two(tmp_path, capsys):
+    base = fake_tree(tmp_path, "base", [record(1.0)])
+    new = fake_tree(tmp_path, "new", [record(1.0)])
+    assert ab_bench.main([base, new, "--label", "x", "--workloads", "toy,train"]) == 2
+    assert "unknown workloads ['train']" in capsys.readouterr().err
+    (tmp_path / "new" / "perfbench" / "out").mkdir()  # outputs do not count
+    (tmp_path / "new" / "perfbench" / "out" / "toy.json").write_text("{}")
+    (tmp_path / "new" / "perfbench" / "checks.py").write_text("# another check\n")
+    assert ab_bench.main([base, new, "--label", "x"]) == 2
+    assert "perfbench/ differ" in capsys.readouterr().err
+    assert not (tmp_path / "order.log").exists()  # nothing ran
+    assert not (tmp_path / "new" / "BENCH_x.json").exists()

@@ -1,0 +1,198 @@
+"""A/B benchmark of two source trees, written to BENCH_<label>.json.
+
+    python3 tools/ab_bench.py BASE_TREE NEW_TREE --label L --pairs 10 --seconds 10 --seed 1
+
+Runs `perfbench/run.py --trace 0` from the root of each tree, in pairs: BASE
+runs first in even-numbered pairs and NEW in odd-numbered ones.  Every run
+reads its end-to-end metrics from the last stdout line, the JSON record
+perfbench prints.  Then one `--trace 1` run per side puts the per-layer
+metrics side by side.  The file, at NEW_TREE's root, holds per workload and
+end-to-end metric both sides' raw values, the medians, BASE's quartiles, the
+pairs NEW won (ties count for neither side), whether the change in the
+median is within the metric's BENCHMARK.json bound, and whether a gain is
+resolved: NEW won at least nine in ten pairs and the medians differ by more
+than BASE's interquartile range.
+
+Exits 2 when the two trees' perfbench/ differ (so both sides would not run
+the same benchmark) or a workload is unknown; 1 when a run on either side
+exits non-zero, prints no record, reports `correct: false` or a failed
+operation; 0 otherwise.  The file is written in every case but the first.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+SKIPPED_DIRS = {"out", "__pycache__"}  # perfbench's outputs and bytecode, not the benchmark
+
+
+def bench_files(tree: str) -> dict:
+    """relative path -> bytes of every file of tree's perfbench/, outputs and caches left out."""
+    root = os.path.join(tree, "perfbench")
+    files = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d not in SKIPPED_DIRS and not d.startswith(".")]
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The JSON record perfbench prints last; {"error": ...} when the run gives none."""
+    argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py imports its own tree
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env=env)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return {"error": f"last stdout line is not JSON: {lines[-1][:200]}"}
+
+
+def run_machine(tree: str, workload: str, seed: int, trace: int):
+    """The machine block of the run file perfbench wrote, if any."""
+    path = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace{trace}.json")
+    if not os.path.isfile(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh).get("machine")
+
+
+def failure(record: dict) -> str | None:
+    """Why a run does not count as a clean run, or None."""
+    if "error" in record:
+        return record["error"]
+    if not record.get("correct", False):
+        return "correct: false"
+    if record.get("failed", 0):
+        return f"{record['failed']} of {record.get('attempted')} operations failed"
+    return None
+
+
+def compare(spec: dict, base: list, new: list) -> dict:
+    """Medians, BASE's quartiles, pairs NEW won and the bound verdict of one metric's paired values."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0
+    pairs = [(b, n) for b, n in zip(base, new) if b is not None and n is not None]
+    won = sum(sign * (n - b) < 0 for b, n in pairs)
+    out = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"], "base": base, "new": new,
+           "pairs": len(pairs), "new_won": won}
+    if not pairs:
+        return out
+    base_vals, new_vals = [b for b, _ in pairs], [n for _, n in pairs]
+    base_med, new_med = statistics.median(base_vals), statistics.median(new_vals)
+    q1, _, q3 = statistics.quantiles(base_vals, n=4) if len(base_vals) > 1 else base_vals * 3
+    change = (new_med - base_med) / base_med  # perfbench reports no metric as 0
+    out.update(
+        base_median=base_med,
+        new_median=new_med,
+        base_quartiles=[q1, q3],
+        change=change,
+        within_bound=sign * change <= spec["bound"],
+        gain_resolved=won >= 0.9 * len(pairs) and abs(new_med - base_med) > q3 - q1,
+    )
+    return out
+
+
+def bench_workload(args, spec: dict, workload: str) -> tuple[dict, list]:
+    """(the workload's entry of the file, the failures seen) over args.pairs alternating pairs."""
+    trees = {"base": args.base, "new": args.new}
+    runs, failures = [], []
+    for pair in range(args.pairs):
+        order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+        records = {side: run_bench(trees[side], workload, args.seed, args.seconds, 0) for side in order}
+        for side in order:
+            why = failure(records[side])
+            if why:
+                failures.append(f"{workload} pair {pair} {side}: {why}")
+        runs.append({"pair": pair, "first": order[0], **records})
+        print(f"{workload} pair {pair} done ({order[0]} first)", file=sys.stderr)
+
+    def values(side, name):
+        return [r[side].get("metrics", {}).get(name, {}).get("value") for r in runs]
+
+    entry = {
+        "machine": run_machine(args.new, workload, args.seed, 0),
+        "runs": [{"pair": r["pair"], "first": r["first"],
+                  **{side: {k: r[side].get(k) for k in ("correct", "attempted", "failed", "error")
+                            if k in r[side]} for side in trees}} for r in runs],
+        "metrics": {e["name"]: compare(e, values("base", e["name"]), values("new", e["name"]))
+                    for e in spec["end_to_end"]},
+    }
+    if args.trace:
+        traced = {side: run_bench(tree, workload, args.seed, args.seconds, 1) for side, tree in trees.items()}
+        for side, record in traced.items():
+            why = failure(record)
+            if why:
+                failures.append(f"{workload} traced {side}: {why}")
+        entry["per_layer"] = {
+            e["name"]: {side: traced[side].get("metrics", {}).get(e["name"], {}).get("value") for side in trees}
+            for e in spec["per_layer"]
+        }
+    return entry, failures
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="source tree of the parent commit")
+    parser.add_argument("new", help="source tree of the change; BENCH_<label>.json is written at its root")
+    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload (default 10)")
+    parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds of every run (default 10)")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench --seed of every run (default 1)")
+    parser.add_argument("--workloads", help="comma-separated workloads (default: all of BENCHMARK.json)")
+    parser.add_argument("--no-trace", dest="trace", action="store_false",
+                        help="skip the one --trace 1 run per side")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
+        parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if bench_files(args.base) != bench_files(args.new):
+        print("the two trees' perfbench/ differ, so they would not run the same benchmark", file=sys.stderr)
+        return 2
+    with open(os.path.join(args.base, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workloads is None else [w for w in args.workloads.split(",") if w]
+    unknown = sorted(set(workloads) - set(known))
+    if unknown:
+        print(f"unknown workloads {unknown}; the benchmark runs {known}", file=sys.stderr)
+        return 2
+
+    result = {"label": args.label, "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+              "workloads": {}}
+    failures = []
+    for workload in workloads:
+        result["workloads"][workload], seen = bench_workload(args, spec, workload)
+        failures += seen
+    result["failures"] = failures
+    path = os.path.join(args.new, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    for workload, entry in result["workloads"].items():
+        for name, m in entry["metrics"].items():
+            if "base_median" in m:
+                print(f"{workload} {name}: {m['base_median']:.6g} -> {m['new_median']:.6g} {m['unit']}"
+                      f" (base quartiles {m['base_quartiles'][0]:.6g}, {m['base_quartiles'][1]:.6g};"
+                      f" new won {m['new_won']}/{m['pairs']}; within bound {m['within_bound']})")
+    for why in failures:
+        print(f"FAILED: {why}", file=sys.stderr)
+    print(f"wrote {path}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
