@@ -12,6 +12,8 @@ All quantities are SI (seconds, watts, hertz, meters).
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from typing import TYPE_CHECKING
@@ -301,18 +303,59 @@ def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.
 
 
 def _delay(pkt_bits: float, bandwidth: float, sinr) -> np.ndarray:
-    """Link delay [s] of a packet at the given SINR; inf where the rate is zero."""
-    rate = bandwidth * np.log1p(sinr) / np.log(2.0)
-    with np.errstate(divide="ignore"):
+    """Link delay [s] of a packet at the given SINR; inf where the rate is zero or too small to send it."""
+    with np.errstate(divide="ignore", over="ignore"):  # rates and delays beyond the float range read inf
+        rate = bandwidth * np.log1p(sinr) / np.log(2.0)
         return np.where(rate > 0.0, pkt_bits / np.maximum(rate, 1e-300), np.inf)
 
 
-def _kernel_delays(c_up, c_dn, design: "DesignVector", scenario: "SwarmScenario"):
+# Relative half-width of the SINR band around a window's threshold inside which
+# _fits asks _delay.  Rounding in _delay and in the threshold moves the
+# boundary by about 1e-12 relative at most (a few ulps, times at most
+# ln(sinr) ~ 710 where log1p flattens), far inside the band.
+_BAND = 1e-9
+
+
+def _fits(pkt_bits: float, bandwidth: float, sinr: np.ndarray, window: float) -> np.ndarray:
+    """_delay(pkt_bits, bandwidth, sinr) <= window, bit for bit, mostly without computing delays.
+
+    A delay fits its window exactly when sinr >= s* = expm1(pkt_bits * ln2 /
+    (bandwidth * window)), where the rate bandwidth * log2(1 + sinr) reaches
+    pkt_bits / window.  Elements at least _BAND relative away from s* are
+    decided by that threshold; only those inside the band go through _delay.
+    The whole array goes through _delay unless the window and s* are normal
+    numbers and the rate pkt_bits / window is at least 1e-290, far above the
+    1e-300 floor _delay puts under a rate.  So a window <= 0, an s* that
+    overflows or underflows to 0 (where sinr = 0 still has an infinite
+    delay), and subnormal or clamped extremes all take the exact path.
+    """
+    window = float(window)
+    rate = float(pkt_bits) / window if window >= sys.float_info.min else math.nan
+    try:
+        s_star = math.expm1(rate * math.log(2.0) / float(bandwidth)) if rate >= 1e-290 else math.nan
+    except (OverflowError, ZeroDivisionError):
+        s_star = math.nan
+    if not sys.float_info.min <= s_star < math.inf:  # NaN fails too
+        return _delay(pkt_bits, bandwidth, sinr) <= window
+    fits = sinr >= s_star * (1.0 + _BAND)
+    near = (sinr > s_star * (1.0 - _BAND)) & ~fits
+    if near.any():
+        fits[near] = _delay(pkt_bits, bandwidth, sinr[near]) <= window
+    return fits
+
+
+def _checked_powers(design: "DesignVector", scenario: "SwarmScenario") -> np.ndarray:
+    """design.p as an array, after checking its shape and that every transmit power is positive."""
     p = np.asarray(design.p, dtype=float)
     if p.shape != (scenario.n_followers,):
         raise ValueError(f"design.p has shape {p.shape}, expected ({scenario.n_followers},)")
     if not (np.all(p > 0.0) and design.p_leader > 0.0):  # NaN fails too
         raise ValueError("transmit powers must be positive")
+    return p
+
+
+def _kernel_delays(c_up, c_dn, design: "DesignVector", scenario: "SwarmScenario"):
+    p = _checked_powers(design, scenario)
     t_up = _delay(scenario.radio.pkt_local, scenario.radio.bw_up, p * c_up)
     t_dn = _delay(scenario.radio.pkt_global, scenario.radio.bw_down, design.p_leader * c_dn)
     return t_up, t_dn
@@ -350,6 +393,10 @@ class ScenarioSamples:
     kernels of a draw at its own sigma2 (see draw_channel for the condition
     this rests on).  A design only rescales the kernels: uplink SINR of
     follower i in sample k is p_i * c_up[k, i], downlink p_L * c_dn[k, i].
+    Its masks are threshold tests on those SINRs, with an exact band: only
+    SINRs within 1e-9 relative of the threshold at which a delay just fits
+    its window compute that delay (see _fits), so every mask is
+    success_mask of link_delays bit for bit.
     """
 
     scenario: "SwarmScenario"
@@ -396,8 +443,12 @@ class ScenarioSamples:
         return _kernels(num_up, interf_up, num_dn, interf_dn, point.radio)
 
     def _masks(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
-        t_up, t_dn = _kernel_delays(*self.kernels(point), design, point)
-        return success_mask(t_up, t_dn, design.beta, point.round_time_s)
+        """success_mask of design at point, decided by SINR thresholds (see _fits)."""
+        p = _checked_powers(design, point)
+        c_up, c_dn = self.kernels(point)
+        radio, beta, round_time = point.radio, design.beta, point.round_time_s
+        up = _fits(radio.pkt_local, radio.bw_up, p * c_up, beta * round_time)
+        return up & _fits(radio.pkt_global, radio.bw_down, design.p_leader * c_dn, (1.0 - beta) * round_time)
 
     def success_probs(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
         """Per-follower participation frequency of design at point, shape (I,)."""

@@ -6,6 +6,7 @@ implementation.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -286,10 +287,26 @@ class TestLinkDelays:
         assert np.all(delays(distance=distance * factor) >= base * (1.0 - 1e-12))
 
     def test_nonpositive_power_rejected(self, default_scenario):
+        """Delays and both mask paths share one power check, with one message."""
         s = one_follower_scenario(default_scenario)
-        bad = DesignVector(p=np.array([0.0]), p_leader=0.5, beta=0.5, v=10.0)
-        with pytest.raises(ValueError):
-            link_delays(unit_draw(), bad, s)
+        samples = ScenarioSamples.generate(s, 10, 1)
+        calls = (
+            lambda design: link_delays(unit_draw(), design, s),
+            lambda design: samples.success_probs(design, s),
+            lambda design: participation_masks([s], design, 3, [1]),
+        )
+        for value in (0.0, -0.5, np.nan):
+            for bad in (
+                DesignVector(p=np.array([value]), p_leader=0.5, beta=0.5, v=10.0),
+                DesignVector(p=np.array([0.5]), p_leader=value, beta=0.5, v=10.0),
+            ):
+                for call in calls:
+                    with pytest.raises(ValueError, match="transmit powers must be positive"):
+                        call(bad)
+        wrong_shape = DesignVector(p=np.array([0.5, 0.5]), p_leader=0.5, beta=0.5, v=10.0)
+        for call in calls:
+            with pytest.raises(ValueError, match=r"design.p has shape \(2,\), expected \(1,\)"):
+                call(wrong_shape)
 
 
 class TestSuccessProbability:
@@ -381,6 +398,94 @@ class TestSuccessProbability:
         got = success_mask(t_up, t_dn, beta=0.35, round_time=0.1)
         want = np.array([[True, False], [False, True]])
         assert np.array_equal(got, want)
+
+
+def threshold(pkt, bw, window):
+    """Oracle: the SINR at which a packet's delay equals window, inf where it overflows."""
+    try:
+        return math.expm1(pkt * math.log(2.0) / (bw * window))
+    except OverflowError:
+        return math.inf
+
+
+def ulps(x, n):
+    """x moved n ulps, up for n > 0 and down for n < 0."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, math.copysign(math.inf, n))
+    return float(x)
+
+
+def delay_fits(pkt, bw, sinr, window):
+    """Oracle: the exact test, through full delay arrays."""
+    return channel._delay(pkt, bw, sinr) <= window
+
+
+log_floats = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
+class TestThresholdMasks:
+    """channel._fits decides delay <= window by an SINR threshold, with an exact band around it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pkt=log_floats, bw=log_floats, window=log_floats, data=st.data())
+    @example(pkt=1.0, bw=1.0, window=1e301, data=None)  # rate at the window under _delay's 1e-300 floor
+    @example(pkt=1e-300, bw=1e15, window=1e-315, data=None)  # subnormal window and delays, s* = 1
+    @example(pkt=1e-290, bw=1.7e30, window=1.0, data=None)  # subnormal threshold
+    @example(pkt=1.0, bw=1e308, window=1e16, data=None)  # threshold underflows to 0
+    def test_fits_is_delay_within_window(self, pkt, bw, window, data):
+        s_star = threshold(pkt, bw, window)
+        special = [0.0, 5e-324, math.inf, math.nan]
+        near = []
+        if 0.0 < s_star < math.inf:
+            edges = [s_star, s_star * (1.0 - 1e-9), s_star * (1.0 + 1e-9)]
+            near = [ulps(edge, n) for edge in edges for n in range(-4, 5)]
+        if data is None:  # an @example: every placed value once
+            picks = special + near
+        else:
+            around = [st.floats(-2e-9, 2e-9).map(lambda d: s_star * (1.0 + d))] if near else []
+            values = st.one_of(
+                st.sampled_from(special + near), st.floats(0.0, 1e300), *around
+            )
+            picks = data.draw(st.lists(values, min_size=1, max_size=33))
+        sinr = np.array(picks)
+        want = delay_fits(pkt, bw, sinr, window)
+        assert np.array_equal(channel._fits(pkt, bw, sinr, window), want)
+        # _fits sends a gathered subarray to _delay; its bits must be those of the full array
+        every_other = np.arange(0, len(sinr), 2)
+        full = channel._delay(pkt, bw, sinr).view(np.int64)
+        assert np.array_equal(channel._delay(pkt, bw, sinr[every_other]).view(np.int64), full[every_other])
+
+    @pytest.mark.parametrize(
+        "pkt, bw, window",
+        [
+            (8e4, 1e6, 1e-9),  # expm1 overflows: tiny bandwidth * window
+            (1.0, 1e30, 1e300),  # huge window: s* underflows to 0, and sinr = 0 still has an infinite delay
+            (1.0, 1e308, 1e16),  # s* underflows to 0 though pkt / window = 1e-16 is far above the rate floor
+            (8e4, 1e6, 0.0),  # windows <= 0 fit only an infinite SINR
+            (8e4, 1e6, -0.05),
+        ],
+    )
+    def test_edge_thresholds_take_exact_path(self, pkt, bw, window):
+        sinr = np.array([0.0, 5e-324, 1e-300, 1e-3, 1.0, 1e6, 1e300, math.inf, math.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = channel._fits(pkt, bw, sinr, window)
+            want = delay_fits(pkt, bw, sinr, window)
+        assert np.array_equal(got, want)
+
+    def test_threshold_decides_nearly_every_element(self, default_scenario, monkeypatch):
+        """estimate_success_probs at the default scenario sends under 1% of its SINRs to _delay."""
+        exact = channel._delay
+        seen = []
+
+        def counting_delay(pkt_bits, bandwidth, sinr):
+            seen.append(np.size(sinr))
+            return exact(pkt_bits, bandwidth, sinr)
+
+        monkeypatch.setattr(channel, "_delay", counting_delay)
+        n_samples = 10_000
+        estimate_success_probs(default_scenario.default_design(), default_scenario, n_samples, 1)
+        assert sum(seen) < 0.01 * 2 * n_samples * default_scenario.n_followers
 
 
 def stream_blocks(point, n_rounds, seed):
