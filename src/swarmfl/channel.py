@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import TYPE_CHECKING
 
@@ -142,17 +142,14 @@ class InterferenceField:
     def __len__(self) -> int:
         return len(self.interferers)
 
-    def distances(self) -> np.ndarray:
-        return np.array([it.distance for it in self.interferers], dtype=float)
 
-    def powers(self) -> np.ndarray:
-        return np.array([it.power for it in self.interferers], dtype=float)
-
-    def gain_products(self) -> np.ndarray:
-        return np.array([it.gain_product for it in self.interferers], dtype=float)
-
-    def active_probs(self) -> np.ndarray:
-        return np.array([it.active_prob for it in self.interferers], dtype=float)
+@cache
+def _interferer_table(field: InterferenceField) -> np.ndarray:
+    """Rows distance, power, gain_product and active_prob of field's interferers, (4, J)."""
+    rows = [[it.distance, it.power, it.gain_product, it.active_prob] for it in field.interferers]
+    table = np.array(rows, dtype=float).reshape(-1, 4).T  # (4, 0) with no interferers too
+    table.flags.writeable = False  # shared by every call with this field
+    return table
 
 
 # === per-round randomness ===
@@ -211,8 +208,8 @@ def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int 
     fading_down = rician_power_fading(rng, k, shape + (n_f,))
     fading_up_interf = rician_power_fading(rng, k, shape + (j_up,))
     fading_down_interf = rician_power_fading(rng, k, shape + (j_dn, n_f))
-    active_up = rng.random(shape + (j_up,)) < scenario.uplink_interference.active_probs()
-    active_down = rng.random(shape + (j_dn,)) < scenario.downlink_interference.active_probs()
+    active_up = rng.random(shape + (j_up,)) < _interferer_table(scenario.uplink_interference)[3]
+    active_down = rng.random(shape + (j_dn,)) < _interferer_table(scenario.downlink_interference)[3]
     return ChannelDraw(
         angle_dev=angle_dev,
         fading_up=fading_up,
@@ -233,47 +230,31 @@ def _gain(scenario: "SwarmScenario", angle) -> np.ndarray:
     return antenna_gain_exact(scenario.antenna, angle)
 
 
-@cache
-def _interference_coefficients(field: InterferenceField, pathloss_exp: float) -> np.ndarray:
-    """Power times path loss times antenna gains of each interferer, (J,)."""
-    coef = field.powers() * field.distances() ** (-pathloss_exp) * field.gain_products()
-    coef.flags.writeable = False  # shared by every call with this field
-    return coef
+def _interference_power(field: InterferenceField, fading, active, pathloss_exp) -> np.ndarray:
+    """Received interference at V victim receivers, summed over active interferers, shape (..., V).
 
-
-def _interference_power(field: InterferenceField, fading, active, pathloss_exp, per_victim: bool):
-    """Received interference, summed over active interferers.
-
-    With per_victim=False the fading is laid out (..., J) for a single
-    victim; with per_victim=True it is (..., J, V) with one column per
-    victim receiver.  active is (..., J) either way.
+    fading is laid out (..., J, V), one column per victim; active is (..., J).
     """
-    if len(field) == 0:
-        return 0.0
-    coef = _interference_coefficients(field, pathloss_exp)
-    if per_victim:
-        term = coef[:, None] * fading * np.asarray(active)[..., :, None]
-        return term.sum(axis=-2)
-    term = coef * fading * active
-    return term.sum(axis=-1)
+    distance, power, gain_product, _ = _interferer_table(field)
+    coef = power * distance ** (-pathloss_exp) * gain_product
+    return (coef[:, None] * fading * active[..., :, None]).sum(axis=-2)
 
 
 def _jitter_free_parts(draw: ChannelDraw, scenario: "SwarmScenario"):
     """The parts of a draw's SINR kernels that neither jitter nor bandwidth changes.
 
-    Returns (faded_up, interf_up, faded_dn, interf_dn): fading times path
-    loss of every uplink and downlink, and the received interference power
-    at each receiver.
+    Returns (faded_up, interf_up, faded_dn, interf_dn), shaped (..., I),
+    (..., 1), (..., I) and (..., I): fading times path loss of every uplink
+    and downlink, and the received interference power at each receiver (the
+    leader for the uplinks, each follower for the downlinks).
     """
     alpha = scenario.radio.pathloss_exp
     path = scenario.follower_distances() ** (-alpha)
-    interf_up = _interference_power(
-        scenario.uplink_interference, draw.fading_up_interf, draw.active_up, alpha, per_victim=False
+    interf_up = _interference_power(  # the leader is the one uplink victim
+        scenario.uplink_interference, draw.fading_up_interf[..., None], draw.active_up, alpha
     )
-    interf_dn = _interference_power(
-        scenario.downlink_interference, draw.fading_down_interf, draw.active_down, alpha, per_victim=True
-    )
-    return draw.fading_up * path, np.asarray(interf_up)[..., None], draw.fading_down * path, interf_dn
+    interf_dn = _interference_power(scenario.downlink_interference, draw.fading_down_interf, draw.active_down, alpha)
+    return draw.fading_up * path, interf_up, draw.fading_down * path, interf_dn
 
 
 def _signal_power(faded_up, faded_dn, angle_dev, scenario: "SwarmScenario"):
@@ -380,11 +361,11 @@ class ScenarioSamples:
     """K frozen channel draws, read by every design and grid point scored on them.
 
     The draws are made once, through draw_channel at unit jitter variance:
-    one batch of K (generate), or the kept rows of several batches stacked
-    into K rows (_from_parts; participation_masks stacks the BLOCK-round
-    batches of every repetition).  Every kernel, delay and mask is computed
-    row by row, so a row reads the same bits whichever rows it is stacked
-    with.
+    one batch of K (generate), or the BLOCK-round batches of several
+    repetitions (_stacked_windows), whose unit jitter and jitter-free parts
+    are trimmed to the rounds read and concatenated into K rows.  Every
+    kernel, delay and mask is computed row by row, so a row reads the same
+    bits whichever rows it is stacked with.
     A point read off them may differ from the drawn scenario in
     antenna.sigma2 and in its link bandwidths.  Fading times path loss and
     the interference powers are kept from the draw; per jitter variance only
@@ -401,7 +382,7 @@ class ScenarioSamples:
 
     scenario: "SwarmScenario"
     unit_jitter: np.ndarray  # (K, I+1) orientation jitter at unit variance, leader first
-    parts: tuple  # (faded_up, interf_up, faded_dn, interf_dn), see _jitter_free_parts
+    parts: tuple  # (faded_up, interf_up, faded_dn, interf_dn): (K, I), (K, 1), (K, I), (K, I); see _jitter_free_parts
     c_up: np.ndarray  # (K, I) kernels at the scenario's own jitter variance and bandwidths
     c_dn: np.ndarray  # (K, I)
     # the signal power of one jitter variance, the last one read: {sigma2: (num_up, num_dn)}
@@ -475,7 +456,8 @@ BLOCK = 128
 
 # Rounds whose SINR parts participation_masks stacks into one ScenarioSamples
 # (4I + 2 floats a round, 22 at five followers), so memory stays flat however
-# many repetitions are read.
+# many repetitions are read.  At the concatenation a group's peak is its block
+# lists plus the stacked result, twice its rows.
 _ROW_BUDGET = 4096
 
 
@@ -519,25 +501,22 @@ def participation_masks(
     return out
 
 
-def _stacked_windows(scenario: "SwarmScenario", seeds, n_rounds: int):
-    """Rounds [0, n_rounds) of each seed's block stream, stacked seed after seed into one ScenarioSamples."""
+def _stacked_windows(scenario: "SwarmScenario", seeds, n_rounds: int) -> "ScenarioSamples":
+    """Rounds [0, n_rounds) of each seed's block stream, stacked seed after seed into one ScenarioSamples.
+
+    Each block's unit jitter and jitter-free parts are trimmed to the rounds
+    read from it, and every array is concatenated once.
+    """
     unit = _unit_variance(scenario)
-    n_f = scenario.n_followers
-    rows = len(seeds) * n_rounds
-    unit_jitter = np.empty((rows, n_f + 1))
-    parts = (np.empty((rows, n_f)), np.empty((rows, 1)), np.empty((rows, n_f)), np.empty((rows, n_f)))
-    for r, seed in enumerate(seeds):
+    blocks = []  # (unit_jitter, *parts) of every block read, in row order
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         for start in range(0, n_rounds, BLOCK):
-            width = min(BLOCK, n_rounds - start)
             draw = draw_channel(unit, rng, size=BLOCK)
-            window = ChannelDraw(**{f.name: getattr(draw, f.name)[:width] for f in fields(ChannelDraw)})
-            row = r * n_rounds + start
-            kept = slice(row, row + width)
-            unit_jitter[kept] = window.angle_dev
-            for stacked, part in zip(parts, _jitter_free_parts(window, scenario)):
-                stacked[kept] = part
-    return ScenarioSamples._from_parts(scenario, unit_jitter, parts)
+            kept = slice(min(BLOCK, n_rounds - start))  # copied: a view would hold the whole block
+            blocks.append([a[kept].copy() for a in (draw.angle_dev, *_jitter_free_parts(draw, scenario))])
+    unit_jitter, *parts = (np.concatenate(column) for column in zip(*blocks))
+    return ScenarioSamples._from_parts(scenario, unit_jitter, tuple(parts))
 
 
 def estimate_success_probs(

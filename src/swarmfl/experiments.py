@@ -289,10 +289,9 @@ def experiment_sweep_sigma(
     del samples  # scored first, so it is never held together with the grid's masks
     eps_mean = eps_sum / model.n_total
     runs = _train(model, grid, design, scenario.max_rounds, _run_seeds(scenario, "ss-run"), eps_mean)
-    for (sigma2, bw), point_probs, (state, _) in zip(keys, probs, runs):
+    for (sigma2, bw), point_probs, (_, hits) in zip(keys, probs, runs):
         predicted = problem.predicted_round(point_probs, eps_sum)
-        crossings = _crossing_rounds(model, state, [eps_mean])
-        emp_mean, emp_std, n_conv = _mean_std(crossings[:, 0])
+        emp_mean, emp_std, n_conv = _mean_std(hits)
         result.append(
             sigma2=float(sigma2),
             bandwidth=float(bw),

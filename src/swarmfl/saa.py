@@ -553,7 +553,7 @@ class SolveReport:
 class _DualState:
     """The outer multiplier iteration: the sampled problem, the report, the
     last inner maximizer (the next one's start) and the best
-    unsmoothed-feasible iterate so far."""
+    unsmoothed-feasible iterate so far, with its indicator margins."""
 
     samples: ScenarioSamples
     smoothing: SmoothingConfig
@@ -563,6 +563,7 @@ class _DualState:
     design: DesignVector
     best_feasible_primal: DesignVector | None = None
     best_feasible_objective: float = -np.inf
+    best_feasible_margins: np.ndarray | None = None
 
     def step(self, t: int, lam: np.ndarray) -> np.ndarray:
         """Dual iteration t at multipliers lam; returns the residuals there.
@@ -581,11 +582,12 @@ class _DualState:
         )
         at = _CoordinateLagrangian(lam, *args, self.constants).rebuild(self.design.as_flat())
         residuals = at.rows()
-        feasible, _, _ = unsmoothed_feasibility(
+        feasible, margins, _ = unsmoothed_feasibility(
             self.design, self.samples, scenario, budgets, control, self.constants
         )
         if feasible and at.obj > self.best_feasible_objective:
             self.best_feasible_objective, self.best_feasible_primal = at.obj, self.design
+            self.best_feasible_margins = margins
         self.report.iterations[-1].update(
             {"iteration": t, "dual_value": dual_value, "lambda": lam.copy(), "residuals": residuals}
         )
@@ -616,7 +618,6 @@ def solve(
     solvers = {"subgradient": _solve_subgradient, "ellipsoid": _solve_ellipsoid}
     if method not in solvers:
         raise ValueError(f"unknown method: {method!r}")
-    budgets, control = scenario.energy_budget, scenario.control
     rng_seed = scenario.base_seed if rng_seed is None else rng_seed
     if not 0 <= rng_seed < 2**64:  # derive_seed would alias it onto a seed in range
         raise ValueError(f"rng_seed must be in [0, 2**64), got {rng_seed}")
@@ -635,9 +636,6 @@ def solve(
             "no design satisfied the sample chance constraints; relax e_bar, tau, or xi"
         )
     best, report = state.best_feasible_primal, state.report
-    feasible, margins, _ = unsmoothed_feasibility(
-        best, samples, scenario, budgets, control, constants
-    )
     if scoring is None:
         probs = estimate_success_probs(
             best, scenario, scenario.n_success_samples, derive_seed(rng_seed, "opt-probs")
@@ -645,8 +643,8 @@ def solve(
     else:
         probs = scoring.success_probs(best, scenario)
     predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
-    report.feasible = feasible
-    report.margins = margins
+    report.feasible = True
+    report.margins = state.best_feasible_margins
     report.predicted_round = predicted
     report.success_probs = probs
     return best, predicted, report

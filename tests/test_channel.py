@@ -209,6 +209,81 @@ class TestFadingAndDraws:
         assert np.array_equal(t1[0], t2[0]) and np.array_equal(t1[1], t2[1])
 
 
+LEADING_SHAPES = st.one_of(
+    st.just(()), st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 4), st.integers(1, 4))
+)
+
+
+def random_field(rng, n_interferers):
+    return InterferenceField(tuple(
+        Interferer(
+            distance=rng.uniform(10.0, 500.0),
+            power=rng.uniform(0.0, 3.0),
+            gain_product=rng.uniform(0.0, 1.0),
+            active_prob=rng.uniform(0.0, 1.0),
+        )
+        for _ in range(n_interferers)
+    ))
+
+
+def interferer_coefficients(field, alpha):
+    """Power times path loss times gain product of each interferer, in that order, (J,)."""
+    distance = np.array([it.distance for it in field.interferers], dtype=float)
+    power = np.array([it.power for it in field.interferers], dtype=float)
+    gain = np.array([it.gain_product for it in field.interferers], dtype=float)
+    return power * distance ** (-alpha) * gain
+
+
+class TestInterferenceLayout:
+    """_interference_power: fading (..., J, V) and activity (..., J) in, one column per victim receiver out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_interferers=st.integers(0, 4),
+        n_victims=st.integers(1, 5),
+        lead=LEADING_SHAPES,
+        alpha=st.floats(1.5, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_interferers=0, n_victims=1, lead=(), alpha=2.5, seed=0)
+    @example(n_interferers=0, n_victims=5, lead=(3,), alpha=2.5, seed=0)
+    @example(n_interferers=0, n_victims=2, lead=(2, 4), alpha=2.5, seed=0)
+    def test_sum_equals_explicit_loop(self, n_interferers, n_victims, lead, alpha, seed):
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n_interferers)
+        fading = rng.exponential(size=lead + (n_interferers, n_victims))
+        fading[rng.random(fading.shape) < 0.1] = 0.0
+        active = rng.random(lead + (n_interferers,)) < 0.5
+        got = channel._interference_power(field, fading, active, alpha)
+        assert isinstance(got, np.ndarray) and got.shape == lead + (n_victims,) and got.dtype == float
+        coef = interferer_coefficients(field, alpha)
+        want = np.zeros(lead + (n_victims,))  # no interferers: zeros of the victims' shape
+        for idx in np.ndindex(*lead):
+            for v in range(n_victims):
+                total = 0.0
+                for j in range(n_interferers):
+                    total += coef[j] * fading[idx + (j, v)] * active[idx + (j,)]
+                want[idx + (v,)] = total
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_interferers=st.integers(1, 9),
+        lead=st.one_of(LEADING_SHAPES, st.just((2000,))),
+        alpha=st.floats(1.5, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_uplink_column_equals_single_victim_sum(self, n_interferers, lead, alpha, seed):
+        """The leader as one victim column reads the bits of a sum over a (..., J) layout."""
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n_interferers)
+        fading = rng.exponential(size=lead + (n_interferers,))
+        active = rng.random(lead + (n_interferers,)) < 0.5
+        got = channel._interference_power(field, fading[..., None], active, alpha)
+        want = (interferer_coefficients(field, alpha) * fading * active).sum(axis=-1)[..., None]
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 class TestLinkDelays:
     def test_uplink_link_budget_oracle(self, default_scenario):
         # 0.5 W at 100 m, free path loss exponent 2.5, unity gains and fading,
@@ -500,6 +575,13 @@ def stream_kernels(point, n_rounds, seed):
     return tuple(np.concatenate(kernel)[:n_rounds] for kernel in zip(*blocks))
 
 
+def stream_parts(point, n_rounds, seed):
+    """Oracle: unit jitter and jitter-free parts of rounds [0, n_rounds) of seed's stream, each block drawn alone."""
+    unit = replace(point, antenna=replace(point.antenna, sigma2=1.0))
+    blocks = [(draw.angle_dev, *channel._jitter_free_parts(draw, point)) for draw in stream_blocks(unit, n_rounds, seed)]
+    return tuple(np.concatenate(column)[:n_rounds] for column in zip(*blocks))
+
+
 def stream_masks(point, design, n_rounds, seed):
     """Oracle: participation in rounds [0, n_rounds) of seed's stream, drawn at point."""
     masks = [
@@ -580,18 +662,48 @@ class TestMaskWindows:
         participation_masks([default_scenario], default_scenario.default_design(), n_rounds, [1, 2])
         assert sizes == [channel.BLOCK] * (2 * math.ceil(n_rounds / channel.BLOCK))
 
-    @pytest.mark.parametrize("sectionalized", [False, True])
-    def test_stacked_kernels_equal_each_draws_own(self, default_scenario, sectionalized):
-        """Kernels of stacked streams equal each repetition's own block draws, bit for bit."""
-        base = replace(default_scenario, use_sectionalized_gain=sectionalized)
+    @pytest.mark.parametrize(
+        "sectionalized, interfered",
+        [(False, "both"), (True, "both"), (False, "neither"), (False, "uplink"), (False, "downlink")],
+        ids=["False", "True", "no-interferers", "uplink-only", "downlink-only"],
+    )
+    def test_stacked_kernels_equal_each_draws_own(self, default_scenario, monkeypatch, sectionalized, interfered):
+        """Jitter, parts and kernels of stacked streams equal each repetition's own block draws, bit for bit."""
+        none = InterferenceField(())
+        base = replace(
+            default_scenario,
+            use_sectionalized_gain=sectionalized,
+            uplink_interference=default_scenario.uplink_interference if interfered in ("both", "uplink") else none,
+            downlink_interference=default_scenario.downlink_interference if interfered in ("both", "downlink") else none,
+        )
         seeds, n_rounds = [5, 6, 7], 150  # a whole block and part of the next
-        stacked = channel._stacked_windows(base, seeds, n_rounds)
-        for point in jitter_bw_points(base, [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)]):
-            kernels = stacked.kernels(point)
-            for r, seed in enumerate(seeds):
-                rows = slice(r * n_rounds, (r + 1) * n_rounds)
-                for got, want in zip(kernels, stream_kernels(point, n_rounds, seed)):
-                    assert np.array_equal(got[rows], want)
+        n_f = base.n_followers
+        groups, stacked_windows = [], channel._stacked_windows
+
+        def recording(scenario, group, n):
+            samples = stacked_windows(scenario, group, n)
+            groups.append((list(group), samples))
+            return samples
+
+        monkeypatch.setattr(channel, "_stacked_windows", recording)
+        points = jitter_bw_points(base, [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)])
+        # one group at the row budget in force; a budget of two repetitions splits the seeds mid-list
+        for budget, split in ((channel._ROW_BUDGET, [seeds]), (2 * n_rounds, [seeds[:2], seeds[2:]])):
+            groups.clear()
+            monkeypatch.setattr(channel, "_ROW_BUDGET", budget)
+            participation_masks(points, base.default_design(), n_rounds, seeds)
+            assert [group for group, _ in groups] == split
+            for group, samples in groups:
+                rows = len(group) * n_rounds
+                arrays = (samples.unit_jitter, *samples.parts)
+                assert [a.shape for a in arrays] == [(rows, n_f + 1), (rows, n_f), (rows, 1), (rows, n_f), (rows, n_f)]
+                for r, seed in enumerate(group):
+                    kept = slice(r * n_rounds, (r + 1) * n_rounds)
+                    for got, want in zip(arrays, stream_parts(base, n_rounds, seed), strict=True):
+                        assert np.array_equal(got[kept], want)
+                    for point in points:
+                        for got, want in zip(samples.kernels(point), stream_kernels(point, n_rounds, seed)):
+                            assert np.array_equal(got[kept], want)
 
     def test_empty_points_rejected(self, default_scenario):
         with pytest.raises(ValueError, match="points"):

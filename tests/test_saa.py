@@ -649,9 +649,19 @@ class TestSolve:
         assert len(report.iterations) >= 1
 
     def test_small_scenario_end_to_end(self, small_scenario):
-        design, rounds, report = solve(with_max_iters(small_scenario, 12))
+        from swarmfl.seeds import derive_seed
+
+        scenario = with_max_iters(small_scenario, 12)
+        design, rounds, report = solve(scenario)
         assert report.feasible
         assert np.all(report.margins >= 0.0)
+        samples = ScenarioSamples.generate(
+            scenario, scenario.saa.samples_k, derive_seed(scenario.base_seed, "saa-samples")
+        )
+        _, margins, _ = unsmoothed_feasibility(
+            design, samples, scenario, scenario.energy_budget, scenario.control, problem_constants(scenario)
+        )
+        assert np.array_equal(report.margins, margins)  # the margins the loop kept are the answer's own
         assert rounds >= 1
         assert design.validate(small_scenario.p_max, small_scenario.flight.v_max) == []
         assert np.all(report.success_probs > 0.0)
