@@ -265,9 +265,14 @@ def _signal_power(faded_up, faded_dn, angle_dev, scenario: "SwarmScenario"):
 
 
 def _kernels(num_up, interf_up, num_dn, interf_dn, radio: RadioParams) -> tuple[np.ndarray, np.ndarray]:
-    """SINR per watt; only the noise term bw * N0 added to the interference reads bandwidth."""
-    c_up = num_up / (interf_up + radio.bw_up * radio.noise_psd)
-    c_dn = num_dn / (interf_dn + radio.bw_down * radio.noise_psd)
+    """SINR per watt; only the noise term bw * N0 added to the interference reads bandwidth.
+
+    A quotient beyond the float range, as at a vanishing bandwidth with no
+    interference, reads inf: an infinite SINR.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        c_up = num_up / (interf_up + radio.bw_up * radio.noise_psd)
+        c_dn = num_dn / (interf_dn + radio.bw_down * radio.noise_psd)
     return c_up, c_dn
 
 

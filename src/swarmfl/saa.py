@@ -149,23 +149,30 @@ def _rows(both_sums, e_leader, e_followers, control_rows, smoothing, scenario, b
     both_sums are the column sums of the (K, I) participation sigmoids,
     e_leader and e_followers the per-round energies, control_rows the
     finished control rows.  The follower energy sigmoids are computed in
-    out, a (K, I) float array that may be e_followers itself.
+    out, a (K, I) float array that may be e_followers itself.  A part given
+    as None leaves its rows at 0.0, and rho and phi are computed only when
+    an energy part is given.
     """
-    k = e_followers.shape[0]
-    # column sums of sigmoid products over K samples: in [0, 1] by construction
-    rho = min(constants._speed(both_sums / k), 1.0 - 1e-12)
-    log_decay = np.log(1.0 - rho)
-    # rho too small to move 1 - rho means no participation, so no finite round prediction
-    ratio = _eps_sum(scenario, constants) / constants.initial_loss_sum
-    phi = np.log(ratio) / log_decay if log_decay < 0.0 else np.inf
-    c_bar, e_scale = smoothing.c_bar, smoothing.energy_scale
-
-    leader_row = k * gamma_sigmoid(budgets.e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
-    energy_args = np.subtract(budgets.e_bar, np.multiply(phi, e_followers, out=out), out=out)
-    follower_rows = (
-        _column_sums(gamma_sigmoid(energy_args, c_bar, e_scale, out=out)) - k * budgets.xi_follower
-    )
-    return np.concatenate([[leader_row], follower_rows, control_rows])
+    k, n = out.shape
+    rows = np.zeros(2 * n + 1)
+    if e_leader is not None or e_followers is not None:
+        # column sums of sigmoid products over K samples: in [0, 1] by construction
+        rho = min(constants._speed(both_sums / k), 1.0 - 1e-12)
+        log_decay = np.log(1.0 - rho)
+        # rho too small to move 1 - rho means no participation, so no finite round prediction
+        ratio = _eps_sum(scenario, constants) / constants.initial_loss_sum
+        phi = np.log(ratio) / log_decay if log_decay < 0.0 else np.inf
+        c_bar, e_scale = smoothing.c_bar, smoothing.energy_scale
+    if e_leader is not None:
+        rows[0] = k * gamma_sigmoid(budgets.e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
+    if e_followers is not None:
+        energy_args = np.subtract(budgets.e_bar, np.multiply(phi, e_followers, out=out), out=out)
+        rows[1 : n + 1] = (
+            _column_sums(gamma_sigmoid(energy_args, c_bar, e_scale, out=out)) - k * budgets.xi_follower
+        )
+    if control_rows is not None:
+        rows[n + 1 :] = control_rows
+    return rows
 
 
 def smoothed_constraints(
@@ -272,12 +279,19 @@ class _CoordinateLagrangian:
     - v: e_fly and e_work + e_fly.
 
     The objective and the column sums are recomputed whenever the product
-    changes, and the leader energy on every trial (it is a scalar).  rho,
-    phi and the energy sigmoids are always recomputed, since phi couples
-    every column; that chain runs in one preallocated (K, I) buffer.
-    Patched columns are computed elementwise exactly as the full arrays are
-    and every reduction runs over the full arrays, so value(idx, x) equals
-    value() after a rebuild at the trial design bit for bit.  Only value()
+    changes.  value() evaluates only the row groups (leader energy, follower
+    energies, control deadlines) with a nonzero multiplier; a skipped group
+    writes 0.0 into its rows, which adds the same zero terms to lam @ rows
+    up to their sign.  So with the follower group off a trial skips e_work
+    + e_fly and the follower energy sigmoids, with both energy groups off
+    also rho and phi, and with the control group off a p_L trial skips the
+    control rows; a v trial always computes e_fly, which checks the speed.
+    An evaluated energy group recomputes rho, phi and its sigmoids on every
+    trial, since phi couples every column; the follower chain runs in one
+    preallocated (K, I) buffer.  Patched columns are computed elementwise
+    exactly as the full arrays are and every reduction runs over the full
+    arrays, so value(idx, x) equals value() after a rebuild at the trial
+    design bit for bit.  rows() always evaluates every group.  Only value()
     counts in evals.  inner_maximize rebuilds whenever it accepts a move, so
     every scalar search starts from the current iterate.
     """
@@ -299,6 +313,10 @@ class _CoordinateLagrangian:
         self.train = np.broadcast_to(scenario.follower_training_energies(), self.shape).copy()
         self.buf = np.empty(self.shape)
         self.evals = 0
+        # value() evaluates a row group (leader, followers, control) only when
+        # one of its multipliers is nonzero
+        on = np.ones(2 * self.n + 1, dtype=bool) if lam is None else np.asarray(lam) != 0.0
+        self.groups_on = (bool(on[0]), bool(on[1 : self.n + 1].any()), bool(on[self.n + 1 :].any()))
 
     def rebuild(self, flat: np.ndarray) -> "_CoordinateLagrangian":
         design = self.design = DesignVector.from_flat(flat, self.n)
@@ -331,6 +349,7 @@ class _CoordinateLagrangian:
         radio, round_time = self.scenario.radio, self.scenario.round_time_s
         p_leader, beta, e_fly = design.p_leader, design.beta, self.e_fly
         both, control_rows, e_followers = self.both, self.control_rows, self.e_followers
+        _, followers_on, control_on = self.groups_on
         if idx is None:
             pass
         elif idx < n:
@@ -338,27 +357,32 @@ class _CoordinateLagrangian:
             t_col = _delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
             both = both.copy()
             both[:, idx] = _window_gamma(beta * round_time, t_col, smoothing) * self.g_dn[:, idx]
-            e_followers = e_followers.copy()
-            e_followers[:, idx] = (
-                _follower_work_energies(self.train[:, idx], x, t_col, beta * round_time) + e_fly
-            )
+            if followers_on:
+                e_followers = e_followers.copy()
+                e_followers[:, idx] = (
+                    _follower_work_energies(self.train[:, idx], x, t_col, beta * round_time) + e_fly
+                )
         elif idx == n:
             p_leader = float(x)
             t_dn = _delay(radio.pkt_global, radio.bw_down, p_leader * self.samples.c_dn)
             both = self.g_up * _window_gamma((1.0 - beta) * round_time, t_dn, smoothing)
-            control_rows = self._control_rows(t_dn)
+            if control_on:
+                control_rows = self._control_rows(t_dn)
         elif idx == n + 1:
             beta = float(x)
             both = (_window_gamma(beta * round_time, self.t_up, smoothing)
                     * _window_gamma((1.0 - beta) * round_time, self.t_dn, smoothing))
-            e_followers = (
-                _follower_work_energies(self.train, self.p, self.t_up, beta * round_time) + e_fly
-            )
+            if followers_on:
+                e_followers = (
+                    _follower_work_energies(self.train, self.p, self.t_up, beta * round_time) + e_fly
+                )
         else:
             e_fly = _flight_energy(self.scenario, float(x))
-            e_followers = self.e_work + e_fly
+            if followers_on:
+                e_followers = self.e_work + e_fly
         obj, both_sums = (self.obj, self.both_sums) if both is self.both else self._tally(both)
-        rows = self._residuals(both_sums, p_leader, beta, e_fly, e_followers, control_rows)
+        rows = self._residuals(both_sums, p_leader, beta, e_fly, e_followers, control_rows,
+                               self.groups_on)
         return obj + float(self.lam @ rows)
 
     def _tally(self, both) -> tuple[float, np.ndarray]:
@@ -374,10 +398,14 @@ class _CoordinateLagrangian:
             - t_dn.shape[0] * self.control.xi_control
         )
 
-    def _residuals(self, both_sums, p_leader, beta, e_fly, e_followers, control_rows):
-        """Residual rows of a design whose parts these are (see _rows)."""
-        e_leader = _leader_energy(self.scenario, p_leader, beta, e_fly)
-        return _rows(both_sums, e_leader, e_followers, control_rows, self.smoothing,
+    def _residuals(self, both_sums, p_leader, beta, e_fly, e_followers, control_rows,
+                   groups_on=(True, True, True)):
+        """Residual rows of a design whose parts these are (see _rows); the rows
+        of a group that groups_on (leader, followers, control) leaves off read 0.0."""
+        leader_on, followers_on, control_on = groups_on
+        e_leader = _leader_energy(self.scenario, p_leader, beta, e_fly) if leader_on else None
+        return _rows(both_sums, e_leader, e_followers if followers_on else None,
+                     control_rows if control_on else None, self.smoothing,
                      self.scenario, self.budgets, self.constants, out=self.buf)
 
 
@@ -532,7 +560,9 @@ class SolveReport:
     maximization.  nonnegativity_cuts counts the ellipsoid iterations that
     cut off a negative multiplier, which write no row.  stop_reason is
     "stationary" (the subgradient multipliers stopped moving), "degenerate"
-    (an ellipsoid cut had no direction) or "max_iters".
+    (an ellipsoid cut had no direction) or "max_iters".  gap is the relative
+    duality gap (best dual value - best feasible objective) / max(|best dual
+    value|, 1); the inner maximization is local, so it can dip below 0.
     """
 
     iterations: list[dict] = field(default_factory=list)
@@ -544,6 +574,7 @@ class SolveReport:
     lagrangian_evals: int = 0
     nonnegativity_cuts: int = 0
     stop_reason: str = "max_iters"  # or "stationary", "degenerate"
+    gap: float | None = None
 
     def dual_trace(self) -> np.ndarray:
         return np.array([row["dual_value"] for row in self.iterations])
@@ -643,6 +674,8 @@ def solve(
     else:
         probs = scoring.success_probs(best, scenario)
     predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
+    best_dual = float(report.dual_trace().min())
+    report.gap = (best_dual - state.best_feasible_objective) / max(abs(best_dual), 1.0)
     report.feasible = True
     report.margins = state.best_feasible_margins
     report.predicted_round = predicted

@@ -324,6 +324,18 @@ class TestLinkDelays:
         noisy = uplink_s(unit_draw(n_up=1, n_down=1), design, s_noisy)
         assert noisy > clean
 
+    def test_vanishing_bandwidth_reads_infinite_sinr_quietly(self, default_scenario):
+        """At bw = 1e-300 with no interferer the noise term is subnormal and the
+        SINR per watt overflows to inf, with no RuntimeWarning."""
+        quiet = one_follower_scenario(default_scenario, bw=1e-300)
+        draws = draw_channel(quiet, np.random.default_rng(3), size=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            c_up, c_dn = sinr_coefficients(draws, quiet)
+            samples = ScenarioSamples.generate(quiet, 64, 3)
+        assert np.all(np.isposinf(c_up)) and np.all(np.isposinf(c_dn))
+        assert np.all(np.isposinf(samples.c_up)) and np.all(np.isposinf(samples.c_dn))
+
     def test_monotone_in_power_distance_bandwidth(self, default_scenario):
         base = one_follower_scenario(default_scenario)
         draw = unit_draw()

@@ -1,5 +1,6 @@
 """Design optimizer: smoothing, sampled constraints, dual ascent, baselines."""
 
+import itertools
 import math
 import struct
 from dataclasses import replace
@@ -561,6 +562,28 @@ class TestCoordinateLagrangian:
         assert evaluator.value() == want
         assert evaluator.value(n + 2, flat[n + 2]) == want
 
+    @staticmethod
+    def trial_problem(default_scenario, n, k, sectionalized, e_bar, seed):
+        """(evaluator args, constants, coordinate bounds, random base design) of an
+        n-follower scenario with k samples.  Budgets of 350 and 510 J keep
+        the energy sigmoids off their plateau."""
+        from swarmfl.saa import _coordinate_bounds
+
+        scenario = replace(
+            default_scenario,
+            n_followers=n,
+            distances=tuple(np.linspace(50.0, 80.0, n)),
+            control=ControlRequirements(tau=(0.05,) * n),
+            use_sectionalized_gain=sectionalized,
+            energy_budget=EnergyBudget(e_bar=e_bar),
+        ).require_valid()
+        args = (ScenarioSamples.generate(scenario, k, seed), SmoothingConfig.from_scenario(scenario),
+                scenario, scenario.energy_budget, scenario.control)
+        bounds = _coordinate_bounds(scenario, n)
+        rng = np.random.default_rng(seed)
+        flat = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+        return args, problem_constants(scenario), bounds, flat
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 5),
@@ -577,25 +600,11 @@ class TestCoordinateLagrangian:
     def test_trials_equal_lagrangian_bit_for_bit(self, default_scenario, n, k, sectionalized,
                                                  e_bar, lam, seed, steps):
         """Any mix of trials and rebuilds: each trial equals lagrangian() at the
-        trial design under ==, and the base value never moves between rebuilds.
-        Budgets of 350 and 510 J keep the energy sigmoids off their plateau."""
-        from swarmfl.saa import _coordinate_bounds, _CoordinateLagrangian
-
-        scenario = replace(
-            default_scenario,
-            n_followers=n,
-            distances=tuple(np.linspace(50.0, 80.0, n)),
-            control=ControlRequirements(tau=(0.05,) * n),
-            use_sectionalized_gain=sectionalized,
-            energy_budget=EnergyBudget(e_bar=e_bar),
-        ).require_valid()
+        trial design under ==, and the base value never moves between rebuilds."""
+        args, constants, bounds, flat = self.trial_problem(
+            default_scenario, n, k, sectionalized, e_bar, seed
+        )
         lam = np.array(lam[: 2 * n + 1])
-        constants = problem_constants(scenario)
-        args = (ScenarioSamples.generate(scenario, k, seed), SmoothingConfig.from_scenario(scenario),
-                scenario, scenario.energy_budget, scenario.control)
-        bounds = _coordinate_bounds(scenario, n)
-        rng = np.random.default_rng(seed)
-        flat = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
         evaluator = _CoordinateLagrangian(lam, *args, constants)
         evaluator.rebuild(flat)
         base = lagrangian(DesignVector.from_flat(flat, n), lam, *args, constants)
@@ -614,6 +623,99 @@ class TestCoordinateLagrangian:
             else:
                 assert evaluator.value(idx, x) == want, (idx, x)
             assert evaluator.value() == base
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        k=st.sampled_from([1, 2, 3, 17, 64]),
+        sectionalized=st.booleans(),
+        e_bar=st.sampled_from([350.0, 510.0, 7000.0]),
+        lam=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e7)), min_size=11, max_size=11),
+        zero_groups=st.sampled_from(list(itertools.product([True, False], repeat=3))),
+        seed=st.integers(0, 2**32 - 1),
+        u=st.floats(0.0, 1.0),
+        steps=st.lists(
+            st.tuples(st.integers(0, 7), st.floats(0.0, 1.0), st.booleans()),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_zero_multiplier_rows_skip_bit_for_bit(self, default_scenario, n, k, sectionalized,
+                                                   e_bar, lam, zero_groups, seed, u, steps):
+        """Whichever row groups (leader energy, follower energies, control) have
+        all-zero multipliers, each trial equals obj + lam @ rows() of an
+        evaluator rebuilt at the trial design under ==.  rows() evaluates every
+        group, so this oracle does not depend on the skip."""
+        args, constants, bounds, flat = self.trial_problem(
+            default_scenario, n, k, sectionalized, e_bar, seed
+        )
+        lam = np.array(lam[: 2 * n + 1])
+        groups = (slice(0, 1), slice(1, n + 1), slice(n + 1, None))
+        for zero, rows in zip(zero_groups, groups):
+            if zero:
+                lam[rows] = 0.0
+
+        def oracle(design):
+            at = _CoordinateLagrangian(lam, *args, constants).rebuild(design)
+            return at.obj + float(lam @ at.rows())
+
+        evaluator = _CoordinateLagrangian(lam, *args, constants).rebuild(flat)
+        on = evaluator.groups_on
+        assert on == tuple(bool(np.any(lam[rows])) for rows in groups)
+        base = oracle(flat)
+        assert evaluator.value() == base
+        sweep = [(idx, u, False) for idx in range(n + 3)]  # every coordinate once
+        for pick, v, accept in sweep + steps:
+            idx = pick % (n + 3)
+            lo, hi = bounds[idx]
+            x = lo + v * (hi - lo)
+            trial = flat.copy()
+            trial[idx] = x
+            want = oracle(trial)
+            if accept:
+                flat = trial
+                evaluator.rebuild(flat)
+                base = want
+            else:
+                assert evaluator.value(idx, x) == want, (idx, x, on)
+            assert evaluator.value() == base
+
+    def test_zero_multiplier_groups_run_no_row_sigmoid(self, default_scenario, default_samples,
+                                                        monkeypatch):
+        """A trial evaluates no sigmoid of a row group whose multipliers are all
+        zero.  At lambda = 0 a trial runs only its window sigmoids (delay scale);
+        with only the control multipliers at 0, a p_L trial runs its energy
+        sigmoids and one (K, I) delay-scale sigmoid, the downlink window."""
+        import swarmfl.saa as saa
+
+        n, k = default_scenario.n_followers, default_samples.k
+        smoothing = SmoothingConfig.from_scenario(default_scenario)
+        scales = {smoothing.delay_scale: "delay", smoothing.energy_scale: "energy"}
+        args = (default_samples, smoothing, default_scenario, default_scenario.energy_budget,
+                default_scenario.control)
+        flat = default_scenario.default_design().as_flat()
+        sigmoid, calls = saa.gamma_sigmoid, []
+
+        def recorded(r, c_bar, scale=1.0, out=None):
+            calls.append((np.size(r), scales[scale]))
+            return sigmoid(r, c_bar, scale, out)
+
+        def trial_sigmoids(lam, idx):
+            evaluator = _CoordinateLagrangian(lam, *args).rebuild(flat)
+            calls.clear()
+            evaluator.value(idx, 0.9 * flat[idx])
+            return sorted(calls)
+
+        monkeypatch.setattr(saa, "gamma_sigmoid", recorded)
+        zero = np.zeros(2 * n + 1)
+        assert trial_sigmoids(zero, 0) == [(k, "delay")]  # follower 1's uplink window column
+        assert trial_sigmoids(zero, n) == [(k * n, "delay")]  # the downlink window
+        assert trial_sigmoids(zero, n + 1) == [(k * n, "delay")] * 2  # both windows
+        assert trial_sigmoids(zero, n + 2) == []
+        energy_only = np.concatenate([np.ones(n + 1), np.zeros(n)])
+        assert trial_sigmoids(energy_only, n) == [(1, "energy"), (k * n, "delay"), (k * n, "energy")]
+        everything = np.ones(2 * n + 1)
+        assert trial_sigmoids(everything, n) == [(1, "energy"), (k * n, "delay"), (k * n, "delay"),
+                                                 (k * n, "energy")]
 
     def test_inner_maximize_never_calls_lagrangian(self, one_scenario, one_samples, monkeypatch):
         import swarmfl.saa as saa
@@ -747,6 +849,25 @@ class TestSolve:
         assert all(1 <= c <= default_scenario.saa.max_cycles for c in cycles)
         _, _, capped = solve(with_max_iters(binding, 3))
         assert capped.stop_reason == "max_iters"
+
+    def test_report_gives_the_duality_gap(self, default_scenario):
+        """gap is the best dual value less the answer's smoothed objective,
+        relative.  At the design-solve budget it is closed long before the loop
+        stops, and the loop and its rows are as without it."""
+        from swarmfl.seeds import derive_seed
+
+        binding = replace(default_scenario, energy_budget=EnergyBudget(e_bar=510.0))
+        design, _, report = solve(binding)
+        samples = ScenarioSamples.generate(
+            binding, binding.saa.samples_k, derive_seed(binding.base_seed, "saa-samples")
+        )
+        obj = smoothed_objective(design, samples, SmoothingConfig.from_scenario(binding), binding)
+        best_dual = report.dual_trace().min()
+        assert report.gap == (best_dual - obj) / max(abs(best_dual), 1.0)
+        assert abs(report.gap) <= 1e-6
+        assert (report.stop_reason, len(report.iterations)) == ("stationary", 32)
+        assert all(set(row) == {"iteration", "dual_value", "lambda", "residuals", "inner_cycles"}
+                   for row in report.iterations)
 
     def test_unknown_method(self, small_scenario):
         with pytest.raises(ValueError):
