@@ -114,12 +114,14 @@ class QuadraticLossModel:
         return grads / self.n_total
 
     def follower_grad_sums(self, ws: np.ndarray) -> np.ndarray:
-        """Gradient sum of every follower at its own row: ws (..., I, dim) -> (..., I, dim)."""
-        return np.einsum("iab,...ib->...ia", self._a, ws) - self._b
+        """Gradient sum of every follower at its own models, follower-major:
+        ws (I, dim, R) -> (I, dim, R), one stacked matmul."""
+        return self._a @ ws - self._b[:, :, None]
 
     def global_losses(self, ws: np.ndarray) -> np.ndarray:
-        """F at each row of ws, shape (R, dim) -> (R,), from one pooled residual product."""
-        resid = self._x @ ws.T - self._y[:, None]
+        """F at each column of ws, shape (dim, R) -> (R,), from one pooled residual product."""
+        resid = self._x @ ws
+        resid -= self._y[:, None]
         return np.einsum("nr,nr->r", resid, resid) / self.n_total
 
     def _fit_gradient_diversity(self, seed: int) -> tuple[float, float]:
@@ -142,11 +144,11 @@ class QuadraticLossModel:
         points = self.w_star + directions * radii[:, None]
         points = np.vstack([points, self.w_star])
 
-        per_follower = (len(points), self.n_followers, self.dim)
-        grads = self.follower_grad_sums(np.broadcast_to(points[:, None, :], per_follower))
-        max_sq = np.einsum("sia,sia->si", grads, grads).max(axis=1)
-        g_glob = grads.sum(axis=1) / self.n_total
-        glob_sq = np.einsum("sa,sa->s", g_glob, g_glob)
+        per_follower = (self.n_followers, self.dim, len(points))
+        grads = self.follower_grad_sums(np.broadcast_to(points.T, per_follower))
+        max_sq = np.einsum("ias,ias->is", grads, grads).max(axis=0)
+        g_glob = grads.sum(axis=0) / self.n_total
+        glob_sq = np.einsum("as,as->s", g_glob, g_glob)
         at_opt = max_sq[-1]  # the last point is w* itself
         pos = glob_sq > 1e-18
         zeta2 = max(1.0, float(np.max((max_sq[pos] - at_opt) / glob_sq[pos])))
@@ -257,7 +259,10 @@ class FlState:
     rounds[r] counts the rounds repetition r executed before it reached its
     loss target (or ran out of participation masks); loss_history[r, t] is
     F after round t, NaN past rounds[r].  Masks of a repetition past
-    rounds[r] are never read.
+    rounds[r] are never read.  global_w and last_received hold each
+    repetition's models after its last executed round; run_fl trains in
+    follower-major working arrays and writes a repetition's row here when it
+    crosses its loss target, and the rows still running when the loop ends.
     """
 
     global_w: np.ndarray  # (R, dim)
@@ -308,21 +313,22 @@ def train_round(
     participation: np.ndarray,
     lr: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One round of R runs at once: every follower's local step from its
-    newest received model, then the count-weighted mean over participants.
+    """One round of R runs at once, in the follower-major layout: every
+    follower's local step from its newest received model, then the
+    count-weighted mean over participants.
 
-    last_received is (R, I, dim), global_w (R, dim), participation (R, I).
-    Returns (local_w, new global_w); a run where nobody participates keeps
-    its previous global model.  Per run this equals one local gradient step
-    per follower followed by aggregate_with_losses.
+    last_received is (I, dim, R), global_w (dim, R), participation (I, R).
+    Returns (local_w (I, dim, R), new global_w (dim, R)); a run where nobody
+    participates keeps its previous global model.  Per run this equals one
+    local gradient step per follower followed by aggregate_with_losses.
     """
-    counts = loss.counts
-    local_w = last_received - (lr / counts)[:, None] * loss.follower_grad_sums(last_received)
+    counts = loss.counts[:, None]
+    local_w = last_received - (lr / counts)[:, :, None] * loss.follower_grad_sums(last_received)
     weights = counts * participation
-    total = weights.sum(axis=1)
-    summed = (weights[:, :, None] * local_w).sum(axis=1)
+    total = weights.sum(axis=0)
+    summed = (weights[:, None, :] * local_w).sum(axis=0)
     anyone = total > 0
-    new_global = np.where(anyone[:, None], summed / np.where(anyone, total, 1)[:, None], global_w)
+    new_global = np.where(anyone, summed / np.where(anyone, total, 1), global_w)
     return local_w, new_global
 
 
@@ -346,6 +352,12 @@ def run_fl(
     defaults to 1/lipschitz_u; stale_models=False is an idealized ablation
     where every follower always receives the broadcast even in rounds it
     does not contribute to.
+
+    The loop trains the live repetitions in the follower-major layout of
+    train_round: models (I, dim, R_live) and (dim, R_live), masks
+    (T, I, R_live).  Only in a round where some repetition crosses are the
+    crossing columns written back to the state and the working arrays
+    compacted to the rest; the rest are written back when the loop ends.
     """
     if not epsilon > 0.0:  # NaN fails too
         raise ValueError("epsilon must be > 0")
@@ -357,35 +369,41 @@ def run_fl(
         raise ValueError("lr must be finite and > 0")
 
     n_reps, max_rounds, n_f = ok.shape
-    start = np.zeros(loss.dim)
     state = FlState(
-        global_w=np.tile(start, (n_reps, 1)),
-        last_received=np.tile(start, (n_reps, n_f, 1)),
+        global_w=np.zeros((n_reps, loss.dim)),
+        last_received=np.zeros((n_reps, n_f, loss.dim)),
         rounds=np.zeros(n_reps, dtype=int),
         loss_history=np.full((n_reps, max_rounds + 1), np.nan),
         participation=ok,
     )
-    f_start = loss.global_loss(start)
+    f_start = loss.global_loss(np.zeros(loss.dim))
     state.loss_history[:, 0] = f_start
     hits = np.full(n_reps, 0 if f_start - loss.f_star <= epsilon else -1)
     live = np.flatnonzero(hits < 0)
-    for t in range(1, max_rounds + 1):
-        if live.size == 0:
-            break
-        mask = state.participation[live, t - 1]
-        received = state.last_received[live]
-        _, global_w = train_round(loss, received, state.global_w[live], mask, step)
-        state.global_w[live] = global_w
+    gw = np.zeros((loss.dim, live.size))
+    rec = np.zeros((n_f, loss.dim, live.size))
+    msk = ok.transpose(1, 2, 0)[:, :, live]
+    t = 0
+    while live.size and t < max_rounds:
+        mask = msk[t]
+        t += 1
+        _, gw = train_round(loss, rec, gw, mask, step)
         if stale_models:
-            received = np.where(mask[:, :, None], global_w[:, None, :], received)
+            rec = np.where(mask[:, None, :], gw, rec)
         else:
-            received[:] = global_w[:, None, :]
-        state.last_received[live] = received
-        state.rounds[live] = t
-        f_now = loss.global_losses(global_w)
+            rec = np.broadcast_to(gw, rec.shape)
+        f_now = loss.global_losses(gw)
         state.loss_history[live, t] = f_now
         crossed = f_now - loss.f_star <= epsilon
-        hits[live[crossed]] = t
-        live = live[~crossed]
+        if crossed.any():
+            done = live[crossed]
+            hits[done] = t
+            state.rounds[done] = t
+            state.global_w[done] = gw[:, crossed].T
+            state.last_received[done] = rec[:, :, crossed].transpose(2, 0, 1)
+            keep = ~crossed
+            live, gw, rec, msk = live[keep], gw[:, keep], rec[:, :, keep], msk[:, :, keep]
+    state.rounds[live] = t
+    state.global_w[live] = gw.T
+    state.last_received[live] = rec.transpose(2, 0, 1)
     return state, hits
-

@@ -199,9 +199,9 @@ class TestAggregationError:
 
     @staticmethod
     def aggregation_error(model, w, participation, lr=1.0):
-        received = np.tile(w, (1, model.n_followers, 1))
-        _, new_global = train_round(model, received, w[None, :], participation[None, :], lr)
-        return (w - new_global[0]) / lr - model.global_grad(w)
+        received = np.tile(w[:, None], (model.n_followers, 1, 1))  # (I, dim, R=1)
+        _, new_global = train_round(model, received, w[:, None], participation[:, None], lr)
+        return (w - new_global[:, 0]) / lr - model.global_grad(w)
 
     def test_zero_when_everyone_participates(self):
         datasets, model = make_regression_problem(3, 25, 4, rng_seed=8, noise_std=0.1)
@@ -313,12 +313,12 @@ class TestBatchedKernel:
         mask = rng.random((n_reps, n_f)) < 0.5
         mask[0] = False  # nobody lands: the global model must carry over
         mask[1] = True
-        local_w, new_global = train_round(model, received, global_w, mask, lr)
+        local_w, new_global = train_round(model, received.transpose(1, 2, 0), global_w.T, mask.T, lr)
         for r in range(n_reps):
             want_local = np.array([local_update(received[r, i], i, model, lr) for i in range(n_f)])
             want_global = aggregate_with_losses(want_local, model.counts, mask[r], global_w[r])
-            assert local_w[r] == pytest.approx(want_local, rel=1e-12)
-            assert new_global[r] == pytest.approx(want_global, rel=1e-12)
+            assert local_w[:, :, r] == pytest.approx(want_local, rel=1e-12)
+            assert new_global[:, r] == pytest.approx(want_global, rel=1e-12)
 
     def test_batch_matches_runs_one_at_a_time(self, default_scenario, default_problem):
         _, model = default_problem
@@ -334,6 +334,91 @@ class TestBatchedKernel:
             assert batch.loss_history[r, :n] == pytest.approx(alone.loss_history[0, :n], rel=1e-12)
             assert np.all(np.isnan(batch.loss_history[r, n:]))
         assert batch.round == batch.rounds.sum()
+
+
+def reference_trajectories(model, masks, lr, stale_models):
+    """Per repetition, round by round over all T rounds: each follower's
+    local_update from its received model, then aggregate_with_losses.
+    Returns per repetition the losses (T + 1,), global models (T + 1, dim)
+    and received models (T + 1, I, dim) after each round."""
+    n_reps, n_rounds, n_f = masks.shape
+    out = []
+    for r in range(n_reps):
+        w, received = np.zeros(model.dim), np.zeros((n_f, model.dim))
+        losses, ws, recs = [model.global_loss(w)], [w], [received]
+        for t in range(n_rounds):
+            local = [local_update(received[i], i, model, lr) for i in range(n_f)]
+            w = aggregate_with_losses(local, model.counts, masks[r, t], w)
+            received = received.copy()
+            for i in range(n_f):
+                if masks[r, t, i] or not stale_models:
+                    received[i] = w
+            losses.append(model.global_loss(w))
+            ws.append(w)
+            recs.append(received)
+        out.append((np.array(losses), np.array(ws), np.array(recs)))
+    return out
+
+
+def separated_thresholds(gaps, tol):
+    """Positive loss targets between the distinct levels of gaps, below and
+    above them all, each more than tol away from every gap, so that a
+    last-bit difference in a computed loss cannot move a crossing."""
+    levels = np.sort(gaps.ravel())
+    cut = np.flatnonzero(np.diff(levels) > 2.0 * tol)
+    between = 0.5 * (levels[cut] + levels[cut + 1])
+    targets = np.concatenate([[levels[0] - 2.0 * tol], between, [levels[-1] + 2.0 * tol]])
+    return targets[targets > 0.0]
+
+
+class TestRunMatchesReference:
+    """run_fl's follower-major loop, with its compaction at crossings, against
+    per-repetition reference runs of local_update and aggregate_with_losses."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_reps=st.integers(1, 12),
+        n_rounds=st.integers(0, 60),
+        shape=st.sampled_from([(1, 4, 2), (3, 8, 3), (4, 6, 5)]),
+        mask_seed=st.integers(0, 2**32 - 1),
+        p_land=st.floats(0.0, 1.0),
+        p_dead_round=st.floats(0.0, 0.5),
+        p_dead_run=st.floats(0.0, 0.5),
+        stale_models=st.booleans(),
+        lr_frac=st.sampled_from([None, 0.5]),
+        pick=st.floats(0.0, 1.0),
+    )
+    def test_matches_per_run_reference(
+        self, n_reps, n_rounds, shape, mask_seed, p_land, p_dead_round, p_dead_run,
+        stale_models, lr_frac, pick,
+    ):
+        n_f, samples_per, dim = shape
+        _, model = make_regression_problem(n_f, samples_per, dim, rng_seed=mask_seed % 97, noise_std=0.3)
+        rng = np.random.default_rng(mask_seed)
+        masks = rng.random((n_reps, n_rounds, n_f)) < p_land
+        masks[rng.random((n_reps, n_rounds)) < p_dead_round] = False  # rounds nobody lands
+        masks[rng.random(n_reps) < p_dead_run] = False  # runs nobody ever lands in
+        lr = 1.0 / model.lipschitz_u if lr_frac is None else lr_frac / model.lipschitz_u
+
+        ref = reference_trajectories(model, masks, lr, stale_models)
+        gaps = np.array([losses for losses, _, _ in ref]) - model.f_star
+        targets = separated_thresholds(gaps, tol=1e-9 * (abs(model.f_star) + gaps.max()))
+        eps = float(targets[min(int(pick * len(targets)), len(targets) - 1)])
+        state, hits = run_fl(
+            model, masks, eps, lr=None if lr_frac is None else lr, stale_models=stale_models
+        )
+
+        want_hits = np.array([np.argmax(g <= eps) if np.any(g <= eps) else -1 for g in gaps])
+        want_rounds = np.where(want_hits >= 0, want_hits, n_rounds)
+        assert hits.tolist() == want_hits.tolist()
+        assert state.rounds.tolist() == want_rounds.tolist()
+        executed = np.arange(n_rounds + 1) <= want_rounds[:, None]
+        assert np.array_equal(np.isnan(state.loss_history), ~executed)
+        for r, (losses, ws, recs) in enumerate(ref):
+            n = want_rounds[r]
+            assert state.loss_history[r, : n + 1] == pytest.approx(losses[: n + 1], rel=1e-12)
+            assert state.global_w[r] == pytest.approx(ws[n], rel=1e-12)
+            assert state.last_received[r] == pytest.approx(recs[n], rel=1e-12)
 
 
 class TestParticipationMasks:
