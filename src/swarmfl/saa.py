@@ -559,10 +559,11 @@ class SolveReport:
     ran.  lagrangian_evals counts the Lagrangian evaluations of every inner
     maximization.  nonnegativity_cuts counts the ellipsoid iterations that
     cut off a negative multiplier, which write no row.  stop_reason is
-    "stationary" (the subgradient multipliers stopped moving), "degenerate"
-    (an ellipsoid cut had no direction) or "max_iters".  gap is the relative
-    duality gap (best dual value - best feasible objective) / max(|best dual
-    value|, 1); the inner maximization is local, so it can dip below 0.
+    "gap" (the subgradient duality gap closed to inner_tol), "stationary"
+    (the subgradient multipliers stopped moving), "degenerate" (an ellipsoid
+    cut had no direction) or "max_iters".  gap is the relative duality gap
+    (best dual value - best feasible objective) / max(|best dual value|, 1);
+    the inner maximization is local, so it can dip below 0.
     """
 
     iterations: list[dict] = field(default_factory=list)
@@ -573,7 +574,7 @@ class SolveReport:
     method: str = "subgradient"
     lagrangian_evals: int = 0
     nonnegativity_cuts: int = 0
-    stop_reason: str = "max_iters"  # or "stationary", "degenerate"
+    stop_reason: str = "max_iters"  # or "gap", "stationary", "degenerate"
     gap: float | None = None
 
     def dual_trace(self) -> np.ndarray:
@@ -583,8 +584,9 @@ class SolveReport:
 @dataclass
 class _DualState:
     """The outer multiplier iteration: the sampled problem, the report, the
-    last inner maximizer (the next one's start) and the best
-    unsmoothed-feasible iterate so far, with its indicator margins."""
+    last inner maximizer (the next one's start), the best dual value so far
+    and the best unsmoothed-feasible iterate so far, with its indicator
+    margins."""
 
     samples: ScenarioSamples
     smoothing: SmoothingConfig
@@ -595,6 +597,12 @@ class _DualState:
     best_feasible_primal: DesignVector | None = None
     best_feasible_objective: float = -np.inf
     best_feasible_margins: np.ndarray | None = None
+    best_dual: float = np.inf
+
+    def gap(self) -> float:
+        """Relative duality gap (best dual value - best feasible objective)
+        / max(|best dual value|, 1); not finite before a feasible iterate."""
+        return (self.best_dual - self.best_feasible_objective) / max(abs(self.best_dual), 1.0)
 
     def step(self, t: int, lam: np.ndarray) -> np.ndarray:
         """Dual iteration t at multipliers lam; returns the residuals there.
@@ -603,7 +611,8 @@ class _DualState:
         residuals (a subgradient of the dual at lam) and the smoothed
         objective off one evaluator rebuilt at the new maximizer.  Keeps
         the maximizer if it is the best unsmoothed-feasible iterate so far,
-        and completes the report row inner_maximize opened.
+        lowers the best dual value, and completes the report row
+        inner_maximize opened.
         """
         scenario = self.scenario
         budgets, control = scenario.energy_budget, scenario.control
@@ -619,6 +628,7 @@ class _DualState:
         if feasible and at.obj > self.best_feasible_objective:
             self.best_feasible_objective, self.best_feasible_primal = at.obj, self.design
             self.best_feasible_margins = margins
+        self.best_dual = min(self.best_dual, dual_value)
         self.report.iterations[-1].update(
             {"iteration": t, "dual_value": dual_value, "lambda": lam.copy(), "residuals": residuals}
         )
@@ -635,15 +645,15 @@ def solve(
 
     Projected subgradient descent on the multipliers (step a/sqrt(t) with
     a = step_scale * K), warm-starting each inner maximization from the
-    previous iterate; stops early once the multipliers go stationary.  The
-    returned design is the unsmoothed-feasible iterate with the best
-    smoothed objective.  Its success probabilities and round prediction are
-    read off scoring, draws of scenario independent of the frozen optimizer
-    samples; by default a fresh n_success_samples draw seeded from rng_seed
-    and "opt-probs".  rng_seed defaults to the scenario's base_seed and
-    must lie in [0, 2**64), as that field does.  Raises
-    NoFeasibleDesignError when every iterate violates the sample
-    constraints.
+    previous iterate; stops early once the duality gap closes to inner_tol or
+    the multipliers go stationary.  The returned design is the
+    unsmoothed-feasible iterate with the best smoothed objective.  Its
+    success probabilities and round prediction are read off scoring, draws
+    of scenario independent of the frozen optimizer samples; by default a
+    fresh n_success_samples draw seeded from rng_seed and "opt-probs".
+    rng_seed defaults to the scenario's base_seed and must lie in
+    [0, 2**64), as that field does.  Raises NoFeasibleDesignError when every
+    iterate violates the sample constraints.
     """
     scenario.require_valid()
     solvers = {"subgradient": _solve_subgradient, "ellipsoid": _solve_ellipsoid}
@@ -674,8 +684,7 @@ def solve(
     else:
         probs = scoring.success_probs(best, scenario)
     predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
-    best_dual = float(report.dual_trace().min())
-    report.gap = (best_dual - state.best_feasible_objective) / max(abs(best_dual), 1.0)
+    report.gap = state.gap()
     report.feasible = True
     report.margins = state.best_feasible_margins
     report.predicted_round = predicted
@@ -684,10 +693,25 @@ def solve(
 
 
 def _solve_subgradient(state: _DualState) -> None:
+    """Projected subgradient steps on the multipliers, from lambda = 0.
+
+    Stops with "gap" once |gap| <= inner_tol from step 2 on.  inner_maximize
+    ends a cycle that improves by less than inner_tol relative, so a dual
+    value is known no better than that and a smaller gap certifies nothing
+    more.  Step 1 is left out, as the stationary rule leaves it out: at
+    lambda = 0 a slack problem's gap is 0 at once, but the second inner
+    maximization, restarted from the first one's answer, can still move the
+    design within inner_tol.  A gap below -inner_tol is no stop: the dual
+    "bound" then lies below a feasible objective and certifies nothing.
+    """
+    cfg = state.scenario.saa
     lam = np.zeros(2 * state.scenario.n_followers + 1)
-    step_a = state.scenario.saa.step_scale * state.samples.k
-    for t in range(1, state.scenario.saa.max_iters + 1):
+    step_a = cfg.step_scale * state.samples.k
+    for t in range(1, cfg.max_iters + 1):
         residuals = state.step(t, lam)
+        if t >= 2 and abs(state.gap()) <= cfg.inner_tol:
+            state.report.stop_reason = "gap"
+            break
         new_lambda = np.maximum(0.0, lam - (step_a / np.sqrt(t)) * residuals)
         moved = np.linalg.norm(new_lambda - lam)
         lam = new_lambda

@@ -63,6 +63,11 @@ def with_max_iters(scenario: SwarmScenario, max_iters: int) -> SwarmScenario:
     return replace(scenario, saa=replace(scenario.saa, max_iters=max_iters))
 
 
+def at_budget(scenario: SwarmScenario, e_bar: float, max_iters: int) -> SwarmScenario:
+    """The scenario with energy budget e_bar and at most max_iters dual steps."""
+    return with_max_iters(replace(scenario, energy_budget=EnergyBudget(e_bar=e_bar)), max_iters)
+
+
 class TestGammaSigmoid:
     def test_zero_crossing_is_half(self):
         assert gamma_sigmoid(0.0, 50.0) == pytest.approx(0.5, abs=1e-15)
@@ -827,9 +832,9 @@ class TestSolve:
             return value(self, *args)
 
         monkeypatch.setattr(saa._CoordinateLagrangian, "value", counted)
-        # every constraint is slack at lambda = 0: stationary at iteration 2
+        # every constraint is slack at lambda = 0: the gap is closed at iteration 2
         _, _, slack = solve(default_scenario)
-        assert (slack.stop_reason, len(slack.iterations)) == ("stationary", 2)
+        assert (slack.stop_reason, len(slack.iterations)) == ("gap", 2)
         assert slack.lagrangian_evals == len(calls) > 0
         # the second inner maximization restarts at the first one's answer, same lambda
         assert [row["inner_cycles"] for row in slack.iterations] == [2, 1]
@@ -839,21 +844,21 @@ class TestSolve:
         calls.clear()
         binding = replace(default_scenario, energy_budget=EnergyBudget(e_bar=510.0))
         _, _, bound = solve(binding)
-        assert bound.stop_reason == "stationary"
-        assert len(bound.iterations) > 2
+        assert (bound.stop_reason, len(bound.iterations)) == ("gap", 2)
         assert max(np.linalg.norm(row["lambda"]) for row in bound.iterations) > 0.0
         assert bound.lagrangian_evals == len(calls) > slack.lagrangian_evals
         # lambda = 0 at iteration 1 makes its inner problem the slack one
         cycles = [row["inner_cycles"] for row in bound.iterations]
         assert cycles[0] == 2
         assert all(1 <= c <= default_scenario.saa.max_cycles for c in cycles)
-        _, _, capped = solve(with_max_iters(binding, 3))
+        # at 360 J the gap plateaus above inner_tol, so the cap ends the loop
+        _, _, capped = solve(at_budget(default_scenario, 360.0, 3))
         assert capped.stop_reason == "max_iters"
 
     def test_report_gives_the_duality_gap(self, default_scenario):
         """gap is the best dual value less the answer's smoothed objective,
-        relative.  At the design-solve budget it is closed long before the loop
-        stops, and the loop and its rows are as without it."""
+        relative.  At the design-solve budget it closes at the second dual
+        step, where the loop stops."""
         from swarmfl.seeds import derive_seed
 
         binding = replace(default_scenario, energy_budget=EnergyBudget(e_bar=510.0))
@@ -865,7 +870,7 @@ class TestSolve:
         best_dual = report.dual_trace().min()
         assert report.gap == (best_dual - obj) / max(abs(best_dual), 1.0)
         assert abs(report.gap) <= 1e-6
-        assert (report.stop_reason, len(report.iterations)) == ("stationary", 32)
+        assert (report.stop_reason, len(report.iterations)) == ("gap", 2)
         assert all(set(row) == {"iteration", "dual_value", "lambda", "residuals", "inner_cycles"}
                    for row in report.iterations)
 
@@ -885,6 +890,57 @@ class TestSolve:
         monkeypatch.setattr(saa, "derive_seed", forbidden)
         with pytest.raises(ValueError, match=r"rng_seed must be in \[0, 2\*\*64\)"):
             solve(small_scenario, rng_seed=seed)
+
+
+class TestGapStop:
+    """The subgradient loop stops once |gap| <= inner_tol, from step 2 on."""
+
+    def test_binding_budget_stops_at_step_two(self, default_scenario):
+        """At the design-solve budget the energy rows bind at step 2 and the
+        gap is already closed there."""
+        scenario = at_budget(default_scenario, 510.0, default_scenario.saa.max_iters)
+        _, _, report = solve(scenario)
+        assert (report.stop_reason, report.iterations[-1]["iteration"]) == ("gap", 2)
+        assert np.any(report.iterations[-1]["lambda"] > 0.0)
+        assert abs(report.gap) <= scenario.saa.inner_tol
+        assert np.all(report.margins >= 0.0)
+
+    def test_binding_plateau_runs_on(self, default_scenario):
+        """At 360 J the constraints truly bind and the gap plateaus above
+        inner_tol, so the rule does not fire."""
+        scenario = at_budget(default_scenario, 360.0, 6)
+        _, _, report = solve(scenario)
+        assert report.stop_reason == "max_iters"
+        assert report.gap > scenario.saa.inner_tol
+
+    def test_negative_gap_is_no_stop(self, default_scenario):
+        """At 350 J no design meets the smoothed rows: the dual value falls
+        below a feasible objective, which certifies nothing."""
+        scenario = at_budget(default_scenario, 350.0, 6)
+        _, _, report = solve(scenario)
+        assert report.gap < -scenario.saa.inner_tol
+        assert report.stop_reason != "gap"
+
+    @settings(max_examples=20, deadline=None)
+    @given(e_bar=st.floats(340.0, 2000.0), seed=st.integers(0, 2**32 - 1))
+    def test_gap_stop_is_closed_and_feasible(self, default_scenario, e_bar, seed):
+        from swarmfl.seeds import derive_seed
+
+        scenario = at_budget(default_scenario, e_bar, 8)
+        scenario = replace(scenario, saa=replace(scenario.saa, samples_k=100))
+        try:
+            design, _, report = solve(scenario, rng_seed=seed)
+        except NoFeasibleDesignError:
+            return
+        if report.stop_reason != "gap":
+            return
+        assert abs(report.gap) <= scenario.saa.inner_tol
+        samples = ScenarioSamples.generate(scenario, 100, derive_seed(seed, "saa-samples"))
+        feasible, _, _ = unsmoothed_feasibility(
+            design, samples, scenario, scenario.energy_budget, scenario.control,
+            problem_constants(scenario),
+        )
+        assert feasible
 
 
 class TestBaselines:
