@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -241,12 +241,15 @@ def _interference_power(field: InterferenceField, fading, active, pathloss_exp) 
 
 
 def _jitter_free_parts(draw: ChannelDraw, scenario: "SwarmScenario"):
-    """The parts of a draw's SINR kernels that neither jitter nor bandwidth changes.
+    """The parts of a draw's SINR kernels that neither jitter nor bandwidth changes, as follower-major views.
 
-    Returns (faded_up, interf_up, faded_dn, interf_dn), shaped (..., I),
-    (..., 1), (..., I) and (..., I): fading times path loss of every uplink
-    and downlink, and the received interference power at each receiver (the
-    leader for the uplinks, each follower for the downlinks).
+    Returns (faded_up, interf_up, faded_dn, interf_dn), shaped (I, ...),
+    (1, ...), (I, ...) and (I, ...) for a draw with batch axes (...): fading
+    times path loss of every uplink and downlink, and the received
+    interference power at each receiver (the leader for the uplinks, each
+    follower for the downlinks).  Each is formed in the draw's layout, so
+    the interference sums add in one order for any batch, and then viewed
+    with the follower axis first.
     """
     alpha = scenario.radio.pathloss_exp
     path = scenario.follower_distances() ** (-alpha)
@@ -254,13 +257,14 @@ def _jitter_free_parts(draw: ChannelDraw, scenario: "SwarmScenario"):
         scenario.uplink_interference, draw.fading_up_interf[..., None], draw.active_up, alpha
     )
     interf_dn = _interference_power(scenario.downlink_interference, draw.fading_down_interf, draw.active_down, alpha)
-    return draw.fading_up * path, interf_up, draw.fading_down * path, interf_dn
+    parts = (draw.fading_up * path, interf_up, draw.fading_down * path, interf_dn)
+    return tuple(a.transpose(-1, *range(a.ndim - 1)) for a in parts)
 
 
-def _signal_power(faded_up, faded_dn, angle_dev, scenario: "SwarmScenario"):
-    """Received signal power per watt of every uplink and downlink under jitter angle_dev."""
+def _signal_power(faded_up, faded_dn, jitter, scenario: "SwarmScenario"):
+    """Received signal power per watt of every uplink and downlink under jitter, (I+1, ...) leader first."""
     theta = scenario.antenna.theta_init
-    gain_product = _gain(scenario, theta + angle_dev[..., 1:]) * _gain(scenario, theta + angle_dev[..., :1])
+    gain_product = _gain(scenario, theta + jitter[1:]) * _gain(scenario, theta + jitter[:1])
     return faded_up * gain_product, faded_dn * gain_product
 
 
@@ -284,8 +288,8 @@ def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.
     downlink SINR at leader power p_L is p_L * c_dn[..., i].
     """
     faded_up, interf_up, faded_dn, interf_dn = _jitter_free_parts(draw, scenario)
-    num_up, num_dn = _signal_power(faded_up, faded_dn, draw.angle_dev, scenario)
-    return _kernels(num_up, interf_up, num_dn, interf_dn, scenario.radio)
+    num_up, num_dn = _signal_power(faded_up, faded_dn, np.moveaxis(draw.angle_dev, -1, 0), scenario)
+    return tuple(np.moveaxis(c, 0, -1) for c in _kernels(num_up, interf_up, num_dn, interf_dn, scenario.radio))
 
 
 def _delay(pkt_bits: float, bandwidth: float, sinr) -> np.ndarray:
@@ -367,10 +371,12 @@ class ScenarioSamples:
 
     The draws are made once, through draw_channel at unit jitter variance:
     one batch of K (generate), or the BLOCK-round batches of several
-    repetitions (_stacked_windows), whose unit jitter and jitter-free parts
-    are trimmed to the rounds read and concatenated into K rows.  Every
-    kernel, delay and mask is computed row by row, so a row reads the same
-    bits whichever rows it is stacked with.
+    repetitions (_stacked_windows), trimmed to the rounds read.  Every array
+    is follower-major, one contiguous row of K samples per follower (the
+    leader is row 0 of unit_jitter), so a design's kernels, masks and
+    frequencies run along rows of K, not across I columns.  Every kernel,
+    delay and mask is computed sample by sample, so a sample reads the same
+    bits whichever samples it is stacked with.
     A point read off them may differ from the drawn scenario in
     antenna.sigma2 and in its link bandwidths.  Fading times path loss and
     the interference powers are kept from the draw; per jitter variance only
@@ -378,20 +384,18 @@ class ScenarioSamples:
     is the product draw_channel forms.  So every point reads exactly the
     kernels of a draw at its own sigma2 (see draw_channel for the condition
     this rests on).  A design only rescales the kernels: uplink SINR of
-    follower i in sample k is p_i * c_up[k, i], downlink p_L * c_dn[k, i].
-    Its masks are threshold tests on those SINRs, with an exact band: only
-    SINRs within 1e-9 relative of the threshold at which a delay just fits
-    its window compute that delay (see _fits), so every mask is
-    success_mask of link_delays bit for bit.
+    follower i in sample k is p_i * c_up[i, k], downlink p_L * c_dn[i, k].
+    Its masks are threshold tests on those SINRs, with an exact band (see
+    _fits), so every mask is success_mask of link_delays bit for bit.
+    saa reads c_up and c_dn, (K, I) copies of the drawn point's kernels made
+    on first use, because its tallies add over samples in that order.
     """
 
     scenario: "SwarmScenario"
-    unit_jitter: np.ndarray  # (K, I+1) orientation jitter at unit variance, leader first
-    parts: tuple  # (faded_up, interf_up, faded_dn, interf_dn): (K, I), (K, 1), (K, I), (K, I); see _jitter_free_parts
-    c_up: np.ndarray  # (K, I) kernels at the scenario's own jitter variance and bandwidths
-    c_dn: np.ndarray  # (K, I)
+    unit_jitter: np.ndarray  # (I+1, K) orientation jitter at unit variance, leader first
+    parts: tuple  # (faded_up, interf_up, faded_dn, interf_dn): (I, K), (1, K), (I, K), (I, K); see _jitter_free_parts
     # the signal power of one jitter variance, the last one read: {sigma2: (num_up, num_dn)}
-    _signal: dict = field(repr=False, compare=False)
+    _signal: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def generate(scenario: "SwarmScenario", samples_k: int, rng_seed: int) -> "ScenarioSamples":
@@ -399,38 +403,36 @@ class ScenarioSamples:
         if samples_k < 1:
             raise ValueError("samples_k must be >= 1")
         draws = draw_channel(_unit_variance(scenario), np.random.default_rng(rng_seed), size=samples_k)
-        return ScenarioSamples._from_parts(scenario, draws.angle_dev, _jitter_free_parts(draws, scenario))
-
-    @staticmethod
-    def _from_parts(scenario: "SwarmScenario", unit_jitter: np.ndarray, parts: tuple) -> "ScenarioSamples":
-        """Samples from the unit-variance jitter and the jitter-free parts of draws of scenario."""
-        faded_up, interf_up, faded_dn, interf_dn = parts
-        sigma2 = scenario.antenna.sigma2
-        num_up, num_dn = signal = _signal_power(faded_up, faded_dn, np.sqrt(sigma2) * unit_jitter, scenario)
-        c_up, c_dn = _kernels(num_up, interf_up, num_dn, interf_dn, scenario.radio)
-        return ScenarioSamples(scenario, unit_jitter, parts, c_up, c_dn, {sigma2: signal})
+        unit_jitter, *parts = map(np.ascontiguousarray, (draws.angle_dev.T, *_jitter_free_parts(draws, scenario)))
+        return ScenarioSamples(scenario, unit_jitter, tuple(parts))
 
     @property
     def k(self) -> int:
-        return self.c_up.shape[0]
+        return self.unit_jitter.shape[1]
+
+    # the kernels at the scenario's own jitter variance and bandwidths, and their (K, I) copies for saa
+    own_kernels = cached_property(lambda self: self._kernels_at(self.scenario))
+    c_up = cached_property(lambda self: np.ascontiguousarray(self.own_kernels[0].T))
+    c_dn = cached_property(lambda self: np.ascontiguousarray(self.own_kernels[1].T))
 
     def kernels(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
-        """(c_up, c_dn), the SINR per watt of every link at point's jitter variance and bandwidths."""
+        """(c_up, c_dn), each (I, K): the SINR per watt of every link at point's jitter variance and bandwidths."""
+        if point.antenna.sigma2 == self.scenario.antenna.sigma2 and point.radio == self.scenario.radio:
+            return self.own_kernels
+        return self._kernels_at(point)
+
+    def _kernels_at(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
         sigma2 = point.antenna.sigma2
-        if sigma2 == self.scenario.antenna.sigma2 and point.radio == self.scenario.radio:
-            return self.c_up, self.c_dn
         faded_up, interf_up, faded_dn, interf_dn = self.parts
         if sigma2 not in self._signal:
             self._signal.clear()  # hold one jitter variance's signal at a time
-            self._signal[sigma2] = _signal_power(
-                faded_up, faded_dn, np.sqrt(sigma2) * self.unit_jitter, self.scenario
-            )
+            self._signal[sigma2] = _signal_power(faded_up, faded_dn, np.sqrt(sigma2) * self.unit_jitter, self.scenario)
         num_up, num_dn = self._signal[sigma2]
         return _kernels(num_up, interf_up, num_dn, interf_dn, point.radio)
 
     def _masks(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
-        """success_mask of design at point, decided by SINR thresholds (see _fits)."""
-        p = _checked_powers(design, point)
+        """success_mask of design at point, (I, K), decided by SINR thresholds (see _fits)."""
+        p = _checked_powers(design, point)[:, None]
         c_up, c_dn = self.kernels(point)
         radio, beta, round_time = point.radio, design.beta, point.round_time_s
         up = _fits(radio.pkt_local, radio.bw_up, p * c_up, beta * round_time)
@@ -439,7 +441,7 @@ class ScenarioSamples:
     def success_probs(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
         """Per-follower participation frequency of design at point, shape (I,)."""
         _require_same_draws(self.scenario, [point])
-        return self._masks(design, point).mean(axis=0)
+        return np.count_nonzero(self._masks(design, point), axis=1) / self.k
 
 
 def _require_same_draws(scenario: "SwarmScenario", points) -> None:
@@ -461,17 +463,12 @@ BLOCK = 128
 
 # Rounds whose SINR parts participation_masks stacks into one ScenarioSamples
 # (4I + 2 floats a round, 22 at five followers), so memory stays flat however
-# many repetitions are read.  At the concatenation a group's peak is its block
-# lists plus the stacked result, twice its rows.
+# many repetitions are read.  Each block's parts are written into the group's
+# arrays as it is drawn, so a group holds its rows and one block at a time.
 _ROW_BUDGET = 4096
 
 
-def participation_masks(
-    points: "list[SwarmScenario]",
-    design: "DesignVector",
-    n_rounds: int,
-    seeds,
-) -> np.ndarray:
+def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds) -> np.ndarray:
     """Participation indicators of coupled training runs in rounds [0, n_rounds).
 
     The shape is (B, R, n_rounds, I).
@@ -483,10 +480,11 @@ def participation_masks(
     differ only in jitter variance and link bandwidths (see ScenarioSamples),
     so trajectories with the same seed are coupled draw-for-draw across the
     points.  Repetitions are stacked, in groups of at most _ROW_BUDGET rounds
-    (at least one repetition), into one ScenarioSamples each group, read
-    once per point.  Points that share a jitter variance are cheapest read
-    one after another: the antenna gain is recomputed whenever the variance
-    changes.
+    (at least one repetition), into one follower-major ScenarioSamples each
+    group, read once per point; its (I, rounds) masks are moved into the
+    (rounds, I) order of the output.  Points that share a jitter variance are
+    cheapest read one after another: the antenna gain is recomputed whenever
+    the variance changes.
     """
     if len(points) == 0:
         raise ValueError("points must not be empty")
@@ -502,26 +500,25 @@ def participation_masks(
         reps = slice(first, first + group)
         samples = _stacked_windows(scenario, seeds[reps], n_rounds)
         for k, point in enumerate(points):
-            out[k, reps] = samples._masks(design, point).reshape(-1, n_rounds, n_f)
+            out[k, reps] = samples._masks(design, point).reshape(n_f, -1, n_rounds).transpose(1, 2, 0)
     return out
 
 
 def _stacked_windows(scenario: "SwarmScenario", seeds, n_rounds: int) -> "ScenarioSamples":
-    """Rounds [0, n_rounds) of each seed's block stream, stacked seed after seed into one ScenarioSamples.
-
-    Each block's unit jitter and jitter-free parts are trimmed to the rounds
-    read from it, and every array is concatenated once.
-    """
-    unit = _unit_variance(scenario)
-    blocks = []  # (unit_jitter, *parts) of every block read, in row order
+    """Rounds [0, n_rounds) of each seed's block stream, written seed after seed into one ScenarioSamples."""
+    unit, n_f = _unit_variance(scenario), scenario.n_followers
+    columns = [np.empty((rows, len(seeds) * n_rounds)) for rows in (n_f + 1, n_f, 1, n_f, n_f)]
+    col = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for start in range(0, n_rounds, BLOCK):
             draw = draw_channel(unit, rng, size=BLOCK)
-            kept = slice(min(BLOCK, n_rounds - start))  # copied: a view would hold the whole block
-            blocks.append([a[kept].copy() for a in (draw.angle_dev, *_jitter_free_parts(draw, scenario))])
-    unit_jitter, *parts = (np.concatenate(column) for column in zip(*blocks))
-    return ScenarioSamples._from_parts(scenario, unit_jitter, tuple(parts))
+            kept = min(BLOCK, n_rounds - start)
+            for column, block in zip(columns, (draw.angle_dev.T, *_jitter_free_parts(draw, scenario))):
+                column[:, col : col + kept] = block[:, :kept]
+            col += kept
+    unit_jitter, *parts = columns
+    return ScenarioSamples(scenario, unit_jitter, tuple(parts))
 
 
 def estimate_success_probs(

@@ -135,6 +135,25 @@ def test_pairs_alternate_and_the_file_holds_the_comparison(tmp_path):
     assert toy["per_layer"] == {"channel.draws": {"base": 100.0, "new": 60.0}}
 
 
+def test_each_run_records_the_round_count_of_its_run_file(tmp_path):
+    """Rounds come from the run file perfbench writes for the run's arguments, next to the machine block."""
+    writes_run_file = FAKE_RUN.replace("print(json.dumps(record))", textwrap.dedent("""
+        args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+        out = os.path.join(tree, "perfbench", "out")
+        os.makedirs(out, exist_ok=True)
+        name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+        with open(os.path.join(out, name), "w") as fh:
+            json.dump({"machine": {"tree": os.path.basename(tree)}, "rounds": record.pop("rounds")}, fh)
+        print(json.dumps(record))
+    """))
+    base = fake_tree(tmp_path, "base", [{**record(1.0), "rounds": n} for n in (10, 11)], writes_run_file)
+    new = fake_tree(tmp_path, "new", [{**record(0.8), "rounds": n} for n in (12, 14)], writes_run_file)
+    assert ab_bench.main([base, new, "--label", "rounds", "--pairs", "2", "--seconds", "1", "--no-trace"]) == 0
+    toy = json.loads((tmp_path / "new" / "BENCH_rounds.json").read_text())["workloads"]["toy"]
+    assert [(r["base"]["rounds"], r["new"]["rounds"]) for r in toy["runs"]] == [(10, 12), (11, 14)]
+    assert toy["machine"] == {"tree": "new"}
+
+
 def test_a_regression_beyond_the_bound_is_marked(tmp_path):
     base = fake_tree(tmp_path, "base", [record(1.0, rss=50.0)])
     new = fake_tree(tmp_path, "new", [record(1.3, rss=50.0)])

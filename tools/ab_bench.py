@@ -5,13 +5,14 @@
 Runs `perfbench/run.py --trace 0` from the root of each tree, in pairs: BASE
 runs first in even-numbered pairs and NEW in odd-numbered ones.  Every run
 reads its end-to-end metrics from the last stdout line, the JSON record
-perfbench prints.  Then one `--trace 1` run per side puts the per-layer
-metrics side by side.  The file, at NEW_TREE's root, holds per workload and
-end-to-end metric both sides' raw values, the medians, BASE's quartiles, the
-pairs NEW won (ties count for neither side), whether the change in the
-median is within the metric's BENCHMARK.json bound, and whether a gain is
-resolved: NEW won at least nine in ten pairs and the medians differ by more
-than BASE's interquartile range.
+perfbench prints, and its round count from the run file perfbench writes.
+Then one `--trace 1` run per side puts the per-layer metrics side by side.
+The file, at NEW_TREE's root, holds per workload each run's round count,
+and per end-to-end metric both sides' raw values, the medians, BASE's
+quartiles, the pairs NEW won (ties count for neither side), whether the
+change in the median is within the metric's BENCHMARK.json bound, and
+whether a gain is resolved: NEW won at least nine in ten pairs and the
+medians differ by more than BASE's interquartile range.
 
 Exits 2 when the two trees' perfbench/ differ (so both sides would not run
 the same benchmark) or a workload is unknown; 1 when a run on either side
@@ -44,7 +45,7 @@ def bench_files(tree: str) -> dict:
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON record perfbench prints last; {"error": ...} when the run gives none."""
+    """The JSON record perfbench prints last, with the run file's round count; {"error": ...} when the run gives none."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py imports its own tree
@@ -53,18 +54,21 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
     try:
-        return json.loads(lines[-1])
+        record = json.loads(lines[-1])
     except json.JSONDecodeError:
         return {"error": f"last stdout line is not JSON: {lines[-1][:200]}"}
+    # how many rounds the run fit, which perfbench keeps in memory until it ends (peak_rss_mb grows with it)
+    record["rounds"] = run_file(tree, workload, seed, trace).get("rounds")
+    return record
 
 
-def run_machine(tree: str, workload: str, seed: int, trace: int):
-    """The machine block of the run file perfbench wrote, if any."""
+def run_file(tree: str, workload: str, seed: int, trace: int) -> dict:
+    """The run file perfbench wrote last for these arguments, {} if there is none."""
     path = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace{trace}.json")
     if not os.path.isfile(path):
-        return None
+        return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh).get("machine")
+        return json.load(fh)
 
 
 def failure(record: dict) -> str | None:
@@ -120,9 +124,9 @@ def bench_workload(args, spec: dict, workload: str) -> tuple[dict, list]:
         return [r[side].get("metrics", {}).get(name, {}).get("value") for r in runs]
 
     entry = {
-        "machine": run_machine(args.new, workload, args.seed, 0),
+        "machine": run_file(args.new, workload, args.seed, 0).get("machine"),
         "runs": [{"pair": r["pair"], "first": r["first"],
-                  **{side: {k: r[side].get(k) for k in ("correct", "attempted", "failed", "error")
+                  **{side: {k: r[side].get(k) for k in ("correct", "attempted", "failed", "rounds", "error")
                             if k in r[side]} for side in trees}} for r in runs],
         "metrics": {e["name"]: compare(e, values("base", e["name"]), values("new", e["name"]))
                     for e in spec["end_to_end"]},
