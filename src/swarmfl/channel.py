@@ -440,7 +440,8 @@ class ScenarioSamples:
 
     def success_probs(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
         """Per-follower participation frequency of design at point, shape (I,)."""
-        _require_same_draws(self.scenario, [point])
+        if point is not self.scenario:
+            _require_same_draws(self.scenario, [point])
         return np.count_nonzero(self._masks(design, point), axis=1) / self.k
 
 

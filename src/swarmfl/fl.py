@@ -60,8 +60,11 @@ class QuadraticLossModel:
     gradient sum is affine, grad_i(w) = A_i w - b_i with A_i = 2 X_i^T X_i
     and b_i = 2 X_i^T y_i, so the curvature constants (strong convexity
     strong_mu, smoothness lipschitz_u) come from the eigenvalues of the
-    pooled mean Hessian H = sum(A_i)/N.  The gradient-diversity constants
-    (zeta1, zeta2) feed only diagnostic bounds.
+    pooled mean Hessian sum(A_i)/N.  A local step is an affine map of the
+    model (local_step), and the loss gap F(w) - F* is exactly the quadratic
+    form (w - w*)^T H (w - w*) with H = X^T X/N, half that Hessian
+    (loss_gaps), so training never reads the samples.  The
+    gradient-diversity constants (zeta1, zeta2) feed only diagnostic bounds.
     """
 
     def __init__(self, datasets: list[Dataset], *, zeta_seed: int = 0):
@@ -75,10 +78,10 @@ class QuadraticLossModel:
         self.counts = np.array([d.count for d in datasets], dtype=int)
         self._a = np.stack([2.0 * d.features.T @ d.features for d in datasets])  # (I, dim, dim)
         self._b = np.stack([2.0 * d.features.T @ d.labels for d in datasets])  # (I, dim)
-        self._x = np.vstack([d.features for d in datasets])  # (N, dim) pooled samples
-        self._y = np.concatenate([d.labels for d in datasets])
+        self._steps = {}  # {lr: (C, s)} of the last lr asked for
         n = self.n_total
         hessian = sum(self._a) / n
+        self._half_hessian = hessian / 2.0  # H = X^T X / N
         eigvals = np.linalg.eigvalsh(hessian)
         if eigvals[0] <= 1e-12 * max(eigvals[-1], 1.0):
             raise ValueError("pooled Gram matrix is singular; add samples or reduce dim")
@@ -113,16 +116,18 @@ class QuadraticLossModel:
         grads = sum(self.follower_grad_sum(i, w) for i in range(self.n_followers))
         return grads / self.n_total
 
-    def follower_grad_sums(self, ws: np.ndarray) -> np.ndarray:
-        """Gradient sum of every follower at its own models, follower-major:
-        ws (I, dim, R) -> (I, dim, R), one stacked matmul."""
-        return self._a @ ws - self._b[:, :, None]
+    def local_step(self, lr: float) -> tuple[np.ndarray, np.ndarray]:
+        """(C, s), (I, dim, dim) and (I, dim, 1): follower i's step w - (lr/N_i) grad_i(w)
+        is C_i @ w + s_i, with C_i = I - (lr/N_i) A_i and s_i = (lr/N_i) b_i."""
+        if lr not in self._steps:
+            scale = (lr / self.counts)[:, None, None]
+            self._steps = {lr: (np.eye(self.dim) - scale * self._a, scale * self._b[:, :, None])}
+        return self._steps[lr]
 
-    def global_losses(self, ws: np.ndarray) -> np.ndarray:
-        """F at each column of ws, shape (dim, R) -> (R,), from one pooled residual product."""
-        resid = self._x @ ws
-        resid -= self._y[:, None]
-        return np.einsum("nr,nr->r", resid, resid) / self.n_total
+    def loss_gaps(self, ws: np.ndarray) -> np.ndarray:
+        """F - F* at each column of ws, (dim, R) -> (R,): the quadratic form (w - w*)^T H (w - w*)."""
+        e = ws - self.w_star[:, None]
+        return np.einsum("dr,dr->r", e, self._half_hessian @ e)
 
     def _fit_gradient_diversity(self, seed: int) -> tuple[float, float]:
         """Smallest (zeta1, zeta2) with max_i |grad_i|^2 <= zeta1 + zeta2 |grad F|^2
@@ -144,8 +149,7 @@ class QuadraticLossModel:
         points = self.w_star + directions * radii[:, None]
         points = np.vstack([points, self.w_star])
 
-        per_follower = (self.n_followers, self.dim, len(points))
-        grads = self.follower_grad_sums(np.broadcast_to(points.T, per_follower))
+        grads = self._a @ points.T - self._b[:, :, None]  # (I, dim, S): every follower at every point
         max_sq = np.einsum("ias,ias->is", grads, grads).max(axis=0)
         g_glob = grads.sum(axis=0) / self.n_total
         glob_sq = np.einsum("as,as->s", g_glob, g_glob)
@@ -258,11 +262,12 @@ class FlState:
     may be fewer than a run's round budget.
     rounds[r] counts the rounds repetition r executed before it reached its
     loss target (or ran out of participation masks); loss_history[r, t] is
-    F after round t, NaN past rounds[r].  Masks of a repetition past
-    rounds[r] are never read.  global_w and last_received hold each
-    repetition's models after its last executed round; run_fl trains in
-    follower-major working arrays and writes a repetition's row here when it
-    crosses its loss target, and the rows still running when the loop ends.
+    F after round t, stored as F* + loss_gaps (see run_fl), NaN past
+    rounds[r].  Masks of a repetition past rounds[r] are never read.
+    global_w and last_received hold each repetition's models after its last
+    executed round; run_fl trains in follower-major working arrays and
+    writes a repetition's row here when it crosses its loss target, and the
+    rows still running when the loop ends.
     """
 
     global_w: np.ndarray  # (R, dim)
@@ -320,16 +325,16 @@ def train_round(
     last_received is (I, dim, R), global_w (dim, R), participation (I, R).
     Returns (local_w (I, dim, R), new global_w (dim, R)); a run where nobody
     participates keeps its previous global model.  Per run this equals one
-    local gradient step per follower followed by aggregate_with_losses.
+    local gradient step per follower followed by aggregate_with_losses:
+    one stacked matmul of loss.local_step(lr), one contraction with weights.
     """
-    counts = loss.counts[:, None]
-    local_w = last_received - (lr / counts)[:, :, None] * loss.follower_grad_sums(last_received)
-    weights = counts * participation
+    c, s = loss.local_step(lr)
+    local_w = c @ last_received + s
+    weights = loss.counts[:, None] * participation
     total = weights.sum(axis=0)
-    summed = (weights[:, None, :] * local_w).sum(axis=0)
     anyone = total > 0
-    new_global = np.where(anyone, summed / np.where(anyone, total, 1), global_w)
-    return local_w, new_global
+    summed = np.einsum("ir,idr->dr", weights / np.where(anyone, total, 1), local_w)
+    return local_w, np.where(anyone, summed, global_w)
 
 
 def run_fl(
@@ -348,7 +353,9 @@ def run_fl(
     channel.participation_masks).  Each repetition stops at its own crossing; the
     loop ends once every repetition has crossed or T rounds have run.
     Returns the final state and, per repetition, the first round whose
-    recorded loss meets the target (-1 if the masks ran out first).  lr
+    recorded loss minus f_star is <= epsilon (-1 if the masks ran out
+    first).  A round's loss is recorded as f_star + loss.loss_gaps(w), so
+    readers of loss_history - f_star see the very number tested.  lr
     defaults to 1/lipschitz_u; stale_models=False is an idealized ablation
     where every follower always receives the broadcast even in rounds it
     does not contribute to.
@@ -392,7 +399,7 @@ def run_fl(
             rec = np.where(mask[:, None, :], gw, rec)
         else:
             rec = np.broadcast_to(gw, rec.shape)
-        f_now = loss.global_losses(gw)
+        f_now = loss.f_star + loss.loss_gaps(gw)
         state.loss_history[live, t] = f_now
         crossed = f_now - loss.f_star <= epsilon
         if crossed.any():

@@ -8,7 +8,7 @@ implementation.
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -464,15 +464,41 @@ class TestSuccessProbability:
             assert np.array_equal(grid[k], participation_masks([one], design, 40, [3, 4])[0])
 
     def test_frozen_samples_reject_other_draw_statistics(self, default_scenario):
+        """Only the drawn scenario object skips the point check: an equal copy
+        reads the same, and a point differing in any field but antenna.sigma2,
+        radio.bw_up and radio.bw_down raises, also deep in the interference field."""
         design = default_scenario.default_design()
         samples = ScenarioSamples.generate(default_scenario, 100, 9)
+        own = samples.success_probs(design, default_scenario)
+        assert np.array_equal(samples.success_probs(design, replace(default_scenario)), own)
         other_k = replace(default_scenario, radio=replace(default_scenario.radio, rician_k=3.0))
         first, *rest = default_scenario.downlink_interference.interferers
         quieter = replace(
             default_scenario,
             downlink_interference=InterferenceField((replace(first, active_prob=0.1), *rest)),
         )
-        for point in (other_k, quieter):
+        points = {"radio.rician_k": other_k, "downlink_interference.active_prob": quieter}
+
+        def bumped(value):
+            if is_dataclass(value):
+                head = fields(value)[0].name
+                return replace(value, **{head: bumped(getattr(value, head))})
+            if isinstance(value, tuple):
+                return (*value[:-1], bumped(value[-1]))
+            return (not value) if isinstance(value, bool) else 2 * value + 1
+
+        free = {("antenna", "sigma2"), ("radio", "bw_up"), ("radio", "bw_down")}
+        for name in (f.name for f in fields(SwarmScenario)):
+            if name not in ("antenna", "radio"):
+                points[name] = replace(default_scenario, **{name: bumped(getattr(default_scenario, name))})
+        for group in ("antenna", "radio"):
+            part = getattr(default_scenario, group)
+            for f in fields(part):
+                if (group, f.name) not in free:
+                    changed = replace(part, **{f.name: bumped(getattr(part, f.name))})
+                    points[f"{group}.{f.name}"] = replace(default_scenario, **{group: changed})
+        for name, point in points.items():
+            assert point != default_scenario, name
             with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
                 samples.success_probs(design, point)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmfl.channel import BLOCK, draw_channel, link_delays, participation_masks, success_mask
+from swarmfl.experiments import _crossing_rounds
 from swarmfl.fl import (
     Dataset,
     QuadraticLossModel,
@@ -419,6 +420,57 @@ class TestRunMatchesReference:
             assert state.loss_history[r, : n + 1] == pytest.approx(losses[: n + 1], rel=1e-12)
             assert state.global_w[r] == pytest.approx(ws[n], rel=1e-12)
             assert state.last_received[r] == pytest.approx(recs[n], rel=1e-12)
+
+
+class TestQuadraticFormGap:
+    """The loss gap run_fl records, the quadratic form (w - w*)^T H (w - w*),
+    on noisy problems, where F* > 0 and F - F* cancels."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 4, 2), (3, 8, 3), (4, 6, 5), (5, 40, 6)]),
+        seed=st.integers(0, 2**32 - 1),
+        noise_std=st.floats(0.01, 3.0),
+        radius=st.floats(1e-6, 1e3),
+    )
+    def test_gap_is_the_loss_above_the_optimum(self, shape, seed, noise_std, radius):
+        n_f, samples_per, dim = shape
+        _, model = make_regression_problem(n_f, samples_per, dim, rng_seed=seed % 9973, noise_std=noise_std)
+        assert model.f_star > 0.0
+        rng = np.random.default_rng(seed)
+        ws = model.w_star[:, None] + radius * rng.standard_normal((dim, 8))
+        gaps = model.loss_gaps(ws)
+        assert np.all(gaps >= 0.0)
+        for w, gap in zip(ws.T, gaps):
+            f = model.global_loss(w)
+            assert abs(gap - (f - model.f_star)) <= 1e-12 * max(f, model.f_star)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_reps=st.integers(1, 8),
+        n_rounds=st.integers(1, 40),
+        shape=st.sampled_from([(1, 4, 2), (3, 8, 3), (4, 6, 5)]),
+        seed=st.integers(0, 2**32 - 1),
+        noise_std=st.floats(0.01, 3.0),
+        p_land=st.floats(0.2, 1.0),
+        pick=st.floats(0.0, 1.0),
+    )
+    def test_hits_equal_what_readers_cross(self, n_reps, n_rounds, shape, seed, noise_std, p_land, pick):
+        """Targets are recorded gaps themselves, so a crossing decided on
+        another number than loss_history - f_star would show at the tie."""
+        n_f, samples_per, dim = shape
+        _, model = make_regression_problem(n_f, samples_per, dim, rng_seed=seed % 9973, noise_std=noise_std)
+        masks = np.random.default_rng(seed).random((n_reps, n_rounds, n_f)) < p_land
+        recorded = run_fl(model, masks, 1e-300)[0].loss_history - model.f_star
+        eps = float(np.sort(recorded.ravel())[int(pick * (recorded.size - 1))])
+        if not eps > 0.0:
+            eps = 1e-300
+        state, hits = run_fl(model, masks, eps)
+        assert np.array_equal(hits, _crossing_rounds(model, state, [eps])[:, 0])
+        crossed = hits >= 0
+        final = state.loss_history[np.arange(n_reps), state.rounds] - model.f_star
+        assert np.all(final[crossed] <= eps) and np.all(final[~crossed] > eps)
+        assert np.array_equal(state.rounds[crossed], hits[crossed])
 
 
 class TestParticipationMasks:

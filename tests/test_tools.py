@@ -53,6 +53,59 @@ def test_unknown_command_exits_two(capsys):
     assert "unknown commands ['train']" in capsys.readouterr().err
 
 
+def test_extra_runs_compare_like_the_benchmark_commands(monkeypatch, capsys):
+    """An --extra run takes its workload's scenario file and every seed, unless it gives its own."""
+    calls = []
+    monkeypatch.setattr(csv_identity, "csv_hash", lambda tree, *run: calls.append(run[:3]) or "a" * 64)
+    extras = ["--extra", "simulate --eps-frac 0.002 --seed 5", "--extra", "optimize --method ellipsoid",
+              "--extra", "sweep-sigma --config 'my scenario.json'",
+              "--extra", "simulate --seed=7 --config=own.json"]
+    assert csv_identity.main([str(ROOT), str(ROOT), "--seeds", "1,2", "--only", "optimize", *extras]) == 0
+    scenarios = ROOT / "perfbench" / "scenarios"
+    want = [
+        ("optimize", ["--method", "subgradient", "--config", str(scenarios / "design-solve.json")], 1),
+        ("optimize", ["--method", "subgradient", "--config", str(scenarios / "design-solve.json")], 2),
+        ("simulate", ["--eps-frac", "0.002", "--config", str(scenarios / "mc-train.json")], 5),
+        ("optimize", ["--method", "ellipsoid", "--config", str(scenarios / "design-solve.json")], 1),
+        ("optimize", ["--method", "ellipsoid", "--config", str(scenarios / "design-solve.json")], 2),
+        ("sweep-sigma", ["--config", "my scenario.json"], 1),
+        ("sweep-sigma", ["--config", "my scenario.json"], 2),
+        ("simulate", ["--config", "own.json"], 7),
+    ]
+    assert calls == [run for run in want for _ in ("base", "new")]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("same  seed 5  simulate --eps-frac 0.002 --seed 5  ")
+    assert lines[3].startswith("same  seed 1  optimize --method ellipsoid  ")
+
+
+def test_extra_run_at_the_default_scenario_writes_the_same_bytes(capsys):
+    argv = ["--only", "optimize", "--default-scenario", "--extra", "optimize --method ellipsoid --seed 3"]
+    assert csv_identity.main([str(ROOT), str(ROOT), *argv]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("same  seed 3  optimize --method ellipsoid --seed 3  ")
+    assert len(set(line.split()[-2:])) == 1
+
+
+@pytest.mark.parametrize("extra", ["train --seed 1", ""])
+def test_extra_of_an_unknown_command_exits_two(capsys, extra):
+    assert csv_identity.main([str(ROOT), str(ROOT), "--extra", extra]) == 2
+    assert "unknown commands" in capsys.readouterr().err
+
+
+def test_extra_seed_must_be_an_integer(capsys):
+    with pytest.raises(SystemExit) as stop:
+        csv_identity.main([str(ROOT), str(ROOT), "--extra", "simulate --seed x"])
+    assert stop.value.code == 2 and "--seed needs an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", ["simulate --seed=", "simulate --se 5", "simulate --conf=own.json"])
+def test_extra_own_seed_and_config_spelled_so_they_win(capsys, extra):
+    """An empty --seed= or an abbreviation the appended option would override is a usage error."""
+    with pytest.raises(SystemExit) as stop:
+        csv_identity.main([str(ROOT), str(ROOT), "--extra", extra])
+    assert stop.value.code == 2 and "--extra" in capsys.readouterr().err
+
+
 def test_failing_property_test_reports_its_example(tmp_path):
     """Under the repo's warning filters a failing @given test shows its example and the session goes on."""
     (tmp_path / "test_probe.py").write_text(textwrap.dedent("""

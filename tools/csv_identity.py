@@ -14,6 +14,19 @@ unknown command, 0 otherwise.
 
 --only restricts the run to the named commands; --default-scenario runs
 them at the built-in default scenario instead of the workload's file.
+
+--extra "COMMAND ARGS..." (repeatable) compares one more run, such as a
+path no workload reaches:
+
+    python3 tools/csv_identity.py BASE NEW --only simulate \
+        --extra "simulate --eps-frac 0.002 --seed 5" --extra "optimize --method ellipsoid"
+
+It runs like the benchmark command of the same name: at that workload's
+scenario file (unless ARGS give --config, or --default-scenario is set)
+and at every seed of --seeds, or only at its own seed if ARGS give --seed.
+ARGS may write --seed=N and --config=PATH; an abbreviation of either
+(--conf) is a usage error, since the seed or scenario file appended after
+it would win.
 """
 from __future__ import annotations
 
@@ -21,6 +34,7 @@ import argparse
 import hashlib
 import importlib.util
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -59,6 +73,8 @@ def parse_args(argv=None):
     parser.add_argument("--only", action="append", help="run only this command (repeatable)")
     parser.add_argument("--default-scenario", action="store_true",
                         help="run at the built-in default scenario, without --config")
+    parser.add_argument("--extra", action="append", default=[], metavar='"COMMAND ARGS..."',
+                        help="compare one more run of COMMAND with ARGS (repeatable)")
     args = parser.parse_args(argv)
     try:
         args.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -66,32 +82,63 @@ def parse_args(argv=None):
         parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
     if not args.seeds:
         parser.error("--seeds must name at least one seed")
+    extras = []
+    for text in args.extra:
+        command, *given = shlex.split(text) or [""]
+        words = []
+        for word in given:  # --seed=N and --config=PATH become two words each
+            name, eq, value = word.partition("=")
+            if name in ("--seed", "--config"):
+                words += [name, value] if eq else [name]
+            elif len(name) > 2 and ("--seed".startswith(name) or "--config".startswith(name)):
+                parser.error(f"--extra {text!r}: spell out {name} as --seed or --config")
+            else:
+                words.append(word)
+        seeds = args.seeds
+        if "--seed" in words:
+            at = words.index("--seed")
+            try:
+                seeds, words = [int(words[at + 1])], words[:at] + words[at + 2:]
+            except (IndexError, ValueError):
+                parser.error(f"--extra {text!r}: --seed needs an integer")
+        extras.append((text, command, words, seeds))
+    args.extra = extras
     return args
+
+
+def planned_runs(args, commands: dict) -> list:
+    """(label, command, CLI arguments, seed) of every comparison: each
+    benchmark command (or each --only) at each seed, then each --extra."""
+    runs = [(c, c, commands[c][1], seed) for seed in args.seeds for c in args.only or commands]
+    runs += [(text, command, words, seed) for text, command, words, seeds in args.extra for seed in seeds]
+    scenarios = os.path.join(os.path.abspath(args.base), "perfbench", "scenarios")
+    planned = []
+    for label, command, cli_args, seed in runs:
+        if not (args.default_scenario or "--config" in cli_args):
+            cli_args = [*cli_args, "--config", os.path.join(scenarios, commands[command][0])]
+        planned.append((label, command, cli_args, seed))
+    return planned
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     commands = benchmark_commands(args.base)
-    unknown = set(args.only or ()) - set(commands)
+    unknown = set(args.only or ()) | {command for _, command, _, _ in args.extra}
+    unknown -= set(commands)
     if unknown:
         print(f"unknown commands {sorted(unknown)}; the benchmark runs {sorted(commands)}", file=sys.stderr)
         return 2
-    scenarios = os.path.join(os.path.abspath(args.base), "perfbench", "scenarios")
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in args.seeds:
-            for command in args.only or commands:
-                config_file, cli_args = commands[command]
-                if not args.default_scenario:
-                    cli_args = cli_args + ["--config", os.path.join(scenarios, config_file)]
-                hashes = []
-                for side, tree in (("base", args.base), ("new", args.new)):
-                    out_dir = os.path.join(tmp, side)
-                    os.makedirs(out_dir, exist_ok=True)
-                    hashes.append(csv_hash(tree, command, cli_args, seed, out_dir))
-                same = hashes[0] is not None and hashes[0] == hashes[1]
-                mismatches += not same
-                print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {command}  {hashes[0]}  {hashes[1]}")
+        for label, command, cli_args, seed in planned_runs(args, commands):
+            hashes = []
+            for side, tree in (("base", args.base), ("new", args.new)):
+                out_dir = os.path.join(tmp, side)
+                os.makedirs(out_dir, exist_ok=True)
+                hashes.append(csv_hash(tree, command, cli_args, seed, out_dir))
+            same = hashes[0] is not None and hashes[0] == hashes[1]
+            mismatches += not same
+            print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {label}  {hashes[0]}  {hashes[1]}")
     return 1 if mismatches else 0
 
 
