@@ -173,21 +173,65 @@ class ChannelDraw:
     active_down: np.ndarray  # (..., Jd) bool, downlink interferer transmitting
 
 
-def rician_power_fading(rng: np.random.Generator, k_factor: float, size) -> np.ndarray:
-    """Unit-mean power gain of a Rician channel with K-factor k_factor.
+def _rician_in_place(re: np.ndarray, im: np.ndarray, k_factor: float) -> np.ndarray:
+    """Power gain re^2 + im^2 of a Rician channel with K-factor k_factor, formed in re.
 
-    The line-of-sight component has power K/(K+1) and the scattered
-    component 1/(K+1), so the mean power gain is exactly 1.
+    re and im hold standard normals on entry; im is scratch.  The
+    line-of-sight component has power K/(K+1) and the scattered component
+    1/(K+1), so the mean power gain is exactly 1.
     """
     los = np.sqrt(k_factor / (k_factor + 1.0))
     scatter = np.sqrt(1.0 / (2.0 * (k_factor + 1.0)))
-    re = los + scatter * rng.standard_normal(size)
-    im = scatter * rng.standard_normal(size)
-    return re * re + im * im
+    re *= scatter
+    re += los
+    re *= re
+    im *= scatter
+    im *= im
+    re += im
+    return re
+
+
+def rician_power_fading(rng: np.random.Generator, k_factor: float, size) -> np.ndarray:
+    """Unit-mean power gain of a Rician channel with K-factor k_factor (see _rician_in_place)."""
+    re = np.asarray(rng.standard_normal(size))
+    return _rician_in_place(re, np.asarray(rng.standard_normal(size)), k_factor)[()]
+
+
+def _draw_rows(scenario: "SwarmScenario", rngs, size: int) -> ChannelDraw:
+    """len(rngs) rows of size channel realizations, row r read from rngs[r]; leading axes (len(rngs), size).
+
+    A row takes, field by field in ChannelDraw order, the standard normals
+    of the jitter and of each fading's real, then imaginary part, and the
+    uniforms of the uplink, then downlink interferers' activity, each
+    written into its row of a preallocated array; the fading is then formed
+    over all rows at once.  So a generator repeated over consecutive rows
+    reads as its consecutive draw_channel calls.
+    """
+    n_f = scenario.n_followers
+    interference = (scenario.uplink_interference, scenario.downlink_interference)
+    j_up, j_dn = map(len, interference)
+    lead = (len(rngs), size)
+    fading_shapes = ((n_f,), (n_f,), (j_up,), (j_dn, n_f))
+    normals = [np.empty(lead + (n_f + 1,))]
+    normals += [np.empty(lead + shape) for shape in fading_shapes for _ in "ri"]  # real, then imaginary part
+    uniforms = [np.empty(lead + (j,)) for j in (j_up, j_dn)]
+    for row, rng in enumerate(rngs):
+        for out in normals:
+            rng.standard_normal(out=out[row])
+        for out in uniforms:
+            rng.random(out=out[row])
+    angle_dev, *fading = normals
+    angle_dev *= np.sqrt(scenario.antenna.sigma2)
+    k = scenario.radio.rician_k
+    return ChannelDraw(
+        angle_dev,
+        *(_rician_in_place(re, im, k) for re, im in zip(fading[::2], fading[1::2])),
+        *(u < _interferer_table(f)[3] for u, f in zip(uniforms, interference)),
+    )
 
 
 def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int | None = None) -> ChannelDraw:
-    """Draw one (size=None) or a batch of channel realizations.
+    """Draw one (size=None) or a batch of channel realizations: one row of _draw_rows.
 
     Condition that must hold: the generator is consumed the same way at
     every jitter variance.  The jitter is sqrt(antenna.sigma2) times the
@@ -197,28 +241,9 @@ def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int 
     draws, bit for bit as a draw at that sigma2 would give; sweeps over
     jitter variance or bandwidth are coupled draw-for-draw because of it.
     """
-    n_f = scenario.n_followers
-    j_up = len(scenario.uplink_interference)
-    j_dn = len(scenario.downlink_interference)
-    shape = () if size is None else (size,)
-    sigma = np.sqrt(scenario.antenna.sigma2)
-    k = scenario.radio.rician_k
-    angle_dev = sigma * rng.standard_normal(shape + (n_f + 1,))
-    fading_up = rician_power_fading(rng, k, shape + (n_f,))
-    fading_down = rician_power_fading(rng, k, shape + (n_f,))
-    fading_up_interf = rician_power_fading(rng, k, shape + (j_up,))
-    fading_down_interf = rician_power_fading(rng, k, shape + (j_dn, n_f))
-    active_up = rng.random(shape + (j_up,)) < _interferer_table(scenario.uplink_interference)[3]
-    active_down = rng.random(shape + (j_dn,)) < _interferer_table(scenario.downlink_interference)[3]
-    return ChannelDraw(
-        angle_dev=angle_dev,
-        fading_up=fading_up,
-        fading_down=fading_down,
-        fading_up_interf=fading_up_interf,
-        fading_down_interf=fading_down_interf,
-        active_up=active_up,
-        active_down=active_down,
-    )
+    rows = _draw_rows(scenario, [rng], 1 if size is None else size)
+    index = (0, 0) if size is None else 0
+    return ChannelDraw(**{name: a[index] for name, a in vars(rows).items()})
 
 
 # === SINR and delays ===
@@ -369,9 +394,9 @@ def success_mask(t_up: np.ndarray, t_dn: np.ndarray, beta: float, round_time: fl
 class ScenarioSamples:
     """K frozen channel draws, read by every design and grid point scored on them.
 
-    The draws are made once, through draw_channel at unit jitter variance:
-    one batch of K (generate), or the BLOCK-round batches of several
-    repetitions (_stacked_windows), trimmed to the rounds read.  Every array
+    The draws are made once, at unit jitter variance: one draw_channel
+    batch of K (generate), or the BLOCK-round rows of several repetitions
+    (_stacked_windows), trimmed to the rounds read.  Every array
     is follower-major, one contiguous row of K samples per follower (the
     leader is row 0 of unit_jitter), so a design's kernels, masks and
     frequencies run along rows of K, not across I columns.  Every kernel,
@@ -459,14 +484,18 @@ def _unit_variance(scenario: "SwarmScenario") -> "SwarmScenario":
     return replace(scenario, antenna=replace(scenario.antenna, sigma2=1.0))
 
 
-# Rounds per draw_channel call of a repetition's stream (see participation_masks).
+# Rounds per row of a repetition's stream, as one draw_channel(size=BLOCK) call would draw them.
 BLOCK = 128
 
 # Rounds whose SINR parts participation_masks stacks into one ScenarioSamples
 # (4I + 2 floats a round, 22 at five followers), so memory stays flat however
-# many repetitions are read.  Each block's parts are written into the group's
-# arrays as it is drawn, so a group holds its rows and one block at a time.
+# many repetitions are read.  Each chunk's parts are written into the group's
+# arrays as it is drawn, so a group holds its rows and one chunk at a time.
 _ROW_BUDGET = 4096
+
+# Repetitions whose blocks _stacked_windows draws and reduces to parts in one
+# go: per-call costs are paid once a chunk, and the raw draw held stays small.
+_CHUNK = 8
 
 
 def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds) -> np.ndarray:
@@ -506,19 +535,20 @@ def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n
 
 
 def _stacked_windows(scenario: "SwarmScenario", seeds, n_rounds: int) -> "ScenarioSamples":
-    """Rounds [0, n_rounds) of each seed's block stream, written seed after seed into one ScenarioSamples."""
+    """Rounds [0, n_rounds) of each seed's block stream, written seed after seed into one ScenarioSamples.
+
+    _CHUNK seeds at a time are drawn as rows of one _draw_rows call, the
+    blocks of each seed on consecutive rows of its one generator.
+    """
     unit, n_f = _unit_variance(scenario), scenario.n_followers
-    columns = [np.empty((rows, len(seeds) * n_rounds)) for rows in (n_f + 1, n_f, 1, n_f, n_f)]
-    col = 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for start in range(0, n_rounds, BLOCK):
-            draw = draw_channel(unit, rng, size=BLOCK)
-            kept = min(BLOCK, n_rounds - start)
-            for column, block in zip(columns, (draw.angle_dev.T, *_jitter_free_parts(draw, scenario))):
-                column[:, col : col + kept] = block[:, :kept]
-            col += kept
-    unit_jitter, *parts = columns
+    n_blocks = -(-n_rounds // BLOCK)
+    columns = [np.empty((rows, len(seeds), n_rounds)) for rows in (n_f + 1, n_f, 1, n_f, n_f)]
+    for first in range(0, len(seeds), _CHUNK):
+        chunk = seeds[first : first + _CHUNK]
+        draw = _draw_rows(unit, [rng for seed in chunk for rng in [np.random.default_rng(seed)] * n_blocks], BLOCK)
+        for column, rows in zip(columns, (np.moveaxis(draw.angle_dev, -1, 0), *_jitter_free_parts(draw, scenario))):
+            column[:, first : first + len(chunk)] = rows.reshape(len(rows), len(chunk), -1)[:, :, :n_rounds]
+    unit_jitter, *parts = (column.reshape(len(column), -1) for column in columns)
     return ScenarioSamples(scenario, unit_jitter, tuple(parts))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .channel import BLOCK, ScenarioSamples, estimate_success_probs, participation_masks
 from .design import DesignVector
 from .energy import round_energies
-from .fl import run_fl
+from .fl import FlState, run_fl
 from .saa import _eps_sum, baseline_design, problem_constants, solve
 from .scenario import ConfigError, SwarmScenario, _value_errors
 from .seeds import derive_seed
@@ -114,20 +114,22 @@ def _train(model, points, design, n_rounds, seeds, epsilon):
     """(FlState, hits) per point of coupled runs trained to the loss gap epsilon.
 
     Equal to run_fl on participation_masks(points, design, n_rounds, seeds)
-    at the rate-matched step.  Every run is first trained on the first
-    BLOCK rounds, one block of its channel stream; only if some run at some
-    point is still going after them are all runs trained again on the whole
-    budget, whose first BLOCK rounds are the same masks.  A state's masks
-    and loss history stop at the last round computed.
+    at the rate-matched step, point by point: the B points' R runs train as
+    one run_fl over B*R runs, which gives each run the bits it has alone,
+    and the state is split per point afterwards.  Every run is first
+    trained on the first BLOCK rounds, one block of its channel stream;
+    only if some run at some point is still going after them are all runs
+    trained again on the whole budget, whose first BLOCK rounds are the
+    same masks.  A state's masks and loss history stop at the last round
+    computed.
     """
     lr = 0.5 / model.lipschitz_u
     for horizon in (min(BLOCK, n_rounds), n_rounds):
-        runs = [
-            run_fl(model, masks, epsilon, lr=lr)
-            for masks in participation_masks(points, design, horizon, seeds)
-        ]
-        if horizon == n_rounds or all(np.all(hits >= 0) for _, hits in runs):
-            return runs
+        masks = participation_masks(points, design, horizon, seeds)
+        state, hits = run_fl(model, masks.reshape(-1, *masks.shape[2:]), epsilon, lr=lr)
+        if horizon == n_rounds or np.all(hits >= 0):
+            blocks = zip(*(np.split(a, len(points)) for a in (*vars(state).values(), hits)))
+            return [(FlState(*arrays), point_hits) for *arrays, point_hits in blocks]
 
 
 def _crossing_rounds(model, state, eps_means):

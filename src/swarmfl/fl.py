@@ -362,9 +362,12 @@ def run_fl(
 
     The loop trains the live repetitions in the follower-major layout of
     train_round: models (I, dim, R_live) and (dim, R_live), masks
-    (T, I, R_live).  Only in a round where some repetition crosses are the
-    crossing columns written back to the state and the working arrays
-    compacted to the rest; the rest are written back when the loop ends.
+    (T, I, R_live), with a lone live run held in two columns (_paired).
+    Only in a round where some repetition crosses are the crossing columns
+    written back to the state and the working arrays compacted to the
+    rest; the rest are written back when the loop ends.  So a run's
+    loss_history, rounds and hit are the same bits in any batch of runs,
+    alone or stacked with others in any order.
     """
     if not epsilon > 0.0:  # NaN fails too
         raise ValueError("epsilon must be > 0")
@@ -387,9 +390,10 @@ def run_fl(
     state.loss_history[:, 0] = f_start
     hits = np.full(n_reps, 0 if f_start - loss.f_star <= epsilon else -1)
     live = np.flatnonzero(hits < 0)
-    gw = np.zeros((loss.dim, live.size))
-    rec = np.zeros((n_f, loss.dim, live.size))
-    msk = ok.transpose(1, 2, 0)[:, :, live]
+    work = _paired(live)
+    gw = np.zeros((loss.dim, work.size))
+    rec = np.zeros((n_f, loss.dim, work.size))
+    msk = ok.transpose(1, 2, 0)[:, :, work]
     t = 0
     while live.size and t < max_rounds:
         mask = msk[t]
@@ -399,18 +403,24 @@ def run_fl(
             rec = np.where(mask[:, None, :], gw, rec)
         else:
             rec = np.broadcast_to(gw, rec.shape)
-        f_now = loss.f_star + loss.loss_gaps(gw)
+        f_now = loss.f_star + loss.loss_gaps(gw)[: live.size]  # a lone run's second copy left out
         state.loss_history[live, t] = f_now
         crossed = f_now - loss.f_star <= epsilon
         if crossed.any():
-            done = live[crossed]
+            done, cols = live[crossed], np.flatnonzero(crossed)
             hits[done] = t
             state.rounds[done] = t
-            state.global_w[done] = gw[:, crossed].T
-            state.last_received[done] = rec[:, :, crossed].transpose(2, 0, 1)
-            keep = ~crossed
-            live, gw, rec, msk = live[keep], gw[:, keep], rec[:, :, keep], msk[:, :, keep]
+            state.global_w[done] = gw[:, cols].T
+            state.last_received[done] = rec[:, :, cols].transpose(2, 0, 1)
+            keep = _paired(np.flatnonzero(~crossed))
+            live, gw, rec, msk = live[~crossed], gw[:, keep], rec[:, :, keep], msk[:, :, keep]
     state.rounds[live] = t
-    state.global_w[live] = gw.T
-    state.last_received[live] = rec.transpose(2, 0, 1)
+    state.global_w[live] = gw[:, : live.size].T
+    state.last_received[live] = rec[:, :, : live.size].transpose(2, 0, 1)
     return state, hits
+
+
+def _paired(columns: np.ndarray) -> np.ndarray:
+    """The live runs' working columns, a lone run held twice: matmul rounds a single column (gemv) otherwise
+    than two or more (gemm), which give each column the same bits in any batch."""
+    return np.repeat(columns, 2) if columns.size == 1 else columns

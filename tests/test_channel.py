@@ -210,6 +210,108 @@ class TestFadingAndDraws:
         assert np.array_equal(t1[0], t2[0]) and np.array_equal(t1[1], t2[1])
 
 
+def per_field_draw(scenario, rng, size):
+    """Oracle: the channel stream field by field, one generator call per field and per fading part."""
+    n_f = scenario.n_followers
+    j_up, j_dn = len(scenario.uplink_interference), len(scenario.downlink_interference)
+    shape = () if size is None else (size,)
+    k = scenario.radio.rician_k
+    los, scatter = np.sqrt(k / (k + 1.0)), np.sqrt(1.0 / (2.0 * (k + 1.0)))
+
+    def fading(field_shape):
+        re = los + scatter * rng.standard_normal(shape + field_shape)
+        im = scatter * rng.standard_normal(shape + field_shape)
+        return re * re + im * im
+
+    def active(field):
+        probs = np.array([it.active_prob for it in field.interferers], dtype=float)
+        return rng.random(shape + (len(probs),)) < probs
+
+    return ChannelDraw(
+        angle_dev=np.sqrt(scenario.antenna.sigma2) * rng.standard_normal(shape + (n_f + 1,)),
+        fading_up=fading((n_f,)),
+        fading_down=fading((n_f,)),
+        fading_up_interf=fading((j_up,)),
+        fading_down_interf=fading((j_dn, n_f)),
+        active_up=active(scenario.uplink_interference),
+        active_down=active(scenario.downlink_interference),
+    )
+
+
+def assert_same_draw(got, want):
+    for name, array in vars(want).items():
+        assert getattr(got, name).shape == array.shape, name
+        assert getattr(got, name).dtype == array.dtype, name
+        assert np.array_equal(getattr(got, name), array), name
+
+
+class TestRowDraws:
+    """_draw_rows: rows of several generators at once, each row the draw_channel of its generator, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_followers=st.integers(1, 6),
+        n_up=st.integers(0, 3),
+        n_down=st.integers(0, 3),
+        size=st.integers(1, channel.BLOCK + 1),
+        rows_per_seed=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        sigma2=st.floats(0.0, 4.0).filter(lambda v: v != 1.0),
+        k_factor=st.floats(0.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_followers=6, n_up=3, n_down=3, size=channel.BLOCK + 1, rows_per_seed=[3, 1], sigma2=0.01,
+             k_factor=10.0, seed=1)
+    @example(n_followers=1, n_up=0, n_down=0, size=1, rows_per_seed=[1], sigma2=0.0, k_factor=0.0, seed=2)
+    def test_rows_equal_consecutive_draws(
+        self, default_scenario, n_followers, n_up, n_down, size, rows_per_seed, sigma2, k_factor, seed
+    ):
+        base = edge_scenario(default_scenario, np.random.default_rng(seed), n_followers, n_up, n_down, False)
+        point = replace(
+            base, antenna=replace(base.antenna, sigma2=sigma2), radio=replace(base.radio, rician_k=k_factor)
+        )
+        seeds = [seed + j for j in range(len(rows_per_seed))]
+        gens = [np.random.default_rng(s) for s in seeds]
+        rows = channel._draw_rows(point, [g for g, n in zip(gens, rows_per_seed) for _ in range(n)], size)
+        row = 0
+        for s, n, gen in zip(seeds, rows_per_seed, gens):
+            oracle, public = np.random.default_rng(s), np.random.default_rng(s)
+            for _ in range(n):
+                want = per_field_draw(point, oracle, size)
+                assert_same_draw(draw_channel(point, public, size), want)
+                assert_same_draw(ChannelDraw(**{name: a[row] for name, a in vars(rows).items()}), want)
+                row += 1
+            # every row consumed its generator exactly as the oracle's calls did
+            assert gen.bit_generator.state == oracle.bit_generator.state == public.bit_generator.state
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_followers=st.integers(1, 6),
+        n_up=st.integers(0, 3),
+        n_down=st.integers(0, 3),
+        sigma2=st.floats(0.0, 4.0).filter(lambda v: v != 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_draw_is_its_size_one_row(self, default_scenario, n_followers, n_up, n_down, sigma2, seed):
+        base = edge_scenario(default_scenario, np.random.default_rng(seed), n_followers, n_up, n_down, True)
+        point = replace(base, antenna=replace(base.antenna, sigma2=sigma2))
+        one, row = np.random.default_rng(seed), np.random.default_rng(seed)
+        single = draw_channel(point, one)
+        assert_same_draw(single, per_field_draw(point, np.random.default_rng(seed), None))
+        assert_same_draw(single, ChannelDraw(**{name: a[0] for name, a in vars(draw_channel(point, row, 1)).items()}))
+        assert one.bit_generator.state == row.bit_generator.state
+
+    @pytest.mark.parametrize("size", [None, 0, 1, 7, (3, 4)])
+    @pytest.mark.parametrize("k_factor", [0.0, 10.0, 1e6])
+    def test_rician_fading_is_the_two_normal_formula(self, size, k_factor):
+        los, scatter = np.sqrt(k_factor / (k_factor + 1.0)), np.sqrt(1.0 / (2.0 * (k_factor + 1.0)))
+        oracle = np.random.default_rng(3)
+        re = los + scatter * oracle.standard_normal(size)
+        im = scatter * oracle.standard_normal(size)
+        got = rician_power_fading(np.random.default_rng(3), k_factor, size)
+        assert np.shape(got) == np.shape(re) and np.array_equal(got, re * re + im * im)
+        assert isinstance(got, np.float64) if size is None else isinstance(got, np.ndarray)
+
+
 LEADING_SHAPES = st.one_of(
     st.just(()), st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 4), st.integers(1, 4))
 )
@@ -694,13 +796,13 @@ class TestMaskWindows:
 
     @pytest.mark.parametrize("n_rounds", [1, 128, 129, 256, 257])
     def test_draws_only_the_blocks_it_reads(self, default_scenario, monkeypatch, n_rounds):
-        sizes, draw = [], channel.draw_channel
+        sizes, draw_rows = [], channel._draw_rows
 
-        def counting(scenario, rng, size=None):
-            sizes.append(size)
-            return draw(scenario, rng, size)
+        def counting(scenario, rngs, size):
+            sizes.extend([size] * len(rngs))  # one entry per drawn row
+            return draw_rows(scenario, rngs, size)
 
-        monkeypatch.setattr(channel, "draw_channel", counting)
+        monkeypatch.setattr(channel, "_draw_rows", counting)
         participation_masks([default_scenario], default_scenario.default_design(), n_rounds, [1, 2])
         assert sizes == [channel.BLOCK] * (2 * math.ceil(n_rounds / channel.BLOCK))
 
@@ -758,7 +860,7 @@ class TestMaskWindows:
 
     def test_empty_window_draws_nothing(self, default_scenario, monkeypatch):
         calls = []
-        monkeypatch.setattr(channel, "draw_channel", lambda *a, **k: calls.append(1))
+        monkeypatch.setattr(channel, "_draw_rows", lambda *a, **k: calls.append(1))
         out = participation_masks([default_scenario], default_scenario.default_design(), 0, [1, 2])
         assert out.shape == (1, 2, 0, default_scenario.n_followers)
         assert calls == []

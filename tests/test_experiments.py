@@ -1,7 +1,6 @@
 """Experiment tables: column layout, CSV bytes, reproducibility."""
 
 import importlib.util
-import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -156,23 +155,21 @@ COMPARE_BWS = (1e6, 2e6)
 
 @contextmanager
 def counting_draws():
-    """A list that gains one entry per draw_channel call, at every swarmfl module that binds it."""
-    original, calls = channel.draw_channel, []
+    """A list that gains one entry per drawn row of channel._draw_rows: a draw_channel call, or one block of a stream."""
+    original, calls = channel._draw_rows, []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(scenario, rngs, size):
+        calls.extend([1] * len(rngs))
+        return original(scenario, rngs, size)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name, module in list(sys.modules.items()):
-            if name.startswith("swarmfl") and getattr(module, "draw_channel", None) is original:
-                mp.setattr(module, "draw_channel", counting)
+        mp.setattr(channel, "_draw_rows", counting)
         yield calls
 
 
 @pytest.fixture(scope="module")
 def compare_draws(small_scenario):
-    """compare-designs at two bandwidths, and the number of draw_channel calls it made."""
+    """compare-designs at two bandwidths, and the number of channel draws (rows of _draw_rows) it made."""
     with counting_draws() as calls:
         result = experiment_compare_designs(small_scenario, bw_list=COMPARE_BWS, n_baseline_draws=3)
     return result, len(calls)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmfl.channel import BLOCK, draw_channel, link_delays, participation_masks, success_mask
@@ -420,6 +420,55 @@ class TestRunMatchesReference:
             assert state.loss_history[r, : n + 1] == pytest.approx(losses[: n + 1], rel=1e-12)
             assert state.global_w[r] == pytest.approx(ws[n], rel=1e-12)
             assert state.last_received[r] == pytest.approx(recs[n], rel=1e-12)
+
+
+@st.composite
+def batchings(draw, max_runs=10):
+    """(n_runs, order, cuts): the runs in some order, cut into consecutive batches."""
+    n_runs = draw(st.integers(1, max_runs))
+    order = draw(st.permutations(range(n_runs)))
+    cuts = draw(st.sets(st.integers(1, n_runs - 1))) if n_runs > 1 else set()
+    return n_runs, order, sorted(cuts)
+
+
+class TestBatchIndependence:
+    """A run's loss_history, rounds and hit are the same bits in any batch of runs: alone, stacked, split or reordered."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batching=batchings(),
+        n_rounds=st.integers(1, 60),
+        shape=st.sampled_from([(1, 4, 2), (3, 8, 3), (5, 40, 6), (4, 12, 9)]),
+        seed=st.integers(0, 2**32 - 1),
+        p_land=st.floats(0.1, 1.0),
+        eps_frac=st.floats(1e-4, 0.5),
+        stale_models=st.booleans(),
+    )
+    # every run alone, and a straggler left alone at the end of a stack
+    @example(batching=(4, [2, 0, 3, 1], [1, 2, 3]), n_rounds=60, shape=(5, 40, 6), seed=1, p_land=0.3,
+             eps_frac=0.01, stale_models=True)
+    @example(batching=(3, [0, 1, 2], []), n_rounds=60, shape=(4, 12, 9), seed=2, p_land=0.2,
+             eps_frac=0.01, stale_models=False)
+    def test_any_batching_trains_alike(self, batching, n_rounds, shape, seed, p_land, eps_frac, stale_models):
+        n_runs, order, cuts = batching
+        n_f, samples_per, dim = shape
+        _, model = make_regression_problem(n_f, samples_per, dim, rng_seed=seed % 9973, noise_std=0.3)
+        rng = np.random.default_rng(seed)
+        # a landing rate per run, so the runs cross in different rounds and stragglers train alone
+        masks = rng.random((n_runs, n_rounds, n_f)) < rng.uniform(p_land, 1.0, (n_runs, 1, 1))
+        eps = eps_frac * (model.global_loss(np.zeros(dim)) - model.f_star)
+        whole, whole_hits = run_fl(model, masks, eps, stale_models=stale_models)
+        singles = [run_fl(model, masks[[r]], eps, stale_models=stale_models) for r in range(n_runs)]
+        for group in np.split(np.array(order), cuts):
+            part, hits = run_fl(model, masks[group], eps, stale_models=stale_models)
+            for j, r in enumerate(group):
+                alone, alone_hits = singles[r]
+                for got, got_hits, row in ((part, hits, j), (whole, whole_hits, r)):
+                    assert got_hits[row] == alone_hits[0]
+                    assert got.rounds[row] == alone.rounds[0]
+                    assert np.array_equal(got.loss_history[row], alone.loss_history[0], equal_nan=True)
+                    assert np.array_equal(got.global_w[row], alone.global_w[0])
+                    assert np.array_equal(got.last_received[row], alone.last_received[0])
 
 
 class TestQuadraticFormGap:

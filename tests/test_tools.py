@@ -207,6 +207,28 @@ def test_each_run_records_the_round_count_of_its_run_file(tmp_path):
     assert toy["machine"] == {"tree": "new"}
 
 
+def test_runs_record_the_median_wall_round_time_of_their_run_file(tmp_path):
+    """Each run, and each side's traced run beside its per-layer metrics, keeps the median of round_walls_s."""
+    writes_run_file = FAKE_RUN.replace("print(json.dumps(record))", textwrap.dedent("""
+        args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+        out = os.path.join(tree, "perfbench", "out")
+        os.makedirs(out, exist_ok=True)
+        name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+        with open(os.path.join(out, name), "w") as fh:
+            json.dump({"rounds": 3, "round_walls_s": record.pop("walls")}, fh)
+        print(json.dumps(record))
+    """))
+    base = fake_tree(tmp_path, "base", [{**record(1.0), "walls": w} for w in ([0.3, 0.1, 0.2], [0.5, 0.4, 0.9],
+                                                                              [0.7, 0.6, 0.8])], writes_run_file)
+    new = fake_tree(tmp_path, "new", [{**record(0.8), "walls": w} for w in ([0.2, 0.2, 0.1], [0.3],
+                                                                            [0.4, 0.5])], writes_run_file)
+    assert ab_bench.main([base, new, "--label", "walls", "--pairs", "2", "--seconds", "1"]) == 0
+    toy = json.loads((tmp_path / "new" / "BENCH_walls.json").read_text())["workloads"]["toy"]
+    assert [(r["base"]["round_wall_s"], r["new"]["round_wall_s"]) for r in toy["runs"]] == [(0.2, 0.2), (0.5, 0.3)]
+    assert toy["traced_round_wall_s"] == {"base": 0.7, "new": 0.45}
+    assert toy["per_layer"] == {"channel.draws": {"base": 100.0, "new": 80.0}}
+
+
 def test_a_regression_beyond_the_bound_is_marked(tmp_path):
     base = fake_tree(tmp_path, "base", [record(1.0, rss=50.0)])
     new = fake_tree(tmp_path, "new", [record(1.3, rss=50.0)])

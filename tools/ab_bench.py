@@ -5,14 +5,18 @@
 Runs `perfbench/run.py --trace 0` from the root of each tree, in pairs: BASE
 runs first in even-numbered pairs and NEW in odd-numbered ones.  Every run
 reads its end-to-end metrics from the last stdout line, the JSON record
-perfbench prints, and its round count from the run file perfbench writes.
-Then one `--trace 1` run per side puts the per-layer metrics side by side.
-The file, at NEW_TREE's root, holds per workload each run's round count,
-and per end-to-end metric both sides' raw values, the medians, BASE's
-quartiles, the pairs NEW won (ties count for neither side), whether the
-change in the median is within the metric's BENCHMARK.json bound, and
-whether a gain is resolved: NEW won at least nine in ten pairs and the
-medians differ by more than BASE's interquartile range.
+perfbench prints, and its round count and the median of its wall round
+times (`round_walls_s`) from the run file perfbench writes.  Then one
+`--trace 1` run per side puts the per-layer metrics side by side, with
+that run's median wall round time (`traced_round_wall_s`): per-layer
+`self_s` are wall seconds, where `round_s` is scaled to a reference core.
+The file, at NEW_TREE's root, holds per workload each run's round count
+and median wall round time, and per end-to-end metric both sides' raw
+values, the medians, BASE's quartiles, the pairs NEW won (ties count for
+neither side), whether the change in the median is within the metric's
+BENCHMARK.json bound, and whether a gain is resolved: NEW won at least
+nine in ten pairs and the medians differ by more than BASE's
+interquartile range.
 
 Exits 2 when the two trees' perfbench/ differ (so both sides would not run
 the same benchmark) or a workload is unknown; 1 when a run on either side
@@ -29,6 +33,7 @@ import subprocess
 import sys
 
 SKIPPED_DIRS = {"out", "__pycache__"}  # perfbench's outputs and bytecode, not the benchmark
+RUN_KEYS = ("correct", "attempted", "failed", "rounds", "round_wall_s", "error")  # kept of each run's record
 
 
 def bench_files(tree: str) -> dict:
@@ -45,7 +50,8 @@ def bench_files(tree: str) -> dict:
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON record perfbench prints last, with the run file's round count; {"error": ...} when the run gives none."""
+    """The JSON record perfbench prints last, with the run file's round count and median wall round time;
+    {"error": ...} when the run gives none."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py imports its own tree
@@ -57,8 +63,12 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
         record = json.loads(lines[-1])
     except json.JSONDecodeError:
         return {"error": f"last stdout line is not JSON: {lines[-1][:200]}"}
+    run = run_file(tree, workload, seed, trace)
     # how many rounds the run fit, which perfbench keeps in memory until it ends (peak_rss_mb grows with it)
-    record["rounds"] = run_file(tree, workload, seed, trace).get("rounds")
+    record["rounds"] = run.get("rounds")
+    # the median wall seconds of its rounds: unscaled, like the self_s of a traced run's per-layer metrics
+    walls = run.get("round_walls_s")
+    record["round_wall_s"] = statistics.median(walls) if walls else None
     return record
 
 
@@ -126,8 +136,7 @@ def bench_workload(args, spec: dict, workload: str) -> tuple[dict, list]:
     entry = {
         "machine": run_file(args.new, workload, args.seed, 0).get("machine"),
         "runs": [{"pair": r["pair"], "first": r["first"],
-                  **{side: {k: r[side].get(k) for k in ("correct", "attempted", "failed", "rounds", "error")
-                            if k in r[side]} for side in trees}} for r in runs],
+                  **{side: {k: r[side].get(k) for k in RUN_KEYS if k in r[side]} for side in trees}} for r in runs],
         "metrics": {e["name"]: compare(e, values("base", e["name"]), values("new", e["name"]))
                     for e in spec["end_to_end"]},
     }
@@ -141,6 +150,7 @@ def bench_workload(args, spec: dict, workload: str) -> tuple[dict, list]:
             e["name"]: {side: traced[side].get("metrics", {}).get(e["name"], {}).get("value") for side in trees}
             for e in spec["per_layer"]
         }
+        entry["traced_round_wall_s"] = {side: traced[side].get("round_wall_s") for side in trees}
     return entry, failures
 
 
