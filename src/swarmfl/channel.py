@@ -33,7 +33,6 @@ __all__ = [
     "ScenarioSamples",
     "antenna_gain_exact",
     "antenna_gain_sectionalized",
-    "rician_power_fading",
     "draw_channel",
     "sinr_coefficients",
     "link_delays",
@@ -191,12 +190,6 @@ def _rician_in_place(re: np.ndarray, im: np.ndarray, k_factor: float) -> np.ndar
     return re
 
 
-def rician_power_fading(rng: np.random.Generator, k_factor: float, size) -> np.ndarray:
-    """Unit-mean power gain of a Rician channel with K-factor k_factor (see _rician_in_place)."""
-    re = np.asarray(rng.standard_normal(size))
-    return _rician_in_place(re, np.asarray(rng.standard_normal(size)), k_factor)[()]
-
-
 def _draw_rows(scenario: "SwarmScenario", rngs, size: int) -> ChannelDraw:
     """len(rngs) rows of size channel realizations, row r read from rngs[r]; leading axes (len(rngs), size).
 
@@ -205,7 +198,9 @@ def _draw_rows(scenario: "SwarmScenario", rngs, size: int) -> ChannelDraw:
     uniforms of the uplink, then downlink interferers' activity, each
     written into its row of a preallocated array; the fading is then formed
     over all rows at once.  So a generator repeated over consecutive rows
-    reads as its consecutive draw_channel calls.
+    reads as its consecutive draw_channel calls: participation_masks passes
+    each repetition's generator once per BLOCK of its stream, a chunk of
+    repetitions per call.
     """
     n_f = scenario.n_followers
     interference = (scenario.uplink_interference, scenario.downlink_interference)
@@ -395,11 +390,12 @@ class ScenarioSamples:
     """K frozen channel draws, read by every design and grid point scored on them.
 
     The draws are made once, at unit jitter variance: one draw_channel
-    batch of K (generate), or the BLOCK-round rows of several repetitions
-    (_stacked_windows), trimmed to the rounds read.  Every array
-    is follower-major, one contiguous row of K samples per follower (the
-    leader is row 0 of unit_jitter), so a design's kernels, masks and
-    frequencies run along rows of K, not across I columns.  Every kernel,
+    batch of K (generate), or the first rounds of each of a chunk of
+    repetitions' streams, repetition after repetition (participation_masks);
+    _of builds both.  Every array is follower-major, one contiguous row of K
+    samples per follower (the leader is row 0 of unit_jitter), so a
+    design's kernels, masks and frequencies run along rows of K, not
+    across I columns.  Every kernel,
     delay and mask is computed sample by sample, so a sample reads the same
     bits whichever samples it is stacked with.
     A point read off them may differ from the drawn scenario in
@@ -428,7 +424,15 @@ class ScenarioSamples:
         if samples_k < 1:
             raise ValueError("samples_k must be >= 1")
         draws = draw_channel(_unit_variance(scenario), np.random.default_rng(rng_seed), size=samples_k)
-        unit_jitter, *parts = map(np.ascontiguousarray, (draws.angle_dev.T, *_jitter_free_parts(draws, scenario)))
+        return ScenarioSamples._of(scenario, draws)
+
+    @staticmethod
+    def _of(scenario: "SwarmScenario", draw: ChannelDraw) -> "ScenarioSamples":
+        """Samples of draw, made at scenario's unit variance: follower axis first, batch axes flattened in order."""
+        unit_jitter, *parts = (
+            np.ascontiguousarray(a.reshape(len(a), -1))
+            for a in (np.moveaxis(draw.angle_dev, -1, 0), *_jitter_free_parts(draw, scenario))
+        )
         return ScenarioSamples(scenario, unit_jitter, tuple(parts))
 
     @property
@@ -442,6 +446,11 @@ class ScenarioSamples:
 
     def kernels(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
         """(c_up, c_dn), each (I, K): the SINR per watt of every link at point's jitter variance and bandwidths."""
+        if point is not self.scenario:
+            _require_same_draws(self.scenario, [point])
+        return self._unchecked_kernels(point)
+
+    def _unchecked_kernels(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
         if point.antenna.sigma2 == self.scenario.antenna.sigma2 and point.radio == self.scenario.radio:
             return self.own_kernels
         return self._kernels_at(point)
@@ -458,7 +467,7 @@ class ScenarioSamples:
     def _masks(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
         """success_mask of design at point, (I, K), decided by SINR thresholds (see _fits)."""
         p = _checked_powers(design, point)[:, None]
-        c_up, c_dn = self.kernels(point)
+        c_up, c_dn = self._unchecked_kernels(point)  # success_probs and participation_masks check point
         radio, beta, round_time = point.radio, design.beta, point.round_time_s
         up = _fits(radio.pkt_local, radio.bw_up, p * c_up, beta * round_time)
         return up & _fits(radio.pkt_global, radio.bw_down, design.p_leader * c_dn, (1.0 - beta) * round_time)
@@ -487,15 +496,13 @@ def _unit_variance(scenario: "SwarmScenario") -> "SwarmScenario":
 # Rounds per row of a repetition's stream, as one draw_channel(size=BLOCK) call would draw them.
 BLOCK = 128
 
-# Rounds whose SINR parts participation_masks stacks into one ScenarioSamples
-# (4I + 2 floats a round, 22 at five followers), so memory stays flat however
-# many repetitions are read.  Each chunk's parts are written into the group's
-# arrays as it is drawn, so a group holds its rows and one chunk at a time.
-_ROW_BUDGET = 4096
-
-# Repetitions whose blocks _stacked_windows draws and reduces to parts in one
-# go: per-call costs are paid once a chunk, and the raw draw held stays small.
-_CHUNK = 8
+# Rounds of each chunk of repetitions that participation_masks draws, reduces
+# to SINR parts and reads masks off in one go (whole BLOCKs of whole
+# repetitions, at least one): per-call costs are paid once a chunk, and memory
+# stays flat however many repetitions are read.  Half as many rounds cost
+# 5-20% more time on a 12-point sweep; twice as many double the traced peak
+# (TestTracedPeaks).
+_CHUNK_ROUNDS = 16 * BLOCK
 
 
 def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds) -> np.ndarray:
@@ -509,12 +516,14 @@ def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n
     a longer one.  It reads them under each of the B points, which may
     differ only in jitter variance and link bandwidths (see ScenarioSamples),
     so trajectories with the same seed are coupled draw-for-draw across the
-    points.  Repetitions are stacked, in groups of at most _ROW_BUDGET rounds
-    (at least one repetition), into one follower-major ScenarioSamples each
-    group, read once per point; its (I, rounds) masks are moved into the
-    (rounds, I) order of the output.  Points that share a jitter variance are
-    cheapest read one after another: the antenna gain is recomputed whenever
-    the variance changes.
+    points.  Repetitions are taken a chunk of at most _CHUNK_ROUNDS drawn
+    rounds at a time: the blocks of the chunk are rows of one _draw_rows
+    call, each repetition's on consecutive rows of its one generator.  The
+    first n_rounds of each repetition, views of that draw, become one
+    follower-major ScenarioSamples, read once per point; its (I, rounds)
+    masks are moved into the (rounds, I) order of the output.  Points that
+    share a jitter variance are cheapest read one after another: the antenna
+    gain is recomputed whenever the variance changes.
     """
     if len(points) == 0:
         raise ValueError("points must not be empty")
@@ -525,31 +534,20 @@ def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n
     out = np.empty((len(points), len(seeds), n_rounds, n_f), dtype=bool)
     if n_rounds == 0:
         return out  # no rounds, nothing to draw
-    group = max(1, _ROW_BUDGET // n_rounds)
-    for first in range(0, len(seeds), group):
-        reps = slice(first, first + group)
-        samples = _stacked_windows(scenario, seeds[reps], n_rounds)
+    unit, n_blocks = _unit_variance(scenario), -(-n_rounds // BLOCK)
+    chunk = max(1, _CHUNK_ROUNDS // (n_blocks * BLOCK))
+    for first in range(0, len(seeds), chunk):
+        reps = seeds[first : first + chunk]
+        rngs = [rng for seed in reps for rng in [np.random.default_rng(seed)] * n_blocks]
+        window = (  # views of each repetition's first n_rounds: a (len(reps), n_rounds) batch
+            a.reshape(len(reps), n_blocks * BLOCK, *a.shape[2:])[:, :n_rounds]
+            for a in vars(_draw_rows(unit, rngs, BLOCK)).values()
+        )
+        samples = ScenarioSamples._of(scenario, ChannelDraw(*window))
         for k, point in enumerate(points):
-            out[k, reps] = samples._masks(design, point).reshape(n_f, -1, n_rounds).transpose(1, 2, 0)
+            masks = samples._masks(design, point).reshape(n_f, len(reps), n_rounds)
+            out[k, first : first + len(reps)] = masks.transpose(1, 2, 0)
     return out
-
-
-def _stacked_windows(scenario: "SwarmScenario", seeds, n_rounds: int) -> "ScenarioSamples":
-    """Rounds [0, n_rounds) of each seed's block stream, written seed after seed into one ScenarioSamples.
-
-    _CHUNK seeds at a time are drawn as rows of one _draw_rows call, the
-    blocks of each seed on consecutive rows of its one generator.
-    """
-    unit, n_f = _unit_variance(scenario), scenario.n_followers
-    n_blocks = -(-n_rounds // BLOCK)
-    columns = [np.empty((rows, len(seeds), n_rounds)) for rows in (n_f + 1, n_f, 1, n_f, n_f)]
-    for first in range(0, len(seeds), _CHUNK):
-        chunk = seeds[first : first + _CHUNK]
-        draw = _draw_rows(unit, [rng for seed in chunk for rng in [np.random.default_rng(seed)] * n_blocks], BLOCK)
-        for column, rows in zip(columns, (np.moveaxis(draw.angle_dev, -1, 0), *_jitter_free_parts(draw, scenario))):
-            column[:, first : first + len(chunk)] = rows.reshape(len(rows), len(chunk), -1)[:, :, :n_rounds]
-    unit_jitter, *parts = (column.reshape(len(column), -1) for column in columns)
-    return ScenarioSamples(scenario, unit_jitter, tuple(parts))
 
 
 def estimate_success_probs(

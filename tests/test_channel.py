@@ -28,7 +28,6 @@ from swarmfl.channel import (
     estimate_success_probs,
     link_delays,
     participation_masks,
-    rician_power_fading,
     sinr_coefficients,
     success_mask,
 )
@@ -151,10 +150,16 @@ class TestSectionalizedGain:
         )
 
 
+def rician_fading(rng, k_factor, size):
+    """channel._rician_in_place on two fresh arrays of standard normals from rng, real part first."""
+    re = np.asarray(rng.standard_normal(size))
+    return channel._rician_in_place(re, np.asarray(rng.standard_normal(size)), k_factor)
+
+
 class TestFadingAndDraws:
     def test_rician_power_unit_mean(self):
         rng = np.random.default_rng(7)
-        h = rician_power_fading(rng, 10.0, 10**5)
+        h = rician_fading(rng, 10.0, 10**5)
         assert np.all(h > 0)
         se = h.std(ddof=1) / math.sqrt(h.size)
         assert abs(h.mean() - 1.0) < 3 * se
@@ -162,13 +167,13 @@ class TestFadingAndDraws:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(k_factor=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
     def test_rician_unit_mean_any_k(self, k_factor, seed):
-        h = rician_power_fading(np.random.default_rng(seed), k_factor, 20000)
+        h = rician_fading(np.random.default_rng(seed), k_factor, 20000)
         se = h.std(ddof=1) / math.sqrt(h.size)
         assert abs(h.mean() - 1.0) <= 4 * se
 
     def test_rician_line_of_sight_limit(self):
         rng = np.random.default_rng(7)
-        h = rician_power_fading(rng, 1e12, 1000)
+        h = rician_fading(rng, 1e12, 1000)
         assert np.max(np.abs(h - 1.0)) < 1e-4
 
     def test_zero_jitter_degenerates(self, default_scenario):
@@ -307,9 +312,11 @@ class TestRowDraws:
         oracle = np.random.default_rng(3)
         re = los + scatter * oracle.standard_normal(size)
         im = scatter * oracle.standard_normal(size)
-        got = rician_power_fading(np.random.default_rng(3), k_factor, size)
-        assert np.shape(got) == np.shape(re) and np.array_equal(got, re * re + im * im)
-        assert isinstance(got, np.float64) if size is None else isinstance(got, np.ndarray)
+        normals = np.random.default_rng(3)
+        first, second = np.asarray(normals.standard_normal(size)), np.asarray(normals.standard_normal(size))
+        got = channel._rician_in_place(first, second, k_factor)
+        assert got is first  # formed in the real part's array, a 0-d array in the scalar case
+        assert got.shape == np.shape(re) and got.dtype == np.float64 and np.array_equal(got, re * re + im * im)
 
 
 LEADING_SHAPES = st.one_of(
@@ -567,19 +574,28 @@ class TestSuccessProbability:
 
     def test_frozen_samples_reject_other_draw_statistics(self, default_scenario):
         """Only the drawn scenario object skips the point check: an equal copy
-        reads the same, and a point differing in any field but antenna.sigma2,
-        radio.bw_up and radio.bw_down raises, also deep in the interference field."""
+        reads the same frequencies and kernels, and a point differing in any
+        field but antenna.sigma2, radio.bw_up and radio.bw_down raises in both
+        reads, also deep in the interference field."""
         design = default_scenario.default_design()
         samples = ScenarioSamples.generate(default_scenario, 100, 9)
         own = samples.success_probs(design, default_scenario)
         assert np.array_equal(samples.success_probs(design, replace(default_scenario)), own)
+        copy_kernels = samples.kernels(replace(default_scenario))
+        for got, want in zip(copy_kernels, samples.kernels(default_scenario), strict=True):
+            assert np.array_equal(got, want)
         other_k = replace(default_scenario, radio=replace(default_scenario.radio, rician_k=3.0))
+        other_path = replace(default_scenario, radio=replace(default_scenario.radio, pathloss_exp=4.0, noise_psd=1e-10))
         first, *rest = default_scenario.downlink_interference.interferers
         quieter = replace(
             default_scenario,
             downlink_interference=InterferenceField((replace(first, active_prob=0.1), *rest)),
         )
-        points = {"radio.rician_k": other_k, "downlink_interference.active_prob": quieter}
+        points = {
+            "radio.rician_k": other_k,
+            "radio.pathloss_exp and noise_psd": other_path,
+            "downlink_interference.active_prob": quieter,
+        }
 
         def bumped(value):
             if is_dataclass(value):
@@ -601,8 +617,9 @@ class TestSuccessProbability:
                     points[f"{group}.{f.name}"] = replace(default_scenario, **{group: changed})
         for name, point in points.items():
             assert point != default_scenario, name
-            with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
-                samples.success_probs(design, point)
+            for read in (lambda: samples.success_probs(design, point), lambda: samples.kernels(point)):
+                with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
+                    read()
 
     def test_sample_count_checked(self, default_scenario):
         with pytest.raises(ValueError, match="n_samples"):
@@ -747,7 +764,7 @@ def jitter_bw_points(scenario, grid):
 
 
 class TestMaskWindows:
-    """participation_masks over the first rounds of each repetition's block stream, stacked in row-budget groups."""
+    """participation_masks over the first rounds of each repetition's block stream, a chunk of repetitions at a time."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -755,14 +772,14 @@ class TestMaskWindows:
         n_rounds=st.integers(1, 30),
         seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
         grid=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(2e5, 1e7)), min_size=1, max_size=3),
-        budget=st.integers(1, 40),
+        budget=st.integers(1, 6 * channel.BLOCK),
     )
     def test_window_equals_rounds_of_full_horizon(self, default_scenario, data, n_rounds, seeds, grid, budget):
         stop = data.draw(st.integers(0, n_rounds), label="stop")
         points = jitter_bw_points(default_scenario, grid)
         design = default_scenario.default_design()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(channel, "_ROW_BUDGET", budget)  # groups split mid-list
+            mp.setattr(channel, "_CHUNK_ROUNDS", budget)  # chunks of 1 to 6 repetitions split mid-list
             window = participation_masks(points, design, stop, seeds)
             full = participation_masks(points, design, n_rounds, seeds)
         assert window.shape == (len(points), len(seeds), stop, default_scenario.n_followers)
@@ -821,23 +838,23 @@ class TestMaskWindows:
             downlink_interference=default_scenario.downlink_interference if interfered in ("both", "downlink") else none,
         )
         seeds, n_rounds = [5, 6, 7], 150  # a whole block and part of the next
-        n_f = base.n_followers
-        groups, stacked_windows = [], channel._stacked_windows
+        n_f, drawn = base.n_followers, 2 * channel.BLOCK  # rounds drawn per repetition: whole blocks
+        chunks, of = [], ScenarioSamples._of
 
-        def recording(scenario, group, n):
-            samples = stacked_windows(scenario, group, n)
-            groups.append((list(group), samples))
+        def recording(scenario, draw):
+            samples = of(scenario, draw)
+            chunks.append(samples)
             return samples
 
-        monkeypatch.setattr(channel, "_stacked_windows", recording)
+        monkeypatch.setattr(ScenarioSamples, "_of", staticmethod(recording))
         points = jitter_bw_points(base, [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)])
-        # one group at the row budget in force; a budget of two repetitions splits the seeds mid-list
-        for budget, split in ((channel._ROW_BUDGET, [seeds]), (2 * n_rounds, [seeds[:2], seeds[2:]])):
-            groups.clear()
-            monkeypatch.setattr(channel, "_ROW_BUDGET", budget)
+        # one chunk at the budget in force; a budget of two repetitions splits the seeds mid-list
+        for budget, split in ((channel._CHUNK_ROUNDS, [seeds]), (2 * drawn, [seeds[:2], seeds[2:]])):
+            chunks.clear()
+            monkeypatch.setattr(channel, "_CHUNK_ROUNDS", budget)
             participation_masks(points, base.default_design(), n_rounds, seeds)
-            assert [group for group, _ in groups] == split
-            for group, samples in groups:
+            assert [samples.k // n_rounds for samples in chunks] == [len(group) for group in split]
+            for group, samples in zip(split, chunks, strict=True):
                 rows = len(group) * n_rounds
                 arrays = (samples.unit_jitter, *samples.parts)  # follower-major: one column per round
                 assert [a.shape for a in arrays] == [(n_f + 1, rows), (n_f, rows), (1, rows), (n_f, rows), (n_f, rows)]
@@ -848,6 +865,43 @@ class TestMaskWindows:
                     for point in points:
                         for got, want in zip(samples.kernels(point), stream_kernels(point, n_rounds, seed)):
                             assert np.array_equal(got[:, kept], want.T)
+
+    @pytest.mark.parametrize("n_rounds, n_seeds", [(128, 40), (129, 20), (500, 10), (channel._CHUNK_ROUNDS + 1, 3)])
+    def test_one_row_draw_per_chunk(self, default_scenario, monkeypatch, n_rounds, n_seeds):
+        """Each chunk of repetitions is one _draw_rows call, a repetition's blocks on consecutive rows of its
+        one generator, and holds at most _CHUNK_ROUNDS drawn rounds, or one repetition past that."""
+        calls, draw_rows = [], channel._draw_rows
+
+        def counting(scenario, rngs, size):
+            calls.append(list(rngs))
+            return draw_rows(scenario, rngs, size)
+
+        monkeypatch.setattr(channel, "_draw_rows", counting)
+        design, seeds = default_scenario.default_design(), list(range(100, 100 + n_seeds))
+        masks = participation_masks([default_scenario], design, n_rounds, seeds)
+        n_blocks = math.ceil(n_rounds / channel.BLOCK)
+        per_chunk = max(1, channel._CHUNK_ROUNDS // (n_blocks * channel.BLOCK))
+        assert per_chunk > 1 if n_rounds <= channel._CHUNK_ROUNDS else per_chunk == 1
+        want = [min(per_chunk, n_seeds - first) * n_blocks for first in range(0, n_seeds, per_chunk)]
+        assert [len(rngs) for rngs in calls] == want
+        assert per_chunk == 1 or want[-1] < want[0]  # the last chunk holds the repetitions left over
+        generators = [rng for rngs in calls for rng in rngs[::n_blocks]]
+        assert len({id(rng) for rng in generators}) == n_seeds
+        for rngs in calls:
+            for first in range(0, len(rngs), n_blocks):
+                assert all(rng is rngs[first] for rng in rngs[first : first + n_blocks])
+        for r, seed in enumerate(seeds):
+            assert np.array_equal(masks[0, r], stream_masks(default_scenario, design, n_rounds, seed))
+
+    def test_peak_memory_flat_in_repetitions(self, default_scenario):
+        """The traced peak, less the output array, does not grow with the number of repetitions read."""
+        design, n_rounds = default_scenario.default_design(), 128
+        peaks = []
+        for n_seeds in (40, 160):
+            seeds = list(range(n_seeds))
+            output = n_seeds * n_rounds * default_scenario.n_followers  # bool bytes
+            peaks.append(traced_peak(lambda: participation_masks([default_scenario], design, n_rounds, seeds)) - output)
+        assert abs(peaks[1] - peaks[0]) <= 0.03 * peaks[0]
 
     def test_empty_points_rejected(self, default_scenario):
         with pytest.raises(ValueError, match="points"):

@@ -78,6 +78,30 @@ def test_extra_runs_compare_like_the_benchmark_commands(monkeypatch, capsys):
     assert lines[3].startswith("same  seed 1  optimize --method ellipsoid  ")
 
 
+def test_late_runs_are_compared_by_default(monkeypatch, capsys):
+    """The late runs follow the benchmark commands at their own seeds, only for the commands run, and once each."""
+    calls = []
+    monkeypatch.setattr(csv_identity, "csv_hash", lambda tree, *run: calls.append(run[:3]) or "a" * 64)
+    mc_train = str(ROOT / "perfbench" / "scenarios" / "mc-train.json")
+    late = [
+        ("simulate", ["--eps-frac", "0.002", "--config", mc_train], 5),
+        ("sweep-sigma", ["--sigma2", "0.01,0.1,0.2,0.3,0.4", "--bw", "1e6,2e6,5e6", "--eps-frac", "0.02",
+                         "--config", mc_train], 1),
+    ]
+    assert csv_identity.main([str(ROOT), str(ROOT), "--seeds", "1,2"]) == 0
+    assert len(calls) == 2 * (5 * 2 + 2) and calls[-4:] == [run for run in late for _ in ("base", "new")]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[2] for line in lines[-2:]] == list(csv_identity.LATE_RUNS)
+    calls.clear()
+    argv = ["--only", "simulate", "--extra", csv_identity.LATE_RUNS[0]]  # an --extra naming a late run runs once
+    assert csv_identity.main([str(ROOT), str(ROOT), *argv]) == 0
+    simulate = ("simulate", ["--config", mc_train], 1)
+    assert calls == [run for run in (simulate, late[0]) for _ in ("base", "new")]
+    calls.clear()
+    assert csv_identity.main([str(ROOT), str(ROOT), "--only", "sweep-sigma", "--default-scenario"]) == 0
+    assert calls[-2:] == [("sweep-sigma", late[1][1][:-2], 1)] * 2
+
+
 def test_extra_run_at_the_default_scenario_writes_the_same_bytes(capsys):
     argv = ["--only", "optimize", "--default-scenario", "--extra", "optimize --method ellipsoid --seed 3"]
     assert csv_identity.main([str(ROOT), str(ROOT), *argv]) == 0

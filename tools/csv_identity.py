@@ -12,8 +12,13 @@ the sha256 of every CSV.  Both trees read the scenario files of BASE_TREE
 command and seed, and exits 1 on any mismatch or failed command, 2 on an
 unknown command, 0 otherwise.
 
---only restricts the run to the named commands; --default-scenario runs
-them at the built-in default scenario instead of the workload's file.
+After the benchmark commands it compares the late runs (LATE_RUNS), whose
+repetitions train past one 128-round block of channel draws, which no
+workload does: `simulate --eps-frac 0.002 --seed 5` and a wide sweep-sigma.
+
+--only restricts the run to the named commands, the late runs of those
+commands included; --default-scenario runs them at the built-in default
+scenario instead of the workload's file.
 
 --extra "COMMAND ARGS..." (repeatable) compares one more run, such as a
 path no workload reaches:
@@ -38,6 +43,13 @@ import shlex
 import subprocess
 import sys
 import tempfile
+
+# Runs compared by default after the benchmark commands, each at its own seed,
+# read like --extra runs: the only ones that draw more than one channel block.
+LATE_RUNS = (
+    "simulate --eps-frac 0.002 --seed 5",
+    "sweep-sigma --sigma2 0.01,0.1,0.2,0.3,0.4 --bw 1e6,2e6,5e6 --eps-frac 0.02 --seed 1",
+)
 
 
 def benchmark_commands(tree: str) -> dict:
@@ -83,7 +95,8 @@ def parse_args(argv=None):
     if not args.seeds:
         parser.error("--seeds must name at least one seed")
     extras = []
-    for text in args.extra:
+    late = [text for text in LATE_RUNS if not args.only or text.split()[0] in args.only]
+    for text in dict.fromkeys([*late, *args.extra]):  # an --extra naming a late run runs once
         command, *given = shlex.split(text) or [""]
         words = []
         for word in given:  # --seed=N and --config=PATH become two words each
@@ -108,7 +121,8 @@ def parse_args(argv=None):
 
 def planned_runs(args, commands: dict) -> list:
     """(label, command, CLI arguments, seed) of every comparison: each
-    benchmark command (or each --only) at each seed, then each --extra."""
+    benchmark command (or each --only) at each seed, then each late run of
+    those commands and each --extra."""
     runs = [(c, c, commands[c][1], seed) for seed in args.seeds for c in args.only or commands]
     runs += [(text, command, words, seed) for text, command, words, seeds in args.extra for seed in seeds]
     scenarios = os.path.join(os.path.abspath(args.base), "perfbench", "scenarios")
