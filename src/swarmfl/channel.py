@@ -37,6 +37,7 @@ __all__ = [
     "sinr_coefficients",
     "link_delays",
     "success_mask",
+    "MaskStream",
     "participation_masks",
     "estimate_success_probs",
 ]
@@ -197,10 +198,8 @@ def _draw_rows(scenario: "SwarmScenario", rngs, size: int) -> ChannelDraw:
     of the jitter and of each fading's real, then imaginary part, and the
     uniforms of the uplink, then downlink interferers' activity, each
     written into its row of a preallocated array; the fading is then formed
-    over all rows at once.  So a generator repeated over consecutive rows
-    reads as its consecutive draw_channel calls: participation_masks passes
-    each repetition's generator once per BLOCK of its stream, a chunk of
-    repetitions per call.
+    over all rows at once, so a generator repeated over consecutive rows
+    reads as its consecutive draw_channel calls.
     """
     n_f = scenario.n_followers
     interference = (scenario.uplink_interference, scenario.downlink_interference)
@@ -390,14 +389,14 @@ class ScenarioSamples:
     """K frozen channel draws, read by every design and grid point scored on them.
 
     The draws are made once, at unit jitter variance: one draw_channel
-    batch of K (generate), or the first rounds of each of a chunk of
-    repetitions' streams, repetition after repetition (participation_masks);
-    _of builds both.  Every array is follower-major, one contiguous row of K
+    batch of K (generate), or the next BLOCK of each of a chunk of
+    repetitions' streams, repetition after repetition (MaskStream); _of
+    builds both.  Every array is follower-major, one contiguous row of K
     samples per follower (the leader is row 0 of unit_jitter), so a
     design's kernels, masks and frequencies run along rows of K, not
-    across I columns.  Every kernel,
-    delay and mask is computed sample by sample, so a sample reads the same
-    bits whichever samples it is stacked with.
+    across I columns.  Every kernel, delay and mask is computed sample by
+    sample, so a sample reads the same bits whichever samples it is stacked
+    with.
     A point read off them may differ from the drawn scenario in
     antenna.sigma2 and in its link bandwidths.  Fading times path loss and
     the interference powers are kept from the draw; per jitter variance only
@@ -467,7 +466,7 @@ class ScenarioSamples:
     def _masks(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
         """success_mask of design at point, (I, K), decided by SINR thresholds (see _fits)."""
         p = _checked_powers(design, point)[:, None]
-        c_up, c_dn = self._unchecked_kernels(point)  # success_probs and participation_masks check point
+        c_up, c_dn = self._unchecked_kernels(point)  # success_probs and MaskStream check point
         radio, beta, round_time = point.radio, design.beta, point.round_time_s
         up = _fits(radio.pkt_local, radio.bw_up, p * c_up, beta * round_time)
         return up & _fits(radio.pkt_global, radio.bw_down, design.p_leader * c_dn, (1.0 - beta) * round_time)
@@ -496,57 +495,78 @@ def _unit_variance(scenario: "SwarmScenario") -> "SwarmScenario":
 # Rounds per row of a repetition's stream, as one draw_channel(size=BLOCK) call would draw them.
 BLOCK = 128
 
-# Rounds of each chunk of repetitions that participation_masks draws, reduces
-# to SINR parts and reads masks off in one go (whole BLOCKs of whole
-# repetitions, at least one): per-call costs are paid once a chunk, and memory
-# stays flat however many repetitions are read.  Half as many rounds cost
-# 5-20% more time on a 12-point sweep; twice as many double the traced peak
-# (TestTracedPeaks).
+# Rounds of each chunk of repetitions whose next BLOCK MaskStream draws, reduces
+# to SINR parts and reads masks off in one go (whole BLOCKs, one repetition at
+# least): per-call costs are paid once a chunk, and memory stays flat however
+# many repetitions are read.  Half as many rounds cost 5-20% more time on a
+# 12-point sweep; twice as many double the traced peak (TestTracedPeaks).
 _CHUNK_ROUNDS = 16 * BLOCK
 
 
-def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds) -> np.ndarray:
-    """Participation indicators of coupled training runs in rounds [0, n_rounds).
+class MaskStream:
+    """Participation masks of B * R coupled training runs, one BLOCK of rounds a call, for run_fl.
 
-    The shape is (B, R, n_rounds, I).
-
-    Repetition r reads the generator seeded with seeds[r] one BLOCK of
-    channel realizations at a time, and draws only the blocks that cover
-    [0, n_rounds); so the masks of a shorter horizon are the first rounds of
-    a longer one.  It reads them under each of the B points, which may
-    differ only in jitter variance and link bandwidths (see ScenarioSamples),
-    so trajectories with the same seed are coupled draw-for-draw across the
-    points.  Repetitions are taken a chunk of at most _CHUNK_ROUNDS drawn
-    rounds at a time: the blocks of the chunk are rows of one _draw_rows
-    call, each repetition's on consecutive rows of its one generator.  The
-    first n_rounds of each repetition, views of that draw, become one
-    follower-major ScenarioSamples, read once per point; its (I, rounds)
-    masks are moved into the (rounds, I) order of the output.  Points that
-    share a jitter variance are cheapest read one after another: the antenna
-    gain is recomputed whenever the variance changes.
+    Run k * R + r reads repetition r's stream (the generator seeded with
+    seeds[r], kept open while the n_rounds budget has rounds left) under
+    points[k], which may differ only in jitter variance and link bandwidths
+    (see ScenarioSamples): a repetition's runs are coupled draw-for-draw.
+    Points that share a variance are cheapest read one after another, as
+    the antenna gain is recomputed whenever the variance changes.
     """
-    if len(points) == 0:
-        raise ValueError("points must not be empty")
-    _require_same_draws(points[0], points[1:])
-    if n_rounds < 0:
-        raise ValueError("n_rounds must be >= 0")
-    scenario, n_f = points[0], points[0].n_followers
-    out = np.empty((len(points), len(seeds), n_rounds, n_f), dtype=bool)
-    if n_rounds == 0:
-        return out  # no rounds, nothing to draw
-    unit, n_blocks = _unit_variance(scenario), -(-n_rounds // BLOCK)
-    chunk = max(1, _CHUNK_ROUNDS // (n_blocks * BLOCK))
-    for first in range(0, len(seeds), chunk):
-        reps = seeds[first : first + chunk]
-        rngs = [rng for seed in reps for rng in [np.random.default_rng(seed)] * n_blocks]
-        window = (  # views of each repetition's first n_rounds: a (len(reps), n_rounds) batch
-            a.reshape(len(reps), n_blocks * BLOCK, *a.shape[2:])[:, :n_rounds]
-            for a in vars(_draw_rows(unit, rngs, BLOCK)).values()
-        )
-        samples = ScenarioSamples._of(scenario, ChannelDraw(*window))
-        for k, point in enumerate(points):
-            masks = samples._masks(design, point).reshape(n_f, len(reps), n_rounds)
-            out[k, first : first + len(reps)] = masks.transpose(1, 2, 0)
+
+    def __init__(self, points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds):
+        if len(points) == 0:
+            raise ValueError("points must not be empty")
+        _require_same_draws(points[0], points[1:])
+        if n_rounds < 0:
+            raise ValueError("n_rounds must be >= 0")
+        self.points, self.design, self._unit = points, design, _unit_variance(points[0])
+        self.shape = (len(points) * len(seeds), n_rounds, points[0].n_followers)
+        self._rngs = list(seeds)  # a repetition's seed, then its generator once a block is drawn
+        self._drawn = 0  # rounds drawn of each repetition read
+
+    def __call__(self, runs, out: np.ndarray | None = None) -> np.ndarray:
+        """Masks of runs in the next BLOCK rounds within the budget, (rounds, I, len(runs)), or written into out.
+
+        Each repetition with a run in runs draws its next block, a chunk of
+        them per _draw_rows call, and is read at each point with a run of
+        it.  One left out must stay out, since its generator does not move.
+        """
+        runs, n_f = np.asarray(runs, dtype=int), self.shape[2]
+        out = np.empty((min(BLOCK, self.shape[1] - self._drawn), n_f, len(runs)), dtype=bool) if out is None else out
+        point_of, rep_of = np.divmod(runs, len(self._rngs))
+        reps, at = np.unique(rep_of, return_inverse=True)  # the repetitions drawn, and each run's among them
+        per_call = max(1, _CHUNK_ROUNDS // BLOCK)
+        self._drawn += BLOCK
+        for first in range(0, len(reps), per_call):
+            group = reps[first : first + per_call]
+            rngs = [np.random.default_rng(self._rngs[r]) for r in group]  # a generator passes through as is
+            if self._drawn < self.shape[1]:  # kept only while the budget has rounds left
+                for r, rng in zip(group, rngs):
+                    self._rngs[r] = rng
+            window = (a[:, : len(out)] for a in vars(_draw_rows(self._unit, rngs, BLOCK)).values())  # views of out's rounds
+            samples = ScenarioSamples._of(self.points[0], ChannelDraw(*window))
+            in_group = (at >= first) & (at < first + per_call)
+            for k, point in enumerate(self.points):
+                cols = np.flatnonzero(in_group & (point_of == k))
+                if cols.size:
+                    masks = samples._masks(self.design, point).reshape(n_f, len(group), len(out))
+                    out[:, :, cols] = masks[:, at[cols] - first].transpose(2, 0, 1)
+        return out
+
+
+def participation_masks(points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds) -> np.ndarray:
+    """Participation indicators of coupled training runs in rounds [0, n_rounds), (B, R, n_rounds, I).
+
+    The first blocks of MaskStream(points, design, n_rounds, seeds), read
+    for every run and written in place: the full-horizon oracle of run_fl's
+    reads.  So the masks of a shorter horizon are the first of a longer one.
+    """
+    stream = MaskStream(points, design, n_rounds, seeds)
+    out = np.empty((len(points), len(seeds), n_rounds, stream.shape[2]), dtype=bool)
+    rounds = out.reshape(stream.shape).transpose(1, 2, 0)  # a (n_rounds, I, runs) view
+    for start in range(0, n_rounds, BLOCK):
+        stream(np.arange(stream.shape[0]), rounds[start : start + BLOCK])
     return out
 
 

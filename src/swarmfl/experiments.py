@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import BLOCK, ScenarioSamples, estimate_success_probs, participation_masks
+from .channel import MaskStream, ScenarioSamples, estimate_success_probs
 from .design import DesignVector
 from .energy import round_energies
 from .fl import FlState, run_fl
@@ -115,21 +115,14 @@ def _train(model, points, design, n_rounds, seeds, epsilon):
 
     Equal to run_fl on participation_masks(points, design, n_rounds, seeds)
     at the rate-matched step, point by point: the B points' R runs train as
-    one run_fl over B*R runs, which gives each run the bits it has alone,
-    and the state is split per point afterwards.  Every run is first
-    trained on the first BLOCK rounds, one block of its channel stream;
-    only if some run at some point is still going after them are all runs
-    trained again on the whole budget, whose first BLOCK rounds are the
-    same masks.  A state's masks and loss history stop at the last round
-    computed.
+    one run_fl over B*R runs, which gives each run the bits it has alone, on
+    one MaskStream, so a repetition draws block b only if one of its runs is
+    still going at round BLOCK * b at some point.  The state is split per
+    point afterwards; its loss history stops at the last block read.
     """
-    lr = 0.5 / model.lipschitz_u
-    for horizon in (min(BLOCK, n_rounds), n_rounds):
-        masks = participation_masks(points, design, horizon, seeds)
-        state, hits = run_fl(model, masks.reshape(-1, *masks.shape[2:]), epsilon, lr=lr)
-        if horizon == n_rounds or np.all(hits >= 0):
-            blocks = zip(*(np.split(a, len(points)) for a in (*vars(state).values(), hits)))
-            return [(FlState(*arrays), point_hits) for *arrays, point_hits in blocks]
+    state, hits = run_fl(model, MaskStream(points, design, n_rounds, seeds), epsilon, lr=0.5 / model.lipschitz_u)
+    blocks = zip(*(np.split(a, len(points)) for a in (*vars(state).values(), hits)))
+    return [(FlState(*arrays), point_hits) for *arrays, point_hits in blocks]
 
 
 def _crossing_rounds(model, state, eps_means):
@@ -252,8 +245,8 @@ def experiment_sweep_sigma(
     """Round counts over an (antenna jitter variance, bandwidth) grid.
 
     The whole grid is read off one ss-probs draw of success-probability
-    samples and, per repetition, one ss-run draw shared by every point
-    (ScenarioSamples and participation_masks), so the grid is coupled
+    samples and, per repetition, one ss-run stream shared by every point
+    (ScenarioSamples and MaskStream), so the grid is coupled
     draw-for-draw and the emitted trends reflect the parameters, not
     resampling luck.  Rows follow sigma2_list, then bw_list, repeats kept.
     Every point runs the scenario's default design.

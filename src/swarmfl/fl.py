@@ -258,23 +258,23 @@ def make_regression_problem(
 class FlState:
     """State of R coupled federated training runs, one row per repetition.
 
-    T is the number of rounds whose participation masks were computed, which
-    may be fewer than a run's round budget.
+    T is the number of rounds whose participation masks were read (whole
+    blocks, see run_fl), which may be fewer than a run's round budget.
     rounds[r] counts the rounds repetition r executed before it reached its
     loss target (or ran out of participation masks); loss_history[r, t] is
     F after round t, stored as F* + loss_gaps (see run_fl), NaN past
-    rounds[r].  Masks of a repetition past rounds[r] are never read.
-    global_w and last_received hold each repetition's models after its last
-    executed round; run_fl trains in follower-major working arrays and
-    writes a repetition's row here when it crosses its loss target, and the
-    rows still running when the loop ends.
+    rounds[r].  global_w and last_received hold each repetition's models
+    after its last executed round; run_fl trains in follower-major working
+    arrays and writes a repetition's row here, and its participation
+    counts, when it crosses its loss target, and the rows still running
+    when the loop ends.
     """
 
     global_w: np.ndarray  # (R, dim)
     last_received: np.ndarray  # (R, I, dim) newest global model each follower holds
     rounds: np.ndarray  # (R,) rounds executed
     loss_history: np.ndarray  # (R, T + 1)
-    participation: np.ndarray  # (R, T, I) participation masks of the rounds computed
+    participated: np.ndarray  # (R, I) executed rounds each follower took part in
 
     @property
     def round(self) -> int:
@@ -283,9 +283,7 @@ class FlState:
 
     def participation_rates(self) -> np.ndarray:
         """Per-repetition share of executed rounds each follower took part in, (R, I)."""
-        executed = np.arange(self.participation.shape[1]) < self.rounds[:, None]
-        hits = (self.participation & executed[:, :, None]).sum(axis=1)
-        return hits / np.maximum(self.rounds, 1)[:, None]
+        return self.participated / np.maximum(self.rounds, 1)[:, None]
 
 
 def aggregate_ideal(local_ws, counts) -> np.ndarray:
@@ -339,7 +337,7 @@ def train_round(
 
 def run_fl(
     loss: QuadraticLossModel,
-    participation: np.ndarray,
+    participation,
     epsilon: float,
     *,
     lr: float | None = None,
@@ -348,55 +346,63 @@ def run_fl(
     """Run R coupled federated trainings until each loss gap F(w) - F(w*)
     falls below epsilon.
 
-    participation is a boolean (R, T, I) array: whether follower i's upload
-    and the following broadcast both landed in round t of repetition r (see
-    channel.participation_masks).  Each repetition stops at its own crossing; the
-    loop ends once every repetition has crossed or T rounds have run.
-    Returns the final state and, per repetition, the first round whose
-    recorded loss minus f_star is <= epsilon (-1 if the masks ran out
-    first).  A round's loss is recorded as f_star + loss.loss_gaps(w), so
-    readers of loss_history - f_star see the very number tested.  lr
-    defaults to 1/lipschitz_u; stale_models=False is an idealized ablation
-    where every follower always receives the broadcast even in rounds it
-    does not contribute to.
+    participation says whether follower i's upload and the following
+    broadcast both landed in round t of repetition r: a boolean (R, T, I)
+    array, which is one block of T rounds, or a stream of shape (R, T, I)
+    such as channel.MaskStream, whose call with run indices returns their
+    masks of its next block of rounds, (rounds, I, runs).  Each repetition
+    stops at its own crossing; the loop ends once every repetition has
+    crossed or T rounds have run.  Returns the final state and, per
+    repetition, the first round whose recorded loss minus f_star is <=
+    epsilon (-1 if the masks ran out first).  A round's loss is recorded as
+    f_star + loss.loss_gaps(w), so readers of loss_history - f_star see the
+    very number tested.  lr defaults to 1/lipschitz_u; stale_models=False
+    is an idealized ablation where every follower always receives the
+    broadcast even in rounds it does not contribute to.
 
     The loop trains the live repetitions in the follower-major layout of
     train_round: models (I, dim, R_live) and (dim, R_live), masks
-    (T, I, R_live), with a lone live run held in two columns (_paired).
-    Only in a round where some repetition crosses are the crossing columns
-    written back to the state and the working arrays compacted to the
-    rest; the rest are written back when the loop ends.  So a run's
-    loss_history, rounds and hit are the same bits in any batch of runs,
-    alone or stacked with others in any order.
+    (rounds, I, R_live), with a lone live run held in two columns
+    (_paired).  A block after the first is read, and loss_history grown by
+    it, only for the runs live where it starts.  Only in a round where some
+    repetition crosses are the crossing columns written back to the state
+    and the working arrays compacted to the rest; the rest are written back
+    when the loop ends.  So a run's loss_history, rounds and hit are the
+    same bits in any batch of runs, alone or stacked with others in any
+    order.
     """
     if not epsilon > 0.0:  # NaN fails too
         raise ValueError("epsilon must be > 0")
-    ok = np.asarray(participation, dtype=bool)
-    if ok.ndim != 3 or ok.shape[2] != loss.n_followers:
+    ok = participation if callable(participation) else np.asarray(participation, dtype=bool)
+    if len(ok.shape) != 3 or ok.shape[2] != loss.n_followers:
         raise ValueError(f"participation must have shape (R, T, {loss.n_followers}), got {ok.shape}")
+    read = ok if callable(ok) else lambda runs: ok.transpose(1, 2, 0)[:, :, runs]
     step = 1.0 / loss.lipschitz_u if lr is None else float(lr)
     if not 0.0 < step < np.inf:  # NaN fails too
         raise ValueError("lr must be finite and > 0")
 
     n_reps, max_rounds, n_f = ok.shape
+    f_start = loss.global_loss(np.zeros(loss.dim))
+    hits = np.full(n_reps, 0 if f_start - loss.f_star <= epsilon else -1)
+    live = np.flatnonzero(hits < 0)
+    msk = read(_paired(live))  # read with no run live too, so an array's loss_history spans its T rounds
     state = FlState(
         global_w=np.zeros((n_reps, loss.dim)),
         last_received=np.zeros((n_reps, n_f, loss.dim)),
         rounds=np.zeros(n_reps, dtype=int),
-        loss_history=np.full((n_reps, max_rounds + 1), np.nan),
-        participation=ok,
+        loss_history=np.full((n_reps, len(msk) + 1), np.nan),
+        participated=np.zeros((n_reps, n_f), dtype=int),
     )
-    f_start = loss.global_loss(np.zeros(loss.dim))
     state.loss_history[:, 0] = f_start
-    hits = np.full(n_reps, 0 if f_start - loss.f_star <= epsilon else -1)
-    live = np.flatnonzero(hits < 0)
-    work = _paired(live)
-    gw = np.zeros((loss.dim, work.size))
-    rec = np.zeros((n_f, loss.dim, work.size))
-    msk = ok.transpose(1, 2, 0)[:, :, work]
-    t = 0
+    gw = np.zeros((loss.dim, msk.shape[2]))
+    rec = np.zeros((n_f, loss.dim, msk.shape[2]))
+    t = first = 0
     while live.size and t < max_rounds:
-        mask = msk[t]
+        if t == first + len(msk):  # the block is used up: count it, and read the next one for the live runs
+            state.participated[live] += msk[:, :, : live.size].sum(axis=0).T
+            first, msk = t, read(_paired(live))
+            state.loss_history = np.pad(state.loss_history, [(0, 0), (0, len(msk))], constant_values=np.nan)
+        mask = msk[t - first]
         t += 1
         _, gw = train_round(loss, rec, gw, mask, step)
         if stale_models:
@@ -412,11 +418,13 @@ def run_fl(
             state.rounds[done] = t
             state.global_w[done] = gw[:, cols].T
             state.last_received[done] = rec[:, :, cols].transpose(2, 0, 1)
+            state.participated[done] += msk[: t - first, :, cols].sum(axis=0).T
             keep = _paired(np.flatnonzero(~crossed))
             live, gw, rec, msk = live[~crossed], gw[:, keep], rec[:, :, keep], msk[:, :, keep]
     state.rounds[live] = t
     state.global_w[live] = gw[:, : live.size].T
     state.last_received[live] = rec[:, :, : live.size].transpose(2, 0, 1)
+    state.participated[live] += msk[: t - first, :, : live.size].sum(axis=0).T
     return state, hits
 
 

@@ -752,6 +752,18 @@ def stream_masks(point, design, n_rounds, seed):
     return np.concatenate(masks)[:n_rounds]
 
 
+def recording_draws(monkeypatch):
+    """A list that gains the generators of each channel._draw_rows call, one list per call."""
+    calls, draw_rows = [], channel._draw_rows
+
+    def recording(scenario, rngs, size):
+        calls.append(list(rngs))
+        return draw_rows(scenario, rngs, size)
+
+    monkeypatch.setattr(channel, "_draw_rows", recording)
+    return calls
+
+
 def jitter_bw_points(scenario, grid):
     return [
         replace(
@@ -764,7 +776,7 @@ def jitter_bw_points(scenario, grid):
 
 
 class TestMaskWindows:
-    """participation_masks over the first rounds of each repetition's block stream, a chunk of repetitions at a time."""
+    """participation_masks over the first rounds of each repetition's block stream, a chunk of repetitions per block."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -772,7 +784,7 @@ class TestMaskWindows:
         n_rounds=st.integers(1, 30),
         seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=5),
         grid=st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(2e5, 1e7)), min_size=1, max_size=3),
-        budget=st.integers(1, 6 * channel.BLOCK),
+        budget=st.integers(1, 6).map(lambda n: n * channel.BLOCK),
     )
     def test_window_equals_rounds_of_full_horizon(self, default_scenario, data, n_rounds, seeds, grid, budget):
         stop = data.draw(st.integers(0, n_rounds), label="stop")
@@ -837,8 +849,8 @@ class TestMaskWindows:
             uplink_interference=default_scenario.uplink_interference if interfered in ("both", "uplink") else none,
             downlink_interference=default_scenario.downlink_interference if interfered in ("both", "downlink") else none,
         )
-        seeds, n_rounds = [5, 6, 7], 150  # a whole block and part of the next
-        n_f, drawn = base.n_followers, 2 * channel.BLOCK  # rounds drawn per repetition: whole blocks
+        seeds, n_rounds, block = [5, 6, 7], 150, channel.BLOCK  # a whole block and part of the next
+        n_f, widths = base.n_followers, [block, n_rounds - block]  # the rounds read of each block
         chunks, of = [], ScenarioSamples._of
 
         def recording(scenario, draw):
@@ -848,50 +860,48 @@ class TestMaskWindows:
 
         monkeypatch.setattr(ScenarioSamples, "_of", staticmethod(recording))
         points = jitter_bw_points(base, [(base.antenna.sigma2, base.radio.bw_up), (0.0, 2e6), (0.3, 1e6)])
-        # one chunk at the budget in force; a budget of two repetitions splits the seeds mid-list
-        for budget, split in ((channel._CHUNK_ROUNDS, [seeds]), (2 * drawn, [seeds[:2], seeds[2:]])):
+        # one chunk per block at the budget in force; a budget of two repetitions splits the seeds mid-list
+        for budget, split in ((channel._CHUNK_ROUNDS, [seeds]), (2 * block, [seeds[:2], seeds[2:]])):
             chunks.clear()
             monkeypatch.setattr(channel, "_CHUNK_ROUNDS", budget)
             participation_masks(points, base.default_design(), n_rounds, seeds)
-            assert [samples.k // n_rounds for samples in chunks] == [len(group) for group in split]
-            for group, samples in zip(split, chunks, strict=True):
-                rows = len(group) * n_rounds
+            assert [samples.k for samples in chunks] == [len(group) * width for width in widths for group in split]
+            for c, (group, samples) in enumerate(zip(split * len(widths), chunks, strict=True)):
+                b = c // len(split)  # the block chunk c draws
+                rows, read = len(group) * widths[b], slice(b * block, b * block + widths[b])
                 arrays = (samples.unit_jitter, *samples.parts)  # follower-major: one column per round
                 assert [a.shape for a in arrays] == [(n_f + 1, rows), (n_f, rows), (1, rows), (n_f, rows), (n_f, rows)]
                 for r, seed in enumerate(group):
-                    kept = slice(r * n_rounds, (r + 1) * n_rounds)
+                    kept = slice(r * widths[b], (r + 1) * widths[b])
                     for got, want in zip(arrays, stream_parts(base, n_rounds, seed), strict=True):
-                        assert np.array_equal(got[:, kept], want)
+                        assert np.array_equal(got[:, kept], want[:, read])
                     for point in points:
                         for got, want in zip(samples.kernels(point), stream_kernels(point, n_rounds, seed)):
-                            assert np.array_equal(got[:, kept], want.T)
+                            assert np.array_equal(got[:, kept], want[read].T)
 
     @pytest.mark.parametrize("n_rounds, n_seeds", [(128, 40), (129, 20), (500, 10), (channel._CHUNK_ROUNDS + 1, 3)])
     def test_one_row_draw_per_chunk(self, default_scenario, monkeypatch, n_rounds, n_seeds):
-        """Each chunk of repetitions is one _draw_rows call, a repetition's blocks on consecutive rows of its
-        one generator, and holds at most _CHUNK_ROUNDS drawn rounds, or one repetition past that."""
-        calls, draw_rows = [], channel._draw_rows
-
-        def counting(scenario, rngs, size):
-            calls.append(list(rngs))
-            return draw_rows(scenario, rngs, size)
-
-        monkeypatch.setattr(channel, "_draw_rows", counting)
+        """Each block of each chunk of repetitions is one _draw_rows call, one row per repetition, each repetition
+        on one generator in every block, and a chunk holds _CHUNK_ROUNDS // BLOCK repetitions."""
+        calls = recording_draws(monkeypatch)
         design, seeds = default_scenario.default_design(), list(range(100, 100 + n_seeds))
         masks = participation_masks([default_scenario], design, n_rounds, seeds)
         n_blocks = math.ceil(n_rounds / channel.BLOCK)
-        per_chunk = max(1, channel._CHUNK_ROUNDS // (n_blocks * channel.BLOCK))
-        assert per_chunk > 1 if n_rounds <= channel._CHUNK_ROUNDS else per_chunk == 1
-        want = [min(per_chunk, n_seeds - first) * n_blocks for first in range(0, n_seeds, per_chunk)]
-        assert [len(rngs) for rngs in calls] == want
-        assert per_chunk == 1 or want[-1] < want[0]  # the last chunk holds the repetitions left over
-        generators = [rng for rngs in calls for rng in rngs[::n_blocks]]
+        per_chunk = channel._CHUNK_ROUNDS // channel.BLOCK
+        want = [min(per_chunk, n_seeds - first) for first in range(0, n_seeds, per_chunk)]
+        assert [len(rngs) for rngs in calls] == want * n_blocks
+        generators = [rng for rngs in calls[: len(want)] for rng in rngs]  # the first block's, in order
         assert len({id(rng) for rng in generators}) == n_seeds
-        for rngs in calls:
-            for first in range(0, len(rngs), n_blocks):
-                assert all(rng is rngs[first] for rng in rngs[first : first + n_blocks])
+        for b in range(n_blocks):
+            assert [rng for rngs in calls[b * len(want) : (b + 1) * len(want)] for rng in rngs] == generators
         for r, seed in enumerate(seeds):
             assert np.array_equal(masks[0, r], stream_masks(default_scenario, design, n_rounds, seed))
+
+    def test_chunk_budget_below_a_block_draws_one_repetition_a_call(self, default_scenario, monkeypatch):
+        calls = recording_draws(monkeypatch)
+        monkeypatch.setattr(channel, "_CHUNK_ROUNDS", channel.BLOCK // 2)
+        participation_masks([default_scenario], default_scenario.default_design(), channel.BLOCK + 1, [1, 2, 3])
+        assert [len(rngs) for rngs in calls] == [1] * 6
 
     def test_peak_memory_flat_in_repetitions(self, default_scenario):
         """The traced peak, less the output array, does not grow with the number of repetitions read."""

@@ -26,6 +26,7 @@ from swarmfl.experiments import (
     experiment_validate_theorem,
 )
 from swarmfl.saa import baseline_design, problem_constants
+from swarmfl.scenario import load_scenario
 from swarmfl.seeds import derive_seed
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -279,8 +280,14 @@ def crossing_stats(problem, state, eps_frac):
     return float(hits.mean()), float(hits.std(ddof=0)), int(hits.size)
 
 
+def blocks_reached(runs):
+    """Blocks the mask stream must draw: per repetition, one for each BLOCK rounds its latest run executes at any point."""
+    rounds = np.max([state.rounds for state, _ in runs], axis=0)
+    return int(np.sum(-(-rounds // BLOCK)))
+
+
 class TestMasksOnlyForRoundsReached:
-    """Training reads masks of the first block of rounds, and of the whole budget only if a run is still going after it."""
+    """Training draws a repetition's next block of masks only while one of its runs is still going at some point."""
 
     MC_RUNS = 12
 
@@ -298,26 +305,28 @@ class TestMasksOnlyForRoundsReached:
         assert len(calls) == self.MC_RUNS
 
     def test_benchmark_trains_on_the_first_chunk_only(self, monkeypatch, tmp_path):
-        """Every mc-train command at seed 1 draws its masks once, for the first block of rounds.
+        """Every mc-train command at seed 1 draws its masks once, one block per repetition.
 
-        If this fails, the benchmark reaches the full-horizon retraining of _train.
+        If this fails, the benchmark reads masks past round BLOCK.
         """
         spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
-        horizons = []
+        blocks = []  # per block read, the repetitions that draw it
 
-        def recording(points, design, n_rounds, seeds):
-            horizons.append(n_rounds)
-            return participation_masks(points, design, n_rounds, seeds)
+        class Recording(channel.MaskStream):
+            def __call__(self, runs, out=None):
+                blocks.append(np.unique(np.asarray(runs) % (self.shape[0] // len(self.points))).tolist())
+                return super().__call__(runs, out)
 
-        monkeypatch.setattr(experiments, "participation_masks", recording)
+        monkeypatch.setattr(experiments, "MaskStream", Recording)
         config = PERFBENCH / "scenarios" / "mc-train.json"
+        mc_runs = load_scenario(config).mc_runs
         for _, argv in bench.WORKLOADS["mc-train"]:
-            horizons.clear()
+            blocks.clear()
             out = tmp_path / f"{argv[0]}.csv"
             assert cli.main([*argv, "--config", str(config), "--seed", "1", "--out", str(out)]) == 0
-            assert horizons == [BLOCK], f"{argv[0]} computed masks for horizons {horizons}"
+            assert blocks == [list(range(mc_runs))], f"{argv[0]} drew blocks of repetitions {blocks}"
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -327,7 +336,7 @@ class TestMasksOnlyForRoundsReached:
     def test_run_crossing_in_the_first_block_trains_the_same_on_the_full_horizon(
         self, default_scenario, seeds, eps_frac
     ):
-        """The fallback: a run that crosses by round BLOCK keeps its loss_history, rounds and hit."""
+        """A run that crosses by round BLOCK keeps its loss_history, rounds and hit on masks of the whole budget."""
         problem = problem_constants(default_scenario)
         model, design = problem.model, default_scenario.default_design()
         eps_mean = eps_frac * problem.initial_loss_sum / model.n_total
@@ -357,7 +366,7 @@ class TestMasksOnlyForRoundsReached:
             assert row["final_loss_gap"] == float(final_gap)
             for i in range(late.n_followers):
                 assert row[f"participation_rate_{i + 1}"] == float(rates[rep, i])
-        assert len(calls) == 3 * self.MC_RUNS  # one block per repetition, then both blocks of the budget
+        assert len(calls) == blocks_reached([(state, hits)])
 
     def test_validate_theorem_matches_full_horizon(self, late):
         eps_fracs = (0.01, 5e-4)
@@ -368,11 +377,11 @@ class TestMasksOnlyForRoundsReached:
         for row, frac in zip(res.rows, eps_fracs):
             mean, std, count = crossing_stats(problem, state, frac)
             assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
-        assert len(calls) == 1 + 3 * self.MC_RUNS
+        assert len(calls) == 1 + blocks_reached([(state, hits)])  # vt-probs, then the stream's blocks
 
     @pytest.mark.parametrize("sigma2_list", [(0.01, 0.2, 0.4), (0.2,)])
     def test_sweep_sigma_matches_full_horizon(self, default_scenario, sigma2_list):
-        """A run still going at one point retrains every point, whichever point leads the list."""
+        """A run still going at one point draws its repetition's next block, whichever point leads the list."""
         late = replace(default_scenario, base_seed=5, max_rounds=150).require_valid()
         eps_frac, mc_runs = 0.012, 10
         with counting_draws() as calls:
@@ -383,10 +392,6 @@ class TestMasksOnlyForRoundsReached:
         problem, runs = full_horizon(late, "ss-run", mc_runs, eps_frac, points)
         all_hits = np.concatenate([hits for _, hits in runs])
         assert np.any((all_hits > 0) & (all_hits <= BLOCK)) and np.any(all_hits > BLOCK)
-        for row, (state, _) in zip(res.rows, runs):
-            mean, std, count = crossing_stats(problem, state, eps_frac)
-            assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
-        assert len(calls) == 1 + 3 * mc_runs
 
         # the trajectories themselves, not only their crossing rounds
         seeds = [derive_seed(late.base_seed, "ss-run", rep) for rep in range(mc_runs)]
@@ -399,6 +404,36 @@ class TestMasksOnlyForRoundsReached:
             assert np.array_equal(state.loss_history, want.loss_history[:, :width], equal_nan=True)
             assert np.all(np.isnan(want.loss_history[:, width:]))
             assert np.array_equal(state.participation_rates(), want.participation_rates())
+        for row, (state, _) in zip(res.rows, runs):
+            mean, std, count = crossing_stats(problem, state, eps_frac)
+            assert (row["empirical_mean"], row["empirical_std"], row["n_converged"]) == (mean, std, count)
+        assert len(calls) == 1 + blocks_reached(runs)  # ss-probs, then the stream's blocks
+
+    def test_block_drawn_once_per_repetition_not_per_point(self, default_scenario, monkeypatch):
+        """A repetition's generator advances once per block its runs reach, however many points read it,
+        and not at all once every run of it has crossed."""
+        late = replace(default_scenario, base_seed=5, max_rounds=300).require_valid()
+        points = [replace(late, antenna=replace(late.antenna, sigma2=s2)) for s2 in (0.01, 0.1, 0.2)]
+        eps_frac, mc_runs = 0.012, 10
+        problem, runs = full_horizon(late, "ss-run", mc_runs, eps_frac, points)
+        rounds = np.array([state.rounds for state, _ in runs])  # (points, repetitions)
+        reached = -(-rounds.max(axis=0) // BLOCK)  # blocks each repetition must draw
+        # a repetition whose runs cross in different blocks at different points, and one done in the first block
+        assert np.any(-(-rounds.min(axis=0) // BLOCK) < reached) and np.any(reached == 1)
+
+        calls, draw_rows = [], channel._draw_rows
+
+        def recording(scenario, rngs, size):
+            calls.append([rng.bit_generator.seed_seq.entropy for rng in rngs])
+            return draw_rows(scenario, rngs, size)
+
+        monkeypatch.setattr(channel, "_draw_rows", recording)
+        seeds = [derive_seed(late.base_seed, "ss-run", rep) for rep in range(mc_runs)]
+        eps_mean = eps_frac * problem.initial_loss_sum / problem.model.n_total
+        _train(problem.model, points, late.default_design(), late.max_rounds, seeds, eps_mean)
+        assert all(len(set(call)) == len(call) for call in calls)  # no generator twice in one draw
+        drawn = [sum(call.count(seed) for call in calls) for seed in seeds]
+        assert drawn == reached.tolist()
 
 
 class TestOptimize:

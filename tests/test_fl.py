@@ -420,6 +420,56 @@ class TestRunMatchesReference:
             assert state.loss_history[r, : n + 1] == pytest.approx(losses[: n + 1], rel=1e-12)
             assert state.global_w[r] == pytest.approx(ws[n], rel=1e-12)
             assert state.last_received[r] == pytest.approx(recs[n], rel=1e-12)
+            assert np.array_equal(state.participated[r], masks[r, :n].sum(axis=0))
+
+
+class BlockStream:
+    """A mask stream over an (R, T, I) array, in blocks of block rounds; records the runs each block is read for."""
+
+    def __init__(self, masks, block):
+        self.masks, self.block, self.shape, self.reads = masks, block, masks.shape, []
+
+    def __call__(self, runs):
+        start = len(self.reads) * self.block
+        self.reads.append(list(runs))
+        return self.masks[runs, start : start + self.block].transpose(1, 2, 0)
+
+
+class TestBlockReads:
+    """run_fl on a stream of blocks trains like run_fl on the whole array, and reads a block after the first only
+    for the runs still going where it starts."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_reps=st.integers(1, 8),
+        n_rounds=st.integers(0, 40),
+        block=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+        p_land=st.floats(0.1, 1.0),
+        eps_frac=st.floats(1e-3, 1.5),
+        stale_models=st.booleans(),
+    )
+    def test_blocks_train_like_one_array(self, n_reps, n_rounds, block, seed, p_land, eps_frac, stale_models):
+        _, model = make_regression_problem(3, 8, 3, rng_seed=seed % 97, noise_std=0.3)
+        rng = np.random.default_rng(seed)
+        masks = rng.random((n_reps, n_rounds, 3)) < rng.uniform(p_land, 1.0, (n_reps, 1, 1))
+        eps = eps_frac * (model.global_loss(np.zeros(3)) - model.f_star)
+        whole, whole_hits = run_fl(model, masks, eps, stale_models=stale_models)
+        stream = BlockStream(masks, block)
+        state, hits = run_fl(model, stream, eps, stale_models=stale_models)
+        assert np.array_equal(hits, whole_hits)
+        assert np.array_equal(state.rounds, whole.rounds)
+        width = state.loss_history.shape[1]
+        assert width == min(n_rounds, block * len(stream.reads)) + 1
+        assert np.array_equal(state.loss_history, whole.loss_history[:, :width], equal_nan=True)
+        assert np.all(np.isnan(whole.loss_history[:, width:]))
+        for name in ("global_w", "last_received", "participated"):
+            assert np.array_equal(getattr(state, name), getattr(whole, name))
+        for b, runs in enumerate(stream.reads):  # the first block for the runs not done at round 0
+            going = np.flatnonzero(whole.rounds > block * b) if b else np.flatnonzero(whole_hits != 0)
+            assert b == 0 or going.size
+            assert runs == list(np.repeat(going, 2) if going.size == 1 else going)  # a lone run twice
+        assert not np.any(whole.rounds > block * len(stream.reads))  # no run reached an unread block
 
 
 @st.composite

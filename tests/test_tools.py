@@ -87,11 +87,12 @@ def test_late_runs_are_compared_by_default(monkeypatch, capsys):
         ("simulate", ["--eps-frac", "0.002", "--config", mc_train], 5),
         ("sweep-sigma", ["--sigma2", "0.01,0.1,0.2,0.3,0.4", "--bw", "1e6,2e6,5e6", "--eps-frac", "0.02",
                          "--config", mc_train], 1),
+        ("validate-theorem", ["--eps-fracs", "0.05,0.002", "--config", mc_train], 1),
     ]
     assert csv_identity.main([str(ROOT), str(ROOT), "--seeds", "1,2"]) == 0
-    assert len(calls) == 2 * (5 * 2 + 2) and calls[-4:] == [run for run in late for _ in ("base", "new")]
+    assert len(calls) == 2 * (5 * 2 + 3) and calls[-6:] == [run for run in late for _ in ("base", "new")]
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[2] for line in lines[-2:]] == list(csv_identity.LATE_RUNS)
+    assert [line.split("  ")[2] for line in lines[-len(csv_identity.LATE_RUNS):]] == list(csv_identity.LATE_RUNS)
     calls.clear()
     argv = ["--only", "simulate", "--extra", csv_identity.LATE_RUNS[0]]  # an --extra naming a late run runs once
     assert csv_identity.main([str(ROOT), str(ROOT), *argv]) == 0

@@ -14,7 +14,8 @@ unknown command, 0 otherwise.
 
 After the benchmark commands it compares the late runs (LATE_RUNS), whose
 repetitions train past one 128-round block of channel draws, which no
-workload does: `simulate --eps-frac 0.002 --seed 5` and a wide sweep-sigma.
+workload does: `simulate --eps-frac 0.002 --seed 5`, a wide sweep-sigma and
+`validate-theorem --eps-fracs 0.05,0.002 --seed 1`.
 
 --only restricts the run to the named commands, the late runs of those
 commands included; --default-scenario runs them at the built-in default
@@ -49,6 +50,7 @@ import tempfile
 LATE_RUNS = (
     "simulate --eps-frac 0.002 --seed 5",
     "sweep-sigma --sigma2 0.01,0.1,0.2,0.3,0.4 --bw 1e6,2e6,5e6 --eps-frac 0.02 --seed 1",
+    "validate-theorem --eps-fracs 0.05,0.002 --seed 1",
 )
 
 
