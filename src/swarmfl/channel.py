@@ -253,10 +253,16 @@ def _interference_power(field: InterferenceField, fading, active, pathloss_exp) 
     """Received interference at V victim receivers, summed over active interferers, shape (..., V).
 
     fading is laid out (..., J, V), one column per victim; active is (..., J).
+    Interferers are added in order, as numpy sums them; one column of 8 or more, which numpy sums pairwise, uses sum.
     """
     distance, power, gain_product, _ = _interferer_table(field)
     coef = power * distance ** (-pathloss_exp) * gain_product
-    return (coef[:, None] * fading * active[..., :, None]).sum(axis=-2)
+    if fading.shape[-1] == 1 and len(coef) >= 8:
+        return (coef[:, None] * fading * active[..., :, None]).sum(axis=-2)
+    total = np.zeros(fading.shape[:-2] + fading.shape[-1:])
+    for j, c in enumerate(coef):
+        total += c * fading[..., j, :] * active[..., j, None]
+    return total
 
 
 def _jitter_free_parts(draw: ChannelDraw, scenario: "SwarmScenario"):
@@ -313,10 +319,17 @@ def sinr_coefficients(draw: ChannelDraw, scenario: "SwarmScenario") -> tuple[np.
 
 def _delay(pkt_bits: float, bandwidth: float, sinr) -> np.ndarray:
     """Link delay [s] of a packet at the given SINR; inf where the rate is zero or too small to send it."""
-    with np.errstate(divide="ignore", over="ignore"):  # rates and delays beyond the float range read inf
-        rate = bandwidth * np.log1p(sinr) / np.log(2.0)
-        return np.where(rate > 0.0, pkt_bits / np.maximum(rate, 1e-300), np.inf)
+    with np.errstate(**_DELAY_ERRSTATE):
+        return _bare_delay(pkt_bits, bandwidth, sinr)
 
+
+def _bare_delay(pkt_bits: float, bandwidth: float, sinr) -> np.ndarray:
+    """_delay for a caller that already holds np.errstate(**_DELAY_ERRSTATE)."""
+    rate = bandwidth * np.log1p(sinr) / np.log(2.0)
+    return np.where(rate > 0.0, pkt_bits / np.maximum(rate, 1e-300), np.inf)
+
+
+_DELAY_ERRSTATE = {"divide": "ignore", "over": "ignore"}  # rates and delays beyond the float range read inf
 
 # Relative half-width of the SINR band around a window's threshold inside which
 # _fits asks _delay.  Rounding in _delay and in the threshold moves the

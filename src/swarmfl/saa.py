@@ -14,9 +14,9 @@ imported on the first sigmoid.
 
 One evaluator, _CoordinateLagrangian, computes a design's smoothed
 quantities (delays, window sigmoids, participation, objective, residual
-rows, energies); the public smoothed functions and every dual iteration
-read an evaluator rebuilt at their design, and the inner maximization
-moves one coordinate of it at a time.
+rows, energies); the public smoothed functions read one rebuilt at their
+design, the inner maximization moves one coordinate of it at a time, and
+each dual iteration reads the residuals and objective it reports.
 
 The smoothed problem is a solver device only: the returned design is the
 best iterate that passes the original indicator-based sample constraints,
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ScenarioSamples, _delay, _kernel_delays, estimate_success_probs, success_mask
+from .channel import _DELAY_ERRSTATE, ScenarioSamples, _bare_delay, _kernel_delays, estimate_success_probs, success_mask
 from .convergence import TrainingProblem, training_problem
 from .design import DesignVector
 from .energy import (
@@ -114,14 +114,14 @@ def gamma_sigmoid(r, c_bar: float, scale: float = 1.0, out: np.ndarray | None = 
     return _expit(np.divide(z, scale, out=out), out=out)
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) of a C-contiguous (K, I) array, bit for bit.
+def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a.sum(axis=0) of a C-contiguous (K, I) array, bit for bit, written into out if given.
 
     With two or more columns numpy adds the rows in order, and einsum adds
     them in the same order, faster.  A single column is a one-dimensional
     reduction, which numpy sums pairwise, so it goes through sum.
     """
-    return np.einsum("ki->i", a) if a.shape[1] > 1 else a.sum(axis=0)
+    return np.einsum("ki->i", a, out=out) if a.shape[1] > 1 else a.sum(axis=0, out=out)
 
 
 def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
@@ -270,30 +270,30 @@ class _CoordinateLagrangian:
     follower compute-plus-upload energies e_work and follower energies
     e_work + e_fly.  rows() reads the residual rows at the base design.
     value(idx, x) recomputes only what coordinate idx (order p_1..p_I, p_L,
-    beta, v) touches:
+    beta, v) touches, and move(idx, x) recomputes the same parts of the base:
 
     - p_i: follower i's uplink delays and window sigmoid, then column i of
-      the product and of e_work + e_fly;
+      the product and of e_work + e_fly (which a move re-forms in full);
     - p_L: the downlink delays, g_dn, the product and the control rows;
     - beta: both window sigmoids, the product, e_work and e_work + e_fly;
     - v: e_fly and e_work + e_fly.
 
-    The objective and the column sums are recomputed whenever the product
-    changes.  value() evaluates only the row groups (leader energy, follower
+    value() evaluates only the row groups (leader energy, follower
     energies, control deadlines) with a nonzero multiplier; a skipped group
     writes 0.0 into its rows, which adds the same zero terms to lam @ rows
-    up to their sign.  So with the follower group off a trial skips e_work
-    + e_fly and the follower energy sigmoids, with both energy groups off
-    also rho and phi, and with the control group off a p_L trial skips the
-    control rows; a v trial always computes e_fly, which checks the speed.
-    An evaluated energy group recomputes rho, phi and its sigmoids on every
-    trial, since phi couples every column; the follower chain runs in one
-    preallocated (K, I) buffer.  Patched columns are computed elementwise
-    exactly as the full arrays are and every reduction runs over the full
-    arrays, so value(idx, x) equals value() after a rebuild at the trial
-    design bit for bit.  rows() always evaluates every group.  Only value()
-    counts in evals.  inner_maximize rebuilds whenever it accepts a move, so
-    every scalar search starts from the current iterate.
+    up to their sign, so with every multiplier 0 value() returns obj (obj +
+    0.0 is obj).  With the follower group off a trial skips e_work + e_fly
+    and the follower energy sigmoids, with both energy groups off also the
+    column sums, rho and phi, and with the control group off a p_L trial
+    skips the control rows; a v trial always computes e_fly, which checks
+    the speed.  An evaluated energy group recomputes rho, phi and its
+    sigmoids on every trial, since phi couples every column.  Patched
+    columns are computed elementwise exactly as the full arrays are and
+    every reduction runs over the full arrays, so value(idx, x) equals
+    value() after a rebuild at the trial design bit for bit, and so does
+    every part after move(idx, x).  rows() always evaluates every group and
+    only value() counts in evals.  Trials and moves enter no error state:
+    inner_maximize holds _delay's around its whole search.
     """
 
     def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants=None):
@@ -312,28 +312,51 @@ class _CoordinateLagrangian:
         self.tau = np.broadcast_to(np.asarray(control.tau, dtype=float), self.shape).copy()
         self.train = np.broadcast_to(scenario.follower_training_energies(), self.shape).copy()
         self.buf = np.empty(self.shape)
+        self.trial_both, self.trial_e, self.trial_sums = np.empty(self.shape), np.empty(self.shape), np.empty(self.n)
         self.evals = 0
         # value() evaluates a row group (leader, followers, control) only when
         # one of its multipliers is nonzero
         on = np.ones(2 * self.n + 1, dtype=bool) if lam is None else np.asarray(lam) != 0.0
         self.groups_on = (bool(on[0]), bool(on[1 : self.n + 1].any()), bool(on[self.n + 1 :].any()))
+        # v reaches only the energy rows: with them off a speed search is flat and never accepted
+        self.searches_speed = self.groups_on[0] or self.groups_on[1]
 
     def rebuild(self, flat: np.ndarray) -> "_CoordinateLagrangian":
-        design = self.design = DesignVector.from_flat(flat, self.n)
-        round_time = self.scenario.round_time_s
+        self.flat = np.array(flat, dtype=float)
+        design = self.design = DesignVector.from_flat(self.flat, self.n)
         self.t_up, self.t_dn = sample_delays(design, self.samples, self.scenario)
-        self.g_up = _window_gamma(design.beta * round_time, self.t_up, self.smoothing)
-        self.g_dn = _window_gamma((1.0 - design.beta) * round_time, self.t_dn, self.smoothing)
-        self.both = self.g_up * self.g_dn
-        self.obj, self.both_sums = self._tally(self.both)
         self.control_rows = self._control_rows(self.t_dn)
-        self.e_fly = _flight_energy(self.scenario, design.v)
         self.p = np.broadcast_to(design.p, self.shape).copy()
-        self.e_work = _follower_work_energies(
-            self.train, self.p, self.t_up, design.beta * round_time
-        )
-        self.e_followers = self.e_work + self.e_fly
+        self.e_fly = _flight_energy(self.scenario, design.v)
+        self.move(self.n + 1, design.beta)  # the rest are beta's parts
         return self
+
+    def move(self, idx: int, x: float) -> None:
+        """Set coordinate idx of the base design to x, recomputing only what it touches."""
+        n, radio, round_time = self.n, self.scenario.radio, self.scenario.round_time_s
+        self.flat[idx] = x
+        design = self.design = DesignVector.from_flat(self.flat, n)
+        window = design.beta * round_time
+        if idx < n:
+            t_col = _bare_delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
+            self.t_up[:, idx], self.p[:, idx] = t_col, x
+            self.g_up[:, idx] = _window_gamma(window, t_col, self.smoothing)
+            self.e_work[:, idx] = _follower_work_energies(self.train[:, idx], x, t_col, window)
+        elif idx == n:
+            self.t_dn = _bare_delay(radio.pkt_global, radio.bw_down, x * self.samples.c_dn)
+            self.control_rows = self._control_rows(self.t_dn)
+        elif idx == n + 1:
+            self.g_up = _window_gamma(window, self.t_up, self.smoothing)
+            self.e_work = _follower_work_energies(self.train, self.p, self.t_up, window)
+        else:
+            self.e_fly = _flight_energy(self.scenario, design.v)
+        if idx != n:
+            self.e_followers = self.e_work + self.e_fly
+        if idx in (n, n + 1):
+            self.g_dn = _window_gamma((1.0 - design.beta) * round_time, self.t_dn, self.smoothing)
+        if idx != n + 2:
+            self.both = self.g_up * self.g_dn
+            self.obj, self.both_sums = self._objective(self.both), _column_sums(self.both)
 
     def rows(self) -> np.ndarray:
         """Smoothed residual rows at the base design, length 2I+1, >= 0 when met."""
@@ -349,22 +372,24 @@ class _CoordinateLagrangian:
         radio, round_time = self.scenario.radio, self.scenario.round_time_s
         p_leader, beta, e_fly = design.p_leader, design.beta, self.e_fly
         both, control_rows, e_followers = self.both, self.control_rows, self.e_followers
-        _, followers_on, control_on = self.groups_on
+        leader_on, followers_on, control_on = self.groups_on
         if idx is None:
             pass
         elif idx < n:
             x = float(x)
-            t_col = _delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
-            both = both.copy()
+            t_col = _bare_delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
+            both = self.trial_both
+            np.copyto(both, self.both)
             both[:, idx] = _window_gamma(beta * round_time, t_col, smoothing) * self.g_dn[:, idx]
             if followers_on:
-                e_followers = e_followers.copy()
+                e_followers = self.trial_e
+                np.copyto(e_followers, self.e_followers)
                 e_followers[:, idx] = (
                     _follower_work_energies(self.train[:, idx], x, t_col, beta * round_time) + e_fly
                 )
         elif idx == n:
             p_leader = float(x)
-            t_dn = _delay(radio.pkt_global, radio.bw_down, p_leader * self.samples.c_dn)
+            t_dn = _bare_delay(radio.pkt_global, radio.bw_down, p_leader * self.samples.c_dn)
             both = self.g_up * _window_gamma((1.0 - beta) * round_time, t_dn, smoothing)
             if control_on:
                 control_rows = self._control_rows(t_dn)
@@ -380,14 +405,18 @@ class _CoordinateLagrangian:
             e_fly = _flight_energy(self.scenario, float(x))
             if followers_on:
                 e_followers = self.e_work + e_fly
-        obj, both_sums = (self.obj, self.both_sums) if both is self.both else self._tally(both)
+        obj = self.obj if both is self.both else self._objective(both)
+        if not (leader_on or followers_on or control_on):  # every multiplier is 0
+            return obj
+        both_sums = (self.both_sums if both is self.both or not (leader_on or followers_on)
+                     else _column_sums(both, out=self.trial_sums))
         rows = self._residuals(both_sums, p_leader, beta, e_fly, e_followers, control_rows,
                                self.groups_on)
         return obj + float(self.lam @ rows)
 
-    def _tally(self, both) -> tuple[float, np.ndarray]:
-        """Count-weighted sum and column sums of a (K, I) participation product."""
-        return float(np.multiply(self.counts, both).sum()), _column_sums(both)
+    def _objective(self, both) -> float:
+        """Count-weighted sum of a (K, I) participation product."""
+        return float(np.multiply(self.counts, both, out=self.buf).sum())
 
     def _control_rows(self, t_dn) -> np.ndarray:
         """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control."""
@@ -517,53 +546,53 @@ def inner_maximize(
     Cyclic coordinate ascent in the order (p_1..p_I, p_leader, beta, v);
     each coordinate is refined by bounded scalar search and only accepted
     if it strictly improves the Lagrangian, so coordinates the objective is
-    flat in stay put.  Stops when a full cycle improves less than the
+    flat in stay put; v, flat while the energy multipliers are 0, is then
+    not searched.  Stops when a full cycle improves less than the
     configured relative tolerance, or after the configured cycle cap.
     Returns the design and the achieved value (the dual value at lambda_).
     When a report is given, the Lagrangian evaluations are added to
-    report.lagrangian_evals, and a row {"inner_cycles": cycles run} is
-    appended to report.iterations for the dual loop to complete.  Raises
-    ValueError unless lambda_ holds 2I+1 finite nonnegative values.
+    report.lagrangian_evals, and a row {"inner_cycles": cycles run,
+    "objective": obj, "residuals": rows} at the design is appended to
+    report.iterations for the dual loop to complete.  Raises ValueError
+    unless lambda_ holds 2I+1 finite nonnegative values.
     """
     lam = _checked_multipliers(lambda_, scenario.n_followers)
     cfg = scenario.saa
-    bounds = _coordinate_bounds(scenario, scenario.n_followers)
-    flat = init.as_flat().copy()
     lagr = _CoordinateLagrangian(lam, samples, smoothing, scenario, budgets, control, constants)
-
-    j_curr = lagr.rebuild(flat).value()
-    for cycles in range(1, cfg.max_cycles + 1):
-        j_cycle_start = j_curr
-        for idx, (lo, hi) in enumerate(bounds):
-            x, neg_j = _fminbound(
-                lambda x, idx=idx: -lagr.value(idx, x), lo, hi, cfg.xtol * (hi - lo)
-            )
-            if -neg_j > j_curr:
-                flat[idx] = x
-                j_curr = -neg_j
-                lagr.rebuild(flat)
-        if abs(j_curr - j_cycle_start) <= cfg.inner_tol * max(abs(j_curr), 1.0):
-            break
+    bounds = _coordinate_bounds(scenario, scenario.n_followers)[: None if lagr.searches_speed else -1]
+    with np.errstate(**_DELAY_ERRSTATE):
+        j_curr = lagr.rebuild(init.as_flat()).value()
+        for cycles in range(1, cfg.max_cycles + 1):
+            j_cycle_start = j_curr
+            for idx, (lo, hi) in enumerate(bounds):
+                x, neg_j = _fminbound(
+                    lambda x, idx=idx: -lagr.value(idx, x), lo, hi, cfg.xtol * (hi - lo)
+                )
+                if -neg_j > j_curr:
+                    j_curr = -neg_j
+                    lagr.move(idx, x)
+            if abs(j_curr - j_cycle_start) <= cfg.inner_tol * max(abs(j_curr), 1.0):
+                break
     if report is not None:
         report.lagrangian_evals += lagr.evals
-        report.iterations.append({"inner_cycles": cycles})
-    return DesignVector.from_flat(flat, scenario.n_followers), j_curr
+        report.iterations.append({"inner_cycles": cycles, "objective": lagr.obj, "residuals": lagr.rows()})
+    return lagr.design, j_curr
 
 
 @dataclass
 class SolveReport:
     """Trace and outcome of one optimization run.
 
-    Each row of iterations holds iteration, dual_value, lambda, residuals
-    and inner_cycles, the coordinate-ascent cycles its inner maximization
-    ran.  lagrangian_evals counts the Lagrangian evaluations of every inner
-    maximization.  nonnegativity_cuts counts the ellipsoid iterations that
-    cut off a negative multiplier, which write no row.  stop_reason is
-    "gap" (the subgradient duality gap closed to inner_tol), "stationary"
-    (the subgradient multipliers stopped moving), "degenerate" (an ellipsoid
-    cut had no direction) or "max_iters".  gap is the relative duality gap
-    (best dual value - best feasible objective) / max(|best dual value|, 1);
-    the inner maximization is local, so it can dip below 0.
+    Each row of iterations holds iteration, dual_value, lambda, objective and
+    residuals (smoothed, at its design) and inner_cycles, the cycles its inner
+    maximization ran.  lagrangian_evals counts the Lagrangian evaluations of
+    every inner maximization.  nonnegativity_cuts counts the ellipsoid
+    iterations that cut off a negative multiplier, which write no row.
+    stop_reason is "gap" (the subgradient duality gap closed to inner_tol),
+    "stationary" (the subgradient multipliers stopped moving), "degenerate"
+    (an ellipsoid cut had no direction) or "max_iters".  gap is the relative
+    duality gap, (best dual value - best feasible objective) / max(|best dual
+    value|, 1); the inner maximization is local, so it can dip below 0.
     """
 
     iterations: list[dict] = field(default_factory=list)
@@ -609,10 +638,10 @@ class _DualState:
 
         Maximizes the Lagrangian from the last maximizer, and reads the
         residuals (a subgradient of the dual at lam) and the smoothed
-        objective off one evaluator rebuilt at the new maximizer.  Keeps
-        the maximizer if it is the best unsmoothed-feasible iterate so far,
-        lowers the best dual value, and completes the report row
-        inner_maximize opened.
+        objective off the report row inner_maximize opened, which its
+        evaluator wrote at the maximizer.  Keeps the maximizer if it is the
+        best unsmoothed-feasible iterate so far, lowers the best dual value,
+        and completes the row.
         """
         scenario = self.scenario
         budgets, control = scenario.energy_budget, scenario.control
@@ -620,19 +649,16 @@ class _DualState:
         self.design, dual_value = inner_maximize(
             lam, *args, self.design, self.constants, self.report
         )
-        at = _CoordinateLagrangian(lam, *args, self.constants).rebuild(self.design.as_flat())
-        residuals = at.rows()
+        row = self.report.iterations[-1]
         feasible, margins, _ = unsmoothed_feasibility(
             self.design, self.samples, scenario, budgets, control, self.constants
         )
-        if feasible and at.obj > self.best_feasible_objective:
-            self.best_feasible_objective, self.best_feasible_primal = at.obj, self.design
+        if feasible and row["objective"] > self.best_feasible_objective:
+            self.best_feasible_objective, self.best_feasible_primal = row["objective"], self.design
             self.best_feasible_margins = margins
         self.best_dual = min(self.best_dual, dual_value)
-        self.report.iterations[-1].update(
-            {"iteration": t, "dual_value": dual_value, "lambda": lam.copy(), "residuals": residuals}
-        )
-        return residuals
+        row.update({"iteration": t, "dual_value": dual_value, "lambda": lam.copy()})
+        return row["residuals"]
 
 
 def solve(

@@ -17,6 +17,7 @@ from swarmfl.energy import ControlRequirements, EnergyBudget, round_energies
 from swarmfl.saa import (
     NoFeasibleDesignError,
     ScenarioSamples,
+    SolveReport,
     SmoothingConfig,
     _column_sums,
     _CoordinateLagrangian,
@@ -722,6 +723,142 @@ class TestCoordinateLagrangian:
         assert trial_sigmoids(everything, n) == [(1, "energy"), (k * n, "delay"), (k * n, "delay"),
                                                  (k * n, "energy")]
 
+    BASE_PARTS = ("obj", "both_sums", "t_up", "t_dn", "g_up", "g_dn", "both", "e_work", "e_followers",
+                  "control_rows", "e_fly", "p", "flat")
+
+    @staticmethod
+    def zeroed(lam, n, zero_groups):
+        """lam[: 2n+1] with the row groups (leader, followers, control) zero_groups names set to 0."""
+        lam = np.array(lam[: 2 * n + 1])
+        for zero, rows in zip(zero_groups, (slice(0, 1), slice(1, n + 1), slice(n + 1, None))):
+            if zero:
+                lam[rows] = 0.0
+        return lam
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        k=st.sampled_from([1, 2, 3, 17, 64]),
+        sectionalized=st.booleans(),
+        e_bar=st.sampled_from([350.0, 510.0, 7000.0]),
+        lam=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e7)), min_size=11, max_size=11),
+        zero_groups=st.sampled_from(list(itertools.product([True, False], repeat=3))),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.integers(0, 7), st.floats(0.0, 1.0), st.booleans()),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_moves_equal_a_rebuild_bit_for_bit(self, default_scenario, n, k, sectionalized, e_bar, lam,
+                                               zero_groups, seed, steps):
+        """After any mix of trials and accepted moves, every base part, value() and
+        rows() of the moved evaluator have the bits of an evaluator rebuilt at its
+        design.  Trials and moves run in _delay's error state, as in inner_maximize."""
+        from swarmfl.channel import _DELAY_ERRSTATE
+
+        args, constants, bounds, flat = self.trial_problem(
+            default_scenario, n, k, sectionalized, e_bar, seed
+        )
+        lam = self.zeroed(lam, n, zero_groups)
+        evaluator = _CoordinateLagrangian(lam, *args, constants).rebuild(flat)
+        for pick, u, accept in steps:
+            idx = pick % (n + 3)
+            lo, hi = bounds[idx]
+            x = lo + u * (hi - lo)
+            if accept:
+                with np.errstate(**_DELAY_ERRSTATE):
+                    evaluator.move(idx, x)
+                flat = flat.copy()
+                flat[idx] = x
+            fresh = _CoordinateLagrangian(lam, *args, constants).rebuild(flat)
+            if not accept:
+                with np.errstate(**_DELAY_ERRSTATE):
+                    assert evaluator.value(idx, x) == fresh.value(idx, x), (idx, x)
+            for name in self.BASE_PARTS:
+                got, want = np.asarray(getattr(evaluator, name)), np.asarray(getattr(fresh, name))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, idx, accept)
+            assert np.array_equal(evaluator.design.as_flat(), flat)
+            assert evaluator.value() == fresh.value()
+            assert evaluator.rows().tobytes() == fresh.rows().tobytes()
+
+    def test_zero_multiplier_trials_form_no_rows_or_column_sums(self, default_scenario, monkeypatch):
+        """At lambda = 0 a trial is the objective at the trial design, and forms
+        neither residual rows nor column sums."""
+        import swarmfl.saa as saa
+
+        n = default_scenario.n_followers
+        args, constants, bounds, flat = self.trial_problem(default_scenario, n, 64, False, 510.0, 7)
+        lam = np.zeros(2 * n + 1)
+        evaluator = _CoordinateLagrangian(lam, *args, constants).rebuild(flat)
+        wants = {}
+        for idx, (lo, hi) in enumerate(bounds):
+            for x in (lo, 0.5 * (lo + hi), hi):
+                trial = flat.copy()
+                trial[idx] = x
+                wants[idx, x] = _CoordinateLagrangian(lam, *args, constants).rebuild(trial).obj
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial at lambda = 0 formed rows or column sums")
+
+        monkeypatch.setattr(saa, "_rows", forbidden)
+        monkeypatch.setattr(saa, "_column_sums", forbidden)
+        assert evaluator.value() == evaluator.obj
+        for (idx, x), want in wants.items():
+            assert evaluator.value(idx, x) == want, (idx, x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        control=st.one_of(st.just(0.0), st.floats(1e-3, 1e7)),
+        k=st.sampled_from([1, 17, 64]),
+        e_bar=st.sampled_from([350.0, 510.0, 7000.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_no_speed_search_without_energy_multipliers(self, default_scenario, control, k, e_bar, seed):
+        """With the leader and follower multipliers at 0, inner_maximize makes no
+        speed trial; searching speed anyway gives the same design and value bit
+        for bit."""
+        import swarmfl.saa as saa
+
+        n = 3
+        args, constants, _, flat = self.trial_problem(default_scenario, n, k, False, e_bar, seed)
+        lam = np.concatenate([np.zeros(n + 1), np.full(n, control)])
+        init = DesignVector.from_flat(flat, n)
+        trials, value = [], saa._CoordinateLagrangian.value
+
+        def recorded(self, idx=None, x=None):
+            trials.append(idx)
+            return value(self, idx, x)
+
+        class SearchesSpeed(saa._CoordinateLagrangian):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.searches_speed = True
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(saa._CoordinateLagrangian, "value", recorded)
+            design, got = inner_maximize(lam, *args, init, constants)
+            assert trials and n + 2 not in trials
+            patch.setattr(saa, "_CoordinateLagrangian", SearchesSpeed)
+            trials.clear()
+            forced_design, forced = inner_maximize(lam, *args, init, constants)
+            assert n + 2 in trials
+        assert forced_design.as_flat().tobytes() == design.as_flat().tobytes()
+        assert struct.pack("<d", forced) == struct.pack("<d", got)
+
+    def test_report_row_is_the_evaluator_at_the_design(self, default_scenario):
+        """The objective and residuals inner_maximize reports are a fresh
+        evaluator's at the design it returns."""
+        n = default_scenario.n_followers
+        args, constants, _, flat = self.trial_problem(default_scenario, n, 64, False, 510.0, 3)
+        lam = np.linspace(0.0, 40.0, 2 * n + 1)
+        report = SolveReport()
+        design, value = inner_maximize(lam, *args, DesignVector.from_flat(flat, n), constants, report)
+        fresh = _CoordinateLagrangian(lam, *args, constants).rebuild(design.as_flat())
+        (row,) = report.iterations
+        assert set(row) == {"inner_cycles", "objective", "residuals"}
+        assert row["objective"] == fresh.obj and row["residuals"].tobytes() == fresh.rows().tobytes()
+        assert value == fresh.value()
+
     def test_inner_maximize_never_calls_lagrangian(self, one_scenario, one_samples, monkeypatch):
         import swarmfl.saa as saa
 
@@ -839,7 +976,7 @@ class TestSolve:
         # the second inner maximization restarts at the first one's answer, same lambda
         assert [row["inner_cycles"] for row in slack.iterations] == [2, 1]
         assert set(slack.iterations[0]) == {"iteration", "dual_value", "lambda", "residuals",
-                                            "inner_cycles"}
+                                            "objective", "inner_cycles"}
         # the design-solve budget: the energy rows bind and lambda moves
         calls.clear()
         binding = replace(default_scenario, energy_budget=EnergyBudget(e_bar=510.0))
@@ -871,7 +1008,8 @@ class TestSolve:
         assert report.gap == (best_dual - obj) / max(abs(best_dual), 1.0)
         assert abs(report.gap) <= 1e-6
         assert (report.stop_reason, len(report.iterations)) == ("gap", 2)
-        assert all(set(row) == {"iteration", "dual_value", "lambda", "residuals", "inner_cycles"}
+        assert all(set(row) == {"iteration", "dual_value", "lambda", "residuals", "objective",
+                                "inner_cycles"}
                    for row in report.iterations)
 
     def test_unknown_method(self, small_scenario):

@@ -65,6 +65,8 @@ def test_extra_runs_compare_like_the_benchmark_commands(monkeypatch, capsys):
     want = [
         ("optimize", ["--method", "subgradient", "--config", str(scenarios / "design-solve.json")], 1),
         ("optimize", ["--method", "subgradient", "--config", str(scenarios / "design-solve.json")], 2),
+        ("optimize", ["--config", str(scenarios / "design-solve.json")], 9091),  # the binding runs
+        ("optimize", ["--method", "ellipsoid", "--config", str(scenarios / "design-solve.json")], 1),
         ("simulate", ["--eps-frac", "0.002", "--config", str(scenarios / "mc-train.json")], 5),
         ("optimize", ["--method", "ellipsoid", "--config", str(scenarios / "design-solve.json")], 1),
         ("optimize", ["--method", "ellipsoid", "--config", str(scenarios / "design-solve.json")], 2),
@@ -74,25 +76,30 @@ def test_extra_runs_compare_like_the_benchmark_commands(monkeypatch, capsys):
     ]
     assert calls == [run for run in want for _ in ("base", "new")]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].startswith("same  seed 5  simulate --eps-frac 0.002 --seed 5  ")
-    assert lines[3].startswith("same  seed 1  optimize --method ellipsoid  ")
+    assert lines[4].startswith("same  seed 5  simulate --eps-frac 0.002 --seed 5  ")
+    assert lines[5].startswith("same  seed 1  optimize --method ellipsoid  ")
 
 
 def test_late_runs_are_compared_by_default(monkeypatch, capsys):
-    """The late runs follow the benchmark commands at their own seeds, only for the commands run, and once each."""
+    """The late and binding runs follow the benchmark commands at their own seeds, only for the commands run,
+    and once each."""
     calls = []
     monkeypatch.setattr(csv_identity, "csv_hash", lambda tree, *run: calls.append(run[:3]) or "a" * 64)
     mc_train = str(ROOT / "perfbench" / "scenarios" / "mc-train.json")
+    design_solve = str(ROOT / "perfbench" / "scenarios" / "design-solve.json")
     late = [
         ("simulate", ["--eps-frac", "0.002", "--config", mc_train], 5),
         ("sweep-sigma", ["--sigma2", "0.01,0.1,0.2,0.3,0.4", "--bw", "1e6,2e6,5e6", "--eps-frac", "0.02",
                          "--config", mc_train], 1),
         ("validate-theorem", ["--eps-fracs", "0.05,0.002", "--config", mc_train], 1),
+        ("optimize", ["--config", design_solve], 9091),
+        ("optimize", ["--method", "ellipsoid", "--config", design_solve], 1),
     ]
     assert csv_identity.main([str(ROOT), str(ROOT), "--seeds", "1,2"]) == 0
-    assert len(calls) == 2 * (5 * 2 + 3) and calls[-6:] == [run for run in late for _ in ("base", "new")]
+    assert len(calls) == 2 * (5 * 2 + 5) and calls[-10:] == [run for run in late for _ in ("base", "new")]
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[2] for line in lines[-len(csv_identity.LATE_RUNS):]] == list(csv_identity.LATE_RUNS)
+    default_runs = csv_identity.LATE_RUNS + csv_identity.BINDING_RUNS
+    assert [line.split("  ")[2] for line in lines[-len(default_runs):]] == list(default_runs)
     calls.clear()
     argv = ["--only", "simulate", "--extra", csv_identity.LATE_RUNS[0]]  # an --extra naming a late run runs once
     assert csv_identity.main([str(ROOT), str(ROOT), *argv]) == 0
@@ -101,6 +108,9 @@ def test_late_runs_are_compared_by_default(monkeypatch, capsys):
     calls.clear()
     assert csv_identity.main([str(ROOT), str(ROOT), "--only", "sweep-sigma", "--default-scenario"]) == 0
     assert calls[-2:] == [("sweep-sigma", late[1][1][:-2], 1)] * 2
+    calls.clear()  # the binding runs bind only at design-solve's budget
+    assert csv_identity.main([str(ROOT), str(ROOT), "--only", "optimize", "--default-scenario"]) == 0
+    assert calls == [("optimize", ["--method", "subgradient"], 1)] * 2
 
 
 def test_extra_run_at_the_default_scenario_writes_the_same_bytes(capsys):

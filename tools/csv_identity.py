@@ -15,11 +15,16 @@ unknown command, 0 otherwise.
 After the benchmark commands it compares the late runs (LATE_RUNS), whose
 repetitions train past one 128-round block of channel draws, which no
 workload does: `simulate --eps-frac 0.002 --seed 5`, a wide sweep-sigma and
-`validate-theorem --eps-fracs 0.05,0.002 --seed 1`.
+`validate-theorem --eps-fracs 0.05,0.002 --seed 1`.  Then the binding runs
+(BINDING_RUNS), whose dual steps evaluate the Lagrangian at nonzero
+multipliers, which no benchmark seed does past step 2: `optimize --seed
+9091` (32 dual steps) and `optimize --method ellipsoid --seed 1` (27 steps
+and 173 cuts).
 
---only restricts the run to the named commands, the late runs of those
-commands included; --default-scenario runs them at the built-in default
-scenario instead of the workload's file.
+--only restricts the run to the named commands, the late and binding runs
+of those commands included; --default-scenario runs them at the built-in
+default scenario instead of the workload's file, and leaves out the binding
+runs, whose energy rows bind only at design-solve's budget.
 
 --extra "COMMAND ARGS..." (repeatable) compares one more run, such as a
 path no workload reaches:
@@ -52,6 +57,9 @@ LATE_RUNS = (
     "sweep-sigma --sigma2 0.01,0.1,0.2,0.3,0.4 --bw 1e6,2e6,5e6 --eps-frac 0.02 --seed 1",
     "validate-theorem --eps-fracs 0.05,0.002 --seed 1",
 )
+# Runs compared by default after the late runs, at design-solve's scenario:
+# many dual steps at nonzero multipliers, where the benchmark seeds stop at step 2.
+BINDING_RUNS = ("optimize --seed 9091", "optimize --method ellipsoid --seed 1")
 
 
 def benchmark_commands(tree: str) -> dict:
@@ -97,7 +105,8 @@ def parse_args(argv=None):
     if not args.seeds:
         parser.error("--seeds must name at least one seed")
     extras = []
-    late = [text for text in LATE_RUNS if not args.only or text.split()[0] in args.only]
+    default_runs = LATE_RUNS if args.default_scenario else LATE_RUNS + BINDING_RUNS
+    late = [text for text in default_runs if not args.only or text.split()[0] in args.only]
     for text in dict.fromkeys([*late, *args.extra]):  # an --extra naming a late run runs once
         command, *given = shlex.split(text) or [""]
         words = []
@@ -123,8 +132,8 @@ def parse_args(argv=None):
 
 def planned_runs(args, commands: dict) -> list:
     """(label, command, CLI arguments, seed) of every comparison: each
-    benchmark command (or each --only) at each seed, then each late run of
-    those commands and each --extra."""
+    benchmark command (or each --only) at each seed, then each late and
+    binding run of those commands and each --extra."""
     runs = [(c, c, commands[c][1], seed) for seed in args.seeds for c in args.only or commands]
     runs += [(text, command, words, seed) for text, command, words, seeds in args.extra for seed in seeds]
     scenarios = os.path.join(os.path.abspath(args.base), "perfbench", "scenarios")
