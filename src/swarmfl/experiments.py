@@ -416,6 +416,10 @@ def experiment_optimize(
 ) -> ExperimentResult:
     """One full design optimization: solver trace rows plus a result row.
 
+    min_margin mixes units: an iteration row holds the smallest smoothed
+    residual (samples out of K), the result row the smallest indicator
+    margin (a frequency minus a required probability).
+
     Raises NoFeasibleDesignError (for the CLI to map to its exit code) when
     the constraints cannot be met.
     """

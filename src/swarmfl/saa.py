@@ -14,9 +14,10 @@ imported on the first sigmoid.
 
 One evaluator, _CoordinateLagrangian, computes a design's smoothed
 quantities (delays, window sigmoids, participation, objective, residual
-rows, energies); the public smoothed functions read one rebuilt at their
-design, the inner maximization moves one coordinate of it at a time, and
-each dual iteration reads the residuals and objective it reports.
+rows, energies), with one routine per coordinate that both its trials and
+its moves run; the public smoothed functions read one rebuilt at their
+design, the inner maximization tries and moves one coordinate of it at a
+time, and each dual iteration reads the residuals and objective it reports.
 
 The smoothed problem is a solver device only: the returned design is the
 best iterate that passes the original indicator-based sample constraints,
@@ -142,39 +143,6 @@ def smoothed_objective(design, samples, smoothing, scenario) -> float:
     ).rebuild(design.as_flat()).obj
 
 
-def _rows(both_sums, e_leader, e_followers, control_rows, smoothing, scenario, budgets,
-          constants, out):
-    """Smoothed residual rows from their parts.
-
-    both_sums are the column sums of the (K, I) participation sigmoids,
-    e_leader and e_followers the per-round energies, control_rows the
-    finished control rows.  The follower energy sigmoids are computed in
-    out, a (K, I) float array that may be e_followers itself.  A part given
-    as None leaves its rows at 0.0, and rho and phi are computed only when
-    an energy part is given.
-    """
-    k, n = out.shape
-    rows = np.zeros(2 * n + 1)
-    if e_leader is not None or e_followers is not None:
-        # column sums of sigmoid products over K samples: in [0, 1] by construction
-        rho = min(constants._speed(both_sums / k), 1.0 - 1e-12)
-        log_decay = np.log(1.0 - rho)
-        # rho too small to move 1 - rho means no participation, so no finite round prediction
-        ratio = _eps_sum(scenario, constants) / constants.initial_loss_sum
-        phi = np.log(ratio) / log_decay if log_decay < 0.0 else np.inf
-        c_bar, e_scale = smoothing.c_bar, smoothing.energy_scale
-    if e_leader is not None:
-        rows[0] = k * gamma_sigmoid(budgets.e_bar - phi * e_leader, c_bar, e_scale) - k * budgets.xi_leader
-    if e_followers is not None:
-        energy_args = np.subtract(budgets.e_bar, np.multiply(phi, e_followers, out=out), out=out)
-        rows[1 : n + 1] = (
-            _column_sums(gamma_sigmoid(energy_args, c_bar, e_scale, out=out)) - k * budgets.xi_follower
-        )
-    if control_rows is not None:
-        rows[n + 1 :] = control_rows
-    return rows
-
-
 def smoothed_constraints(
     design,
     samples,
@@ -264,35 +232,36 @@ class _CoordinateLagrangian:
 
     This is the one place the smoothed problem is evaluated: lagrangian,
     smoothed_objective, smoothed_constraints and the dual loops all read an
-    evaluator rebuilt at their design.  rebuild(flat) computes the base
-    design's delays, window sigmoids, participation product with its
+    evaluator rebuilt at their design.  Its attributes are the parts of the
+    base design: delays, window sigmoids, participation product with its
     objective obj and column sums, control rows, flight energy e_fly,
-    follower compute-plus-upload energies e_work and follower energies
-    e_work + e_fly.  rows() reads the residual rows at the base design.
-    value(idx, x) recomputes only what coordinate idx (order p_1..p_I, p_L,
-    beta, v) touches, and move(idx, x) recomputes the same parts of the base:
+    follower compute-plus-upload energies e_work, follower energies
+    e_work + e_fly and leader energy.  _trial(idx, x) is the one routine
+    that computes what coordinate idx (order p_1..p_I, p_L, beta, v) at x
+    changes of them:
 
-    - p_i: follower i's uplink delays and window sigmoid, then column i of
-      the product and of e_work + e_fly (which a move re-forms in full);
-    - p_L: the downlink delays, g_dn, the product and the control rows;
-    - beta: both window sigmoids, the product, e_work and e_work + e_fly;
-    - v: e_fly and e_work + e_fly.
+    - p_i: follower i's uplink delays, window sigmoid and e_work (columns),
+      then column i of the product and of e_work + e_fly;
+    - p_L: the downlink delays, g_dn, the product, the control rows and
+      the leader energy;
+    - beta: both window sigmoids, the product, e_work, e_work + e_fly and
+      the leader energy;
+    - v: e_fly, e_work + e_fly and the leader energy.
 
-    value() evaluates only the row groups (leader energy, follower
-    energies, control deadlines) with a nonzero multiplier; a skipped group
-    writes 0.0 into its rows, which adds the same zero terms to lam @ rows
-    up to their sign, so with every multiplier 0 value() returns obj (obj +
-    0.0 is obj).  With the follower group off a trial skips e_work + e_fly
-    and the follower energy sigmoids, with both energy groups off also the
-    column sums, rho and phi, and with the control group off a p_L trial
-    skips the control rows; a v trial always computes e_fly, which checks
-    the speed.  An evaluated energy group recomputes rho, phi and its
-    sigmoids on every trial, since phi couples every column.  Patched
-    columns are computed elementwise exactly as the full arrays are and
-    every reduction runs over the full arrays, so value(idx, x) equals
+    value(idx, x) reads the Lagrangian off a trial that leaves out what only
+    row groups (leader energy, follower energies, control deadlines) with
+    all multipliers 0 read, and move(idx, x) keeps the parts of a trial
+    with every group on as the new base.  A skipped group writes 0.0 into
+    its rows, which adds the same zero terms to lam @ rows up to their
+    sign, so with every multiplier 0 value() returns obj (obj + 0.0 is obj)
+    and forms no column sums.  An evaluated energy group recomputes rho,
+    phi and its sigmoids on every trial, since phi couples every column.
+    Patched columns are computed elementwise exactly as the full arrays are
+    and every reduction runs over the full arrays, so value(idx, x) equals
     value() after a rebuild at the trial design bit for bit, and so does
-    every part after move(idx, x).  rows() always evaluates every group and
-    only value() counts in evals.  Trials and moves enter no error state:
+    every part after move(idx, x).  A trial that raises (a v trial always
+    checks the speed) changes no part, so neither does its move.  Only
+    value() counts in evals.  Trials and moves enter no error state:
     inner_maximize holds _delay's around its whole search.
     """
 
@@ -312,7 +281,9 @@ class _CoordinateLagrangian:
         self.tau = np.broadcast_to(np.asarray(control.tau, dtype=float), self.shape).copy()
         self.train = np.broadcast_to(scenario.follower_training_energies(), self.shape).copy()
         self.buf = np.empty(self.shape)
-        self.trial_both, self.trial_e, self.trial_sums = np.empty(self.shape), np.empty(self.shape), np.empty(self.n)
+        self.trial_both, self.trial_e = np.empty(self.shape), np.empty(self.shape)
+        # log(eps_sum / S_0), the numerator of phi
+        self.log_target = np.log(_eps_sum(scenario, self.constants) / self.constants.initial_loss_sum)
         self.evals = 0
         # value() evaluates a row group (leader, followers, control) only when
         # one of its multipliers is nonzero
@@ -331,92 +302,106 @@ class _CoordinateLagrangian:
         self.move(self.n + 1, design.beta)  # the rest are beta's parts
         return self
 
-    def move(self, idx: int, x: float) -> None:
-        """Set coordinate idx of the base design to x, recomputing only what it touches."""
-        n, radio, round_time = self.n, self.scenario.radio, self.scenario.round_time_s
-        self.flat[idx] = x
-        design = self.design = DesignVector.from_flat(self.flat, n)
-        window = design.beta * round_time
+    def _trial(self, idx: int, x: float, groups_on) -> dict:
+        """The parts of the base design that coordinate idx set to x changes, by
+        attribute name; p_i's t_up, p, g_up and e_work are column idx.  Parts
+        read only by row groups that groups_on (leader, followers, control)
+        leaves off are not computed."""
+        n, design, smoothing, x = self.n, self.design, self.smoothing, float(x)
+        radio, round_time = self.scenario.radio, self.scenario.round_time_s
+        leader_on, followers_on, control_on = groups_on
+        p_leader, beta, e_fly = design.p_leader, design.beta, self.e_fly
         if idx < n:
             t_col = _bare_delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
-            self.t_up[:, idx], self.p[:, idx] = t_col, x
-            self.g_up[:, idx] = _window_gamma(window, t_col, self.smoothing)
-            self.e_work[:, idx] = _follower_work_energies(self.train[:, idx], x, t_col, window)
+            window = beta * round_time
+            g_col = _window_gamma(window, t_col, smoothing)
+            both = self.trial_both
+            np.copyto(both, self.both)
+            both[:, idx] = g_col * self.g_dn[:, idx]
+            parts = {"t_up": t_col, "p": x, "g_up": g_col, "both": both}
+            if followers_on:
+                work = parts["e_work"] = _follower_work_energies(self.train[:, idx], x, t_col, window)
+                e_followers = parts["e_followers"] = self.trial_e
+                np.copyto(e_followers, self.e_followers)
+                e_followers[:, idx] = work + e_fly
         elif idx == n:
-            self.t_dn = _bare_delay(radio.pkt_global, radio.bw_down, x * self.samples.c_dn)
-            self.control_rows = self._control_rows(self.t_dn)
+            p_leader = x
+            t_dn = _bare_delay(radio.pkt_global, radio.bw_down, x * self.samples.c_dn)
+            g_dn = _window_gamma((1.0 - beta) * round_time, t_dn, smoothing)
+            parts = {"t_dn": t_dn, "g_dn": g_dn, "both": self.g_up * g_dn}
+            if control_on:
+                parts["control_rows"] = self._control_rows(t_dn)
         elif idx == n + 1:
-            self.g_up = _window_gamma(window, self.t_up, self.smoothing)
-            self.e_work = _follower_work_energies(self.train, self.p, self.t_up, window)
+            beta = x
+            g_up = _window_gamma(beta * round_time, self.t_up, smoothing)
+            g_dn = _window_gamma((1.0 - beta) * round_time, self.t_dn, smoothing)
+            parts = {"g_up": g_up, "g_dn": g_dn, "both": g_up * g_dn}
+            if followers_on:
+                work = _follower_work_energies(self.train, self.p, self.t_up, beta * round_time)
+                parts.update(e_work=work, e_followers=work + e_fly)
         else:
-            self.e_fly = _flight_energy(self.scenario, design.v)
-        if idx != n:
-            self.e_followers = self.e_work + self.e_fly
-        if idx in (n, n + 1):
-            self.g_dn = _window_gamma((1.0 - design.beta) * round_time, self.t_dn, self.smoothing)
-        if idx != n + 2:
-            self.both = self.g_up * self.g_dn
-            self.obj, self.both_sums = self._objective(self.both), _column_sums(self.both)
+            e_fly = _flight_energy(self.scenario, x)
+            parts = {"e_fly": e_fly}
+            if followers_on:
+                parts["e_followers"] = self.e_work + e_fly
+        if "both" in parts:
+            parts["obj"] = float(np.multiply(self.counts, parts["both"], out=self.buf).sum())
+            if leader_on or followers_on:
+                parts["both_sums"] = _column_sums(parts["both"])
+        if leader_on and idx >= n:
+            parts["e_leader"] = _leader_energy(self.scenario, p_leader, beta, e_fly)
+        return parts
 
-    def rows(self) -> np.ndarray:
-        """Smoothed residual rows at the base design, length 2I+1, >= 0 when met."""
-        design = self.design
-        return self._residuals(self.both_sums, design.p_leader, design.beta, self.e_fly,
-                               self.e_followers, self.control_rows)
+    def move(self, idx: int, x: float) -> None:
+        """Set coordinate idx of the base design to x: the base keeps the parts of that trial."""
+        parts = self._trial(idx, x, (True, True, True))
+        self.flat[idx] = x
+        self.design = DesignVector.from_flat(self.flat, self.n)
+        if idx < self.n:  # columns go into the base; the trial buffers trade places with both and e_followers
+            for name in ("t_up", "p", "g_up", "e_work"):
+                getattr(self, name)[:, idx] = parts.pop(name)
+            self.trial_both, self.trial_e = self.both, self.e_followers
+        vars(self).update(parts)
 
     def value(self, idx: int | None = None, x: float | None = None) -> float:
         """Lagrangian at the base design with coordinate idx set to x
         (at the base design itself when idx is None)."""
         self.evals += 1
-        n, design, smoothing = self.n, self.design, self.smoothing
-        radio, round_time = self.scenario.radio, self.scenario.round_time_s
-        p_leader, beta, e_fly = design.p_leader, design.beta, self.e_fly
-        both, control_rows, e_followers = self.both, self.control_rows, self.e_followers
-        leader_on, followers_on, control_on = self.groups_on
-        if idx is None:
-            pass
-        elif idx < n:
-            x = float(x)
-            t_col = _bare_delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
-            both = self.trial_both
-            np.copyto(both, self.both)
-            both[:, idx] = _window_gamma(beta * round_time, t_col, smoothing) * self.g_dn[:, idx]
-            if followers_on:
-                e_followers = self.trial_e
-                np.copyto(e_followers, self.e_followers)
-                e_followers[:, idx] = (
-                    _follower_work_energies(self.train[:, idx], x, t_col, beta * round_time) + e_fly
-                )
-        elif idx == n:
-            p_leader = float(x)
-            t_dn = _bare_delay(radio.pkt_global, radio.bw_down, p_leader * self.samples.c_dn)
-            both = self.g_up * _window_gamma((1.0 - beta) * round_time, t_dn, smoothing)
-            if control_on:
-                control_rows = self._control_rows(t_dn)
-        elif idx == n + 1:
-            beta = float(x)
-            both = (_window_gamma(beta * round_time, self.t_up, smoothing)
-                    * _window_gamma((1.0 - beta) * round_time, self.t_dn, smoothing))
-            if followers_on:
-                e_followers = (
-                    _follower_work_energies(self.train, self.p, self.t_up, beta * round_time) + e_fly
-                )
-        else:
-            e_fly = _flight_energy(self.scenario, float(x))
-            if followers_on:
-                e_followers = self.e_work + e_fly
-        obj = self.obj if both is self.both else self._objective(both)
-        if not (leader_on or followers_on or control_on):  # every multiplier is 0
+        parts = {} if idx is None else self._trial(idx, x, self.groups_on)
+        obj = parts.get("obj", self.obj)
+        if not any(self.groups_on):  # every multiplier is 0
             return obj
-        both_sums = (self.both_sums if both is self.both or not (leader_on or followers_on)
-                     else _column_sums(both, out=self.trial_sums))
-        rows = self._residuals(both_sums, p_leader, beta, e_fly, e_followers, control_rows,
-                               self.groups_on)
-        return obj + float(self.lam @ rows)
+        return obj + float(self.lam @ self.rows(parts, self.groups_on))
 
-    def _objective(self, both) -> float:
-        """Count-weighted sum of a (K, I) participation product."""
-        return float(np.multiply(self.counts, both, out=self.buf).sum())
+    def rows(self, parts=None, groups_on=(True, True, True)) -> np.ndarray:
+        """Smoothed residual rows, length 2I+1, >= 0 when met, at the base design
+        with the parts given (by name: both_sums, e_leader, e_followers,
+        control_rows) in place of its own.  The rows of a group groups_on
+        (leader, followers, control) leaves off read 0.0, and rho and phi are
+        computed only when an energy group is on.  The follower energy
+        sigmoids are computed in buf."""
+        at = vars(self) if parts is None else {**vars(self), **parts}
+        leader_on, followers_on, control_on = groups_on
+        (k, n), budgets, e_bar = self.shape, self.budgets, self.budgets.e_bar
+        rows = np.zeros(2 * n + 1)
+        if leader_on or followers_on:
+            # column sums of sigmoid products over K samples: in [0, 1] by construction
+            rho = min(self.constants._speed(at["both_sums"] / k), 1.0 - 1e-12)
+            log_decay = np.log(1.0 - rho)
+            # rho too small to move 1 - rho means no participation, so no finite round prediction
+            phi = self.log_target / log_decay if log_decay < 0.0 else np.inf
+            c_bar, e_scale = self.smoothing.c_bar, self.smoothing.energy_scale
+        if leader_on:
+            rows[0] = k * gamma_sigmoid(e_bar - phi * at["e_leader"], c_bar, e_scale) - k * budgets.xi_leader
+        if followers_on:
+            out = self.buf
+            energy_args = np.subtract(e_bar, np.multiply(phi, at["e_followers"], out=out), out=out)
+            rows[1 : n + 1] = (
+                _column_sums(gamma_sigmoid(energy_args, c_bar, e_scale, out=out)) - k * budgets.xi_follower
+            )
+        if control_on:
+            rows[n + 1 :] = at["control_rows"]
+        return rows
 
     def _control_rows(self, t_dn) -> np.ndarray:
         """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control."""
@@ -426,16 +411,6 @@ class _CoordinateLagrangian:
             _column_sums(gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r))
             - t_dn.shape[0] * self.control.xi_control
         )
-
-    def _residuals(self, both_sums, p_leader, beta, e_fly, e_followers, control_rows,
-                   groups_on=(True, True, True)):
-        """Residual rows of a design whose parts these are (see _rows); the rows
-        of a group that groups_on (leader, followers, control) leaves off read 0.0."""
-        leader_on, followers_on, control_on = groups_on
-        e_leader = _leader_energy(self.scenario, p_leader, beta, e_fly) if leader_on else None
-        return _rows(both_sums, e_leader, e_followers if followers_on else None,
-                     control_rows if control_on else None, self.smoothing,
-                     self.scenario, self.budgets, self.constants, out=self.buf)
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)

@@ -22,7 +22,6 @@ from swarmfl.saa import (
     _column_sums,
     _CoordinateLagrangian,
     _fminbound,
-    _rows,
     baseline_design,
     gamma_sigmoid,
     inner_maximize,
@@ -781,6 +780,46 @@ class TestCoordinateLagrangian:
             assert evaluator.value() == fresh.value()
             assert evaluator.rows().tobytes() == fresh.rows().tobytes()
 
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_a_trial_or_move_that_raises_changes_nothing(self, default_scenario, scale):
+        """A speed induced_velocity rejects raises ValueError from value() and move()
+        alike, and leaves every base part, value() and rows() with the bytes of a
+        fresh rebuild."""
+        n = default_scenario.n_followers
+        args, constants, _, flat = self.trial_problem(default_scenario, n, 17, False, 510.0, 11)
+        lam = scale * np.linspace(1.0, 40.0, 2 * n + 1)
+        evaluator = _CoordinateLagrangian(lam, *args, constants).rebuild(flat)
+        for step in (evaluator.value, evaluator.move):
+            for x in (2 * default_scenario.flight.v_max, np.nan):
+                with pytest.raises(ValueError, match="speed must be within"):
+                    step(n + 2, x)
+        fresh = _CoordinateLagrangian(lam, *args, constants).rebuild(flat)
+        for name in self.BASE_PARTS + ("e_leader",):
+            assert np.asarray(getattr(evaluator, name)).tobytes() == np.asarray(getattr(fresh, name)).tobytes(), name
+        assert evaluator.design.as_flat().tobytes() == flat.tobytes()
+        assert evaluator.value() == fresh.value()
+        assert evaluator.rows().tobytes() == fresh.rows().tobytes()
+
+    def test_leader_row_follows_every_coordinate_it_reads(self, default_scenario):
+        """p_L, beta and v each move the leader energy row, which a 580 J budget keeps
+        off its plateau here: a trial of each equals lagrangian() at the trial design,
+        and a move gives the rows of a rebuild there."""
+        n = 3
+        args, constants, _, flat = self.trial_problem(default_scenario, n, 17, False, 580.0, 1)
+        lam = np.concatenate([[1.0], np.zeros(2 * n)])
+        base_row = _CoordinateLagrangian(lam, *args, constants).rebuild(flat).rows()[0]
+        for idx in (n, n + 1, n + 2):
+            trial = flat.copy()
+            trial[idx] = 0.9 * flat[idx]
+            fresh = _CoordinateLagrangian(lam, *args, constants).rebuild(trial)
+            assert fresh.rows()[0] != base_row, idx
+            evaluator = _CoordinateLagrangian(lam, *args, constants).rebuild(flat)
+            assert evaluator.value(idx, trial[idx]) == lagrangian(
+                DesignVector.from_flat(trial, n), lam, *args, constants
+            ), idx
+            evaluator.move(idx, trial[idx])
+            assert evaluator.rows().tobytes() == fresh.rows().tobytes(), idx
+
     def test_zero_multiplier_trials_form_no_rows_or_column_sums(self, default_scenario, monkeypatch):
         """At lambda = 0 a trial is the objective at the trial design, and forms
         neither residual rows nor column sums."""
@@ -800,7 +839,7 @@ class TestCoordinateLagrangian:
         def forbidden(*args, **kwargs):
             raise AssertionError("a trial at lambda = 0 formed rows or column sums")
 
-        monkeypatch.setattr(saa, "_rows", forbidden)
+        monkeypatch.setattr(saa._CoordinateLagrangian, "rows", forbidden)
         monkeypatch.setattr(saa, "_column_sums", forbidden)
         assert evaluator.value() == evaluator.obj
         for (idx, x), want in wants.items():
@@ -1155,8 +1194,10 @@ class TestProblemConstants:
         design, budgets = default_scenario.default_design(), default_scenario.energy_budget
         smoothing, control_rows = SmoothingConfig.from_scenario(default_scenario), rng.random(n)
         e_leader, e_followers = round_energies(design, t_up, default_scenario)
-        rows = _rows(_column_sums(both), e_leader, e_followers, control_rows, smoothing,
-                     default_scenario, budgets, problem, out=np.empty((k, n)))
+        evaluator = _CoordinateLagrangian(None, ScenarioSamples.generate(default_scenario, k, seed), smoothing,
+                                          default_scenario, budgets, default_scenario.control, problem)
+        rows = evaluator.rows({"both_sums": _column_sums(both), "e_leader": e_leader, "e_followers": e_followers,
+                               "control_rows": control_rows})
         log_decay = np.log(1.0 - min(problem.speed(mean), 1.0 - 1e-12))
         eps_sum = default_scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
         phi = np.log(eps_sum / problem.initial_loss_sum) / log_decay if log_decay < 0.0 else np.inf

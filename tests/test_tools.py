@@ -295,3 +295,21 @@ def test_different_benchmarks_or_unknown_workload_exit_two(tmp_path, capsys):
     assert "perfbench/ differ" in capsys.readouterr().err
     assert not (tmp_path / "order.log").exists()  # nothing ran
     assert not (tmp_path / "new" / "BENCH_x.json").exists()
+
+
+def test_the_file_holds_each_trees_source_line_count(tmp_path, capsys):
+    """src_lines counts what `cat src/swarmfl/*.py | wc -l` counts: newlines of the package's .py files only."""
+    base = fake_tree(tmp_path, "base", [record(1.0)])
+    new = fake_tree(tmp_path, "new", [record(1.0)])
+    for tree, files in ((base, {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n", "notes.txt": "1\n2\n3\n"}),
+                        (new, {"a.py": "x = 1\n", "b.py": "z = 3", "sub/c.py": "w = 4\n"})):
+        for name, text in files.items():
+            path = Path(tree) / "src" / "swarmfl" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    assert ab_bench.main([base, new, "--label", "lines", "--pairs", "1", "--seconds", "1", "--no-trace"]) == 0
+    assert json.loads((tmp_path / "new" / "BENCH_lines.json").read_text())["src_lines"] == {"base": 3, "new": 1}
+    assert "src/swarmfl/*.py lines: 3 -> 1" in capsys.readouterr().out
+    for tree, lines in ((base, 3), (new, 1)):
+        wc = subprocess.run(f"cat {tree}/src/swarmfl/*.py | wc -l", shell=True, capture_output=True, text=True)
+        assert int(wc.stdout) == lines

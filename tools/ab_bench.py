@@ -16,7 +16,9 @@ values, the medians, BASE's quartiles, the pairs NEW won (ties count for
 neither side), whether the change in the median is within the metric's
 BENCHMARK.json bound, and whether a gain is resolved: NEW won at least
 nine in ten pairs and the medians differ by more than BASE's
-interquartile range.
+interquartile range.  The file also holds each tree's line count of
+src/swarmfl/*.py (`src_lines`), as `cat src/swarmfl/*.py | wc -l` counts
+it, which the script prints too.
 
 Exits 2 when the two trees' perfbench/ differ (so both sides would not run
 the same benchmark) or a workload is unknown; 1 when a run on either side
@@ -26,6 +28,7 @@ operation; 0 otherwise.  The file is written in every case but the first.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -47,6 +50,15 @@ def bench_files(tree: str) -> dict:
             with open(path, "rb") as fh:
                 files[os.path.relpath(path, root)] = fh.read()
     return files
+
+
+def src_lines(tree: str) -> int:
+    """Newlines in tree's src/swarmfl/*.py, the count `cat src/swarmfl/*.py | wc -l` prints."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "swarmfl", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -186,7 +198,7 @@ def main(argv=None) -> int:
         return 2
 
     result = {"label": args.label, "pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-              "workloads": {}}
+              "src_lines": {"base": src_lines(args.base), "new": src_lines(args.new)}, "workloads": {}}
     failures = []
     for workload in workloads:
         result["workloads"][workload], seen = bench_workload(args, spec, workload)
@@ -202,6 +214,7 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: {m['base_median']:.6g} -> {m['new_median']:.6g} {m['unit']}"
                       f" (base quartiles {m['base_quartiles'][0]:.6g}, {m['base_quartiles'][1]:.6g};"
                       f" new won {m['new_won']}/{m['pairs']}; within bound {m['within_bound']})")
+    print(f"src/swarmfl/*.py lines: {result['src_lines']['base']} -> {result['src_lines']['new']}")
     for why in failures:
         print(f"FAILED: {why}", file=sys.stderr)
     print(f"wrote {path}")
