@@ -488,7 +488,8 @@ class ScenarioSamples:
         """Per-follower participation frequency of design at point, shape (I,)."""
         if point is not self.scenario:
             _require_same_draws(self.scenario, [point])
-        return np.count_nonzero(self._masks(design, point), axis=1) / self.k
+        # one count per row: count_nonzero with axis=1 goes through an intp sum, several times slower
+        return np.array([np.count_nonzero(row) for row in self._masks(design, point)]) / self.k
 
 
 def _require_same_draws(scenario: "SwarmScenario", points) -> None:

@@ -9,8 +9,8 @@ arguments, and the constrained problem by its Lagrangian dual, minimized
 over multipliers with projected subgradient steps (an ellipsoid variant is
 available behind the same interface).  Each coordinate of the inner
 maximization is searched by _fminbound, a port of scipy's bounded scalar
-minimizer, so importing saa does not import scipy; scipy.special.expit is
-imported on the first sigmoid.
+minimizer, and every sigmoid is gamma_sigmoid, a numpy kernel, so no part
+of saa imports scipy.
 
 One evaluator, _CoordinateLagrangian, computes a design's smoothed
 quantities (delays, window sigmoids, participation, objective, residual
@@ -98,21 +98,20 @@ def _eps_sum(scenario: SwarmScenario, problem: TrainingProblem) -> float:
     return scenario.saa.epsilon_opt_frac * problem.initial_loss_sum
 
 
-_expit = None  # scipy.special.expit, imported on the first gamma_sigmoid call
-
-
 def gamma_sigmoid(r, c_bar: float, scale: float = 1.0, out: np.ndarray | None = None):
-    """Smooth indicator surrogate: 1/(1+exp(-c_bar*r/scale)).
+    """Smooth indicator surrogate: 1/(1+exp(-c_bar*r/scale)), the one kernel
+    of every smoothed quantity.
 
     With out (a float array shaped like r, r itself allowed) every step
-    runs in out and no temporary is allocated.  The sigmoid is scipy's
-    expit: a numpy exp differs from it in the last bit on some arguments.
+    runs in out and no temporary is allocated.  The sign rides on c_bar,
+    since (-c_bar)*r is -(c_bar*r) exactly, so this is
+    1.0 / (1.0 + np.exp(-(c_bar * r) / scale)) bit for bit.  Where exp
+    overflows, far below the threshold, the sigmoid reads 0 without a
+    warning.
     """
-    global _expit
-    if _expit is None:
-        from scipy.special import expit as _expit
-    z = np.multiply(c_bar, np.asarray(r, dtype=float), out=out)
-    return _expit(np.divide(z, scale, out=out), out=out)
+    with np.errstate(over="ignore"):
+        z = np.divide(np.multiply(-c_bar, r, out=out), scale, out=out)
+        return np.reciprocal(np.add(np.exp(z, out=out), 1.0, out=out), out=out)
 
 
 def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,8 +260,9 @@ class _CoordinateLagrangian:
     value() after a rebuild at the trial design bit for bit, and so does
     every part after move(idx, x).  A trial that raises (a v trial always
     checks the speed) changes no part, so neither does its move.  Only
-    value() counts in evals.  Trials and moves enter no error state:
-    inner_maximize holds _delay's around its whole search.
+    value() counts in evals.  Trials and moves enter no error state but
+    gamma_sigmoid's own: inner_maximize holds _delay's around its whole
+    search.
     """
 
     def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants=None):

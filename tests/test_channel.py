@@ -993,6 +993,28 @@ class TestFollowerMajorReads:
         for got, want in ((samples.c_up, want_up), (samples.c_dn, want_dn)):  # saa's (K, I) copies
             assert got.flags.c_contiguous and np.array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_followers=st.integers(2, 6),
+        samples_k=st.integers(1, 300),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_success_probs_count_each_row_as_the_axis_count_does(
+        self, default_scenario, n_followers, samples_k, density, seed
+    ):
+        """success_probs counts each follower's row of masks; its bytes are those of
+        count_nonzero(masks, axis=1) / K, with an empty row and a full row among them."""
+        rng = np.random.default_rng(seed)
+        masks = rng.random((n_followers, samples_k)) < density
+        masks[0], masks[-1] = False, True
+        samples = ScenarioSamples.generate(default_scenario, samples_k, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ScenarioSamples, "_masks", lambda self, design, point: masks)
+            got = samples.success_probs(default_scenario.default_design(), default_scenario)
+        assert got.tobytes() == (np.count_nonzero(masks, axis=1) / samples_k).tobytes()
+        assert got[0] == 0.0 and got[-1] == 1.0
+
 
 def traced_peak(call) -> int:
     """Peak bytes tracemalloc sees over call(), after an untraced warm-up call has filled every cache."""

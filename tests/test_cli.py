@@ -350,8 +350,8 @@ class TestConsoleScript:
         assert "simulate" in proc.stdout
 
 
-# Runs in a fresh interpreter: after importing swarmfl and after each command,
-# records whether scipy is loaded and the command's exit code.
+# Runs in a fresh interpreter: after importing swarmfl and after each of the
+# five commands, records whether scipy is loaded and the command's exit code.
 SCIPY_PROBE = """
 import json, sys
 from swarmfl.cli import main
@@ -361,6 +361,9 @@ for command in ("validate-theorem", "sweep-sigma", "simulate"):
     code = main([command, "--config", config, "--mc-runs", "2", "--out", out])
     loaded[command] = [code, "scipy" in sys.modules]
 loaded["optimize"] = [main(["optimize", "--config", config, "--out", out]), "scipy" in sys.modules]
+code = main(["compare-designs", "--config", config, "--samples-k", "100", "--baseline-draws", "2",
+             "--bw", "1e6", "--out", out])
+loaded["compare-designs"] = [code, "scipy" in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -387,9 +390,8 @@ def run_probe(*args: str) -> subprocess.CompletedProcess:
 
 
 class TestImportPath:
-    def test_scipy_loads_only_for_the_design_commands(self, config_path, tmp_path):
-        """Importing swarmfl and the training commands leave scipy unloaded;
-        optimize loads it (for the sigmoid) on its first solve."""
+    def test_no_command_loads_scipy(self, config_path, tmp_path):
+        """Importing swarmfl and running each of the five commands leave scipy unloaded."""
         proc = run_probe(SCIPY_PROBE, str(config_path), str(tmp_path / "x.csv"))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {
@@ -397,7 +399,8 @@ class TestImportPath:
             "validate-theorem": [EXIT_OK, False],
             "sweep-sigma": [EXIT_OK, False],
             "simulate": [EXIT_OK, False],
-            "optimize": [EXIT_OK, True],
+            "optimize": [EXIT_OK, False],
+            "compare-designs": [EXIT_OK, False],
         }
 
     def test_package_root_loads_only_the_scenario(self):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,48 @@ class TestGammaSigmoid:
         assert gamma_sigmoid(0.05, 50.0, 0.1) == pytest.approx(
             gamma_sigmoid(0.5, 50.0, 1.0), rel=1e-14
         )
+
+    SIGMOID_ARGS = dict(
+        r=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+        c=st.floats(1e-3, 1e6),
+        s=st.floats(1e-3, 1e4),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(**SIGMOID_ARGS)
+    def test_equals_the_textbook_formula_bit_for_bit(self, r, c, s):
+        r = np.array(r)
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-(c * r) / s))
+        assert gamma_sigmoid(r, c, s).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(**SIGMOID_ARGS)
+    def test_within_four_ulp_of_expit_in_the_unit_interval_and_monotone(self, r, c, s):
+        r = np.sort(np.array(r))
+        got, want = gamma_sigmoid(r, c, s), expit(c * r / s)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.all(np.diff(got) >= 0.0)
+
+    def test_extreme_arguments_saturate_without_warning(self):
+        """exp overflows far below the threshold: the sigmoid reads 0, and NaN stays NaN."""
+        r = np.array([-1e308, -np.inf, 1e308, np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gamma_sigmoid(r, 50.0, 0.1)
+            scalars = [gamma_sigmoid(float(x), 50.0, 0.1) for x in r]
+        assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0] and np.isnan(got[4])
+        assert np.array_equal(scalars, got, equal_nan=True)
+
+    def test_out_may_be_r_and_a_float_gives_a_scalar(self):
+        r = np.linspace(-0.2, 0.2, 9)
+        x = float(r[5])
+        want = gamma_sigmoid(r, 50.0, 0.1)
+        out = gamma_sigmoid(r, 50.0, 0.1, out=r)
+        assert out is r and r.tobytes() == want.tobytes()
+        value = gamma_sigmoid(x, 50.0, 0.1)
+        assert isinstance(value, float) and value == want[5]
 
 
 class TestScenarioSamples:

@@ -133,6 +133,18 @@ def test_extra_seed_must_be_an_integer(capsys):
     assert stop.value.code == 2 and "--seed needs an integer" in capsys.readouterr().err
 
 
+def test_seeds_take_inclusive_ranges_next_to_single_seeds():
+    args = csv_identity.parse_args([str(ROOT), str(ROOT), "--seeds", "4-6, 77,9-9,1"])
+    assert args.seeds == [4, 5, 6, 77, 9, 1]
+
+
+@pytest.mark.parametrize("seeds", ["6-4", "1-", "-3", "1-2-3", "a-b", "1,x", ","])
+def test_a_reversed_or_malformed_seed_range_exits_two(capsys, seeds):
+    with pytest.raises(SystemExit) as stop:
+        csv_identity.parse_args([str(ROOT), str(ROOT), "--seeds", seeds])
+    assert stop.value.code == 2 and "--seeds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", ["simulate --seed=", "simulate --se 5", "simulate --conf=own.json"])
 def test_extra_own_seed_and_config_spelled_so_they_win(capsys, extra):
     """An empty --seed= or an abbreviation the appended option would override is a usage error."""

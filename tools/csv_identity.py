@@ -2,6 +2,9 @@
 
     python3 tools/csv_identity.py BASE_TREE NEW_TREE --seeds 1,77,4242
 
+--seeds is a comma-separated list of seeds and inclusive ranges A-B, so
+one command scans a range: `--seeds 1-60 --only optimize`.
+
 Runs the five CLI commands of the benchmark workloads (validate-theorem,
 sweep-sigma and simulate on mc-train, optimize on design-solve and
 compare-designs on design-compare), with the arguments BASE_TREE's
@@ -45,6 +48,7 @@ import argparse
 import hashlib
 import importlib.util
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -91,17 +95,23 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="source tree whose CSVs are the reference")
     parser.add_argument("new", help="source tree to compare against it")
-    parser.add_argument("--seeds", default="1", help="comma-separated base seeds (default 1)")
+    parser.add_argument("--seeds", default="1", help="comma-separated base seeds and ranges A-B (default 1)")
     parser.add_argument("--only", action="append", help="run only this command (repeatable)")
     parser.add_argument("--default-scenario", action="store_true",
                         help="run at the built-in default scenario, without --config")
     parser.add_argument("--extra", action="append", default=[], metavar='"COMMAND ARGS..."',
                         help="compare one more run of COMMAND with ARGS (repeatable)")
     args = parser.parse_args(argv)
-    try:
-        args.seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError:
-        parser.error(f"--seeds must be comma-separated integers, got {args.seeds!r}")
+    seeds = []
+    for item in filter(None, (s.strip() for s in args.seeds.split(","))):
+        bounds = re.fullmatch(r"(\d+)(?:-(\d+))?", item)
+        if bounds is None:
+            parser.error(f"--seeds must be comma-separated seeds or ranges A-B, got {args.seeds!r}")
+        lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
+        if hi < lo:
+            parser.error(f"--seeds range {item!r} is reversed")
+        seeds += range(lo, hi + 1)
+    args.seeds = seeds
     if not args.seeds:
         parser.error("--seeds must name at least one seed")
     extras = []
