@@ -420,8 +420,7 @@ class ScenarioSamples:
     follower i in sample k is p_i * c_up[i, k], downlink p_L * c_dn[i, k].
     Its masks are threshold tests on those SINRs, with an exact band (see
     _fits), so every mask is success_mask of link_delays bit for bit.
-    saa reads c_up and c_dn, (K, I) copies of the drawn point's kernels made
-    on first use, because its tallies add over samples in that order.
+    saa reads own_kernels, the drawn point's, in this layout.
     """
 
     scenario: "SwarmScenario"
@@ -451,10 +450,8 @@ class ScenarioSamples:
     def k(self) -> int:
         return self.unit_jitter.shape[1]
 
-    # the kernels at the scenario's own jitter variance and bandwidths, and their (K, I) copies for saa
+    # the kernels at the scenario's own jitter variance and bandwidths, made on first use
     own_kernels = cached_property(lambda self: self._kernels_at(self.scenario))
-    c_up = cached_property(lambda self: np.ascontiguousarray(self.own_kernels[0].T))
-    c_dn = cached_property(lambda self: np.ascontiguousarray(self.own_kernels[1].T))
 
     def kernels(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
         """(c_up, c_dn), each (I, K): the SINR per watt of every link at point's jitter variance and bandwidths."""

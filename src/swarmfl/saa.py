@@ -13,11 +13,12 @@ minimizer, and every sigmoid is gamma_sigmoid, a numpy kernel, so no part
 of saa imports scipy.
 
 One evaluator, _CoordinateLagrangian, computes a design's smoothed
-quantities (delays, window sigmoids, participation, objective, residual
-rows, energies), with one routine per coordinate that both its trials and
-its moves run; the public smoothed functions read one rebuilt at their
-design, the inner maximization tries and moves one coordinate of it at a
-time, and each dual iteration reads the residuals and objective it reports.
+quantities (delays, window sigmoids, participation sums, objective,
+residual rows, energies) on the samples' own follower-major layout, with
+one routine per coordinate that both its trials and its moves run; the
+public smoothed functions read one rebuilt at their design, the inner
+maximization tries and moves one coordinate of it at a time, and each dual
+iteration reads the residuals and objective it reports.
 
 The smoothed problem is a solver device only: the returned design is the
 best iterate that passes the original indicator-based sample constraints,
@@ -114,19 +115,16 @@ def gamma_sigmoid(r, c_bar: float, scale: float = 1.0, out: np.ndarray | None = 
         return np.reciprocal(np.add(np.exp(z, out=out), 1.0, out=out), out=out)
 
 
-def _column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a.sum(axis=0) of a C-contiguous (K, I) array, bit for bit, written into out if given.
-
-    With two or more columns numpy adds the rows in order, and einsum adds
-    them in the same order, faster.  A single column is a one-dimensional
-    reduction, which numpy sums pairwise, so it goes through sum.
-    """
-    return np.einsum("ki->i", a, out=out) if a.shape[1] > 1 else a.sum(axis=0, out=out)
-
-
 def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
-    """Per-sample link delays (t_up, t_dn), each (K, I) seconds."""
-    return _kernel_delays(samples.c_up, samples.c_dn, design, scenario)
+    """Per-sample link delays (t_up, t_dn), each (K, I) seconds: transposed views of _row_delays'."""
+    t_up, t_dn = _row_delays(design, samples, scenario)
+    return t_up.T, t_dn.T
+
+
+def _row_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
+    """Per-sample link delays (t_up, t_dn), each (I, K) seconds: one contiguous row of K samples per follower."""
+    delays = _kernel_delays(*(c.T for c in samples.own_kernels), design, scenario)
+    return tuple(np.ascontiguousarray(t.T) for t in delays)  # elementwise results keep the kernels' layout: no copy
 
 
 def _window_gamma(window: float, delays, smoothing) -> np.ndarray:
@@ -231,21 +229,21 @@ class _CoordinateLagrangian:
 
     This is the one place the smoothed problem is evaluated: lagrangian,
     smoothed_objective, smoothed_constraints and the dual loops all read an
-    evaluator rebuilt at their design.  Its attributes are the parts of the
-    base design: delays, window sigmoids, participation product with its
-    objective obj and column sums, control rows, flight energy e_fly,
-    follower compute-plus-upload energies e_work, follower energies
-    e_work + e_fly and leader energy.  _trial(idx, x) is the one routine
-    that computes what coordinate idx (order p_1..p_I, p_L, beta, v) at x
-    changes of them:
+    evaluator rebuilt at their design.  Every sample array is (I, K), one
+    row of K samples per follower, as the samples store their kernels, and
+    per-follower constants are (I, 1) columns.  The attributes are the parts
+    of the base design: delays, window sigmoids, the row sums of their
+    product with the objective obj = counts @ both_sums, control rows,
+    flight energy e_fly, follower compute-plus-upload energies e_work and
+    leader energy.  _trial(idx, x) is the one routine that computes what
+    coordinate idx (order p_1..p_I, p_L, beta, v) at x changes of them:
 
-    - p_i: follower i's uplink delays, window sigmoid and e_work (columns),
-      then column i of the product and of e_work + e_fly;
-    - p_L: the downlink delays, g_dn, the product, the control rows and
-      the leader energy;
-    - beta: both window sigmoids, the product, e_work, e_work + e_fly and
-      the leader energy;
-    - v: e_fly, e_work + e_fly and the leader energy.
+    - p_i: follower i's uplink delays, window sigmoid and e_work (rows),
+      then entry i of both_sums;
+    - p_L: the downlink delays, g_dn, both_sums, the control rows and the
+      leader energy;
+    - beta: both window sigmoids, both_sums, e_work and the leader energy;
+    - v: e_fly and the leader energy.
 
     value(idx, x) reads the Lagrangian off a trial that leaves out what only
     row groups (leader energy, follower energies, control deadlines) with
@@ -253,16 +251,16 @@ class _CoordinateLagrangian:
     with every group on as the new base.  A skipped group writes 0.0 into
     its rows, which adds the same zero terms to lam @ rows up to their
     sign, so with every multiplier 0 value() returns obj (obj + 0.0 is obj)
-    and forms no column sums.  An evaluated energy group recomputes rho,
-    phi and its sigmoids on every trial, since phi couples every column.
-    Patched columns are computed elementwise exactly as the full arrays are
-    and every reduction runs over the full arrays, so value(idx, x) equals
-    value() after a rebuild at the trial design bit for bit, and so does
-    every part after move(idx, x).  A trial that raises (a v trial always
-    checks the speed) changes no part, so neither does its move.  Only
-    value() counts in evals.  Trials and moves enter no error state but
-    gamma_sigmoid's own: inner_maximize holds _delay's around its whole
-    search.
+    and forms no rows.  An evaluated energy group recomputes rho, phi and
+    its sigmoids on every trial, since phi couples every row.  Patched rows
+    are computed elementwise exactly as the full arrays are, a row's sum is
+    the entry sum(axis=1) gives it, and obj is counts @ both_sums on every
+    path, so value(idx, x) equals value() after a rebuild at the trial
+    design bit for bit, and so does every part after move(idx, x).  A trial
+    that raises (a v trial always checks the speed) changes no part, so
+    neither does its move.  Only value() counts in evals.  Trials and moves
+    enter no error state but gamma_sigmoid's own: inner_maximize holds
+    _delay's around its whole search.
     """
 
     def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants=None):
@@ -273,15 +271,10 @@ class _CoordinateLagrangian:
         self.budgets = budgets
         self.control = control
         self.constants = problem_constants(scenario) if constants is None else constants
-        self.n = scenario.n_followers
-        # per-follower constants tiled to (K, I): same elementwise results as
-        # broadcasting, without numpy's short inner loops
-        self.shape = (samples.k, self.n)
-        self.counts = np.broadcast_to(self.constants.counts, self.shape).copy()
-        self.tau = np.broadcast_to(np.asarray(control.tau, dtype=float), self.shape).copy()
-        self.train = np.broadcast_to(scenario.follower_training_energies(), self.shape).copy()
-        self.buf = np.empty(self.shape)
-        self.trial_both, self.trial_e = np.empty(self.shape), np.empty(self.shape)
+        self.n, self.k, self.counts = scenario.n_followers, samples.k, self.constants.counts
+        self.tau = np.asarray(control.tau, dtype=float)[:, None]
+        self.train = scenario.follower_training_energies()[:, None]
+        self.buf = np.empty((self.n, self.k))
         # log(eps_sum / S_0), the numerator of phi
         self.log_target = np.log(_eps_sum(scenario, self.constants) / self.constants.initial_loss_sum)
         self.evals = 0
@@ -295,72 +288,68 @@ class _CoordinateLagrangian:
     def rebuild(self, flat: np.ndarray) -> "_CoordinateLagrangian":
         self.flat = np.array(flat, dtype=float)
         design = self.design = DesignVector.from_flat(self.flat, self.n)
-        self.t_up, self.t_dn = sample_delays(design, self.samples, self.scenario)
+        self.t_up, self.t_dn = _row_delays(design, self.samples, self.scenario)
         self.control_rows = self._control_rows(self.t_dn)
-        self.p = np.broadcast_to(design.p, self.shape).copy()
+        self.p = np.array(design.p, dtype=float)[:, None]
         self.e_fly = _flight_energy(self.scenario, design.v)
         self.move(self.n + 1, design.beta)  # the rest are beta's parts
         return self
 
     def _trial(self, idx: int, x: float, groups_on) -> dict:
         """The parts of the base design that coordinate idx set to x changes, by
-        attribute name; p_i's t_up, p, g_up and e_work are column idx.  Parts
-        read only by row groups that groups_on (leader, followers, control)
-        leaves off are not computed."""
+        attribute name; p_i's t_up, p, g_up and e_work are row idx, which its
+        part "row" names.  Parts read only by row groups that groups_on
+        (leader, followers, control) leaves off are not computed."""
         n, design, smoothing, x = self.n, self.design, self.smoothing, float(x)
         radio, round_time = self.scenario.radio, self.scenario.round_time_s
         leader_on, followers_on, control_on = groups_on
         p_leader, beta, e_fly = design.p_leader, design.beta, self.e_fly
+        c_up, c_dn = self.samples.own_kernels
         if idx < n:
-            t_col = _bare_delay(radio.pkt_local, radio.bw_up, x * self.samples.c_up[:, idx])
+            t_row = _bare_delay(radio.pkt_local, radio.bw_up, x * c_up[idx])
             window = beta * round_time
-            g_col = _window_gamma(window, t_col, smoothing)
-            both = self.trial_both
-            np.copyto(both, self.both)
-            both[:, idx] = g_col * self.g_dn[:, idx]
-            parts = {"t_up": t_col, "p": x, "g_up": g_col, "both": both}
+            g_row = _window_gamma(window, t_row, smoothing)
+            both_sums = self.both_sums.copy()
+            both_sums[idx] = (g_row * self.g_dn[idx]).sum()
+            parts = {"row": idx, "t_up": t_row, "p": x, "g_up": g_row, "both_sums": both_sums}
             if followers_on:
-                work = parts["e_work"] = _follower_work_energies(self.train[:, idx], x, t_col, window)
-                e_followers = parts["e_followers"] = self.trial_e
-                np.copyto(e_followers, self.e_followers)
-                e_followers[:, idx] = work + e_fly
+                parts["e_work"] = _follower_work_energies(self.train[idx], x, t_row, window)
         elif idx == n:
             p_leader = x
-            t_dn = _bare_delay(radio.pkt_global, radio.bw_down, x * self.samples.c_dn)
+            t_dn = _bare_delay(radio.pkt_global, radio.bw_down, x * c_dn)
             g_dn = _window_gamma((1.0 - beta) * round_time, t_dn, smoothing)
-            parts = {"t_dn": t_dn, "g_dn": g_dn, "both": self.g_up * g_dn}
+            parts = {"t_dn": t_dn, "g_dn": g_dn, "both_sums": self._both_sums(self.g_up, g_dn)}
             if control_on:
                 parts["control_rows"] = self._control_rows(t_dn)
         elif idx == n + 1:
             beta = x
             g_up = _window_gamma(beta * round_time, self.t_up, smoothing)
             g_dn = _window_gamma((1.0 - beta) * round_time, self.t_dn, smoothing)
-            parts = {"g_up": g_up, "g_dn": g_dn, "both": g_up * g_dn}
+            parts = {"g_up": g_up, "g_dn": g_dn, "both_sums": self._both_sums(g_up, g_dn)}
             if followers_on:
-                work = _follower_work_energies(self.train, self.p, self.t_up, beta * round_time)
-                parts.update(e_work=work, e_followers=work + e_fly)
+                parts["e_work"] = _follower_work_energies(self.train, self.p, self.t_up, beta * round_time)
         else:
             e_fly = _flight_energy(self.scenario, x)
             parts = {"e_fly": e_fly}
-            if followers_on:
-                parts["e_followers"] = self.e_work + e_fly
-        if "both" in parts:
-            parts["obj"] = float(np.multiply(self.counts, parts["both"], out=self.buf).sum())
-            if leader_on or followers_on:
-                parts["both_sums"] = _column_sums(parts["both"])
+        if "both_sums" in parts:
+            parts["obj"] = float(self.counts @ parts["both_sums"])
         if leader_on and idx >= n:
             parts["e_leader"] = _leader_energy(self.scenario, p_leader, beta, e_fly)
         return parts
+
+    def _both_sums(self, g_up, g_dn) -> np.ndarray:
+        """Row sums of the participation product g_up * g_dn, formed in buf."""
+        return np.multiply(g_up, g_dn, out=self.buf).sum(axis=1)
 
     def move(self, idx: int, x: float) -> None:
         """Set coordinate idx of the base design to x: the base keeps the parts of that trial."""
         parts = self._trial(idx, x, (True, True, True))
         self.flat[idx] = x
         self.design = DesignVector.from_flat(self.flat, self.n)
-        if idx < self.n:  # columns go into the base; the trial buffers trade places with both and e_followers
+        if "row" in parts:  # a p_i trial's rows go into the base
+            i = parts.pop("row")
             for name in ("t_up", "p", "g_up", "e_work"):
-                getattr(self, name)[:, idx] = parts.pop(name)
-            self.trial_both, self.trial_e = self.both, self.e_followers
+                getattr(self, name)[i] = parts.pop(name)
         vars(self).update(parts)
 
     def value(self, idx: int | None = None, x: float | None = None) -> float:
@@ -375,17 +364,18 @@ class _CoordinateLagrangian:
 
     def rows(self, parts=None, groups_on=(True, True, True)) -> np.ndarray:
         """Smoothed residual rows, length 2I+1, >= 0 when met, at the base design
-        with the parts given (by name: both_sums, e_leader, e_followers,
-        control_rows) in place of its own.  The rows of a group groups_on
-        (leader, followers, control) leaves off read 0.0, and rho and phi are
-        computed only when an energy group is on.  The follower energy
-        sigmoids are computed in buf."""
+        with the parts given (by name: both_sums, e_leader, e_work, e_fly,
+        control_rows, and a p_i trial's row) in place of its own.  The rows of
+        a group groups_on (leader, followers, control) leaves off read 0.0,
+        and rho and phi are computed only when an energy group is on.  The
+        follower energies e_work + e_fly and their sigmoids are computed in
+        buf."""
         at = vars(self) if parts is None else {**vars(self), **parts}
         leader_on, followers_on, control_on = groups_on
-        (k, n), budgets, e_bar = self.shape, self.budgets, self.budgets.e_bar
+        n, k, budgets, e_bar = self.n, self.k, self.budgets, self.budgets.e_bar
         rows = np.zeros(2 * n + 1)
         if leader_on or followers_on:
-            # column sums of sigmoid products over K samples: in [0, 1] by construction
+            # row sums of sigmoid products over K samples: in [0, 1] by construction
             rho = min(self.constants._speed(at["both_sums"] / k), 1.0 - 1e-12)
             log_decay = np.log(1.0 - rho)
             # rho too small to move 1 - rho means no participation, so no finite round prediction
@@ -394,11 +384,13 @@ class _CoordinateLagrangian:
         if leader_on:
             rows[0] = k * gamma_sigmoid(e_bar - phi * at["e_leader"], c_bar, e_scale) - k * budgets.xi_leader
         if followers_on:
-            out = self.buf
-            energy_args = np.subtract(e_bar, np.multiply(phi, at["e_followers"], out=out), out=out)
-            rows[1 : n + 1] = (
-                _column_sums(gamma_sigmoid(energy_args, c_bar, e_scale, out=out)) - k * budgets.xi_follower
-            )
+            i = at.get("row")
+            energies = np.add(self.e_work if i is not None else at["e_work"], at["e_fly"], out=self.buf)
+            if i is not None:  # a p_i trial's own row
+                np.add(at["e_work"], at["e_fly"], out=energies[i])
+            energy_args = np.subtract(e_bar, np.multiply(phi, energies, out=energies), out=energies)
+            sigmoids = gamma_sigmoid(energy_args, c_bar, e_scale, out=energies)
+            rows[1 : n + 1] = sigmoids.sum(axis=1) - k * budgets.xi_follower
         if control_on:
             rows[n + 1 :] = at["control_rows"]
         return rows
@@ -406,11 +398,8 @@ class _CoordinateLagrangian:
     def _control_rows(self, t_dn) -> np.ndarray:
         """Smoothed control-deadline rows: sum_k Gamma(tau_i - t_dn) - K xi_control."""
         r = np.subtract(self.tau, t_dn)
-        smoothing = self.smoothing
-        return (
-            _column_sums(gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r))
-            - t_dn.shape[0] * self.control.xi_control
-        )
+        sigmoids = gamma_sigmoid(r, self.smoothing.c_bar, self.smoothing.delay_scale, out=r)
+        return sigmoids.sum(axis=1) - self.k * self.control.xi_control
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)

@@ -32,6 +32,7 @@ from swarmfl.channel import (
     success_mask,
 )
 from swarmfl.design import DesignVector
+from swarmfl.saa import sample_delays
 from swarmfl.scenario import SwarmScenario
 
 G_MIN_DEFAULT = 10.0 ** -0.2
@@ -447,9 +448,9 @@ class TestLinkDelays:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             c_up, c_dn = sinr_coefficients(draws, quiet)
-            samples = ScenarioSamples.generate(quiet, 64, 3)
+            read_up, read_dn = ScenarioSamples.generate(quiet, 64, 3).kernels(quiet)
         assert np.all(np.isposinf(c_up)) and np.all(np.isposinf(c_dn))
-        assert np.all(np.isposinf(samples.c_up)) and np.all(np.isposinf(samples.c_dn))
+        assert np.all(np.isposinf(read_up)) and np.all(np.isposinf(read_dn))
 
     def test_monotone_in_power_distance_bandwidth(self, default_scenario):
         base = one_follower_scenario(default_scenario)
@@ -989,9 +990,9 @@ class TestFollowerMajorReads:
                 participation_masks([base, point], design, samples_k, [seed])[1, 0],
                 stream_masks(point, design, samples_k, seed),
             )
-        want_up, want_dn = sinr_coefficients(draw_channel(base, np.random.default_rng(seed), size=samples_k), base)
-        for got, want in ((samples.c_up, want_up), (samples.c_dn, want_dn)):  # saa's (K, I) copies
-            assert got.flags.c_contiguous and np.array_equal(got, want)
+        drawn = draw_channel(base, np.random.default_rng(seed), size=samples_k)  # the draw generate made
+        for got, want in zip(sample_delays(design, samples, base), link_delays(drawn, design, base), strict=True):
+            assert got.shape == (samples_k, n_followers) and np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(

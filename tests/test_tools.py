@@ -1,4 +1,5 @@
-"""tools/csv_identity.py and tools/ab_bench.py, which compare two source trees, and the pytest settings."""
+"""tools/csv_identity.py, tools/ab_bench.py and tools/seed_scan.py, which compare source trees, and the pytest
+settings."""
 
 import importlib.util
 import json
@@ -21,6 +22,7 @@ def load_tool(name):
 
 csv_identity = load_tool("csv_identity")
 ab_bench = load_tool("ab_bench")
+seed_scan = load_tool("seed_scan")
 
 OPTIMIZE_AT_DEFAULT = ["--seeds", "1", "--only", "optimize", "--default-scenario"]
 
@@ -35,10 +37,38 @@ def test_same_tree_writes_the_same_bytes(capsys):
 
 @pytest.mark.parametrize("hashes", [("a" * 64, "b" * 64), (None, None)])
 def test_mismatch_or_failed_command_exits_one(monkeypatch, capsys, hashes):
+    """Two CSVs that differ are reported with what moved; failed commands only as DIFFERENT."""
     produced = iter(hashes)
-    monkeypatch.setattr(csv_identity, "csv_hash", lambda *args: next(produced))
+
+    def fake_hash(tree, command, args, seed, out):
+        digest = next(produced)
+        if digest is not None:  # a run that writes a one-cell CSV
+            Path(out).write_text(f"h\n{digest}\n", encoding="utf-8")
+        return digest
+
+    monkeypatch.setattr(csv_identity, "csv_hash", fake_hash)
     assert csv_identity.main([str(ROOT), str(ROOT), *OPTIMIZE_AT_DEFAULT]) == 1
-    assert capsys.readouterr().out.startswith("DIFFERENT  seed 1  optimize")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("DIFFERENT  seed 1  optimize")
+    moved = ["    1 of 1 rows moved, 1 cells", "    h: 1 cells, largest relative change text"]
+    assert lines[1:] == (moved if hashes[0] else [])
+
+
+def test_moved_cells_count_rows_cells_and_each_columns_largest_change():
+    base = "iter,p_1,beta,stop\n1,0.5,0.25,gap\n2,0.5,0.25,gap\n3,2,0,gap\n"
+    new = "iter,p_1,beta,stop\n1,0.5,0.25,gap\n2,0.5002,0.2501,gap\n3,1,0,max_iters\n"
+    assert csv_identity.moved_cells(base, new) == [
+        "2 of 3 rows moved, 4 cells",
+        "p_1: 2 cells, largest relative change 0.5",
+        "beta: 1 cells, largest relative change 0.0004",
+        "stop: 1 cells, largest relative change text",
+    ]
+    assert csv_identity.moved_cells(base, "iter,p_1,beta,stop\n1,0,0.25,gap\n") == [
+        "1 of 1 rows moved, 1 cells", "row count 3 -> 1", "p_1: 1 cells, largest relative change 1",
+    ]
+    assert csv_identity.moved_cells(base, base.replace("beta", "b")) == ["headers differ"]
+    assert csv_identity.moved_cells("x\n0\n", "x\n1e-9\n") == ["1 of 1 rows moved, 1 cells",
+                                                               "x: 1 cells, largest relative change inf"]
 
 
 def test_commands_come_from_the_benchmark():
@@ -325,3 +355,44 @@ def test_the_file_holds_each_trees_source_line_count(tmp_path, capsys):
     for tree, lines in ((base, 3), (new, 1)):
         wc = subprocess.run(f"cat {tree}/src/swarmfl/*.py | wc -l", shell=True, capture_output=True, text=True)
         assert int(wc.stdout) == lines
+
+
+def scan_output(*checks, failed=0):
+    """stdout of a perfbench run whose checks found checks."""
+    lines = [f"CHECK FAILED: {check}" for check in checks] + ["rounds 1, operations attempted 1, failed 0"]
+    return "\n".join(lines + [json.dumps({"correct": not checks, "attempted": 1, "failed": failed})]) + "\n"
+
+
+def test_seed_scan_prints_each_failing_check_and_tallies_them_by_kind(monkeypatch, capsys):
+    runs = {
+        ("mc-train", 1): (0, scan_output("sweep-sigma sigma2 0.2 bw 1e+06: predicted 62 vs empirical mean 65.22"), ""),
+        ("mc-train", 2): (0, scan_output("sweep-sigma sigma2 0.1 bw 2e+06: predicted 60 vs empirical mean 63.5"), ""),
+        ("mc-train", 3): (0, scan_output(), ""),
+        ("design-solve", 1): (0, scan_output(failed=1), ""),
+        ("design-solve", 2): (1, "", "Traceback: boom\n"),
+        ("design-solve", 3): (0, scan_output("optimize: 2 result rows, 0 iterations"), ""),
+    }
+    calls = []
+    monkeypatch.setattr(seed_scan, "run_round", lambda tree, w, seed: calls.append((tree, w, seed)) or runs[w, seed])
+    assert seed_scan.main([str(ROOT), "--workloads", "mc-train,design-solve", "--seeds", "1-3"]) == 1
+    assert calls == [(str(ROOT), w, seed) for w in ("mc-train", "design-solve") for seed in (1, 2, 3)]
+    assert capsys.readouterr().out.splitlines() == [
+        "mc-train  seed 1  sweep-sigma sigma2 0.2 bw 1e+06: predicted 62 vs empirical mean 65.22",
+        "mc-train  seed 2  sweep-sigma sigma2 0.1 bw 2e+06: predicted 60 vs empirical mean 63.5",
+        "design-solve  seed 1  1 failed operations",
+        "design-solve  seed 2  no record (exit 1): Traceback: boom",
+        "design-solve  seed 3  optimize: 2 result rows, 0 iterations",
+        "6 runs, 5 failures",
+        "     2  sweep-sigma sigma2 # bw #: predicted # vs empirical mean #",
+        "     1  # failed operations",
+        "     1  no record (exit #): Traceback: boom",
+        "     1  optimize: # result rows, # iterations",
+    ]
+
+
+def test_seed_scan_of_clean_runs_exits_zero_and_unknown_workloads_two(monkeypatch, capsys):
+    monkeypatch.setattr(seed_scan, "run_round", lambda *run: (0, scan_output(), ""))
+    assert seed_scan.main([str(ROOT), "--workloads", "design-compare", "--seeds", "4,9"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2 runs, 0 failures"]
+    assert seed_scan.main([str(ROOT), "--workloads", "design-compare,train", "--seeds", "1"]) == 2
+    assert "unknown workloads ['train']" in capsys.readouterr().err

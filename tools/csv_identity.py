@@ -13,7 +13,9 @@ compare-designs on design-compare), with the arguments BASE_TREE's
 the sha256 of every CSV.  Both trees read the scenario files of BASE_TREE
 (`perfbench/scenarios/`), so only the program differs.  Prints one line per
 command and seed, and exits 1 on any mismatch or failed command, 2 on an
-unknown command, 0 otherwise.
+unknown command, 0 otherwise.  Under the line of two CSVs that differ it
+says what moved: how many rows and cells, and the largest relative change
+of each column that moved (see moved_cells).
 
 After the benchmark commands it compares the late runs (LATE_RUNS), whose
 repetitions train past one 128-round block of channel draws, which no
@@ -45,14 +47,17 @@ it would win.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 # Runs compared by default after the benchmark commands, each at its own seed,
 # read like --extra runs: the only ones that draw more than one channel block.
@@ -78,9 +83,8 @@ def benchmark_commands(tree: str) -> dict:
     }
 
 
-def csv_hash(tree: str, command: str, args: list, seed: int, out_dir: str) -> str | None:
-    """sha256 of the CSV that command writes at seed from tree's sources; None if it fails."""
-    out = os.path.join(out_dir, f"{command}-{seed}.csv")
+def csv_hash(tree: str, command: str, args: list, seed: int, out: str) -> str | None:
+    """sha256 of the CSV that command writes to out at seed from tree's sources; None if it fails."""
     argv = [sys.executable, "-m", "swarmfl", command, *args, "--seed", str(seed), "--out", out]
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
@@ -89,6 +93,58 @@ def csv_hash(tree: str, command: str, args: list, seed: int, out_dir: str) -> st
         return None
     with open(out, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _relative_change(old: str, new: str) -> float | None:
+    """|new - old| / |old| of two numeric cells (inf from 0); None unless both are numbers."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
+
+
+def moved_cells(base_text: str, new_text: str) -> list[str]:
+    """What moved from one CSV to another, as report lines: the rows and cells
+    that differ, matched by position under a shared header, then each column
+    that moved with its largest relative change ("text" where a cell is not
+    a number)."""
+    base, new = (list(csv.reader(text.splitlines())) for text in (base_text, new_text))
+    if not base or not new or base[0] != new[0]:
+        return ["headers differ"]
+    header, pairs = base[0], list(zip(base[1:], new[1:]))
+    changes = {}  # column -> relative changes of its moved cells
+    rows = 0
+    for old_row, new_row in pairs:
+        moved = [(col, a, b) for col, a, b in zip(header, old_row, new_row) if a != b]
+        rows += bool(moved)
+        for col, a, b in moved:
+            changes.setdefault(col, []).append(_relative_change(a, b))
+    lines = [f"{rows} of {len(pairs)} rows moved, {sum(map(len, changes.values()))} cells"]
+    if len(base) != len(new):
+        lines.append(f"row count {len(base) - 1} -> {len(new) - 1}")
+    for col in header:
+        if col in changes:
+            values = changes[col]
+            largest = "text" if None in values else f"{max(values):.2g}"
+            lines.append(f"{col}: {len(values)} cells, largest relative change {largest}")
+    return lines
+
+
+def parse_seeds(text: str) -> list[int]:
+    """The seeds of a --seeds value: comma-separated seeds and inclusive ranges A-B, in order."""
+    seeds = []
+    for item in filter(None, (s.strip() for s in text.split(","))):
+        bounds = re.fullmatch(r"(\d+)(?:-(\d+))?", item)
+        if bounds is None:
+            raise ValueError(f"--seeds must be comma-separated seeds or ranges A-B, got {text!r}")
+        lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
+        if hi < lo:
+            raise ValueError(f"--seeds range {item!r} is reversed")
+        seeds += range(lo, hi + 1)
+    if not seeds:
+        raise ValueError("--seeds must name at least one seed")
+    return seeds
 
 
 def parse_args(argv=None):
@@ -102,18 +158,10 @@ def parse_args(argv=None):
     parser.add_argument("--extra", action="append", default=[], metavar='"COMMAND ARGS..."',
                         help="compare one more run of COMMAND with ARGS (repeatable)")
     args = parser.parse_args(argv)
-    seeds = []
-    for item in filter(None, (s.strip() for s in args.seeds.split(","))):
-        bounds = re.fullmatch(r"(\d+)(?:-(\d+))?", item)
-        if bounds is None:
-            parser.error(f"--seeds must be comma-separated seeds or ranges A-B, got {args.seeds!r}")
-        lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
-        if hi < lo:
-            parser.error(f"--seeds range {item!r} is reversed")
-        seeds += range(lo, hi + 1)
-    args.seeds = seeds
-    if not args.seeds:
-        parser.error("--seeds must name at least one seed")
+    try:
+        args.seeds = parse_seeds(args.seeds)
+    except ValueError as err:
+        parser.error(str(err))
     extras = []
     default_runs = LATE_RUNS if args.default_scenario else LATE_RUNS + BINDING_RUNS
     late = [text for text in default_runs if not args.only or text.split()[0] in args.only]
@@ -166,14 +214,14 @@ def main(argv=None) -> int:
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         for label, command, cli_args, seed in planned_runs(args, commands):
-            hashes = []
-            for side, tree in (("base", args.base), ("new", args.new)):
-                out_dir = os.path.join(tmp, side)
-                os.makedirs(out_dir, exist_ok=True)
-                hashes.append(csv_hash(tree, command, cli_args, seed, out_dir))
+            outs = [os.path.join(tmp, f"{side}-{command}-{seed}.csv") for side in ("base", "new")]
+            hashes = [csv_hash(tree, command, cli_args, seed, out) for tree, out in zip((args.base, args.new), outs)]
             same = hashes[0] is not None and hashes[0] == hashes[1]
             mismatches += not same
             print(f"{'same' if same else 'DIFFERENT'}  seed {seed}  {label}  {hashes[0]}  {hashes[1]}")
+            if not same and None not in hashes:
+                for line in moved_cells(*(Path(out).read_text(encoding="utf-8") for out in outs)):
+                    print(f"    {line}")
     return 1 if mismatches else 0
 
 
