@@ -420,7 +420,8 @@ class ScenarioSamples:
     follower i in sample k is p_i * c_up[i, k], downlink p_L * c_dn[i, k].
     Its masks are threshold tests on those SINRs, with an exact band (see
     _fits), so every mask is success_mask of link_delays bit for bit.
-    saa reads own_kernels, the drawn point's, in this layout.
+    saa reads own_kernels in this layout; at(point) gives the same draws
+    with point as their own scenario, so one draw serves every bandwidth.
     """
 
     scenario: "SwarmScenario"
@@ -449,6 +450,12 @@ class ScenarioSamples:
     @property
     def k(self) -> int:
         return self.unit_jitter.shape[1]
+
+    def at(self, point: "SwarmScenario") -> "ScenarioSamples":
+        """The same draws read at point: a view whose own kernels, masks and frequencies are point's; no array is copied."""
+        if point is not self.scenario:
+            _require_same_draws(self.scenario, [point])
+        return ScenarioSamples(point, self.unit_jitter, self.parts)
 
     # the kernels at the scenario's own jitter variance and bandwidths, made on first use
     own_kernels = cached_property(lambda self: self._kernels_at(self.scenario))

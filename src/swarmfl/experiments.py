@@ -312,9 +312,13 @@ def experiment_compare_designs(
 
     Per bandwidth: one full joint solve, then power-only (random schedule
     split) and scheduling-only (random powers) baselines redrawn
-    n_baseline_draws times.  All designs at one bandwidth are scored on one
-    frozen channel draw (ScenarioSamples), drawn once per bandwidth, and
-    rounds are predictions from those success probabilities.
+    n_baseline_draws times.  The channel is drawn twice for the whole
+    bandwidth list, with the seeds of bandwidth index 0: one
+    n_success_samples draw (ScenarioSamples) scores every design, and one
+    saa.samples_k draw is every joint solve's frozen samples.  Each
+    bandwidth reads both through .at, so its joint row does not depend on
+    the rest of the list; rounds are predictions from the success
+    probabilities.
     """
     scenario.require_valid()
     points = [_with_sigma_bw(scenario, scenario.antenna.sigma2, float(bw)) for bw in bw_list]
@@ -335,13 +339,14 @@ def experiment_compare_designs(
     problem = problem_constants(scenario)
     eps_sum = _eps_sum(scenario, problem)
     base_seed = scenario.base_seed
+    # the draws of bandwidth index 0's seeds, as solve(rng_seed=derive_seed(base_seed, "cd-solve", 0)) makes them
+    scoring = ScenarioSamples.generate(points[0], scenario.n_success_samples, derive_seed(base_seed, "cd-probs", 0))
+    frozen = ScenarioSamples.generate(
+        points[0], scenario.saa.samples_k, derive_seed(derive_seed(base_seed, "cd-solve", 0), "saa-samples")
+    )
     for k_bw, (bw, point) in enumerate(zip(bw_list, points)):
-        samples = ScenarioSamples.generate(
-            point, point.n_success_samples, derive_seed(base_seed, "cd-probs", k_bw)
-        )
-        joint, joint_round, report = solve(
-            point, rng_seed=derive_seed(base_seed, "cd-solve", k_bw), scoring=samples
-        )
+        scores = scoring.at(point)
+        joint, joint_round, report = solve(point, scoring=scores, samples=frozen)
         joint_probs = report.success_probs
         result.append(
             bandwidth=float(bw),
@@ -357,7 +362,7 @@ def experiment_compare_designs(
             rounds = np.empty(n_baseline_draws)
             for d in range(n_baseline_draws):
                 cand = baseline_design(kind, joint, point, derive_seed(base_seed, "cd-base", kind, k_bw, d))
-                rounds[d] = problem.predicted_round(samples.success_probs(cand, point), eps_sum)
+                rounds[d] = problem.predicted_round(scores.success_probs(cand, point), eps_sum)
             mean_round = float(rounds.mean())
             reduction = (mean_round - joint_round) / mean_round if mean_round > 0 else 0.0
             result.append(
@@ -368,7 +373,6 @@ def experiment_compare_designs(
                 predicted_round_std=float(rounds.std(ddof=0)),
                 reduction_vs_joint=reduction,
             )
-        del samples  # so the next bandwidth's solve and draw run without this one held
     return result
 
 

@@ -630,13 +630,17 @@ def solve(
     rng_seed: int | None = None,
     method: str = "subgradient",
     scoring: ScenarioSamples | None = None,
+    samples: ScenarioSamples | None = None,
 ) -> tuple[DesignVector, int, SolveReport]:
     """Full design optimization: returns (design, predicted_round, report).
 
     Projected subgradient descent on the multipliers (step a/sqrt(t) with
     a = step_scale * K), warm-starting each inner maximization from the
     previous iterate; stops early once the duality gap closes to inner_tol or
-    the multipliers go stationary.  The returned design is the
+    the multipliers go stationary.  The frozen optimizer samples are
+    samples read at scenario (samples.at), so they may be drawn at another
+    jitter variance or bandwidth; by default a fresh saa.samples_k draw
+    seeded from rng_seed and "saa-samples".  The returned design is the
     unsmoothed-feasible iterate with the best smoothed objective.  Its
     success probabilities and round prediction are read off scoring, draws
     of scenario independent of the frozen optimizer samples; by default a
@@ -653,9 +657,11 @@ def solve(
     if not 0 <= rng_seed < 2**64:  # derive_seed would alias it onto a seed in range
         raise ValueError(f"rng_seed must be in [0, 2**64), got {rng_seed}")
     constants = problem_constants(scenario)
-    samples = ScenarioSamples.generate(
-        scenario, scenario.saa.samples_k, derive_seed(rng_seed, "saa-samples")
-    )
+    if samples is None:
+        samples = ScenarioSamples.generate(
+            scenario, scenario.saa.samples_k, derive_seed(rng_seed, "saa-samples")
+        )
+    samples = samples.at(scenario)
     state = _DualState(
         samples, SmoothingConfig.from_scenario(scenario), scenario, constants,
         SolveReport(method=method), scenario.default_design(),

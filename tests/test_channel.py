@@ -578,11 +578,32 @@ class TestSuccessProbability:
         for k, one in enumerate(points):
             assert np.array_equal(grid[k], participation_masks([one], design, 40, [3, 4])[0])
 
+    @pytest.mark.parametrize(
+        "sigma2, bw", [(0.01, 1e6), (0.01, 2e6), (0.2, 5e6), (0.0, 2e5)], ids=["equal-copy", "bw", "both", "no-jitter"]
+    )
+    def test_a_view_reads_the_draws_at_its_point(self, default_scenario, sigma2, bw):
+        """at(point) is the same draws with point as their own scenario: every
+        read equals the parent's read at point bit for bit, and no array is copied."""
+        samples = ScenarioSamples.generate(default_scenario, 300, 9)
+        [point] = jitter_bw_points(default_scenario, [(sigma2, bw)])
+        view = samples.at(point)
+        assert view.scenario is point and view.k == samples.k
+        assert np.shares_memory(view.unit_jitter, samples.unit_jitter)
+        for mine, theirs in zip(view.parts, samples.parts, strict=True):
+            assert np.shares_memory(mine, theirs)
+        want = samples.kernels(point)
+        for reads in (view.own_kernels, view.kernels(point)):
+            for got, one in zip(reads, want, strict=True):
+                assert np.array_equal(got, one)
+        for design in (default_scenario.default_design(), replace(default_scenario.default_design(), beta=0.3)):
+            assert np.array_equal(view.success_probs(design, point), samples.success_probs(design, point))
+            assert np.array_equal(view._masks(design, point), samples._masks(design, point))
+
     def test_frozen_samples_reject_other_draw_statistics(self, default_scenario):
         """Only the drawn scenario object skips the point check: an equal copy
         reads the same frequencies and kernels, and a point differing in any
-        field but antenna.sigma2, radio.bw_up and radio.bw_down raises in both
-        reads, also deep in the interference field."""
+        field but antenna.sigma2, radio.bw_up and radio.bw_down raises in every
+        read and in at(point), also deep in the interference field."""
         design = default_scenario.default_design()
         samples = ScenarioSamples.generate(default_scenario, 100, 9)
         own = samples.success_probs(design, default_scenario)
@@ -623,7 +644,8 @@ class TestSuccessProbability:
                     points[f"{group}.{f.name}"] = replace(default_scenario, **{group: changed})
         for name, point in points.items():
             assert point != default_scenario, name
-            for read in (lambda: samples.success_probs(design, point), lambda: samples.kernels(point)):
+            reads = (lambda: samples.success_probs(design, point), lambda: samples.kernels(point), lambda: samples.at(point))
+            for read in reads:
                 with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
                     read()
 

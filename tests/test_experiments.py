@@ -187,16 +187,18 @@ def _design_of(row, n_followers) -> DesignVector:
 
 
 class TestCompareDesigns:
-    def test_two_channel_draws_per_bandwidth(self, compare_draws):
-        """saa-samples and cd-probs: the solve and the designs do not redraw the channel."""
-        assert compare_draws[1] == 2 * len(COMPARE_BWS)
+    def test_two_channel_draws_for_the_whole_grid(self, compare_draws):
+        """saa-samples and cd-probs, once each: no bandwidth, solve or design redraws the channel."""
+        assert compare_draws[1] == 2
 
     def test_designs_scored_on_the_cd_probs_draw(self, compare, small_scenario):
+        """Every bandwidth's cells read the one cd-probs draw (bandwidth index 0's seed) at that bandwidth."""
         n = small_scenario.n_followers
+        seed = derive_seed(small_scenario.base_seed, "cd-probs", 0)
+        drawn = ScenarioSamples.generate(small_scenario, small_scenario.n_success_samples, seed)
         for k_bw, bw in enumerate(COMPARE_BWS):
             point = replace(small_scenario, radio=replace(small_scenario.radio, bw_up=bw, bw_down=bw))
-            seed = derive_seed(small_scenario.base_seed, "cd-probs", k_bw)
-            samples = ScenarioSamples.generate(point, point.n_success_samples, seed)
+            samples = drawn.at(point)
             row = compare.rows[3 * k_bw]
             joint = _design_of(row, n)
             want = [row[f"success_prob_{i + 1}"] for i in range(n)]
@@ -209,6 +211,19 @@ class TestCompareDesigns:
             for design in designs:
                 masks = success_mask(*link_delays(draws, design, point), design.beta, point.round_time_s)
                 assert np.array_equal(samples.success_probs(design, point), masks.mean(axis=0))
+
+    @pytest.mark.parametrize("bw_list", [COMPARE_BWS[1:], COMPARE_BWS[::-1], (5e6, 1e6)])
+    def test_joint_rows_do_not_depend_on_the_rest_of_the_list(self, compare, small_scenario, bw_list):
+        """Every joint solve reads the same channel, whatever bandwidths stand beside it or before it,
+        and the channel is drawn twice however long the list is."""
+        joint = {r["bandwidth"]: r for r in compare.rows if r["design_kind"] == "joint"}
+        with counting_draws() as calls:
+            other = experiment_compare_designs(small_scenario, bw_list=bw_list, n_baseline_draws=1)
+        assert len(calls) == 2
+        shared = [r for r in other.rows if r["design_kind"] == "joint" and r["bandwidth"] in joint]
+        assert shared
+        for row in shared:
+            assert row == joint[row["bandwidth"]]
 
     def test_three_kinds_per_bandwidth(self, compare):
         assert len(compare.rows) == 6

@@ -1104,6 +1104,33 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(with_max_iters(small_scenario, 2), method="newton")
 
+    @pytest.mark.parametrize("method", ["subgradient", "ellipsoid"])
+    def test_given_samples_are_read_at_the_solved_scenario(self, small_scenario, method):
+        """Samples passed in are the frozen samples, read at the solved
+        scenario: the draw solve would make gives its answer bit for bit, also
+        when it was drawn at another bandwidth, which no draw reads."""
+        from swarmfl.seeds import derive_seed
+
+        seed, scenario = 7, with_max_iters(small_scenario, 12)
+        wide = replace(scenario, radio=replace(scenario.radio, bw_up=5e6, bw_down=5e6))
+        drawn = solve(scenario, rng_seed=seed, method=method)
+        for at in (scenario, wide):
+            samples = ScenarioSamples.generate(at, scenario.saa.samples_k, derive_seed(seed, "saa-samples"))
+            design, rounds, report = solve(scenario, rng_seed=seed, method=method, samples=samples)
+            assert np.array_equal(design.as_flat(), drawn[0].as_flat())
+            assert rounds == drawn[1] == report.predicted_round
+            assert report.stop_reason == drawn[2].stop_reason
+            assert len(report.iterations) == len(drawn[2].iterations)
+            for row, want in zip(report.iterations, drawn[2].iterations):
+                assert row.keys() == want.keys()
+                assert all(np.array_equal(row[key], want[key]) for key in row)
+
+    def test_given_samples_of_other_draw_statistics_rejected(self, small_scenario):
+        farther = replace(small_scenario, distances=(60.0, 75.0))
+        samples = ScenarioSamples.generate(farther, small_scenario.saa.samples_k, 7)
+        with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
+            solve(with_max_iters(small_scenario, 2), samples=samples)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed(self, small_scenario, monkeypatch, seed):
         """A seed outside [0, 2**64) is rejected before anything is drawn, not
