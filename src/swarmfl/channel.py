@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
@@ -197,31 +198,81 @@ def _draw_rows(scenario: "SwarmScenario", rngs, size: int) -> ChannelDraw:
     A row takes, field by field in ChannelDraw order, the standard normals
     of the jitter and of each fading's real, then imaginary part, and the
     uniforms of the uplink, then downlink interferers' activity, each
-    written into its row of a preallocated array; the fading is then formed
-    over all rows at once, so a generator repeated over consecutive rows
-    reads as its consecutive draw_channel calls.
+    written into its row of a preallocated array (_fill_rows); the fading
+    is then formed over all rows at once (_formed), so a generator repeated
+    over consecutive rows reads as its consecutive draw_channel calls.
     """
+    normals, uniforms = _row_arrays(scenario, len(rngs), size)
+    _fill_rows(rngs, normals, uniforms)
+    return _formed(scenario, normals, uniforms)
+
+
+def _row_arrays(scenario: "SwarmScenario", n_rows: int, size: int) -> tuple[list, list]:
+    """The empty arrays _fill_rows writes, leading axes (n_rows, size): normals and uniforms in draw order."""
     n_f = scenario.n_followers
-    interference = (scenario.uplink_interference, scenario.downlink_interference)
-    j_up, j_dn = map(len, interference)
-    lead = (len(rngs), size)
+    j_up, j_dn = len(scenario.uplink_interference), len(scenario.downlink_interference)
+    lead = (n_rows, size)
     fading_shapes = ((n_f,), (n_f,), (j_up,), (j_dn, n_f))
     normals = [np.empty(lead + (n_f + 1,))]
     normals += [np.empty(lead + shape) for shape in fading_shapes for _ in "ri"]  # real, then imaginary part
-    uniforms = [np.empty(lead + (j,)) for j in (j_up, j_dn)]
+    return normals, [np.empty(lead + (j,)) for j in (j_up, j_dn)]
+
+
+def _fill_rows(rngs, normals: list, uniforms: list) -> None:
+    """Write row r of every array from rngs[r]; generator calls only, so it may run on another thread."""
     for row, rng in enumerate(rngs):
         for out in normals:
             rng.standard_normal(out=out[row])
         for out in uniforms:
             rng.random(out=out[row])
+
+
+def _formed(scenario: "SwarmScenario", normals: list, uniforms: list) -> ChannelDraw:
+    """The draw of filled _row_arrays: jitter scaled to scenario's sigma2, Rician gains and interferer activity."""
     angle_dev, *fading = normals
     angle_dev *= np.sqrt(scenario.antenna.sigma2)
     k = scenario.radio.rician_k
+    interference = (scenario.uplink_interference, scenario.downlink_interference)
     return ChannelDraw(
         angle_dev,
         *(_rician_in_place(re, im, k) for re, im in zip(fading[::2], fading[1::2])),
         *(u < _interferer_table(f)[3] for u, f in zip(uniforms, interference)),
     )
+
+
+def _generate_beside(scenario: "SwarmScenario", samples_k: int, rng_seed: int, work) -> "ScenarioSamples":
+    """ScenarioSamples.generate(scenario, samples_k, rng_seed), its generator fills made while work() runs.
+
+    This thread makes the generator and the arrays, a worker thread runs
+    only _fill_rows on them (the calls draw_channel makes, in its order),
+    and work() runs here meanwhile.  After the worker is joined, this
+    thread forms the draw and the samples, so the bits are generate's.  An
+    exception from work, or else from the fill, reaches the caller, and no
+    thread is left running either way.  The worker calls no public swarmfl
+    function, so spans wrapped around those read one thread's calls.
+    """
+    unit = _unit_variance(scenario)
+    rngs = [np.random.default_rng(rng_seed)]
+    normals, uniforms = _row_arrays(unit, 1, samples_k)
+    failed = []
+
+    def fill():
+        try:
+            _fill_rows(rngs, normals, uniforms)
+        except BaseException as exc:  # handed to the caller after the join
+            failed.append(exc)
+
+    worker = threading.Thread(target=fill, name="swarmfl-fill")
+    worker.start()
+    try:
+        work()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    draws = _formed(unit, normals, uniforms)
+    del normals, uniforms  # the imaginary parts and uniforms are scratch: let them go before the samples are made
+    return ScenarioSamples._of(scenario, ChannelDraw(**{name: a[0] for name, a in vars(draws).items()}))
 
 
 def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int | None = None) -> ChannelDraw:
@@ -525,9 +576,10 @@ class MaskStream:
     """Participation masks of B * R coupled training runs, one BLOCK of rounds a call, for run_fl.
 
     Run k * R + r reads repetition r's stream (the generator seeded with
-    seeds[r], kept open while the n_rounds budget has rounds left) under
-    points[k], which may differ only in jitter variance and link bandwidths
-    (see ScenarioSamples): a repetition's runs are coupled draw-for-draw.
+    seeds[r], kept open while the n_rounds budget has rounds left and the
+    last call read the repetition) under points[k], which may differ only
+    in jitter variance and link bandwidths (see ScenarioSamples): a
+    repetition's runs are coupled draw-for-draw.
     Points that share a variance are cheapest read one after another, as
     the antenna gain is recomputed whenever the variance changes.
     """
@@ -540,7 +592,7 @@ class MaskStream:
             raise ValueError("n_rounds must be >= 0")
         self.points, self.design, self._unit = points, design, _unit_variance(points[0])
         self.shape = (len(points) * len(seeds), n_rounds, points[0].n_followers)
-        self._rngs = list(seeds)  # a repetition's seed, then its generator once a block is drawn
+        self._rngs = list(seeds)  # a repetition's seed, then its generator once a block is drawn, None once let go
         self._drawn = 0  # rounds drawn of each repetition read
 
     def __call__(self, runs, out: np.ndarray | None = None) -> np.ndarray:
@@ -548,20 +600,25 @@ class MaskStream:
 
         Each repetition with a run in runs draws its next block, a chunk of
         them per _draw_rows call, and is read at each point with a run of
-        it.  One left out must stay out, since its generator does not move.
+        it.  The generator of every other repetition is let go: one left
+        out, or read after the budget's last block, raises ValueError.
         """
         runs, n_f = np.asarray(runs, dtype=int), self.shape[2]
-        out = np.empty((min(BLOCK, self.shape[1] - self._drawn), n_f, len(runs)), dtype=bool) if out is None else out
         point_of, rep_of = np.divmod(runs, len(self._rngs))
         reps, at = np.unique(rep_of, return_inverse=True)  # the repetitions drawn, and each run's among them
+        gone = [int(r) for r in reps if self._rngs[r] is None]
+        if gone:
+            raise ValueError(f"repetitions {gone} were left out of an earlier call or have used up the round budget")
+        out = np.empty((min(BLOCK, self.shape[1] - self._drawn), n_f, len(runs)), dtype=bool) if out is None else out
         per_call = max(1, _CHUNK_ROUNDS // BLOCK)
         self._drawn += BLOCK
+        kept = [None] * len(self._rngs)  # a repetition's generator, kept while the budget has rounds left
         for first in range(0, len(reps), per_call):
             group = reps[first : first + per_call]
             rngs = [np.random.default_rng(self._rngs[r]) for r in group]  # a generator passes through as is
-            if self._drawn < self.shape[1]:  # kept only while the budget has rounds left
+            if self._drawn < self.shape[1]:
                 for r, rng in zip(group, rngs):
-                    self._rngs[r] = rng
+                    kept[r] = rng
             window = (a[:, : len(out)] for a in vars(_draw_rows(self._unit, rngs, BLOCK)).values())  # views of out's rounds
             samples = ScenarioSamples._of(self.points[0], ChannelDraw(*window))
             in_group = (at >= first) & (at < first + per_call)
@@ -570,6 +627,7 @@ class MaskStream:
                 if cols.size:
                     masks = samples._masks(self.design, point).reshape(n_f, len(group), len(out))
                     out[:, :, cols] = masks[:, at[cols] - first].transpose(2, 0, 1)
+        self._rngs = kept
         return out
 
 

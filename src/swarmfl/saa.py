@@ -31,7 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _DELAY_ERRSTATE, ScenarioSamples, _bare_delay, _kernel_delays, estimate_success_probs, success_mask
+from .channel import (
+    _DELAY_ERRSTATE, ScenarioSamples, _bare_delay, _generate_beside, _kernel_delays, success_mask,
+)
 from .convergence import TrainingProblem, training_problem
 from .design import DesignVector
 from .energy import (
@@ -644,7 +646,10 @@ def solve(
     unsmoothed-feasible iterate with the best smoothed objective.  Its
     success probabilities and round prediction are read off scoring, draws
     of scenario independent of the frozen optimizer samples; by default a
-    fresh n_success_samples draw seeded from rng_seed and "opt-probs".
+    fresh n_success_samples draw seeded from rng_seed and "opt-probs",
+    whose generator fills run on a worker thread while the dual loop runs
+    on this one (channel._generate_beside), so the probabilities are
+    estimate_success_probs's bit for bit.
     rng_seed defaults to the scenario's base_seed and must lie in
     [0, 2**64), as that field does.  Raises NoFeasibleDesignError when every
     iterate violates the sample constraints.
@@ -666,19 +671,18 @@ def solve(
         samples, SmoothingConfig.from_scenario(scenario), scenario, constants,
         SolveReport(method=method), scenario.default_design(),
     )
-    solvers[method](state)
+    if scoring is None:  # its fills run on a worker thread during the dual loop
+        seed = derive_seed(rng_seed, "opt-probs")
+        scoring = _generate_beside(scenario, scenario.n_success_samples, seed, lambda: solvers[method](state))
+    else:
+        solvers[method](state)
 
     if state.best_feasible_primal is None:
         raise NoFeasibleDesignError(
             "no design satisfied the sample chance constraints; relax e_bar, tau, or xi"
         )
     best, report = state.best_feasible_primal, state.report
-    if scoring is None:
-        probs = estimate_success_probs(
-            best, scenario, scenario.n_success_samples, derive_seed(rng_seed, "opt-probs")
-        )
-    else:
-        probs = scoring.success_probs(best, scenario)
+    probs = scoring.success_probs(best, scenario)
     predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
     report.gap = state.gap()
     report.feasible = True

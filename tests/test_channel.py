@@ -941,6 +941,33 @@ class TestMaskWindows:
             peaks.append(traced_peak(lambda: participation_masks([default_scenario], design, n_rounds, seeds)) - output)
         assert abs(peaks[1] - peaks[0]) <= 0.03 * peaks[0]
 
+    def test_stream_lets_go_of_repetitions_it_will_not_read(self, default_scenario):
+        """After a call the stream holds the generators of the repetitions it read, and none after the last block."""
+        design, seeds = default_scenario.default_design(), [11, 12, 13]
+        stream = channel.MaskStream([default_scenario], design, 300, seeds)
+        first = stream([0, 2])
+        assert [type(rng).__name__ for rng in stream._rngs] == ["Generator", "NoneType", "Generator"]
+        second = stream([2])
+        assert stream._rngs == [None, None, stream._rngs[2]] and stream._rngs[2] is not None
+        third = stream([2])
+        assert stream._rngs == [None, None, None]  # 300 rounds: the third block is the budget's last
+        for r, masks in ((0, first[:, :, 0]), (2, np.concatenate([first[:, :, 1], second[:, :, 0], third[:, :, 0]]))):
+            assert np.array_equal(masks, stream_masks(default_scenario, design, len(masks), seeds[r]))
+
+    def test_stream_refuses_a_repetition_it_let_go(self, default_scenario):
+        """A repetition left out of a call, or read past the budget, raises; the refused call moves no stream."""
+        design, seeds = default_scenario.default_design(), [11, 12, 13]
+        stream = channel.MaskStream([default_scenario, default_scenario], design, 256, seeds)
+        stream([0, 5])  # repetitions 0 and 2, at the first and the second point
+        for runs in ([1], [0, 4], [4]):  # repetition 1, at either point
+            with pytest.raises(ValueError, match=r"repetitions \[1\] were left out"):
+                stream(runs)
+        last = stream([0, 5])
+        want = stream_masks(default_scenario, design, 256, 11)[channel.BLOCK :]
+        assert np.array_equal(last[:, :, 0], want)
+        with pytest.raises(ValueError, match=r"repetitions \[0\]"):
+            stream([0])
+
     def test_empty_points_rejected(self, default_scenario):
         with pytest.raises(ValueError, match="points"):
             participation_masks([], default_scenario.default_design(), 3, [1])
@@ -1073,6 +1100,11 @@ class TestTracedPeaks:
     def test_estimate_success_probs(self, default_scenario):
         design = default_scenario.default_design()
         peak = traced_peak(lambda: estimate_success_probs(design, default_scenario, self.samples_k, 1))
+        assert peak / self.samples_k <= 1.05 * 632
+
+    def test_generate_beside(self, default_scenario):
+        """The draw filled on a worker thread peaks like generate: its scratch arrays go before the samples are made."""
+        peak = traced_peak(lambda: channel._generate_beside(default_scenario, self.samples_k, 1, lambda: None))
         assert peak / self.samples_k <= 1.05 * 632
 
     def test_participation_masks(self, default_scenario):

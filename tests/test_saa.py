@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import threading
 import warnings
 from dataclasses import replace
 
@@ -1143,6 +1144,113 @@ class TestSolve:
         monkeypatch.setattr(saa, "derive_seed", forbidden)
         with pytest.raises(ValueError, match=r"rng_seed must be in \[0, 2\*\*64\)"):
             solve(small_scenario, rng_seed=seed)
+
+
+class TestScoringDrawBesideTheLoop:
+    """solve(scoring=None) fills its opt-probs draw on a worker thread while the dual loop runs on the caller's."""
+
+    @staticmethod
+    def serial(scenario, seed, method):
+        """solve on a scoring draw made beforehand, which leaves it nothing to overlap."""
+        from swarmfl.seeds import derive_seed
+
+        scoring = ScenarioSamples.generate(scenario, scenario.n_success_samples, derive_seed(seed, "opt-probs"))
+        return solve(scenario, rng_seed=seed, method=method, scoring=scoring)
+
+    @staticmethod
+    def assert_same(got, want):
+        (design, rounds, report), (want_design, want_rounds, want_report) = got, want
+        assert np.array_equal(design.as_flat(), want_design.as_flat())
+        assert rounds == want_rounds == report.predicted_round
+        assert np.array_equal(report.success_probs, want_report.success_probs)
+        assert report.stop_reason == want_report.stop_reason
+        assert len(report.iterations) == len(want_report.iterations)
+        for row, want_row in zip(report.iterations, want_report.iterations):
+            assert row.keys() == want_row.keys()
+            assert all(np.array_equal(row[key], want_row[key]) for key in row)
+
+    @pytest.mark.parametrize("method, max_iters", [("subgradient", None), ("ellipsoid", 6)])
+    @pytest.mark.parametrize("e_bar", [None, 510.0], ids=["default-budget", "510J"])
+    def test_equals_a_serial_solve_bit_for_bit(self, default_scenario, method, max_iters, e_bar):
+        from swarmfl.channel import estimate_success_probs
+        from swarmfl.seeds import derive_seed
+
+        scenario = default_scenario if e_bar is None else replace(default_scenario, energy_budget=EnergyBudget(e_bar))
+        scenario = scenario if max_iters is None else with_max_iters(scenario, max_iters)
+        seed = 5
+        got = solve(scenario, rng_seed=seed, method=method)
+        self.assert_same(got, self.serial(scenario, seed, method))
+        design, _, report = got
+        want = estimate_success_probs(design, scenario, scenario.n_success_samples, derive_seed(seed, "opt-probs"))
+        assert np.array_equal(report.success_probs, want)
+
+    def test_a_slow_fill_is_waited_for(self, small_scenario, monkeypatch):
+        """A fill that ends long after the loop still gives the serial bits, and its thread is gone on return."""
+        import time
+
+        import swarmfl.channel as channel
+
+        fill_rows, threads = channel._fill_rows, threading.active_count()
+
+        def slow(*args):
+            time.sleep(0.3)
+            fill_rows(*args)
+
+        monkeypatch.setattr(channel, "_fill_rows", slow)
+        scenario = with_max_iters(small_scenario, 3)
+        got = solve(scenario, rng_seed=3)
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        self.assert_same(got, self.serial(scenario, 3, "subgradient"))
+
+    @pytest.mark.parametrize("where", ["dual loop", "fill"])
+    def test_an_error_reaches_the_caller_with_its_type(self, small_scenario, monkeypatch, where):
+        """An exception from the dual loop, or from the worker's fill, reaches the caller; no thread is left."""
+        import swarmfl.channel as channel
+        import swarmfl.saa as saa
+
+        class Raised(Exception):
+            pass
+
+        def failing(*args):
+            raise Raised(where)
+
+        monkeypatch.setattr(*((saa, "_solve_subgradient") if where == "dual loop" else (channel, "_fill_rows")), failing)
+        threads = threading.active_count()
+        with pytest.raises(Raised, match=where):
+            solve(with_max_iters(small_scenario, 3))
+        assert threading.active_count() == threads
+
+    def test_traced_functions_run_on_the_calling_thread(self, small_scenario, monkeypatch):
+        """Only the fill leaves the calling thread: every function perfbench's tracer wraps runs on it."""
+        import importlib
+        import sys
+
+        from test_public_names import tracer_targets
+
+        import swarmfl.channel as channel
+        import swarmfl.saa as saa
+
+        seen = []  # (function, thread) of every call
+
+        def on_thread(name, fn):
+            def wrapped(*args, **kwargs):
+                seen.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        modules = [m for key, m in list(sys.modules.items()) if m is not None and key.startswith("swarmfl")]
+        for module, function in tracer_targets():
+            original = getattr(importlib.import_module(f"swarmfl.{module}"), function)
+            for mod in modules:
+                if getattr(mod, function, None) is original:
+                    monkeypatch.setattr(mod, function, on_thread(f"{module}.{function}", original))
+        monkeypatch.setattr(channel, "_fill_rows", on_thread("channel._fill_rows", channel._fill_rows))
+        saa.solve(with_max_iters(small_scenario, 3))  # the wrapped binding
+        caller = threading.get_ident()
+        assert {name for name, thread in seen if thread != caller} == {"channel._fill_rows"}
+        assert {"saa.solve", "saa.inner_maximize", "seeds.derive_seed"} <= {name for name, _ in seen}
 
 
 class TestGapStop:

@@ -284,26 +284,49 @@ def test_each_run_records_the_round_count_of_its_run_file(tmp_path):
     assert toy["machine"] == {"tree": "new"}
 
 
+# FAKE_RUN that also writes the run file, with the round wall times a canned record carries as "walls"
+WRITES_WALLS = FAKE_RUN.replace("print(json.dumps(record))", textwrap.dedent("""
+    args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+    out = os.path.join(tree, "perfbench", "out")
+    os.makedirs(out, exist_ok=True)
+    name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
+    with open(os.path.join(out, name), "w") as fh:
+        json.dump({"rounds": 3, "round_walls_s": record.pop("walls")}, fh)
+    print(json.dumps(record))
+"""))
+
+
 def test_runs_record_the_median_wall_round_time_of_their_run_file(tmp_path):
     """Each run, and each side's traced run beside its per-layer metrics, keeps the median of round_walls_s."""
-    writes_run_file = FAKE_RUN.replace("print(json.dumps(record))", textwrap.dedent("""
-        args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
-        out = os.path.join(tree, "perfbench", "out")
-        os.makedirs(out, exist_ok=True)
-        name = f"{args['--workload']}-seed{args['--seed']}-trace{args['--trace']}.json"
-        with open(os.path.join(out, name), "w") as fh:
-            json.dump({"rounds": 3, "round_walls_s": record.pop("walls")}, fh)
-        print(json.dumps(record))
-    """))
     base = fake_tree(tmp_path, "base", [{**record(1.0), "walls": w} for w in ([0.3, 0.1, 0.2], [0.5, 0.4, 0.9],
-                                                                              [0.7, 0.6, 0.8])], writes_run_file)
+                                                                              [0.7, 0.6, 0.8])], WRITES_WALLS)
     new = fake_tree(tmp_path, "new", [{**record(0.8), "walls": w} for w in ([0.2, 0.2, 0.1], [0.3],
-                                                                            [0.4, 0.5])], writes_run_file)
+                                                                            [0.4, 0.5])], WRITES_WALLS)
     assert ab_bench.main([base, new, "--label", "walls", "--pairs", "2", "--seconds", "1"]) == 0
     toy = json.loads((tmp_path / "new" / "BENCH_walls.json").read_text())["workloads"]["toy"]
     assert [(r["base"]["round_wall_s"], r["new"]["round_wall_s"]) for r in toy["runs"]] == [(0.2, 0.2), (0.5, 0.3)]
     assert toy["traced_round_wall_s"] == {"base": 0.7, "new": 0.45}
     assert toy["per_layer"] == {"channel.draws": {"base": 100.0, "new": 80.0}}
+
+
+def test_wall_round_time_is_compared_and_printed_next_to_round_s(tmp_path, capsys):
+    """Both sides' medians of the per-run wall round times, their change and the pairs won, beside round_s:
+    here round_s gains 20% in every pair, wall time 5% in two of three."""
+    base_walls, new_walls = ([0.10, 0.30], [0.20], [0.40, 0.40]), ([0.15], [0.19, 0.19], [0.50])
+    base = fake_tree(tmp_path, "base", [{**record(1.0), "walls": w} for w in base_walls], WRITES_WALLS)
+    new = fake_tree(tmp_path, "new", [{**record(0.8), "walls": w} for w in new_walls], WRITES_WALLS)
+    assert ab_bench.main([base, new, "--label", "wall", "--pairs", "3", "--seconds", "1", "--no-trace"]) == 0
+    toy = json.loads((tmp_path / "new" / "BENCH_wall.json").read_text())["workloads"]["toy"]
+    wall = toy["round_wall_s"]
+    assert (wall["base"], wall["new"]) == ([0.2, 0.2, 0.4], [0.15, 0.19, 0.5])
+    assert (wall["base_median"], wall["new_median"], wall["new_won"], wall["pairs"]) == (0.2, 0.19, 2, 3)
+    assert wall["change"] == pytest.approx(0.19 / 0.2 - 1.0)
+    assert wall["within_bound"] is None and wall["gain_resolved"] is False
+    assert toy["metrics"]["round_s"]["new_won"] == 3
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("toy round_s: 1 -> 0.8 s (-20.0%;"))
+    assert lines[at + 1].startswith("toy round_wall_s: 0.2 -> 0.19 s (-5.0%;")
+    assert "new won 2/3" in lines[at + 1]
 
 
 def test_a_regression_beyond_the_bound_is_marked(tmp_path):

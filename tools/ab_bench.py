@@ -6,7 +6,10 @@ Runs `perfbench/run.py --trace 0` from the root of each tree, in pairs: BASE
 runs first in even-numbered pairs and NEW in odd-numbered ones.  Every run
 reads its end-to-end metrics from the last stdout line, the JSON record
 perfbench prints, and its round count and the median of its wall round
-times (`round_walls_s`) from the run file perfbench writes.  Then one
+times (`round_walls_s`) from the run file perfbench writes; the medians
+of those per-run wall times are compared like an end-to-end metric
+without a bound (`round_wall_s`) and printed next to `round_s`, so a
+scaled gain that wall time does not bear out shows.  Then one
 `--trace 1` run per side puts the per-layer metrics side by side, with
 that run's median wall round time (`traced_round_wall_s`): per-layer
 `self_s` are wall seconds, where `round_s` is scaled to a reference core.
@@ -105,11 +108,11 @@ def failure(record: dict) -> str | None:
 
 
 def compare(spec: dict, base: list, new: list) -> dict:
-    """Medians, BASE's quartiles, pairs NEW won and the bound verdict of one metric's paired values."""
+    """Medians, BASE's quartiles, pairs NEW won and the bound verdict (None without a bound) of paired values."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     pairs = [(b, n) for b, n in zip(base, new) if b is not None and n is not None]
     won = sum(sign * (n - b) < 0 for b, n in pairs)
-    out = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"], "base": base, "new": new,
+    out = {"unit": spec["unit"], "better": spec["better"], "bound": spec.get("bound"), "base": base, "new": new,
            "pairs": len(pairs), "new_won": won}
     if not pairs:
         return out
@@ -122,7 +125,7 @@ def compare(spec: dict, base: list, new: list) -> dict:
         new_median=new_med,
         base_quartiles=[q1, q3],
         change=change,
-        within_bound=sign * change <= spec["bound"],
+        within_bound=None if spec.get("bound") is None else sign * change <= spec["bound"],
         gain_resolved=won >= 0.9 * len(pairs) and abs(new_med - base_med) > q3 - q1,
     )
     return out
@@ -145,12 +148,17 @@ def bench_workload(args, spec: dict, workload: str) -> tuple[dict, list]:
     def values(side, name):
         return [r[side].get("metrics", {}).get(name, {}).get("value") for r in runs]
 
+    def walls(side):
+        return [r[side].get("round_wall_s") for r in runs]
+
     entry = {
         "machine": run_file(args.new, workload, args.seed, 0).get("machine"),
         "runs": [{"pair": r["pair"], "first": r["first"],
                   **{side: {k: r[side].get(k) for k in RUN_KEYS if k in r[side]} for side in trees}} for r in runs],
         "metrics": {e["name"]: compare(e, values("base", e["name"]), values("new", e["name"]))
                     for e in spec["end_to_end"]},
+        # the unscaled twin of round_s: a scaled gain that wall time does not bear out shows here
+        "round_wall_s": compare({"unit": "s", "better": "lower"}, walls("base"), walls("new")),
     }
     if args.trace:
         traced = {side: run_bench(tree, workload, args.seed, args.seconds, 1) for side, tree in trees.items()}
@@ -209,11 +217,15 @@ def main(argv=None) -> int:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for workload, entry in result["workloads"].items():
-        for name, m in entry["metrics"].items():
+        metrics = dict(entry["metrics"])
+        if "round_s" in metrics:  # the wall round time printed next to the scaled one
+            metrics = {"round_s": metrics.pop("round_s"), "round_wall_s": entry["round_wall_s"], **metrics}
+        for name, m in metrics.items():
             if "base_median" in m:
                 print(f"{workload} {name}: {m['base_median']:.6g} -> {m['new_median']:.6g} {m['unit']}"
-                      f" (base quartiles {m['base_quartiles'][0]:.6g}, {m['base_quartiles'][1]:.6g};"
-                      f" new won {m['new_won']}/{m['pairs']}; within bound {m['within_bound']})")
+                      f" ({m['change']:+.1%}; base quartiles {m['base_quartiles'][0]:.6g},"
+                      f" {m['base_quartiles'][1]:.6g}; new won {m['new_won']}/{m['pairs']};"
+                      f" within bound {m['within_bound']})")
     print(f"src/swarmfl/*.py lines: {result['src_lines']['base']} -> {result['src_lines']['new']}")
     for why in failures:
         print(f"FAILED: {why}", file=sys.stderr)
