@@ -461,24 +461,24 @@ class ScenarioSamples:
     across I columns.  Every kernel, delay and mask is computed sample by
     sample, so a sample reads the same bits whichever samples it is stacked
     with.
-    A point read off them may differ from the drawn scenario in
-    antenna.sigma2 and in its link bandwidths.  Fading times path loss and
-    the interference powers are kept from the draw; per jitter variance only
-    the antenna gain is recomputed, from sqrt(sigma2) * unit_jitter, which
-    is the product draw_channel forms.  So every point reads exactly the
+    Every read (own_kernels, _masks, success_probs) is at the samples' own
+    scenario; at(point) is the one way to read the draws at another point,
+    which may differ from it only in antenna.sigma2 and its link bandwidths.
+    Fading times path loss and the interference powers are kept from the
+    draw; per jitter variance only the antenna gain is recomputed, from
+    sqrt(sigma2) * unit_jitter, which is the product draw_channel forms, and
+    the views of one draw share it.  So every point reads exactly the
     kernels of a draw at its own sigma2 (see draw_channel for the condition
     this rests on).  A design only rescales the kernels: uplink SINR of
     follower i in sample k is p_i * c_up[i, k], downlink p_L * c_dn[i, k].
     Its masks are threshold tests on those SINRs, with an exact band (see
     _fits), so every mask is success_mask of link_delays bit for bit.
-    saa reads own_kernels in this layout; at(point) gives the same draws
-    with point as their own scenario, so one draw serves every bandwidth.
     """
 
     scenario: "SwarmScenario"
     unit_jitter: np.ndarray  # (I+1, K) orientation jitter at unit variance, leader first
     parts: tuple  # (faded_up, interf_up, faded_dn, interf_dn): (I, K), (1, K), (I, K), (I, K); see _jitter_free_parts
-    # the signal power of one jitter variance, the last one read: {sigma2: (num_up, num_dn)}
+    # the signal power of one jitter variance, the last one read here or by a view: {sigma2: (num_up, num_dn)}
     _signal: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
@@ -503,48 +503,36 @@ class ScenarioSamples:
         return self.unit_jitter.shape[1]
 
     def at(self, point: "SwarmScenario") -> "ScenarioSamples":
-        """The same draws read at point: a view whose own kernels, masks and frequencies are point's; no array is copied."""
-        if point is not self.scenario:
-            _require_same_draws(self.scenario, [point])
-        return ScenarioSamples(point, self.unit_jitter, self.parts)
+        """The same draws read at point: self at the own scenario object, else a view sharing
+        the arrays and the signal cache, after _require_same_draws (ValueError)."""
+        if point is self.scenario:
+            return self
+        _require_same_draws(self.scenario, [point])
+        return ScenarioSamples(point, self.unit_jitter, self.parts, self._signal)
 
-    # the kernels at the scenario's own jitter variance and bandwidths, made on first use
-    own_kernels = cached_property(lambda self: self._kernels_at(self.scenario))
-
-    def kernels(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
-        """(c_up, c_dn), each (I, K): the SINR per watt of every link at point's jitter variance and bandwidths."""
-        if point is not self.scenario:
-            _require_same_draws(self.scenario, [point])
-        return self._unchecked_kernels(point)
-
-    def _unchecked_kernels(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
-        if point.antenna.sigma2 == self.scenario.antenna.sigma2 and point.radio == self.scenario.radio:
-            return self.own_kernels
-        return self._kernels_at(point)
-
-    def _kernels_at(self, point: "SwarmScenario") -> tuple[np.ndarray, np.ndarray]:
-        sigma2 = point.antenna.sigma2
+    @cached_property
+    def own_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c_up, c_dn), each (I, K): the SINR per watt of every link at the scenario's variance and bandwidths."""
+        sigma2 = self.scenario.antenna.sigma2
         faded_up, interf_up, faded_dn, interf_dn = self.parts
         if sigma2 not in self._signal:
             self._signal.clear()  # hold one jitter variance's signal at a time
             self._signal[sigma2] = _signal_power(faded_up, faded_dn, np.sqrt(sigma2) * self.unit_jitter, self.scenario)
         num_up, num_dn = self._signal[sigma2]
-        return _kernels(num_up, interf_up, num_dn, interf_dn, point.radio)
+        return _kernels(num_up, interf_up, num_dn, interf_dn, self.scenario.radio)
 
-    def _masks(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
-        """success_mask of design at point, (I, K), decided by SINR thresholds (see _fits)."""
-        p = _checked_powers(design, point)[:, None]
-        c_up, c_dn = self._unchecked_kernels(point)  # success_probs and MaskStream check point
-        radio, beta, round_time = point.radio, design.beta, point.round_time_s
+    def _masks(self, design: "DesignVector") -> np.ndarray:
+        """success_mask of design, (I, K), decided by SINR thresholds (see _fits)."""
+        p = _checked_powers(design, self.scenario)[:, None]
+        c_up, c_dn = self.own_kernels
+        radio, beta, round_time = self.scenario.radio, design.beta, self.scenario.round_time_s
         up = _fits(radio.pkt_local, radio.bw_up, p * c_up, beta * round_time)
         return up & _fits(radio.pkt_global, radio.bw_down, design.p_leader * c_dn, (1.0 - beta) * round_time)
 
-    def success_probs(self, design: "DesignVector", point: "SwarmScenario") -> np.ndarray:
-        """Per-follower participation frequency of design at point, shape (I,)."""
-        if point is not self.scenario:
-            _require_same_draws(self.scenario, [point])
+    def success_probs(self, design: "DesignVector") -> np.ndarray:
+        """Per-follower participation frequency of design, shape (I,)."""
         # one count per row: count_nonzero with axis=1 goes through an intp sum, several times slower
-        return np.array([np.count_nonzero(row) for row in self._masks(design, point)]) / self.k
+        return np.array([np.count_nonzero(row) for row in self._masks(design)]) / self.k
 
 
 def _require_same_draws(scenario: "SwarmScenario", points) -> None:
@@ -579,9 +567,11 @@ class MaskStream:
     seeds[r], kept open while the n_rounds budget has rounds left and the
     last call read the repetition) under points[k], which may differ only
     in jitter variance and link bandwidths (see ScenarioSamples): a
-    repetition's runs are coupled draw-for-draw.
-    Points that share a variance are cheapest read one after another, as
-    the antenna gain is recomputed whenever the variance changes.
+    repetition's runs are coupled draw-for-draw.  Each chunk of
+    repetitions is drawn at points[0] and read at every point through
+    ScenarioSamples.at, so points that share a variance are cheapest read
+    one after another: the views share the antenna gain, which is
+    recomputed whenever the variance changes.
     """
 
     def __init__(self, points: "list[SwarmScenario]", design: "DesignVector", n_rounds: int, seeds):
@@ -625,7 +615,7 @@ class MaskStream:
             for k, point in enumerate(self.points):
                 cols = np.flatnonzero(in_group & (point_of == k))
                 if cols.size:
-                    masks = samples._masks(self.design, point).reshape(n_f, len(group), len(out))
+                    masks = samples.at(point)._masks(self.design).reshape(n_f, len(group), len(out))
                     out[:, :, cols] = masks[:, at[cols] - first].transpose(2, 0, 1)
         self._rngs = kept
         return out
@@ -652,4 +642,4 @@ def estimate_success_probs(
     """Per-follower participation frequency over n_samples seeded draws, shape (I,)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    return ScenarioSamples.generate(scenario, n_samples, rng_seed).success_probs(design, scenario)
+    return ScenarioSamples.generate(scenario, n_samples, rng_seed).success_probs(design)

@@ -246,7 +246,7 @@ def experiment_sweep_sigma(
 
     The whole grid is read off one ss-probs draw of success-probability
     samples and, per repetition, one ss-run stream shared by every point
-    (ScenarioSamples and MaskStream), so the grid is coupled
+    (ScenarioSamples.at and MaskStream), so the grid is coupled
     draw-for-draw and the emitted trends reflect the parameters, not
     resampling luck.  Rows follow sigma2_list, then bw_list, repeats kept.
     Every point runs the scenario's default design.
@@ -280,7 +280,7 @@ def experiment_sweep_sigma(
     samples = ScenarioSamples.generate(
         grid[0], scenario.n_success_samples, derive_seed(scenario.base_seed, "ss-probs")
     )
-    probs = [samples.success_probs(design, point) for point in grid]
+    probs = [samples.at(point).success_probs(design) for point in grid]  # variance-major: views share each gain
     del samples  # scored first, so it is never held together with the grid's masks
     eps_mean = eps_sum / model.n_total
     runs = _train(model, grid, design, scenario.max_rounds, _run_seeds(scenario, "ss-run"), eps_mean)
@@ -317,7 +317,8 @@ def experiment_compare_designs(
     n_success_samples draw (ScenarioSamples) scores every design, and one
     saa.samples_k draw is every joint solve's frozen samples.  Each
     bandwidth reads both through .at, so its joint row does not depend on
-    the rest of the list; rounds are predictions from the success
+    the rest of the list, and the views of a draw compute its antenna gain
+    once between them; rounds are predictions from the success
     probabilities.
     """
     scenario.require_valid()
@@ -362,7 +363,7 @@ def experiment_compare_designs(
             rounds = np.empty(n_baseline_draws)
             for d in range(n_baseline_draws):
                 cand = baseline_design(kind, joint, point, derive_seed(base_seed, "cd-base", kind, k_bw, d))
-                rounds[d] = problem.predicted_round(scores.success_probs(cand, point), eps_sum)
+                rounds[d] = problem.predicted_round(scores.success_probs(cand), eps_sum)
             mean_round = float(rounds.mean())
             reduction = (mean_round - joint_round) / mean_round if mean_round > 0 else 0.0
             result.append(

@@ -18,7 +18,10 @@ residual rows, energies) on the samples' own follower-major layout, with
 one routine per coordinate that both its trials and its moves run; the
 public smoothed functions read one rebuilt at their design, the inner
 maximization tries and moves one coordinate of it at a time, and each dual
-iteration reads the residuals and objective it reports.
+iteration reads the residuals and objective it reports.  Every public
+function taking (samples, scenario) reads the samples through
+samples.at(scenario), so a pair of other draw statistics raises ValueError
+and kernels and bandwidth always come from the one point.
 
 The smoothed problem is a solver device only: the returned design is the
 best iterate that passes the original indicator-based sample constraints,
@@ -119,13 +122,13 @@ def gamma_sigmoid(r, c_bar: float, scale: float = 1.0, out: np.ndarray | None = 
 
 def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
     """Per-sample link delays (t_up, t_dn), each (K, I) seconds: transposed views of _row_delays'."""
-    t_up, t_dn = _row_delays(design, samples, scenario)
+    t_up, t_dn = _row_delays(design, samples.at(scenario))
     return t_up.T, t_dn.T
 
 
-def _row_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
-    """Per-sample link delays (t_up, t_dn), each (I, K) seconds: one contiguous row of K samples per follower."""
-    delays = _kernel_delays(*(c.T for c in samples.own_kernels), design, scenario)
+def _row_delays(design: DesignVector, samples: ScenarioSamples):
+    """Link delays (t_up, t_dn) at the samples' scenario, each (I, K) seconds: one row of K samples per follower."""
+    delays = _kernel_delays(*(c.T for c in samples.own_kernels), design, samples.scenario)
     return tuple(np.ascontiguousarray(t.T) for t in delays)  # elementwise results keep the kernels' layout: no copy
 
 
@@ -267,7 +270,7 @@ class _CoordinateLagrangian:
 
     def __init__(self, lam, samples, smoothing, scenario, budgets, control, constants=None):
         self.lam = lam
-        self.samples = samples
+        self.samples = samples.at(scenario)
         self.smoothing = smoothing
         self.scenario = scenario
         self.budgets = budgets
@@ -290,7 +293,7 @@ class _CoordinateLagrangian:
     def rebuild(self, flat: np.ndarray) -> "_CoordinateLagrangian":
         self.flat = np.array(flat, dtype=float)
         design = self.design = DesignVector.from_flat(self.flat, self.n)
-        self.t_up, self.t_dn = _row_delays(design, self.samples, self.scenario)
+        self.t_up, self.t_dn = _row_delays(design, self.samples)
         self.control_rows = self._control_rows(self.t_dn)
         self.p = np.array(design.p, dtype=float)[:, None]
         self.e_fly = _flight_energy(self.scenario, design.v)
@@ -645,10 +648,11 @@ def solve(
     seeded from rng_seed and "saa-samples".  The returned design is the
     unsmoothed-feasible iterate with the best smoothed objective.  Its
     success probabilities and round prediction are read off scoring, draws
-    of scenario independent of the frozen optimizer samples; by default a
-    fresh n_success_samples draw seeded from rng_seed and "opt-probs",
-    whose generator fills run on a worker thread while the dual loop runs
-    on this one (channel._generate_beside), so the probabilities are
+    independent of the frozen optimizer samples, also read at scenario
+    before the dual loop starts; by default a fresh n_success_samples draw
+    seeded from rng_seed and "opt-probs", whose generator fills run on a
+    worker thread while the dual loop runs on this one
+    (channel._generate_beside), so the probabilities are
     estimate_success_probs's bit for bit.
     rng_seed defaults to the scenario's base_seed and must lie in
     [0, 2**64), as that field does.  Raises NoFeasibleDesignError when every
@@ -667,6 +671,7 @@ def solve(
             scenario, scenario.saa.samples_k, derive_seed(rng_seed, "saa-samples")
         )
     samples = samples.at(scenario)
+    scoring = None if scoring is None else scoring.at(scenario)
     state = _DualState(
         samples, SmoothingConfig.from_scenario(scenario), scenario, constants,
         SolveReport(method=method), scenario.default_design(),
@@ -682,7 +687,7 @@ def solve(
             "no design satisfied the sample chance constraints; relax e_bar, tau, or xi"
         )
     best, report = state.best_feasible_primal, state.report
-    probs = scoring.success_probs(best, scenario)
+    probs = scoring.success_probs(best)
     predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
     report.gap = state.gap()
     report.feasible = True

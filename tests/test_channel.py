@@ -448,7 +448,7 @@ class TestLinkDelays:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             c_up, c_dn = sinr_coefficients(draws, quiet)
-            read_up, read_dn = ScenarioSamples.generate(quiet, 64, 3).kernels(quiet)
+            read_up, read_dn = ScenarioSamples.generate(quiet, 64, 3).own_kernels
         assert np.all(np.isposinf(c_up)) and np.all(np.isposinf(c_dn))
         assert np.all(np.isposinf(read_up)) and np.all(np.isposinf(read_dn))
 
@@ -495,7 +495,7 @@ class TestLinkDelays:
         samples = ScenarioSamples.generate(s, 10, 1)
         calls = (
             lambda design: link_delays(unit_draw(), design, s),
-            lambda design: samples.success_probs(design, s),
+            lambda design: samples.success_probs(design),
             lambda design: participation_masks([s], design, 3, [1]),
         )
         for value in (0.0, -0.5, np.nan):
@@ -547,7 +547,7 @@ class TestSuccessProbability:
         ]
         samples = ScenarioSamples.generate(points[0], 2000, 9)
         for point in points:
-            shared = samples.success_probs(design, point)
+            shared = samples.at(point).success_probs(design)
             assert shared.shape == (default_scenario.n_followers,)
             alone = estimate_success_probs(design, point, n_samples=2000, rng_seed=9)
             assert np.array_equal(shared, alone)
@@ -568,10 +568,10 @@ class TestSuccessProbability:
         design = base.default_design()
         samples = ScenarioSamples.generate(base, 300, 9)
         alone = sinr_coefficients(draw_channel(point, np.random.default_rng(9), size=300), point)
-        for shared, own in zip(samples.kernels(point), alone):  # follower-major: (I, K) against (K, I)
+        for shared, own in zip(samples.at(point).own_kernels, alone):  # follower-major: (I, K) against (K, I)
             assert np.array_equal(shared, own.T)
         assert np.array_equal(
-            samples.success_probs(design, point), estimate_success_probs(design, point, 300, 9)
+            samples.at(point).success_probs(design), estimate_success_probs(design, point, 300, 9)
         )
         points = [point, base, replace(point, radio=base.radio), point, replace(base, radio=point.radio)]
         grid = participation_masks(points, design, 40, [3, 4])
@@ -583,33 +583,61 @@ class TestSuccessProbability:
     )
     def test_a_view_reads_the_draws_at_its_point(self, default_scenario, sigma2, bw):
         """at(point) is the same draws with point as their own scenario: every
-        read equals the parent's read at point bit for bit, and no array is copied."""
+        read equals that of a draw made at point bit for bit, another view at
+        point reads the same, and no array is copied."""
         samples = ScenarioSamples.generate(default_scenario, 300, 9)
         [point] = jitter_bw_points(default_scenario, [(sigma2, bw)])
         view = samples.at(point)
-        assert view.scenario is point and view.k == samples.k
+        assert view.scenario is point and view.k == samples.k and view.at(point) is view
         assert np.shares_memory(view.unit_jitter, samples.unit_jitter)
         for mine, theirs in zip(view.parts, samples.parts, strict=True):
             assert np.shares_memory(mine, theirs)
-        want = samples.kernels(point)
-        for reads in (view.own_kernels, view.kernels(point)):
+        draws = draw_channel(point, np.random.default_rng(9), size=300)
+        want = [c.T for c in sinr_coefficients(draws, point)]  # follower-major
+        for reads in (view.own_kernels, samples.at(point).own_kernels):
             for got, one in zip(reads, want, strict=True):
                 assert np.array_equal(got, one)
         for design in (default_scenario.default_design(), replace(default_scenario.default_design(), beta=0.3)):
-            assert np.array_equal(view.success_probs(design, point), samples.success_probs(design, point))
-            assert np.array_equal(view._masks(design, point), samples._masks(design, point))
+            masks = success_mask(*link_delays(draws, design, point), design.beta, point.round_time_s)
+            assert np.array_equal(view.success_probs(design), samples.at(point).success_probs(design))
+            assert np.array_equal(view.success_probs(design), masks.mean(axis=0))
+            assert np.array_equal(view._masks(design), samples.at(point)._masks(design))
+            assert np.array_equal(view._masks(design), masks.T)
+
+    def test_at_the_own_scenario_is_the_samples(self, default_scenario):
+        samples = ScenarioSamples.generate(default_scenario, 50, 9)
+        assert samples.at(samples.scenario) is samples
+
+    def test_views_at_one_variance_share_the_signal_power(self, default_scenario, monkeypatch):
+        """Three bandwidth views at one jitter variance compute the antenna gain
+        once between them; a view at another variance computes it again."""
+        calls, signal_power = [], channel._signal_power
+        monkeypatch.setattr(channel, "_signal_power", lambda *args: calls.append(args) or signal_power(*args))
+        samples = ScenarioSamples.generate(default_scenario, 200, 9)
+        sigma2 = default_scenario.antenna.sigma2
+        points = jitter_bw_points(default_scenario, [(sigma2, bw) for bw in (1e6, 2e6, 5e6)])
+        views = [samples.at(point) for point in points]
+        for view in views:
+            view.own_kernels
+        assert len(calls) == 1
+        samples.own_kernels  # the drawn scenario is at the same variance
+        assert len(calls) == 1
+        [other] = jitter_bw_points(default_scenario, [(0.2, 2e6)])
+        samples.at(other).own_kernels
+        assert len(calls) == 2
 
     def test_frozen_samples_reject_other_draw_statistics(self, default_scenario):
-        """Only the drawn scenario object skips the point check: an equal copy
-        reads the same frequencies and kernels, and a point differing in any
-        field but antenna.sigma2, radio.bw_up and radio.bw_down raises in every
-        read and in at(point), also deep in the interference field."""
+        """Only the drawn scenario object skips the point check in at(point):
+        an equal copy reads the same frequencies and kernels, and a point
+        differing in any field but antenna.sigma2, radio.bw_up and
+        radio.bw_down raises in at(point), and so in every read through it,
+        also deep in the interference field."""
         design = default_scenario.default_design()
         samples = ScenarioSamples.generate(default_scenario, 100, 9)
-        own = samples.success_probs(design, default_scenario)
-        assert np.array_equal(samples.success_probs(design, replace(default_scenario)), own)
-        copy_kernels = samples.kernels(replace(default_scenario))
-        for got, want in zip(copy_kernels, samples.kernels(default_scenario), strict=True):
+        own = samples.success_probs(design)
+        assert np.array_equal(samples.at(replace(default_scenario)).success_probs(design), own)
+        copy_kernels = samples.at(replace(default_scenario)).own_kernels
+        for got, want in zip(copy_kernels, samples.at(default_scenario).own_kernels, strict=True):
             assert np.array_equal(got, want)
         other_k = replace(default_scenario, radio=replace(default_scenario.radio, rician_k=3.0))
         other_path = replace(default_scenario, radio=replace(default_scenario.radio, pathloss_exp=4.0, noise_psd=1e-10))
@@ -644,7 +672,10 @@ class TestSuccessProbability:
                     points[f"{group}.{f.name}"] = replace(default_scenario, **{group: changed})
         for name, point in points.items():
             assert point != default_scenario, name
-            reads = (lambda: samples.success_probs(design, point), lambda: samples.kernels(point), lambda: samples.at(point))
+            reads = (
+                lambda: samples.at(point).success_probs(design), lambda: samples.at(point).own_kernels,
+                lambda: samples.at(point),
+            )
             for read in reads:
                 with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
                     read()
@@ -904,7 +935,7 @@ class TestMaskWindows:
                     for got, want in zip(arrays, stream_parts(base, n_rounds, seed), strict=True):
                         assert np.array_equal(got[:, kept], want[:, read])
                     for point in points:
-                        for got, want in zip(samples.kernels(point), stream_kernels(point, n_rounds, seed)):
+                        for got, want in zip(samples.at(point).own_kernels, stream_kernels(point, n_rounds, seed)):
                             assert np.array_equal(got[:, kept], want[read].T)
 
     @pytest.mark.parametrize("n_rounds, n_seeds", [(128, 40), (129, 20), (500, 10), (channel._CHUNK_ROUNDS + 1, 3)])
@@ -1030,11 +1061,12 @@ class TestFollowerMajorReads:
         # the drawn point, one at another bandwidth only, and one at another jitter variance and bandwidth
         for point in (base, *jitter_bw_points(base, [(base.antenna.sigma2, bw), (sigma2, bw)])):
             draws = draw_channel(point, np.random.default_rng(seed), size=samples_k)
-            for got, want in zip(samples.kernels(point), sinr_coefficients(draws, point), strict=True):
+            read = samples.at(point)
+            for got, want in zip(read.own_kernels, sinr_coefficients(draws, point), strict=True):
                 assert got.shape == (n_followers, samples_k) and np.array_equal(got, want.T)
             masks = success_mask(*link_delays(draws, design, point), design.beta, point.round_time_s)
-            assert np.array_equal(samples._masks(design, point), masks.T)
-            assert np.array_equal(samples.success_probs(design, point), masks.mean(axis=0))
+            assert np.array_equal(read._masks(design), masks.T)
+            assert np.array_equal(read.success_probs(design), masks.mean(axis=0))
             assert np.array_equal(
                 participation_masks([base, point], design, samples_k, [seed])[1, 0],
                 stream_masks(point, design, samples_k, seed),
@@ -1060,8 +1092,8 @@ class TestFollowerMajorReads:
         masks[0], masks[-1] = False, True
         samples = ScenarioSamples.generate(default_scenario, samples_k, seed)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ScenarioSamples, "_masks", lambda self, design, point: masks)
-            got = samples.success_probs(default_scenario.default_design(), default_scenario)
+            patch.setattr(ScenarioSamples, "_masks", lambda self, design: masks)
+            got = samples.success_probs(default_scenario.default_design())
         assert got.tobytes() == (np.count_nonzero(masks, axis=1) / samples_k).tobytes()
         assert got[0] == 0.0 and got[-1] == 1.0
 

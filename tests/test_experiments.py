@@ -202,7 +202,7 @@ class TestCompareDesigns:
             row = compare.rows[3 * k_bw]
             joint = _design_of(row, n)
             want = [row[f"success_prob_{i + 1}"] for i in range(n)]
-            assert np.array_equal(samples.success_probs(joint, point), want)
+            assert np.array_equal(samples.success_probs(joint), want)
             designs = [joint] + [
                 baseline_design(kind, joint, point, d)
                 for kind in ("power-only", "scheduling-only") for d in range(3)
@@ -210,7 +210,7 @@ class TestCompareDesigns:
             draws = draw_channel(point, np.random.default_rng(seed), size=point.n_success_samples)
             for design in designs:
                 masks = success_mask(*link_delays(draws, design, point), design.beta, point.round_time_s)
-                assert np.array_equal(samples.success_probs(design, point), masks.mean(axis=0))
+                assert np.array_equal(samples.success_probs(design), masks.mean(axis=0))
 
     @pytest.mark.parametrize("bw_list", [COMPARE_BWS[1:], COMPARE_BWS[::-1], (5e6, 1e6)])
     def test_joint_rows_do_not_depend_on_the_rest_of_the_list(self, compare, small_scenario, bw_list):

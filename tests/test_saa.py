@@ -1132,6 +1132,23 @@ class TestSolve:
         with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
             solve(with_max_iters(small_scenario, 2), samples=samples)
 
+    @pytest.mark.parametrize("given", ["scoring", "both"])
+    def test_scoring_of_other_draw_statistics_rejected_before_the_dual_loop(self, small_scenario, monkeypatch, given):
+        """A scoring draw at three times the follower distances raises before
+        any dual step, not after the loop, where no feasible iterate would
+        hide it behind NoFeasibleDesignError."""
+        import swarmfl.saa as saa
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve ran a dual step on a scoring draw it cannot read")
+
+        monkeypatch.setattr(saa._DualState, "step", forbidden)
+        farther = replace(small_scenario, distances=tuple(3.0 * d for d in small_scenario.distances))
+        scoring = ScenarioSamples.generate(farther, small_scenario.n_success_samples, 7)
+        samples = ScenarioSamples.generate(small_scenario, small_scenario.saa.samples_k, 7) if given == "both" else None
+        with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
+            solve(small_scenario, scoring=scoring, samples=samples)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed(self, small_scenario, monkeypatch, seed):
         """A seed outside [0, 2**64) is rejected before anything is drawn, not
@@ -1144,6 +1161,60 @@ class TestSolve:
         monkeypatch.setattr(saa, "derive_seed", forbidden)
         with pytest.raises(ValueError, match=r"rng_seed must be in \[0, 2\*\*64\)"):
             solve(small_scenario, rng_seed=seed)
+
+
+def result_bits(value) -> list:
+    """The bytes of every leaf of a saa function's result, designs as their flat vectors."""
+    if isinstance(value, DesignVector):
+        value = value.as_flat()
+    if isinstance(value, tuple):
+        return [leaf for part in value for leaf in result_bits(part)]
+    if value is None or isinstance(value, bool):
+        return [repr(value)]
+    return [np.asarray(value).tobytes()]
+
+
+class TestSamplesReadAtTheScenario:
+    """Every public saa function that takes (samples, scenario) reads
+    samples.at(scenario): samples drawn at another bandwidth read as that
+    view bit for bit, and samples of other draw statistics raise."""
+
+    READS = (
+        "sample_delays", "smoothed_objective", "smoothed_constraints", "lagrangian", "unsmoothed_feasibility",
+        "inner_maximize",
+    )
+
+    @staticmethod
+    def calls(scenario) -> dict:
+        smoothing = SmoothingConfig.from_scenario(scenario)
+        budgets, control = scenario.energy_budget, scenario.control
+        # a short uplink window, where reading the kernels of one bandwidth at another moves the round prediction
+        design = replace(scenario.default_design(), beta=0.015)
+        lam = np.full(2 * scenario.n_followers + 1, 0.5)
+        calls = {
+            "sample_delays": lambda s: sample_delays(design, s, scenario),
+            "smoothed_objective": lambda s: smoothed_objective(design, s, smoothing, scenario),
+            "smoothed_constraints": lambda s: smoothed_constraints(design, s, smoothing, scenario, budgets, control),
+            "lagrangian": lambda s: lagrangian(design, lam, s, smoothing, scenario, budgets, control),
+            "unsmoothed_feasibility": lambda s: unsmoothed_feasibility(design, s, scenario, budgets, control),
+            "inner_maximize": lambda s: inner_maximize(lam, s, smoothing, scenario, budgets, control, design),
+        }
+        assert tuple(calls) == TestSamplesReadAtTheScenario.READS
+        return calls
+
+    @pytest.mark.parametrize("name", READS)
+    def test_another_bandwidth_reads_as_its_view(self, default_scenario, name):
+        wide = replace(default_scenario, radio=replace(default_scenario.radio, bw_up=2e6, bw_down=2e6))
+        samples = ScenarioSamples.generate(default_scenario, 1000, 5)  # drawn at 1 MHz
+        call = self.calls(wide)[name]
+        assert result_bits(call(samples)) == result_bits(call(samples.at(wide)))
+
+    @pytest.mark.parametrize("name", READS)
+    def test_other_follower_distances_raise(self, default_scenario, name):
+        farther = replace(default_scenario, distances=tuple(3.0 * d for d in default_scenario.distances))
+        samples = ScenarioSamples.generate(farther, 300, 5)
+        with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
+            self.calls(default_scenario)[name](samples)
 
 
 class TestScoringDrawBesideTheLoop:

@@ -250,7 +250,7 @@ def test_pairs_alternate_and_the_file_holds_the_comparison(tmp_path):
     assert ab_bench.main([base, new, "--label", "toy", "--pairs", "4", "--seconds", "1"]) == 0
     runs = (tmp_path / "order.log").read_text().splitlines()
     assert [line.split()[0] for line in runs] == ["base", "new", "new", "base", "base", "new", "new", "base",
-                                                  "base", "new"]
+                                                  "base", "new", "new", "base", "base", "new"]
     assert all("--trace 0" in line for line in runs[:8]) and all("--trace 1" in line for line in runs[8:])
     out = json.loads((tmp_path / "new" / "BENCH_toy.json").read_text())
     toy = out["workloads"]["toy"]
@@ -307,6 +307,25 @@ def test_runs_record_the_median_wall_round_time_of_their_run_file(tmp_path):
     assert [(r["base"]["round_wall_s"], r["new"]["round_wall_s"]) for r in toy["runs"]] == [(0.2, 0.2), (0.5, 0.3)]
     assert toy["traced_round_wall_s"] == {"base": 0.7, "new": 0.45}
     assert toy["per_layer"] == {"channel.draws": {"base": 100.0, "new": 80.0}}
+
+
+def test_per_layer_metrics_are_medians_of_three_traced_runs_a_side(tmp_path):
+    """Three --trace 1 runs a side, alternating sides, after the pairs: per_layer and traced_round_wall_s hold
+    each side's medians, and traced_runs every traced run's values in the order each side ran them."""
+    base_traced = [{**record(v), "walls": w} for v, w in ((0.5, [0.3]), (0.9, [0.1, 0.2, 0.6]), (0.7, [0.4]))]
+    new_traced = [{**record(v), "walls": w} for v, w in ((0.2, [0.2]), (0.6, [0.9]), (0.3, [0.5, 0.1]))]
+    base = fake_tree(tmp_path, "base", [{**record(1.0), "walls": [1.0]}] * 2 + base_traced, WRITES_WALLS)
+    new = fake_tree(tmp_path, "new", [{**record(0.8), "walls": [1.0]}] * 2 + new_traced, WRITES_WALLS)
+    assert ab_bench.main([base, new, "--label", "medians", "--pairs", "2", "--seconds", "1"]) == 0
+    traced = [line.split()[0] for line in (tmp_path / "order.log").read_text().splitlines() if "--trace 1" in line]
+    assert traced == ["base", "new", "new", "base", "base", "new"]
+    toy = json.loads((tmp_path / "new" / "BENCH_medians.json").read_text())["workloads"]["toy"]
+    assert toy["per_layer"] == {"channel.draws": {"base": 70.0, "new": 30.0}}
+    assert toy["traced_round_wall_s"] == {"base": 0.3, "new": 0.3}
+    assert toy["traced_runs"] == {
+        "per_layer": {"channel.draws": {"base": [50.0, 90.0, 70.0], "new": [20.0, 60.0, 30.0]}},
+        "round_wall_s": {"base": [0.3, 0.2, 0.4], "new": [0.2, 0.9, 0.3]},
+    }
 
 
 def test_wall_round_time_is_compared_and_printed_next_to_round_s(tmp_path, capsys):

@@ -9,9 +9,11 @@ perfbench prints, and its round count and the median of its wall round
 times (`round_walls_s`) from the run file perfbench writes; the medians
 of those per-run wall times are compared like an end-to-end metric
 without a bound (`round_wall_s`) and printed next to `round_s`, so a
-scaled gain that wall time does not bear out shows.  Then one
-`--trace 1` run per side puts the per-layer metrics side by side, with
-that run's median wall round time (`traced_round_wall_s`): per-layer
+scaled gain that wall time does not bear out shows.  Then three
+`--trace 1` runs per side, alternating sides as the pairs do, put the
+medians of their per-layer metrics side by side (`per_layer`), with the
+medians of their median wall round times (`traced_round_wall_s`); every
+traced run's values are kept beside them (`traced_runs`).  Per-layer
 `self_s` are wall seconds, where `round_s` is scaled to a reference core.
 The file, at NEW_TREE's root, holds per workload each run's round count
 and median wall round time, and per end-to-end metric both sides' raw
@@ -40,6 +42,7 @@ import sys
 
 SKIPPED_DIRS = {"out", "__pycache__"}  # perfbench's outputs and bytecode, not the benchmark
 RUN_KEYS = ("correct", "attempted", "failed", "rounds", "round_wall_s", "error")  # kept of each run's record
+TRACED_RUNS = 3  # --trace 1 runs per side; one cannot place a saving of a few percent of a round
 
 
 def bench_files(tree: str) -> dict:
@@ -107,6 +110,12 @@ def failure(record: dict) -> str | None:
     return None
 
 
+def median_of(values: list):
+    """The median of the values a run gave, None if none gave one."""
+    given = [v for v in values if v is not None]
+    return statistics.median(given) if given else None
+
+
 def compare(spec: dict, base: list, new: list) -> dict:
     """Medians, BASE's quartiles, pairs NEW won and the bound verdict (None without a bound) of paired values."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
@@ -131,12 +140,17 @@ def compare(spec: dict, base: list, new: list) -> dict:
     return out
 
 
+def sides_in_order(i: int) -> tuple[str, str]:
+    """Which side runs first in pair (or traced run) i: BASE in even ones, NEW in odd ones."""
+    return ("base", "new") if i % 2 == 0 else ("new", "base")
+
+
 def bench_workload(args, spec: dict, workload: str) -> tuple[dict, list]:
     """(the workload's entry of the file, the failures seen) over args.pairs alternating pairs."""
     trees = {"base": args.base, "new": args.new}
     runs, failures = [], []
     for pair in range(args.pairs):
-        order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+        order = sides_in_order(pair)
         records = {side: run_bench(trees[side], workload, args.seed, args.seconds, 0) for side in order}
         for side in order:
             why = failure(records[side])
@@ -161,16 +175,23 @@ def bench_workload(args, spec: dict, workload: str) -> tuple[dict, list]:
         "round_wall_s": compare({"unit": "s", "better": "lower"}, walls("base"), walls("new")),
     }
     if args.trace:
-        traced = {side: run_bench(tree, workload, args.seed, args.seconds, 1) for side, tree in trees.items()}
-        for side, record in traced.items():
-            why = failure(record)
-            if why:
-                failures.append(f"{workload} traced {side}: {why}")
-        entry["per_layer"] = {
-            e["name"]: {side: traced[side].get("metrics", {}).get(e["name"], {}).get("value") for side in trees}
-            for e in spec["per_layer"]
+        traced = {side: [] for side in trees}
+        for run in range(TRACED_RUNS):
+            for side in sides_in_order(run):
+                record = run_bench(trees[side], workload, args.seed, args.seconds, 1)
+                why = failure(record)
+                if why:
+                    failures.append(f"{workload} traced {side} run {run}: {why}")
+                traced[side].append(record)
+        raw = {
+            "per_layer": {e["name"]: {side: [r.get("metrics", {}).get(e["name"], {}).get("value") for r in records]
+                                      for side, records in traced.items()} for e in spec["per_layer"]},
+            "round_wall_s": {side: [r.get("round_wall_s") for r in records] for side, records in traced.items()},
         }
-        entry["traced_round_wall_s"] = {side: traced[side].get("round_wall_s") for side in trees}
+        entry["per_layer"] = {name: {side: median_of(v) for side, v in sides.items()}
+                              for name, sides in raw["per_layer"].items()}
+        entry["traced_round_wall_s"] = {side: median_of(v) for side, v in raw["round_wall_s"].items()}
+        entry["traced_runs"] = raw
     return entry, failures
 
 
@@ -184,7 +205,7 @@ def parse_args(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="perfbench --seed of every run (default 1)")
     parser.add_argument("--workloads", help="comma-separated workloads (default: all of BENCHMARK.json)")
     parser.add_argument("--no-trace", dest="trace", action="store_false",
-                        help="skip the one --trace 1 run per side")
+                        help="skip the --trace 1 runs")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
