@@ -121,7 +121,7 @@ def gamma_sigmoid(r, c_bar: float, scale: float = 1.0, out: np.ndarray | None = 
 
 
 def sample_delays(design: DesignVector, samples: ScenarioSamples, scenario: SwarmScenario):
-    """Per-sample link delays (t_up, t_dn), each (K, I) seconds: transposed views of _row_delays'."""
+    """Link delays (t_up, t_dn) of samples.at(scenario), each (K, I) seconds: transposed views of _row_delays'."""
     t_up, t_dn = _row_delays(design, samples.at(scenario))
     return t_up.T, t_dn.T
 
