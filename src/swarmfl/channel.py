@@ -275,8 +275,8 @@ def _generate_beside(scenario: "SwarmScenario", samples_k: int, rng_seed: int, w
     return ScenarioSamples._of(scenario, ChannelDraw(**{name: a[0] for name, a in vars(draws).items()}))
 
 
-def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int | None = None) -> ChannelDraw:
-    """Draw one (size=None) or a batch of channel realizations: one row of _draw_rows.
+def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int) -> ChannelDraw:
+    """Draw a batch of size channel realizations: one row of _draw_rows.
 
     Condition that must hold: the generator is consumed the same way at
     every jitter variance.  The jitter is sqrt(antenna.sigma2) times the
@@ -286,9 +286,8 @@ def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int 
     draws, bit for bit as a draw at that sigma2 would give; sweeps over
     jitter variance or bandwidth are coupled draw-for-draw because of it.
     """
-    rows = _draw_rows(scenario, [rng], 1 if size is None else size)
-    index = (0, 0) if size is None else 0
-    return ChannelDraw(**{name: a[index] for name, a in vars(rows).items()})
+    rows = _draw_rows(scenario, [rng], size)
+    return ChannelDraw(**{name: a[0] for name, a in vars(rows).items()})
 
 
 # === SINR and delays ===

@@ -340,7 +340,8 @@ def experiment_compare_designs(
     problem = problem_constants(scenario)
     eps_sum = _eps_sum(scenario, problem)
     base_seed = scenario.base_seed
-    # the draws of bandwidth index 0's seeds, as solve(rng_seed=derive_seed(base_seed, "cd-solve", 0)) makes them
+    # the draws of bandwidth index 0's seeds; frozen is the one solve makes at the
+    # base_seed derive_seed(base_seed, "cd-solve", 0)
     scoring = ScenarioSamples.generate(points[0], scenario.n_success_samples, derive_seed(base_seed, "cd-probs", 0))
     frozen = ScenarioSamples.generate(
         points[0], scenario.saa.samples_k, derive_seed(derive_seed(base_seed, "cd-solve", 0), "saa-samples")

@@ -15,10 +15,10 @@ of saa imports scipy.
 One evaluator, _CoordinateLagrangian, computes a design's smoothed
 quantities (delays, window sigmoids, participation sums, objective,
 residual rows, energies) on the samples' own follower-major layout, with
-one routine per coordinate that both its trials and its moves run; the
-public smoothed functions read one rebuilt at their design, the inner
-maximization tries and moves one coordinate of it at a time, and each dual
-iteration reads the residuals and objective it reports.  Every public
+one routine per coordinate that both its trials and its moves run;
+lagrangian and smoothed_constraints read one rebuilt at their design, the
+inner maximization tries and moves one coordinate of it at a time, and each
+dual iteration reads the residuals and objective it reports.  Every public
 function taking (samples, scenario) reads the samples through
 samples.at(scenario), so a pair of other draw statistics raises ValueError
 and kernels and bandwidth always come from the one point.
@@ -58,7 +58,6 @@ __all__ = [
     "problem_constants",
     "gamma_sigmoid",
     "sample_delays",
-    "smoothed_objective",
     "smoothed_constraints",
     "unsmoothed_feasibility",
     "lagrangian",
@@ -138,13 +137,6 @@ def _window_gamma(window: float, delays, smoothing) -> np.ndarray:
     return gamma_sigmoid(r, smoothing.c_bar, smoothing.delay_scale, out=r)
 
 
-def smoothed_objective(design, samples, smoothing, scenario) -> float:
-    """Count-weighted smoothed tally of in-time uploads across all samples."""
-    return _CoordinateLagrangian(
-        None, samples, smoothing, scenario, scenario.energy_budget, scenario.control
-    ).rebuild(design.as_flat()).obj
-
-
 def smoothed_constraints(
     design,
     samples,
@@ -221,7 +213,11 @@ def lagrangian(
     control,
     constants: TrainingProblem | None = None,
 ) -> float:
-    """Smoothed objective plus multiplier-weighted smoothed residuals."""
+    """Smoothed objective plus multiplier-weighted smoothed residuals.
+
+    The smoothed objective, the count-weighted smoothed tally of in-time
+    uploads across all samples, is this at zero multipliers.
+    """
     lam = _checked_multipliers(lambda_, scenario.n_followers)
     return _CoordinateLagrangian(
         lam, samples, smoothing, scenario, budgets, control, constants
@@ -233,10 +229,10 @@ class _CoordinateLagrangian:
     move one coordinate of it.
 
     This is the one place the smoothed problem is evaluated: lagrangian,
-    smoothed_objective, smoothed_constraints and the dual loops all read an
-    evaluator rebuilt at their design.  Every sample array is (I, K), one
-    row of K samples per follower, as the samples store their kernels, and
-    per-follower constants are (I, 1) columns.  The attributes are the parts
+    smoothed_constraints and the dual loops all read an evaluator rebuilt
+    at their design.  Every sample array is (I, K), one row of K samples per
+    follower, as the samples store their kernels, and per-follower
+    constants are (I, 1) columns.  The attributes are the parts
     of the base design: delays, window sigmoids, the row sums of their
     product with the objective obj = counts @ both_sums, control rows,
     flight energy e_fly, follower compute-plus-upload energies e_work and
@@ -562,10 +558,11 @@ class SolveReport:
     (an ellipsoid cut had no direction) or "max_iters".  gap is the relative
     duality gap, (best dual value - best feasible objective) / max(|best dual
     value|, 1); the inner maximization is local, so it can dip below 0.
+    solve returns a report only with a feasible design, whose indicator
+    margins are margins.
     """
 
     iterations: list[dict] = field(default_factory=list)
-    feasible: bool = False
     margins: np.ndarray | None = None
     predicted_round: int | None = None
     success_probs: np.ndarray | None = None
@@ -574,9 +571,6 @@ class SolveReport:
     nonnegativity_cuts: int = 0
     stop_reason: str = "max_iters"  # or "gap", "stationary", "degenerate"
     gap: float | None = None
-
-    def dual_trace(self) -> np.ndarray:
-        return np.array([row["dual_value"] for row in self.iterations])
 
 
 @dataclass
@@ -632,7 +626,6 @@ class _DualState:
 
 def solve(
     scenario: SwarmScenario,
-    rng_seed: int | None = None,
     method: str = "subgradient",
     scoring: ScenarioSamples | None = None,
     samples: ScenarioSamples | None = None,
@@ -645,30 +638,26 @@ def solve(
     the multipliers go stationary.  The frozen optimizer samples are
     samples read at scenario (samples.at), so they may be drawn at another
     jitter variance or bandwidth; by default a fresh saa.samples_k draw
-    seeded from rng_seed and "saa-samples".  The returned design is the
-    unsmoothed-feasible iterate with the best smoothed objective.  Its
-    success probabilities and round prediction are read off scoring, draws
-    independent of the frozen optimizer samples, also read at scenario
-    before the dual loop starts; by default a fresh n_success_samples draw
-    seeded from rng_seed and "opt-probs", whose generator fills run on a
-    worker thread while the dual loop runs on this one
-    (channel._generate_beside), so the probabilities are
-    estimate_success_probs's bit for bit.
-    rng_seed defaults to the scenario's base_seed and must lie in
-    [0, 2**64), as that field does.  Raises NoFeasibleDesignError when every
-    iterate violates the sample constraints.
+    seeded from the scenario's base_seed and "saa-samples".  The returned
+    design is the unsmoothed-feasible iterate with the best smoothed
+    objective.  Its success probabilities and round prediction are read off
+    scoring, draws independent of the frozen optimizer samples, also read at
+    scenario before the dual loop starts; by default a fresh
+    n_success_samples draw seeded from base_seed and "opt-probs", whose
+    generator fills run on a worker thread while the dual loop runs on this
+    one (channel._generate_beside), so the probabilities are
+    estimate_success_probs's bit for bit.  Set another seed with
+    replace(scenario, base_seed=...).  Raises NoFeasibleDesignError when
+    every iterate violates the sample constraints.
     """
     scenario.require_valid()
     solvers = {"subgradient": _solve_subgradient, "ellipsoid": _solve_ellipsoid}
     if method not in solvers:
         raise ValueError(f"unknown method: {method!r}")
-    rng_seed = scenario.base_seed if rng_seed is None else rng_seed
-    if not 0 <= rng_seed < 2**64:  # derive_seed would alias it onto a seed in range
-        raise ValueError(f"rng_seed must be in [0, 2**64), got {rng_seed}")
     constants = problem_constants(scenario)
     if samples is None:
         samples = ScenarioSamples.generate(
-            scenario, scenario.saa.samples_k, derive_seed(rng_seed, "saa-samples")
+            scenario, scenario.saa.samples_k, derive_seed(scenario.base_seed, "saa-samples")
         )
     samples = samples.at(scenario)
     scoring = None if scoring is None else scoring.at(scenario)
@@ -677,7 +666,7 @@ def solve(
         SolveReport(method=method), scenario.default_design(),
     )
     if scoring is None:  # its fills run on a worker thread during the dual loop
-        seed = derive_seed(rng_seed, "opt-probs")
+        seed = derive_seed(scenario.base_seed, "opt-probs")
         scoring = _generate_beside(scenario, scenario.n_success_samples, seed, lambda: solvers[method](state))
     else:
         solvers[method](state)
@@ -690,7 +679,6 @@ def solve(
     probs = scoring.success_probs(best)
     predicted = constants.predicted_round(probs, _eps_sum(scenario, constants))
     report.gap = state.gap()
-    report.feasible = True
     report.margins = state.best_feasible_margins
     report.predicted_round = predicted
     report.success_probs = probs

@@ -39,7 +39,6 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "serialize_scenario",
-    "save_scenario",
 ]
 
 
@@ -448,9 +447,4 @@ def scenario_to_dict(s: SwarmScenario) -> dict:
 
 def serialize_scenario(s: SwarmScenario) -> str:
     return json.dumps(scenario_to_dict(s), indent=2) + "\n"
-
-
-def save_scenario(s: SwarmScenario, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_scenario(s))
 

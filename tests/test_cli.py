@@ -1,10 +1,13 @@
 """Command line: argument wiring, exit codes, reproducible output files."""
 
+import argparse
 import functools
+import importlib.util
 import inspect
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,6 +18,63 @@ import pytest
 from swarmfl import cli
 from swarmfl.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from swarmfl.experiments import ExperimentResult
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# each command's experiment, as cli binds it
+EXPERIMENTS = {
+    "validate-theorem": "experiment_validate_theorem",
+    "sweep-sigma": "experiment_sweep_sigma",
+    "compare-designs": "experiment_compare_designs",
+    "optimize": "experiment_optimize",
+    "simulate": "experiment_simulate",
+}
+# the flags that set the scenario or the output, not an experiment parameter
+SCENARIO_DESTS = {"config", "seed", "out", "samples_k"}
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    return next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+
+
+def load_file(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_argvs() -> list[list[str]]:
+    """The argv of every benchmark command (perfbench/run.py's WORKLOADS) and of every
+    run tools/csv_identity.py compares by default (LATE_RUNS, BINDING_RUNS), read from their files."""
+    bench = load_file("perfbench_run", ROOT / "perfbench" / "run.py")
+    identity = load_file("csv_identity", ROOT / "tools" / "csv_identity.py")
+    return [argv for ops in bench.WORKLOADS.values() for _, argv in ops] + [
+        shlex.split(run) for run in identity.LATE_RUNS + identity.BINDING_RUNS
+    ]
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Each command's experiment replaced by a recorder of its keyword arguments, so nothing runs.
+
+    The recorder binds the call to the experiment's signature, so an argument
+    that is no parameter of it raises TypeError.
+    """
+    calls = {}
+
+    def recorder(command, experiment):
+        @functools.wraps(experiment)  # keeps the signature the parser and the help text read
+        def record(scenario, **kwargs):
+            inspect.signature(experiment).bind(scenario, **kwargs)
+            calls[command] = kwargs
+            return ExperimentResult(command, [])
+
+        return record
+
+    for command, name in EXPERIMENTS.items():
+        monkeypatch.setattr(cli, name, recorder(command, getattr(cli, name)))
+    return calls
 
 
 @pytest.fixture()
@@ -138,23 +198,6 @@ class TestRuns:
 class TestDefaults:
     """The experiments own their defaults: a flag left out passes nothing on."""
 
-    @pytest.fixture()
-    def calls(self, monkeypatch):
-        calls = {}
-
-        def recorder(command, experiment):
-            @functools.wraps(experiment)  # keeps the signature the help text reads
-            def record(scenario, **kwargs):
-                calls[command] = kwargs
-                return ExperimentResult(command, [])
-
-            return record
-
-        for command, name in (("sweep-sigma", "experiment_sweep_sigma"),
-                              ("compare-designs", "experiment_compare_designs")):
-            monkeypatch.setattr(cli, name, recorder(command, getattr(cli, name)))
-        return calls
-
     @pytest.mark.parametrize("argv, passed", [
         (["sweep-sigma"], {}),
         (["compare-designs"], {}),
@@ -176,6 +219,29 @@ class TestDefaults:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--help"])
         assert f"(default {default})" in " ".join(capsys.readouterr().out.split())
+
+
+class TestFlagsAreParameters:
+    """Each experiment flag is stored under the parameter it sets, and a run passes it there."""
+
+    @pytest.mark.parametrize("command", list(EXPERIMENTS))
+    def test_flags_are_exactly_the_experiment_parameters(self, command):
+        parser = subparser(command)
+        experiment = parser.get_default("experiment")
+        assert experiment is getattr(cli, EXPERIMENTS[command])
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests - SCENARIO_DESTS == set(list(inspect.signature(experiment).parameters)[1:])
+
+    @pytest.mark.parametrize("argv", benchmark_argvs(), ids=" ".join)
+    def test_benchmark_command_lines_reach_their_experiment(self, calls, argv, tmp_path, capsys):
+        """Every flag of a benchmark or csv_identity run but the scenario's reaches
+        a parameter of its command's experiment, with the value it parses to."""
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        command, parser = argv[0], subparser(argv[0])
+        args = parser.parse_args(argv[1:])
+        dests = [parser._option_string_actions[t.split("=")[0]].dest for t in argv[1:] if t.startswith("--")]
+        assert calls == {command: {dest: getattr(args, dest) for dest in dests if dest not in SCENARIO_DESTS}}
+        capsys.readouterr()
 
 
 class TestFailureModes:

@@ -14,7 +14,6 @@ from swarmfl.scenario import (
     ConfigError,
     SwarmScenario,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
@@ -103,10 +102,10 @@ class TestRoundTrip:
 
     def test_json_file_round_trip(self, default_scenario, tmp_path):
         path = tmp_path / "scenario.json"
-        save_scenario(default_scenario, path)
+        path.write_text(serialize_scenario(default_scenario), encoding="utf-8")
         loaded = load_scenario(path)
         assert loaded == default_scenario
-        save_scenario(loaded, tmp_path / "again.json")
+        (tmp_path / "again.json").write_text(serialize_scenario(loaded), encoding="utf-8")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_serialized_form_is_plain_json(self, default_scenario):
