@@ -447,4 +447,3 @@ def scenario_to_dict(s: SwarmScenario) -> dict:
 
 def serialize_scenario(s: SwarmScenario) -> str:
     return json.dumps(scenario_to_dict(s), indent=2) + "\n"
-
