@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
@@ -207,72 +207,93 @@ def _draw_rows(scenario: "SwarmScenario", rngs, size: int) -> ChannelDraw:
     return _formed(scenario, normals, uniforms)
 
 
-def _row_arrays(scenario: "SwarmScenario", n_rows: int, size: int) -> tuple[list, list]:
-    """The empty arrays _fill_rows writes, leading axes (n_rows, size): normals and uniforms in draw order."""
+def _row_arrays(scenario: "SwarmScenario", n_rows: int, size: int, shared_imaginary: bool = False) -> tuple[list, list]:
+    """The empty arrays _fill_rows writes, leading axes (n_rows, size): normals and uniforms in draw order.
+
+    With shared_imaginary, the imaginary parts are views of one buffer, for
+    a fill that forms each gain before the next fading is drawn.
+    """
     n_f = scenario.n_followers
     j_up, j_dn = len(scenario.uplink_interference), len(scenario.downlink_interference)
     lead = (n_rows, size)
-    fading_shapes = ((n_f,), (n_f,), (j_up,), (j_dn, n_f))
+    fading_shapes = [lead + shape for shape in ((n_f,), (n_f,), (j_up,), (j_dn, n_f))]
+    scratch = np.empty(max(math.prod(shape) for shape in fading_shapes)) if shared_imaginary else None
     normals = [np.empty(lead + (n_f + 1,))]
-    normals += [np.empty(lead + shape) for shape in fading_shapes for _ in "ri"]  # real, then imaginary part
+    for shape in fading_shapes:  # real, then imaginary part
+        normals.append(np.empty(shape))
+        normals.append(np.empty(shape) if scratch is None else scratch[: math.prod(shape)].reshape(shape))
     return normals, [np.empty(lead + (j,)) for j in (j_up, j_dn)]
 
 
-def _fill_rows(rngs, normals: list, uniforms: list) -> None:
-    """Write row r of every array from rngs[r]; generator calls only, so it may run on another thread."""
+def _fill_rows(rngs, normals: list, uniforms: list, k_factor: float | None = None) -> None:
+    """Write row r of every array from rngs[r]; numpy calls only, so it may run on another thread.
+
+    With k_factor, each fading's gain is formed in its real part as soon as
+    its imaginary part is filled (_rician_in_place), so the imaginary parts
+    may share one scratch buffer.
+    """
     for row, rng in enumerate(rngs):
-        for out in normals:
+        for j, out in enumerate(normals):
             rng.standard_normal(out=out[row])
+            if k_factor is not None and j and j % 2 == 0:  # an imaginary part: its real part is normals[j - 1]
+                _rician_in_place(normals[j - 1][row], out[row], k_factor)
         for out in uniforms:
             rng.random(out=out[row])
 
 
-def _formed(scenario: "SwarmScenario", normals: list, uniforms: list) -> ChannelDraw:
-    """The draw of filled _row_arrays: jitter scaled to scenario's sigma2, Rician gains and interferer activity."""
+def _formed(scenario: "SwarmScenario", normals: list, uniforms: list, faded: bool = False) -> ChannelDraw:
+    """The draw of filled _row_arrays: jitter scaled to scenario's sigma2, Rician gains (in the real parts
+    already if faded) and interferer activity."""
     angle_dev, *fading = normals
     angle_dev *= np.sqrt(scenario.antenna.sigma2)
     k = scenario.radio.rician_k
     interference = (scenario.uplink_interference, scenario.downlink_interference)
     return ChannelDraw(
         angle_dev,
-        *(_rician_in_place(re, im, k) for re, im in zip(fading[::2], fading[1::2])),
+        *(re if faded else _rician_in_place(re, im, k) for re, im in zip(fading[::2], fading[1::2])),
         *(u < _interferer_table(f)[3] for u, f in zip(uniforms, interference)),
     )
 
 
-def _generate_beside(scenario: "SwarmScenario", samples_k: int, rng_seed: int, work) -> "ScenarioSamples":
-    """ScenarioSamples.generate(scenario, samples_k, rng_seed), its generator fills made while work() runs.
+def _generate_beside(scenario: "SwarmScenario", samples_k: int, rng_seed: int, work) -> tuple["ScenarioSamples", object]:
+    """(ScenarioSamples.generate(scenario, samples_k, rng_seed), work()), the generator fills made while work() runs.
 
-    This thread makes the generator and the arrays, a worker thread runs
+    The scoring draws of solve ("opt-probs"), validate-theorem ("vt-probs")
+    and sweep-sigma ("ss-probs") are made here, beside the dual loop or the
+    Monte Carlo training.  This thread makes the generator and the arrays,
+    the fadings' imaginary parts one shared buffer; a worker thread runs
     only _fill_rows on them (the calls draw_channel makes, in its order),
+    which forms each Rician gain as soon as its imaginary part is filled,
     and work() runs here meanwhile.  After the worker is joined, this
-    thread forms the draw and the samples, so the bits are generate's.  An
-    exception from work, or else from the fill, reaches the caller, and no
-    thread is left running either way.  The worker calls no public swarmfl
-    function, so spans wrapped around those read one thread's calls.
+    thread forms the rest of the draw and the samples, so the bits are
+    generate's.  While work() runs, the filled arrays are held: about 440
+    bytes a sample at the default scenario.  An exception from work, or
+    else from the fill, reaches the caller, and no thread is left running
+    either way.  The worker calls no public swarmfl function, so spans
+    wrapped around those read one thread's calls.
     """
     unit = _unit_variance(scenario)
     rngs = [np.random.default_rng(rng_seed)]
-    normals, uniforms = _row_arrays(unit, 1, samples_k)
+    normals, uniforms = _row_arrays(unit, 1, samples_k, shared_imaginary=True)
     failed = []
 
     def fill():
         try:
-            _fill_rows(rngs, normals, uniforms)
+            _fill_rows(rngs, normals, uniforms, unit.radio.rician_k)
         except BaseException as exc:  # handed to the caller after the join
             failed.append(exc)
 
     worker = threading.Thread(target=fill, name="swarmfl-fill")
     worker.start()
     try:
-        work()
+        done = work()
     finally:
         worker.join()
     if failed:
         raise failed[0]
-    draws = _formed(unit, normals, uniforms)
+    draws = _formed(unit, normals, uniforms, faded=True)
     del normals, uniforms  # the imaginary parts and uniforms are scratch: let them go before the samples are made
-    return ScenarioSamples._of(scenario, ChannelDraw(**{name: a[0] for name, a in vars(draws).items()}))
+    return ScenarioSamples._of(scenario, ChannelDraw(**{name: a[0] for name, a in vars(draws).items()})), done
 
 
 def draw_channel(scenario: "SwarmScenario", rng: np.random.Generator, size: int) -> ChannelDraw:
@@ -534,13 +555,39 @@ class ScenarioSamples:
         return np.array([np.count_nonzero(row) for row in self._masks(design)]) / self.k
 
 
+# The scenario fields a read of stored draws may change: jitter variance and link bandwidths.
+_READ_FIELDS = frozenset({"antenna.sigma2", "radio.bw_up", "radio.bw_down"})
+_READ_GROUPS = frozenset(name.rpartition(".")[0] for name in _READ_FIELDS)
+
+
 def _require_same_draws(scenario: "SwarmScenario", points) -> None:
-    """Points read off the draws of scenario may differ from it only in jitter variance and bandwidth."""
+    """Points read off the draws of scenario may differ from it only in jitter variance and bandwidth.
+
+    The ValueError names the first field that differs otherwise, by its dotted name.
+    """
     for point in points:
-        antenna = replace(point.antenna, sigma2=scenario.antenna.sigma2)
-        radio = replace(point.radio, bw_up=scenario.radio.bw_up, bw_down=scenario.radio.bw_down)
-        if replace(point, antenna=antenna, radio=radio) != scenario:
-            raise ValueError("points may differ only in antenna.sigma2, radio.bw_up and radio.bw_down")
+        name = _differing_field(scenario, point)
+        if name is not None:
+            raise ValueError(f"points may differ only in antenna.sigma2, radio.bw_up and radio.bw_down; {name} differs")
+
+
+def _differing_field(a, b, prefix: str = "") -> str | None:
+    """Dotted name of the first compared field of dataclass a that b's differs in, _READ_FIELDS aside, else None.
+
+    Fields compare as dataclass equality compares them (identical, or ==);
+    the groups holding _READ_FIELDS, and a differing dataclass, are walked
+    for the name.
+    """
+    for f in fields(a):
+        dotted = prefix + f.name
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if x is y or not f.compare or dotted in _READ_FIELDS:
+            continue
+        if dotted in _READ_GROUPS or x != y:
+            inner = _differing_field(x, y, dotted + ".") if is_dataclass(x) and type(x) is type(y) else dotted
+            if inner is not None:
+                return inner
+    return None
 
 
 def _unit_variance(scenario: "SwarmScenario") -> "SwarmScenario":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import MaskStream, ScenarioSamples, estimate_success_probs
+from .channel import MaskStream, ScenarioSamples, _generate_beside
 from .design import DesignVector
 from .energy import round_energies
 from .fl import FlState, run_fl
@@ -171,9 +171,10 @@ def experiment_validate_theorem(
     """Predicted vs. empirical convergence rounds across loss targets.
 
     Loss targets are fractions of the initial loss sum; the prediction uses
-    Monte Carlo success probabilities at the scenario's default design, the
-    empirical side averages first-crossing rounds over mc_runs coupled
-    training runs.
+    Monte Carlo success probabilities at the scenario's default design, read
+    off a vt-probs draw whose generator fills run on a worker thread while
+    the runs train (channel._generate_beside); the empirical side averages
+    first-crossing rounds over mc_runs coupled training runs.
     """
     scenario = _with_mc_runs(scenario, mc_runs)
     design = scenario.default_design()
@@ -186,13 +187,14 @@ def experiment_validate_theorem(
     problem = problem_constants(scenario)
     model, s0 = problem.model, problem.initial_loss_sum
     n_total = model.n_total
-    probs = estimate_success_probs(
-        design, scenario, scenario.n_success_samples, derive_seed(scenario.base_seed, "vt-probs")
-    )
     eps_sums = [frac * s0 for frac in eps_fracs]
     eps_means = [eps / n_total for eps in eps_sums]
     seeds = _run_seeds(scenario, "vt-run")
-    [(state, _)] = _train(model, [scenario], design, scenario.max_rounds, seeds, min(eps_means))
+    samples, [(state, _)] = _generate_beside(  # the vt-probs draw, filled while the runs train
+        scenario, scenario.n_success_samples, derive_seed(scenario.base_seed, "vt-probs"),
+        lambda: _train(model, [scenario], design, scenario.max_rounds, seeds, min(eps_means)),
+    )
+    probs = samples.success_probs(design)
     crossings = _crossing_rounds(model, state, eps_means)
 
     columns = (
@@ -245,10 +247,11 @@ def experiment_sweep_sigma(
     """Round counts over an (antenna jitter variance, bandwidth) grid.
 
     The whole grid is read off one ss-probs draw of success-probability
-    samples and, per repetition, one ss-run stream shared by every point
-    (ScenarioSamples.at and MaskStream), so the grid is coupled
-    draw-for-draw and the emitted trends reflect the parameters, not
-    resampling luck.  Rows follow sigma2_list, then bw_list, repeats kept.
+    samples, filled on a worker thread while the runs train
+    (channel._generate_beside), and, per repetition, one ss-run stream
+    shared by every point (ScenarioSamples.at and MaskStream), so the grid
+    is coupled draw-for-draw and the emitted trends reflect the parameters,
+    not resampling luck.  Rows follow sigma2_list, then bw_list, repeats kept.
     Every point runs the scenario's default design.
     """
     scenario = _with_mc_runs(scenario, mc_runs)
@@ -277,13 +280,13 @@ def experiment_sweep_sigma(
     eps_sum = eps_frac * problem.initial_loss_sum
     keys = [(sigma2, bw) for sigma2 in sigma2_list for bw in bw_list]
     grid = [points[key] for key in keys]
-    samples = ScenarioSamples.generate(
-        grid[0], scenario.n_success_samples, derive_seed(scenario.base_seed, "ss-probs")
+    eps_mean = eps_sum / model.n_total
+    seeds = _run_seeds(scenario, "ss-run")
+    samples, runs = _generate_beside(  # the ss-probs draw, filled while the runs train
+        grid[0], scenario.n_success_samples, derive_seed(scenario.base_seed, "ss-probs"),
+        lambda: _train(model, grid, design, scenario.max_rounds, seeds, eps_mean),
     )
     probs = [samples.at(point).success_probs(design) for point in grid]  # variance-major: views share each gain
-    del samples  # scored first, so it is never held together with the grid's masks
-    eps_mean = eps_sum / model.n_total
-    runs = _train(model, grid, design, scenario.max_rounds, _run_seeds(scenario, "ss-run"), eps_mean)
     for (sigma2, bw), point_probs, (_, hits) in zip(keys, probs, runs):
         predicted = problem.predicted_round(point_probs, eps_sum)
         emp_mean, emp_std, n_conv = _mean_std(hits)

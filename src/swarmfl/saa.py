@@ -667,7 +667,7 @@ def solve(
     )
     if scoring is None:  # its fills run on a worker thread during the dual loop
         seed = derive_seed(scenario.base_seed, "opt-probs")
-        scoring = _generate_beside(scenario, scenario.n_success_samples, seed, lambda: solvers[method](state))
+        scoring, _ = _generate_beside(scenario, scenario.n_success_samples, seed, lambda: solvers[method](state))
     else:
         solvers[method](state)
 

@@ -6,6 +6,7 @@ implementation.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import fields, is_dataclass, replace
@@ -667,6 +668,20 @@ class TestSuccessProbability:
             for read in reads:
                 with pytest.raises(ValueError, match="antenna.sigma2, radio.bw_up and radio.bw_down"):
                     read()
+
+    def test_a_refused_point_names_the_field_that_differs(self, default_scenario):
+        """The ValueError keeps its sentence and names the differing field by its dotted name, also when the
+        point's jitter variance or bandwidths differ too."""
+        samples, s = ScenarioSamples.generate(default_scenario, 10, 9), default_scenario
+        points = {
+            "base_seed": replace(s, base_seed=s.base_seed + 1),
+            "antenna.g_min": replace(s, antenna=replace(s.antenna, g_min=0.5, sigma2=0.2)),
+            "radio.rician_k": replace(s, radio=replace(s.radio, rician_k=3.0, bw_up=2e6, bw_down=5e6)),
+        }
+        for name, point in points.items():
+            sentence = f"points may differ only in antenna.sigma2, radio.bw_up and radio.bw_down; {name} differs"
+            with pytest.raises(ValueError, match=f"^{re.escape(sentence)}$"):
+                samples.at(point)
 
     def test_sample_count_checked(self, default_scenario):
         with pytest.raises(ValueError, match="n_samples"):

@@ -357,6 +357,21 @@ def test_a_regression_beyond_the_bound_is_marked(tmp_path):
     assert "per_layer" not in json.loads((tmp_path / "new" / "BENCH_slow.json").read_text())["workloads"]["toy"]
 
 
+def test_each_bounded_metric_prints_how_far_it_moved_and_the_bound_left(tmp_path, capsys):
+    """At a 50 MB base, peak_rss_mb's 10% bound allows 5 MB: a 2 MB move leaves 3 MB; round_s's move of 0.3 s
+    is 0.05 s past its 0.25 s."""
+    base = fake_tree(tmp_path, "base", [record(1.0, rss=50.0)])
+    new = fake_tree(tmp_path, "new", [record(1.3, rss=52.0)])
+    assert ab_bench.main([base, new, "--label", "left", "--pairs", "2", "--seconds", "1", "--no-trace"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "toy peak_rss_mb bound: moved +2 MB; 3 MB of its 5 MB bound (10% of the base median) left" in out
+    assert "toy round_s bound: moved +0.3 s; -0.05 s of its 0.25 s bound (25% of the base median) left" in out
+    assert not any(line.startswith("toy round_wall_s bound") for line in out)  # it has no bound
+    m = json.loads((tmp_path / "new" / "BENCH_left.json").read_text())["workloads"]["toy"]["metrics"]
+    assert m["peak_rss_mb"]["bound_left"] == pytest.approx(3.0)
+    assert m["round_s"]["bound_left"] == pytest.approx(-0.05)
+
+
 @pytest.mark.parametrize("bad", [record(1.0, correct=False), record(1.0, failed=1), "crash"])
 def test_a_bad_run_on_either_side_exits_one(tmp_path, capsys, bad):
     crash = FAKE_RUN.replace("print(json.dumps(record))", "sys.exit(3) if record == 'crash' else print(json.dumps(record))")

@@ -19,7 +19,9 @@ The file, at NEW_TREE's root, holds per workload each run's round count
 and median wall round time, and per end-to-end metric both sides' raw
 values, the medians, BASE's quartiles, the pairs NEW won (ties count for
 neither side), whether the change in the median is within the metric's
-BENCHMARK.json bound, and whether a gain is resolved: NEW won at least
+BENCHMARK.json bound, how much of that bound is left in the metric's unit
+(`bound_left`, negative beyond it; printed with how far the median moved),
+and whether a gain is resolved: NEW won at least
 nine in ten pairs and the medians differ by more than BASE's
 interquartile range.  The file also holds each tree's line count of
 src/swarmfl/*.py (`src_lines`), as `cat src/swarmfl/*.py | wc -l` counts
@@ -137,6 +139,8 @@ def compare(spec: dict, base: list, new: list) -> dict:
         within_bound=None if spec.get("bound") is None else sign * change <= spec["bound"],
         gain_resolved=won >= 0.9 * len(pairs) and abs(new_med - base_med) > q3 - q1,
     )
+    if spec.get("bound") is not None:  # in the metric's unit: the bound allows a move of bound * base_median
+        out["bound_left"] = spec["bound"] * abs(base_med) - sign * (new_med - base_med)
     return out
 
 
@@ -247,6 +251,12 @@ def main(argv=None) -> int:
                       f" ({m['change']:+.1%}; base quartiles {m['base_quartiles'][0]:.6g},"
                       f" {m['base_quartiles'][1]:.6g}; new won {m['new_won']}/{m['pairs']};"
                       f" within bound {m['within_bound']})")
+        for name, m in metrics.items():
+            if "bound_left" in m:
+                allowed = m["bound"] * abs(m["base_median"])
+                print(f"{workload} {name} bound: moved {m['new_median'] - m['base_median']:+.6g} {m['unit']};"
+                      f" {m['bound_left']:.6g} {m['unit']} of its {allowed:.6g} {m['unit']} bound"
+                      f" ({m['bound']:.0%} of the base median) left")
     print(f"src/swarmfl/*.py lines: {result['src_lines']['base']} -> {result['src_lines']['new']}")
     for why in failures:
         print(f"FAILED: {why}", file=sys.stderr)
